@@ -68,6 +68,7 @@ from .susy import (
     general_potentials,
     intertwiner,
     inverse_ansatz,
+    pipeline,
     preset_parameters,
     solve_parameters,
     target_monomials,

@@ -3,16 +3,21 @@
 Subcommands: ``derive`` (print a constraint set), ``verify`` (run a named
 acceptance suite), ``search`` (find an integral constant), ``emit`` (print
 a golden by id).  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 search exhausted.
+error (including an invalid ``NFOLDSUSY_MAX_DERIV`` or
+``NFOLDSUSY_DERIV_BOUND``, or a derivative beyond the cap), 3 search
+exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import goldens, reduction, suites, susy
+from .config import max_deriv_order, search_deriv_bound
+from .diffring import DerivOrderError
 from .formatting import format_poly, poly_to_dict
 from .parsing import parse
 
@@ -44,12 +49,7 @@ def cmd_derive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         if preset == "footnote-alt" and n != 4:
             parser.error("the footnote-alt preset exists only for --n 4")
     try:
-        if stage == "raw":
-            cs = susy.derive_conditions(susy.build_system(n))
-        elif stage == "eliminated":
-            cs = susy.eliminate_potentials(susy.derive_conditions(susy.build_system(n)))
-        else:
-            cs = susy.transformed_conditions(n, preset)
+        cs = susy.pipeline(n, stage, preset)
     except susy.SusyError as exc:
         parser.error(str(exc))
 
@@ -111,6 +111,8 @@ def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("the footnote-alt preset exists only for --n 4")
     if not 1 <= k <= n - 1:
         parser.error(f"--k must be in 1..{n - 1} for --n {n}")
+    if args.deriv_bound is not None and args.deriv_bound < 0:
+        parser.error("--deriv-bound must be a non-negative integer")
     try:
         found = suites.run_search(n, k, preset, policy=args.policy,
                                   max_deriv=args.deriv_bound)
@@ -119,12 +121,12 @@ def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         return EXIT_SEARCH_EXHAUSTED
 
     display_note = ""
-    for e in goldens.corpus().values():
-        if e.kind == "integral" and e.n == n and e.preset == preset and e.data["k"] == k:
-            display_note = (
-                f"display = {e.data['prefactor']}*J_{k} = ({e.scale()}) * J"
-                + (" + recorded completion" if "completion" in e.data else "")
-            )
+    e = goldens.integral_entries(n, preset).get(k)
+    if e is not None:
+        display_note = (
+            f"display = {e.data['prefactor']}*J_{k} = ({e.scale()}) * J"
+            + (" + recorded completion" if "completion" in e.data else "")
+        )
     if args.format == "json":
         payload = {
             "n": n,
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="derive and print a constraint set")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--stage", choices=("raw", "eliminated", "transformed"), default="raw")
+    p.add_argument("--stage", choices=susy.STAGES, default="raw")
     p.add_argument("--preset", choices=("paper", "footnote-alt", "generic"), default="paper")
     p.add_argument("--format", **fmt)
     p.add_argument("--out")
@@ -216,16 +218,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_environment(parser: argparse.ArgumentParser) -> None:
+    """Exit with a usage error unless both derivative caps read from the
+    environment are non-negative integers."""
+    for name, read in (
+        ("NFOLDSUSY_MAX_DERIV", max_deriv_order),
+        ("NFOLDSUSY_DERIV_BOUND", search_deriv_bound),
+    ):
+        try:
+            valid = read() >= 0
+        except ValueError:
+            valid = False
+        if not valid:
+            parser.error(f"{name} must be a non-negative integer, got {os.environ[name]!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_environment(parser)
     handlers = {
         "derive": cmd_derive,
         "verify": cmd_verify,
         "search": cmd_search,
         "emit": cmd_emit,
     }
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except DerivOrderError as exc:
+        parser.error(f"{exc} NFOLDSUSY_MAX_DERIV={max_deriv_order()}")
 
 
 if __name__ == "__main__":

@@ -108,8 +108,6 @@ class DiffOperator:
         """Composition, using d^i (a ...) = sum_j C(i,j) a^(j) d^(i-j)."""
         rhs = self._lift(other)
         if rhs is None:
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
             return NotImplemented
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

@@ -45,12 +45,7 @@ class GoldenEntry:
         return DiffOperator(self.n, coeffs)
 
     def combo(self, key: str = "combo") -> dict[int, dict[int, DiffPoly]]:
-        out: dict[int, dict[int, DiffPoly]] = {}
-        for j, entry in self.data[key].items():
-            out[int(j)] = {
-                int(power): parse(expr, self.n) for power, expr in entry.items()
-            }
-        return out
+        return parse_combo(self.data[key], self.n)
 
     def expressions(self) -> list[str]:
         """Every expression string carried by the entry, for integrity checks."""
@@ -71,6 +66,15 @@ class GoldenEntry:
             if key in self.data:
                 walk(self.data[key])
         return found
+
+
+def parse_combo(raw: dict, n: int) -> dict[int, dict[int, DiffPoly]]:
+    """A stored ``{j: {power: expr}}`` condition combination, keyed by
+    integers and parsed, in the form ``reduction.apply_combo`` takes."""
+    return {
+        int(j): {int(power): parse(expr, n) for power, expr in powers.items()}
+        for j, powers in raw.items()
+    }
 
 
 @lru_cache(maxsize=1)

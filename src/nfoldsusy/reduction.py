@@ -532,13 +532,7 @@ def verify_product(n: int, preset: str = "paper") -> ProductReport:
     """
     from . import goldens
     from .diffring import c as c_gen
-    from .susy import (
-        build_system,
-        derive_conditions,
-        eliminate_potentials,
-        inverse_ansatz,
-        preset_parameters,
-    )
+    from .susy import build_system, inverse_ansatz, pipeline, preset_parameters
 
     if preset != "paper":
         # The displayed residual combinations and the recorded
@@ -546,7 +540,7 @@ def verify_product(n: int, preset: str = "paper") -> ProductReport:
         # the alternative branch's integrals are validated separately.
         raise ValueError("product displays are recorded for the paper preset only")
     system = build_system(n, symbolic_potentials=False)
-    cs = eliminate_potentials(derive_conditions(build_system(n)))
+    cs = pipeline(n, "eliminated")
     inv = inverse_ansatz(n, preset_parameters(n, preset))
     j_w = {k: inv.apply(goldens.displayed_j(n, k, preset)) for k in range(1, n)}
     # The displayed residuals correspond to specific polynomial
@@ -557,11 +551,6 @@ def verify_product(n: int, preset: str = "paper") -> ProductReport:
             j_w[e.data["k"]] = j_w[e.data["k"]] + apply_combo(e.combo(), cs)
 
     c0 = DiffOperator.multiplication(DiffPoly.generator(n, c_gen(0)))
-    combos = {
-        e.data["product"]: e
-        for e in goldens.corpus().values()
-        if e.kind == "residual" and e.n == n
-    }
 
     def mother(hpc: DiffOperator) -> DiffOperator:
         acc = hpc**n
@@ -581,11 +570,7 @@ def verify_product(n: int, preset: str = "paper") -> ProductReport:
                 continue
             if "combo_orders" in e.data:
                 for order, combo in e.data["combo_orders"].items():
-                    parsed = {
-                        int(j): {int(p): goldens.parse(expr, n) for p, expr in pw.items()}
-                        for j, pw in combo.items()
-                    }
-                    expected[int(order)] = apply_combo(parsed, cs)
+                    expected[int(order)] = apply_combo(goldens.parse_combo(combo, n), cs)
             else:
                 expected[e.data["order"]] = apply_combo(e.combo(), cs)
         matches = {}

@@ -14,7 +14,7 @@ from typing import Callable
 from . import goldens, reduction, susy
 from .diffop import DiffOperator
 from .diffring import DiffPoly, c, replace_constants, w as w_gen
-from .formatting import format_poly, poly_to_json
+from .formatting import format_poly, poly_from_json, poly_to_json
 from .parsing import parse
 
 
@@ -37,12 +37,6 @@ class SuiteReport:
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.results.append(CheckResult(name, passed, detail))
 
-    def check(self, name: str, fn: Callable[[], bool]) -> None:
-        try:
-            self.add(name, bool(fn()))
-        except Exception as exc:  # report, never crash the suite
-            self.add(name, False, f"{type(exc).__name__}: {exc}")
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -54,36 +48,16 @@ class SuiteReport:
         }
 
 
-SUITE_NAMES = ("goldens", "weights", "products", "integrals", "jzero")
-
-
 # -- helpers -------------------------------------------------------------------
 
 
-def _engine_conditions(n: int, stage: str, preset: str) -> susy.ConditionSet:
-    if stage == "raw":
-        return susy.derive_conditions(susy.build_system(n))
-    if stage == "eliminated":
-        return susy.eliminate_potentials(susy.derive_conditions(susy.build_system(n)))
-    if stage == "transformed":
-        return susy.transformed_conditions(n, preset)
-    raise ValueError(f"unknown stage {stage!r}")
-
-
-def _engine_charge(n: int, stage: str, preset: str, sign: str) -> DiffOperator:
+def _engine_system(n: int, stage: str, preset: str) -> susy.SusySystem:
+    """A golden's system: closed-form potentials (``base``) or the u
+    variables at a preset; its ``sign`` picks ``charge_<sign>`` and
+    ``potential_<sign>``."""
     if stage == "base":
-        system = susy.build_system(n, symbolic_potentials=False)
-    else:
-        system = susy.transformed_system(n, preset)
-    return system.charge_minus if sign == "minus" else system.charge_plus
-
-
-def _engine_potential(n: int, stage: str, preset: str, sign: str) -> DiffPoly:
-    if stage == "base":
-        system = susy.build_system(n, symbolic_potentials=False)
-    else:
-        system = susy.transformed_system(n, preset)
-    return system.potential_plus if sign == "plus" else system.potential_minus
+        return susy.build_system(n, symbolic_potentials=False)
+    return susy.transformed_system(n, preset)
 
 
 def _csubst(poly: DiffPoly, n: int, preset: str) -> DiffPoly:
@@ -97,8 +71,7 @@ def _csubst(poly: DiffPoly, n: int, preset: str) -> DiffPoly:
 def _relations_conditions(n: int, preset: str):
     """Transformed conditions plus the integral-definition relations, for
     membership checks of cleared rational displays."""
-    cs = susy.transformed_conditions(n, preset)
-    extended = [(k, p) for k, p in cs.items()]
+    extended = list(susy.pipeline(n, "transformed", preset).items())
     for k in goldens.integral_entries(n, preset):
         extended.append((100 + k, goldens.integral_relation(n, k, preset)))
     return extended
@@ -107,21 +80,48 @@ def _relations_conditions(n: int, preset: str):
 # -- the goldens suite ----------------------------------------------------------
 
 
+def _cleared(diff: DiffPoly, n: int, preset: str, mode: str) -> str | None:
+    """Why a cleared display fails, or None when it holds.
+
+    ``csubst-*`` modes first replace the integration constants by their
+    integral polynomials; ``*exact`` modes need the difference to vanish,
+    the others only that it lie in the constraint module.
+    """
+    if mode.startswith("csubst"):
+        diff = _csubst(diff, n, preset)
+    if diff.is_zero():
+        return None
+    if mode.endswith("exact"):
+        return "not exact"
+    if reduction.ideal_membership(diff, _relations_conditions(n, preset)) is None:
+        return "not in the constraint module"
+    return None
+
+
 def _check_condition(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    cs = _engine_conditions(e.n, e.data["stage"], e.preset)
+    cs = susy.pipeline(e.n, e.data["stage"], e.preset)
     engine = cs.condition(e.data["k"]) * e.scale()
     report.add(f"golden:{e.id}", engine == e.poly(), "display vs derivation")
 
 
-def _check_charge(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    engine = _engine_charge(e.n, e.data["stage"], e.preset, e.data["sign"])
-    report.add(f"golden:{e.id}", engine == e.operator())
+def _matches_system(
+    system: susy.SusySystem, e: goldens.GoldenEntry, sub: susy.Substitution | None = None
+) -> bool:
+    """A charge or potential golden, its parameters instantiated by ``sub``
+    when given, against the engine's system."""
+    engine = getattr(system, f"{e.kind}_{e.data['sign']}")
+    if e.kind == "charge":
+        display = e.operator()
+        if sub is not None:
+            display = DiffOperator(e.n, {i: sub.apply(p) for i, p in display.coeffs.items()})
+        return engine == display
+    display = e.poly() if sub is None else sub.apply(e.poly())
+    return engine * Fraction(e.data.get("prefactor", "1")) == display
 
 
-def _check_potential(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    engine = _engine_potential(e.n, e.data["stage"], e.preset, e.data["sign"])
-    pref = Fraction(e.data.get("prefactor", "1"))
-    report.add(f"golden:{e.id}", engine * pref == e.poly())
+def _check_system(report: SuiteReport, e: goldens.GoldenEntry) -> None:
+    system = _engine_system(e.n, e.data["stage"], e.preset)
+    report.add(f"golden:{e.id}", _matches_system(system, e))
 
 
 def _check_ansatz(report: SuiteReport, e: goldens.GoldenEntry) -> None:
@@ -132,64 +132,35 @@ def _check_ansatz(report: SuiteReport, e: goldens.GoldenEntry) -> None:
 
 
 def _check_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    n, preset, mode = e.n, e.preset, e.data["mode"]
-    diff = e.poly("lhs") - e.poly("rhs")
-    if mode.startswith("csubst"):
-        diff = _csubst(diff, n, preset)
-    if mode.endswith("exact"):
-        report.add(f"golden:{e.id}", diff.is_zero(), "cleared display is exact")
-        return
-    cert = reduction.ideal_membership(diff, _relations_conditions(n, preset))
-    report.add(f"golden:{e.id}", cert is not None, "cleared display reduces to constraints")
+    mode = e.data["mode"]
+    failure = _cleared(e.poly("lhs") - e.poly("rhs"), e.n, e.preset, mode)
+    detail = "is exact" if mode.endswith("exact") else "reduces to constraints"
+    report.add(f"golden:{e.id}", failure is None, f"cleared display {detail}")
 
 
 def _check_charge_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
     n, preset, mode = e.n, e.preset, e.data["mode"]
-    engine = _engine_charge(n, "transformed", preset, e.data["sign"])
-    extended = _relations_conditions(n, preset)
-    ok = True
+    engine = getattr(_engine_system(n, "transformed", preset), "charge_" + e.data["sign"])
     details = []
     for order, den_expr in e.data["denominators"].items():
-        order = int(order)
-        den = parse(den_expr, n)
-        display = parse(e.data["coeffs"][str(order)], n)
-        diff = engine.coefficient(order) * den - display
-        if mode.startswith("csubst"):
-            diff = _csubst(diff, n, preset)
-        if diff.is_zero():
-            continue
-        if mode.endswith("exact"):
-            ok = False
-            details.append(f"order {order} not exact")
-            continue
-        cert = reduction.ideal_membership(diff, extended)
-        if cert is None:
-            ok = False
-            details.append(f"order {order} not in the constraint module")
-    report.add(f"golden:{e.id}", ok, "; ".join(details))
+        display = parse(e.data["coeffs"][order], n)
+        diff = engine.coefficient(int(order)) * parse(den_expr, n) - display
+        failure = _cleared(diff, n, preset, mode)
+        if failure:
+            details.append(f"order {order} {failure}")
+    report.add(f"golden:{e.id}", not details, "; ".join(details))
 
 
 def _check_potential_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    n, preset, mode = e.n, e.preset, e.data["mode"]
-    engine = _engine_potential(n, "transformed", preset, e.data["sign"])
-    den = parse(e.data["denominator"], n)
-    diff = engine * den - e.poly()
-    if mode.startswith("csubst"):
-        diff = _csubst(diff, n, preset)
-    if mode.endswith("exact"):
-        report.add(f"golden:{e.id}", diff.is_zero())
-    else:
-        cert = reduction.ideal_membership(diff, _relations_conditions(n, preset))
-        report.add(f"golden:{e.id}", cert is not None)
+    n, preset = e.n, e.preset
+    engine = getattr(_engine_system(n, "transformed", preset), "potential_" + e.data["sign"])
+    diff = engine * parse(e.data["denominator"], n) - e.poly()
+    report.add(f"golden:{e.id}", _cleared(diff, n, preset, e.data["mode"]) is None)
 
 
 def _structural_checks(report: SuiteReport) -> None:
-    seen_anchor = set()
     for e in goldens.corpus().values():
-        dup = e.id in seen_anchor
-        seen_anchor.add(e.id)
-        ok = not dup
-        detail = ""
+        ok, detail = True, ""
         for expr in e.expressions():
             try:
                 poly = parse(expr, e.n)
@@ -203,8 +174,6 @@ def _structural_checks(report: SuiteReport) -> None:
             if parse(rendered, e.n) != poly:
                 ok, detail = False, "plain round-trip failed"
                 break
-            from .formatting import poly_from_json
-
             if poly_from_json(poly_to_json(poly)) != poly:
                 ok, detail = False, "json round-trip failed"
                 break
@@ -213,7 +182,7 @@ def _structural_checks(report: SuiteReport) -> None:
 
 def _general_n_checks(report: SuiteReport) -> None:
     for n in range(2, 7):
-        raw = susy.derive_conditions(susy.build_system(n))
+        raw = susy.pipeline(n, "raw")
         report.add(
             f"general-top:n={n}",
             raw.condition(n) == susy.general_top_condition(n),
@@ -222,7 +191,7 @@ def _general_n_checks(report: SuiteReport) -> None:
             f"general-second:n={n}",
             raw.condition(n - 1) * 2 == susy.general_second_condition(n),
         )
-        el = susy.eliminate_potentials(raw)
+        el = susy.pipeline(n, "eliminated")
         report.add(
             f"general-inm2:n={n}",
             el.condition(n - 2) * (-4 * n) == susy.general_inm2(n),
@@ -250,23 +219,8 @@ def _preset_instantiation_checks(report: SuiteReport) -> None:
         )
         system = susy.transformed_system(n, preset)
         for e in goldens.corpus().values():
-            if e.n != n or e.preset != "generic":
-                continue
-            if e.kind == "charge":
-                engine = system.charge_minus if e.data["sign"] == "minus" else system.charge_plus
-                display = DiffOperator(
-                    n,
-                    {i: sub.apply(p) for i, p in e.operator().coeffs.items()},
-                )
-                report.add(f"preset:{preset}:{e.id}", engine == display)
-            elif e.kind == "potential":
-                engine = (
-                    system.potential_plus if e.data["sign"] == "plus" else system.potential_minus
-                )
-                pref = Fraction(e.data.get("prefactor", "1"))
-                report.add(
-                    f"preset:{preset}:{e.id}", engine * pref == sub.apply(e.poly())
-                )
+            if e.n == n and e.preset == "generic" and e.kind in ("charge", "potential"):
+                report.add(f"preset:{preset}:{e.id}", _matches_system(system, e, sub))
 
 
 def _parameter_checks(report: SuiteReport) -> None:
@@ -298,8 +252,8 @@ def suite_goldens() -> SuiteReport:
     _structural_checks(report)
     handlers = {
         "condition": _check_condition,
-        "charge": _check_charge,
-        "potential": _check_potential,
+        "charge": _check_system,
+        "potential": _check_system,
         "ansatz": _check_ansatz,
         "identity": _check_identity,
         "charge-identity": _check_charge_identity,
@@ -335,7 +289,7 @@ def suite_weights() -> SuiteReport:
                 break
         report.add(f"homogeneous:{e.id}", ok, detail)
     for n in range(2, 7):
-        raw = susy.derive_conditions(susy.build_system(n))
+        raw = susy.pipeline(n, "raw")
         ok = all(
             (not p) or p.weight() == n + 2 - k for k, p in raw.items()
         )
@@ -379,7 +333,7 @@ def suite_products() -> SuiteReport:
 
 def run_search(n: int, k: int, preset: str = "paper", policy: str = "multiplicative",
                max_deriv: int | None = None) -> reduction.IntegralConstant:
-    cs = susy.transformed_conditions(n, preset)
+    cs = susy.pipeline(n, "transformed", preset)
     relations = goldens.search_relations(n, k, preset)
     return reduction.search_integral(cs, k, policy=policy, relations=relations,
                                      max_deriv=max_deriv)
@@ -390,14 +344,11 @@ def _check_integral(report: SuiteReport, e: goldens.GoldenEntry) -> None:
     found = run_search(n, k, preset)
     display = e.poly()
     expected = found.j_poly * e.scale()
+    cs = susy.pipeline(n, "transformed", preset)
     if "completion" in e.data:
         comp = e.data["completion"]
-        cs = susy.transformed_conditions(n, preset)
-        parsed = {
-            int(j): {int(p): parse(expr, n) for p, expr in pw.items()}
-            for j, pw in comp["combo"].items()
-        }
-        expected = expected + reduction.apply_combo(parsed, cs) + parse(comp["kernel"], n)
+        combo = goldens.parse_combo(comp["combo"], n)
+        expected = expected + reduction.apply_combo(combo, cs) + parse(comp["kernel"], n)
     report.add(f"integral:{e.id}", display == expected, "display vs search")
 
     # multiplier identifications: the listed condition multipliers must be
@@ -427,7 +378,6 @@ def _check_integral(report: SuiteReport, e: goldens.GoldenEntry) -> None:
         report.add(f"integral-multipliers:{e.id}", ok)
 
     # weight bookkeeping: weight(L_kj) + weight(condition_j) = 2k+3
-    cs = susy.transformed_conditions(n, preset)
     ok = True
     for j, op in found.multipliers.items():
         for order, coeff in op.coeffs.items():
@@ -482,16 +432,19 @@ def suite_jzero() -> SuiteReport:
     return report
 
 
+SUITES: dict[str, Callable[[], SuiteReport]] = {
+    "goldens": suite_goldens,
+    "weights": suite_weights,
+    "products": suite_products,
+    "integrals": suite_integrals,
+    "jzero": suite_jzero,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str) -> list[SuiteReport]:
-    table = {
-        "goldens": suite_goldens,
-        "weights": suite_weights,
-        "products": suite_products,
-        "integrals": suite_integrals,
-        "jzero": suite_jzero,
-    }
     if name == "all":
-        return [table[s]() for s in SUITE_NAMES]
-    if name not in table:
+        return [suite() for suite in SUITES.values()]
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return [table[name]()]
+    return [SUITES[name]()]

@@ -9,6 +9,7 @@ The pipeline mirrors the structure of the underlying identities:
 * ``ansatz_substitution`` applies the dimension-preserving change of
   variables w_k -> u_k with free parameters; ``transform_conditions``
   forms the recombined constraints Ibar_k.
+* ``pipeline`` is the memoized entry point running this chain.
 * ``solve_parameters`` pins the parameters by making chosen monomials
   vanish; ``check_J0`` verifies the closed-form first integral.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .diffop import DiffOperator
@@ -425,12 +427,34 @@ def transform_conditions(
 
 
 def transformed_conditions(n: int, preset: str = "generic") -> ConditionSet:
-    """Convenience pipeline: raw -> eliminated -> transformed at a preset."""
+    """The eliminated conditions transformed and recombined at a preset."""
     values = preset_parameters(n, preset)
-    cs = eliminate_potentials(derive_conditions(build_system(n)))
     return transform_conditions(
-        cs, ansatz_substitution(n, values), preset=preset, parameters=values
+        pipeline(n, "eliminated"), ansatz_substitution(n, values), preset=preset,
+        parameters=values,
     )
+
+
+STAGES = ("raw", "eliminated", "transformed")
+
+
+def pipeline(n: int, stage: str, preset: str = "generic") -> ConditionSet:
+    """The n-fold constraint set at a stage of raw -> eliminated ->
+    transformed (at the preset, which the first two ignore), memoized: a
+    repeated call returns the same object, which callers must not mutate.
+    The derivative cap can make a call raise but never changes a result."""
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    return _pipeline(n, stage, preset if stage == "transformed" else None)
+
+
+@lru_cache(maxsize=128)
+def _pipeline(n: int, stage: str, preset: str | None) -> ConditionSet:
+    if stage == "raw":
+        return derive_conditions(build_system(n))
+    if stage == "eliminated":
+        return eliminate_potentials(_pipeline(n, "raw", None))
+    return transformed_conditions(n, preset)
 
 
 def transformed_system(n: int, preset: str = "generic") -> SusySystem:
@@ -574,7 +598,7 @@ def solve_parameters(
     repeats.  Unresolved parameters are reported as free, with the other
     assignments given as polynomials in them.
     """
-    cs = transformed_conditions(n, "generic")
+    cs = pipeline(n, "transformed")
     equations: list[DiffPoly] = []
     for k, mono in targets:
         grouped = _split_parameters(cs.condition(k))
@@ -652,7 +676,7 @@ def is_parameter_solution(
     n: int, targets: TargetList, values: Mapping[str, Fraction]
 ) -> bool:
     """Check a concrete assignment against a target set directly."""
-    cs = transformed_conditions(n, "generic")
+    cs = pipeline(n, "transformed")
     sub = Substitution(
         n,
         {param_by_name(name): DiffPoly.constant(n, q) for name, q in values.items()},
@@ -691,7 +715,7 @@ def check_J0(n: int) -> J0Report:
     """
     if n < 2:
         raise ValueError("the J0 identity needs at least a 2-fold system")
-    cs = derive_conditions(build_system(n))
+    cs = pipeline(n, "raw")
     j0 = (
         -DiffPoly.generator(n, vminus())
         - DiffPoly.generator(n, w(n - 2)) * Fraction(1, n)

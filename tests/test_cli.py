@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -122,3 +124,47 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("I_2")
+
+
+def test_verify_all_json_is_byte_identical_to_the_recorded_digest():
+    code, out = run_cli("verify", "--suite", "all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b7e9097f0f631289f3af60f328bc58d01aba28d37082243b7764c42b417c4ad3"
+    )
+
+
+def run_cli_env(env, *argv):
+    """Exit code and stderr of the CLI in a fresh interpreter, so that no
+    memoized result hides the environment's derivative caps."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "nfoldsusy.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env},
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_invalid_environment_caps_exit_2():
+    code, err = run_cli_env({"NFOLDSUSY_MAX_DERIV": "abc"}, "derive", "--n", "3")
+    assert code == 2
+    assert "NFOLDSUSY_MAX_DERIV must be a non-negative integer" in err
+    assert "Traceback" not in err
+    code, err = run_cli_env({"NFOLDSUSY_DERIV_BOUND": "-3"}, "search", "--n", "3", "--k", "1")
+    assert code == 2
+    assert "NFOLDSUSY_DERIV_BOUND must be a non-negative integer" in err
+
+
+def test_derivative_beyond_the_cap_exits_2():
+    code, err = run_cli_env({"NFOLDSUSY_MAX_DERIV": "0"}, "derive", "--n", "2")
+    assert code == 2
+    assert "NFOLDSUSY_MAX_DERIV=0" in err and "Traceback" not in err
+    code, err = run_cli_env({"NFOLDSUSY_MAX_DERIV": "3"}, "search", "--n", "3", "--k", "1")
+    assert code == 2
+    assert "NFOLDSUSY_MAX_DERIV=3" in err and "Traceback" not in err
+
+
+def test_search_negative_deriv_bound_exits_2():
+    code, _ = run_cli("search", "--n", "2", "--k", "1", "--deriv-bound", "-5")
+    assert code == 2

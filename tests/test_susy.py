@@ -13,9 +13,11 @@ from nfoldsusy import (
     intertwiner,
     inverse_ansatz,
     parse,
+    pipeline,
     preset_parameters,
     solve_parameters,
     target_monomials,
+    transform_conditions,
     transformed_conditions,
     transformed_system,
 )
@@ -195,3 +197,30 @@ def test_transform_requires_eliminated_stage():
 
     with pytest.raises(SusyError):
         transform_conditions(raw, Substitution(2, {}))
+
+
+def test_pipeline_matches_the_explicit_chain():
+    for n in range(2, 9):
+        raw = derive_conditions(build_system(n))
+        assert pipeline(n, "raw") == raw
+        assert pipeline(n, "eliminated") == eliminate_potentials(raw)
+    for n in (2, 3, 4):
+        eliminated = eliminate_potentials(derive_conditions(build_system(n)))
+        for preset in ("generic",) + tuple(PRESETS[n]):
+            values = preset_parameters(n, preset)
+            chain = transform_conditions(
+                eliminated, ansatz_substitution(n, values), preset=preset, parameters=values
+            )
+            assert pipeline(n, "transformed", preset) == chain
+
+
+def test_pipeline_returns_the_memoized_object():
+    assert pipeline(3, "transformed", "paper") is pipeline(3, "transformed", "paper")
+    # raw and eliminated ignore the preset, so every caller shares one entry
+    assert pipeline(5, "eliminated", "paper") is pipeline(5, "eliminated")
+    assert pipeline(4, "raw", "footnote-alt") is pipeline(4, "raw", "generic")
+
+
+def test_pipeline_rejects_an_unknown_stage():
+    with pytest.raises(ValueError, match="unknown stage"):
+        pipeline(3, "cooked")
