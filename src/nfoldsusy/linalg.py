@@ -4,10 +4,20 @@ Rows are dicts column -> coefficient.  Elimination is fraction-free: each
 row is scaled to integers, pivoting is deterministic (lowest column index,
 first eligible row), and updates use integer cross-multiplication followed
 by a gcd reduction, so certificates are reproducible bit for bit.
+
+The rows still to be eliminated sit in a heap keyed by (leading column,
+original row index).  Its top is the pivot the rule above picks: the lowest
+column any row holds is the lowest leading column, and rows keep their
+original relative order, so the first row holding that column is the one
+with the smallest index among the rows that lead with it.  No other row
+holds the pivot column, so each step pops the pivot and then only the rows
+that lead with the same column, reduces them and pushes them back under
+their new leading columns; the rest of the rows are never touched.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd
 
@@ -17,7 +27,7 @@ def _scale_to_int(row: dict[int, Fraction]) -> dict[int, int]:
     for q in row.values():
         d = q.denominator
         lcm = lcm // gcd(lcm, d) * d
-    out = {c: int(q * lcm) for c, q in row.items() if q}
+    out = {c: q.numerator * (lcm // q.denominator) for c, q in row.items() if q}
     g = 0
     for v in out.values():
         g = gcd(g, abs(v))
@@ -28,34 +38,34 @@ def _scale_to_int(row: dict[int, Fraction]) -> dict[int, int]:
 
 def _eliminate(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, int]]]:
     """Forward elimination; returns echelon rows as (pivot_col, row)."""
-    work = [_scale_to_int(r) for r in rows]
-    work = [r for r in work if r]
+    heap = []
+    for index, row in enumerate(rows):
+        row = _scale_to_int(row)
+        if row:
+            heap.append((min(row), index, row))
+    heapq.heapify(heap)
     echelon: list[tuple[int, dict[int, int]]] = []
-    while work:
-        pivot_col = min(min(r) for r in work)
-        idx = next(i for i, r in enumerate(work) if pivot_col in r)
-        pivot = work.pop(idx)
+    while heap:
+        pivot_col, _, pivot = heapq.heappop(heap)
         echelon.append((pivot_col, pivot))
         pv = pivot[pivot_col]
-        reduced = []
-        for r in work:
-            rv = r.get(pivot_col)
-            if rv:
-                new = {}
-                for col in r.keys() | pivot.keys():
-                    val = r.get(col, 0) * pv - pivot.get(col, 0) * rv
-                    if val:
-                        new[col] = val
-                g = 0
-                for v in new.values():
-                    g = gcd(g, abs(v))
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                if new:
-                    reduced.append(new)
-            else:
-                reduced.append(r)
-        work = reduced
+        while heap and heap[0][0] == pivot_col:
+            _, index, r = heapq.heappop(heap)
+            rv = r[pivot_col]
+            for col in r:
+                r[col] *= pv
+            for col, v in pivot.items():
+                val = r.get(col, 0) - v * rv
+                if val:
+                    r[col] = val
+                else:
+                    del r[col]
+            if not r:
+                continue
+            g = gcd(*r.values())
+            if g > 1:
+                r = {c: v // g for c, v in r.items()}
+            heapq.heappush(heap, (min(r), index, r))
     return echelon
 
 

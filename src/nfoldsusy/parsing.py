@@ -11,6 +11,7 @@ Grammar (UTF-8 text):
 Generators: ``w<k>``, ``u<k>``, ``V+``, ``V-``, ``C<k>``, ``alpha<k>``,
 ``beta<k>``, ``gamma<k>``; a derivative is written with trailing
 apostrophes (``w1''``) or via ``D^m(...)`` applied to any subexpression.
+Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 from .config import max_deriv_order
 from .diffring import (
+    DerivOrderError,
     DiffPoly,
     Family,
     Generator,
@@ -33,6 +35,16 @@ class ParseError(ValueError):
         self.expected = expected
         hint = f" (expected one of: {', '.join(expected)})" if expected else ""
         super().__init__(f"{message} at position {position}{hint}")
+
+
+class DerivCapError(ParseError, DerivOrderError):
+    """Primes beyond the derivative cap: a parse error that carries its
+    position, and the same cap violation that ``D^m(...)`` raises."""
+
+
+# Each level of nesting costs four stack frames of the recursive descent;
+# the corpus nests two deep.
+MAX_NESTING = 100
 
 
 _TOKEN_RE = re.compile(
@@ -67,7 +79,7 @@ def _generator_from_token(tok: str, pos: int) -> Generator:
     primes = len(tok) - len(tok.rstrip("'"))
     stem = tok[: len(tok) - primes]
     if primes > max_deriv_order():
-        raise ParseError(f"derivative order {primes} exceeds the configured cap", pos)
+        raise DerivCapError(f"derivative order {primes} exceeds the configured cap", pos)
     if stem == "V+":
         return Generator(Family.VPLUS, 0, primes)
     if stem == "V-":
@@ -93,6 +105,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -181,18 +194,24 @@ class _Parser:
             times = 1
             if "^" in val:
                 times = int(val[2:-1])
-            inner = self.expr()
-            self.expect_op(")")
-            return inner.derive(times)
+            return self.nested(pos).derive(times)
         if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
+            return self.nested(pos)
         raise ParseError(
             f"unexpected {val or 'end of input'!r}",
             pos,
             ("number", "generator", "("),
         )
+
+    def nested(self, pos: int) -> DiffPoly:
+        """The expression after an opening parenthesis, and its closing one."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested more than {MAX_NESTING} deep", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
 
 
 def parse(text: str, n: int) -> DiffPoly:

@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import goldens, reduction, susy
 from .diffop import DiffOperator
-from .diffring import DiffPoly, c, replace_constants, w as w_gen
+from .diffring import DerivOrderError, DiffPoly, c, replace_constants, w as w_gen
 from .formatting import format_poly, poly_from_json, poly_to_json
 from .parsing import parse
 
@@ -164,6 +164,8 @@ def _structural_checks(report: SuiteReport) -> None:
         for expr in e.expressions():
             try:
                 poly = parse(expr, e.n)
+            except DerivOrderError:
+                raise
             except Exception as exc:
                 ok, detail = False, f"parse failure: {exc}"
                 break
@@ -265,6 +267,8 @@ def suite_goldens() -> SuiteReport:
             continue  # integral / residual / jw-shift entries run in their suites
         try:
             handler(report, e)
+        except DerivOrderError:
+            raise
         except Exception as exc:
             report.add(f"golden:{e.id}", False, f"{type(exc).__name__}: {exc}")
     _general_n_checks(report)
@@ -394,6 +398,8 @@ def suite_integrals() -> SuiteReport:
             continue
         try:
             _check_integral(report, e)
+        except DerivOrderError:
+            raise
         except Exception as exc:
             report.add(f"integral:{e.id}", False, f"{type(exc).__name__}: {exc}")
     # trade-off observations for the alternative branch
@@ -410,6 +416,8 @@ def suite_integrals() -> SuiteReport:
             "footnote-tradeoff:J3-simpler",
             len(j3_alt.terms) < len(j3_main.terms),
         )
+    except DerivOrderError:
+        raise
     except Exception as exc:
         report.add("footnote-tradeoff", False, str(exc))
     return report

@@ -168,3 +168,12 @@ def test_derivative_beyond_the_cap_exits_2():
 def test_search_negative_deriv_bound_exits_2():
     code, _ = run_cli("search", "--n", "2", "--k", "1", "--deriv-bound", "-5")
     assert code == 2
+
+
+def test_primes_beyond_the_cap_exit_2_like_any_derivative_beyond_it():
+    env = {"NFOLDSUSY_MAX_DERIV": "2"}
+    for argv in (("emit", "--id", "2fc3pp"), ("verify", "--suite", "integrals"),
+                 ("verify", "--suite", "weights")):
+        code, err = run_cli_env(env, *argv)
+        assert code == 2, argv
+        assert "NFOLDSUSY_MAX_DERIV=2" in err and "Traceback" not in err, argv

@@ -1,0 +1,182 @@
+"""Exactness of the sparse elimination against a straightforward reference."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from nfoldsusy import DiffPoly, format_poly, ideal_membership, pipeline
+from nfoldsusy.diffring import Family, Generator
+from nfoldsusy.linalg import _eliminate, nullspace, solve
+
+
+def _oracle_scale_to_int(row):
+    lcm = 1
+    for q in row.values():
+        d = q.denominator
+        lcm = lcm // gcd(lcm, d) * d
+    out = {c: int(q * lcm) for c, q in row.items() if q}
+    g = 0
+    for v in out.values():
+        g = gcd(g, abs(v))
+    if g > 1:
+        out = {c: v // g for c, v in out.items()}
+    return out
+
+
+def _oracle_eliminate(rows):
+    """Reference elimination: rescans every remaining row at each pivot for
+    the lowest column, takes the first row holding it, and reduces every
+    row that holds it."""
+    work = [_oracle_scale_to_int(r) for r in rows]
+    work = [r for r in work if r]
+    echelon = []
+    while work:
+        pivot_col = min(min(r) for r in work)
+        idx = next(i for i, r in enumerate(work) if pivot_col in r)
+        pivot = work.pop(idx)
+        echelon.append((pivot_col, pivot))
+        pv = pivot[pivot_col]
+        reduced = []
+        for r in work:
+            rv = r.get(pivot_col)
+            if rv:
+                new = {}
+                for col in r.keys() | pivot.keys():
+                    val = r.get(col, 0) * pv - pivot.get(col, 0) * rv
+                    if val:
+                        new[col] = val
+                g = 0
+                for v in new.values():
+                    g = gcd(g, abs(v))
+                if g > 1:
+                    new = {c: v // g for c, v in new.items()}
+                if new:
+                    reduced.append(new)
+            else:
+                reduced.append(r)
+        work = reduced
+    return echelon
+
+
+def _canonical(echelon):
+    return [(col, sorted(row.items())) for col, row in echelon]
+
+
+def _random_system(rng):
+    """A sparse rational matrix with zero rows, explicit zero entries,
+    duplicate and scaled rows, and combinations that cancel to zero."""
+    ncols = rng.randint(1, 10)
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        row = {}
+        for c in range(ncols):
+            if rng.random() < 0.3:
+                row[c] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        rows.append(row)
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(("zero", "explicit-zero", "duplicate", "scaled", "combination"))
+        if kind == "zero":
+            rows.append({})
+        elif kind == "explicit-zero":
+            rows.append({rng.randrange(ncols): Fraction(0)})
+        elif rows and kind == "duplicate":
+            rows.append(dict(rng.choice(rows)))
+        elif rows and kind == "scaled":
+            s = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+            rows.append({c: s * v for c, v in rng.choice(rows).items()})
+        elif len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s, t = Fraction(rng.randint(1, 4)), Fraction(-rng.randint(1, 4), 3)
+            rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def _apply(rows, x):
+    return [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
+
+
+def _random_rhs(rng, rows, ncols):
+    """Either A x0 for a random x0, which is feasible, or random entries."""
+    if rng.random() < 0.5:
+        return _apply(rows, [Fraction(rng.randint(-3, 3)) for _ in range(ncols)])
+    return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_echelon_matches_the_rescanning_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        rows, _ = _random_system(rng)
+        assert _canonical(_eliminate(rows)) == _canonical(_oracle_eliminate(rows))
+
+
+def test_echelon_on_degenerate_inputs():
+    half = Fraction(1, 2)
+    cases = [
+        [],
+        [{}, {0: Fraction(0)}],
+        [{1: half, 3: Fraction(2)}] * 3,
+        [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}, {1: half}],
+        [{2: Fraction(3)}, {0: Fraction(1), 2: Fraction(1)}, {0: Fraction(-1), 2: Fraction(2)}],
+    ]
+    for rows in cases:
+        assert _canonical(_eliminate(rows)) == _canonical(_oracle_eliminate(rows))
+    assert _eliminate(cases[1]) == []
+    assert [col for col, _ in _eliminate(cases[2])] == [1]
+    assert [col for col, _ in _eliminate(cases[3])] == [0, 1]
+
+
+def test_elimination_leaves_the_input_rows_alone():
+    rows = [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}]
+    copies = [dict(r) for r in rows]
+    _eliminate(rows)
+    assert rows == copies
+
+
+def test_solve_is_none_exactly_when_the_oracle_pivots_in_the_rhs_column():
+    rng = random.Random(7)
+    infeasible = feasible = 0
+    for _ in range(400):
+        rows, ncols = _random_system(rng)
+        rhs = _random_rhs(rng, rows, ncols)
+        aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
+        oracle_infeasible = any(col == ncols for col, _ in _oracle_eliminate(aug))
+        x = solve(rows, rhs, ncols)
+        assert (x is None) == oracle_infeasible
+        if x is None:
+            infeasible += 1
+        else:
+            feasible += 1
+            assert _apply(rows, x) == rhs
+    assert infeasible > 50 and feasible > 50
+
+
+def test_nullspace_vectors_satisfy_the_homogeneous_system():
+    rng = random.Random(11)
+    deficient = 0
+    for _ in range(300):
+        rows, ncols = _random_system(rng)
+        basis = nullspace(rows, ncols)
+        rank = len(_oracle_eliminate(rows))
+        assert len(basis) == ncols - rank
+        deficient += rank < min(len(rows), ncols)
+        for vec in basis:
+            assert all(v == 0 for v in _apply(rows, vec))
+    assert deficient > 50
+
+
+def test_sixfold_probe_certificate_is_pinned():
+    n = 6
+    cs = pipeline(n, "eliminated", "paper")
+    w0 = DiffPoly.generator(n, Generator(Family.W, 0, 0))
+    top = DiffPoly.generator(n, Generator(Family.W, n - 1, 0))
+    target = (cs.condition(0).derive(2) + cs.condition(n - 2) * w0) * top**2
+    dec = ideal_membership(target, cs)
+    assert dec is not None
+    assert [(key, format_poly(p)) for key, p in dec.multipliers] == [
+        ((0, 2), "w5^2"),
+        ((4, 0), "w0*w5^2"),
+    ]

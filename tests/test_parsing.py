@@ -85,3 +85,19 @@ def test_canonical_term_order_is_weight_graded():
     # leading (heaviest) monomial first
     assert rendered.startswith("w1^2") or rendered.startswith("w1''")
     assert rendered.split(" ")[-1] == "w1"
+
+
+def test_deep_nesting_is_a_parse_error():
+    for text in ("(" * 5000 + "w1" + ")" * 5000, "D(" * 5000 + "w1" + ")" * 5000):
+        with pytest.raises(ParseError):
+            parse(text, 2)
+    assert parse("(" * 50 + "w1" + ")" * 50, 2) == parse("w1", 2)
+
+
+def test_primes_beyond_the_cap_raise_the_cap_error(monkeypatch):
+    from nfoldsusy import DerivOrderError
+
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "2")
+    for text in ("w1'''", "D^3(w1)"):
+        with pytest.raises(DerivOrderError):
+            parse(text, 2)
