@@ -9,13 +9,26 @@ arithmetic across different ambients.
 
 All coefficients are `fractions.Fraction`; there is no floating point in
 this module or anywhere downstream of it.
+
+Monomials are ordered by ``monomial_sort_key(n)``: weight first, then the
+factors compared as one flat tuple of ``(-family, -index, -deriv, exp)``
+per factor, factors in ascending generator order.  This is the order of
+``compare_monomials``, "a higher power on an earlier generator wins": at
+the first position where two equal-weight monomials differ, either both
+hold the same generator and the higher exponent wins, or one holds an
+earlier generator, which the other lacks, and the negated generator fields
+rank it higher; a monomial that extends the other wins as a longer tuple.
+A flat tuple holds fewer objects than one tuple per factor, which keeps
+the peak memory of a large sort down.
+Each monomial stores its weight as two ints fixed at construction,
+``weight(n) = _wn * n + _w0``, so the key costs no per-generator weights.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from functools import cmp_to_key
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .config import max_deriv_order
@@ -159,10 +172,17 @@ def param_by_name(name: str) -> Generator:
     raise ValueError(f"unknown parameter name {name!r}")
 
 
+def _weight_parts(g: Generator) -> tuple[int, int]:
+    """``Generator.weight(n)`` as ``(a, b)`` with weight ``a * n + b``."""
+    if g.family in (Family.W, Family.U):
+        return 1, g.deriv - g.index
+    return 0, g.weight(0)
+
+
 class Monomial:
     """Product of generator powers; exponents positive, factors sorted."""
 
-    __slots__ = ("exps",)
+    __slots__ = ("exps", "_wn", "_w0")
 
     def __init__(self, exps: Iterable[tuple[Generator, int]] = ()):
         items = [(g, e) for g, e in exps if e != 0]
@@ -170,6 +190,23 @@ class Monomial:
             raise ValueError("negative exponent in monomial")
         items.sort(key=lambda p: p[0])
         self.exps: tuple[tuple[Generator, int], ...] = tuple(items)
+        wn = w0 = 0
+        for g, e in items:
+            a, b = _weight_parts(g)
+            wn += e * a
+            w0 += e * b
+        self._wn = wn
+        self._w0 = w0
+
+    @classmethod
+    def _build(cls, items: Iterable[tuple[Generator, int]], wn: int, w0: int) -> "Monomial":
+        """Monomial from positive exponents on distinct generators and its
+        known weight parts; sorts the factors and validates nothing."""
+        mono = object.__new__(cls)
+        mono.exps = tuple(sorted(items))
+        mono._wn = wn
+        mono._w0 = w0
+        return mono
 
     @classmethod
     def unit(cls) -> "Monomial":
@@ -177,7 +214,10 @@ class Monomial:
 
     @classmethod
     def of(cls, gen: Generator, exp: int = 1) -> "Monomial":
-        return cls([(gen, exp)])
+        if exp <= 0:
+            return cls([(gen, exp)])
+        a, b = _weight_parts(gen)
+        return cls._build(((gen, exp),), exp * a, exp * b)
 
     def is_unit(self) -> bool:
         return not self.exps
@@ -186,7 +226,7 @@ class Monomial:
         return sum(e for _, e in self.exps)
 
     def weight(self, n: int) -> int:
-        return sum(e * g.weight(n) for g, e in self.exps)
+        return self._wn * n + self._w0
 
     def generators(self) -> Iterator[Generator]:
         return (g for g, _ in self.exps)
@@ -205,7 +245,9 @@ class Monomial:
         merged = dict(self.exps)
         for g, e in other.exps:
             merged[g] = merged.get(g, 0) + e
-        return Monomial(merged.items())
+        return Monomial._build(
+            merged.items(), self._wn + other._wn, self._w0 + other._w0
+        )
 
     def divides(self, other: "Monomial") -> bool:
         it = dict(other.exps)
@@ -240,25 +282,31 @@ class Monomial:
 _UNIT = Monomial()
 
 
+def monomial_sort_key(n: int):
+    """Key function of the graded monomial order at ambient ``n``; see the
+    module docstring.  Built per call, not cached on the monomials."""
+
+    def key(m: Monomial):
+        return (
+            m._wn * n + m._w0,
+            tuple(chain.from_iterable((-g[0], -g[1], -g[2], e) for g, e in m.exps)),
+        )
+
+    return key
+
+
 def compare_monomials(a: Monomial, b: Monomial, n: int) -> int:
     """Graded order: weight first, then a higher power on an earlier
     generator wins.  Returns negative/zero/positive like a C comparator."""
-    wa, wb = a.weight(n), b.weight(n)
-    if wa != wb:
-        return -1 if wa < wb else 1
-    da, db = dict(a.exps), dict(b.exps)
-    for g in sorted(set(da) | set(db)):
-        ea, eb = da.get(g, 0), db.get(g, 0)
-        if ea != eb:
-            return 1 if ea > eb else -1
-    return 0
-
-
-def monomial_sort_key(n: int):
-    return cmp_to_key(lambda a, b: compare_monomials(a, b, n))
+    key = monomial_sort_key(n)
+    ka, kb = key(a), key(b)
+    return (ka > kb) - (ka < kb)
 
 
 Scalar = Union[int, Fraction]
+
+
+_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -284,6 +332,15 @@ class DiffPoly:
                     tidy[m] = q
         self.terms = tidy
 
+    @classmethod
+    def _tidy(cls, n: int, terms: dict[Monomial, Fraction]) -> "DiffPoly":
+        """Polynomial that takes ownership of terms whose coefficients are
+        already nonzero ``Fraction``s."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly.terms = terms
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -292,15 +349,16 @@ class DiffPoly:
 
     @classmethod
     def constant(cls, n: int, q: Scalar) -> "DiffPoly":
-        return cls(n, {Monomial.unit(): _as_fraction(q)})
+        return cls.monomial(n, Monomial.unit(), q)
 
     @classmethod
     def generator(cls, n: int, gen: Generator) -> "DiffPoly":
-        return cls(n, {Monomial.of(gen): Fraction(1)})
+        return cls._tidy(n, {Monomial.of(gen): _ONE})
 
     @classmethod
     def monomial(cls, n: int, mono: Monomial, coeff: Scalar = 1) -> "DiffPoly":
-        return cls(n, {mono: _as_fraction(coeff)})
+        q = _as_fraction(coeff)
+        return cls._tidy(n, {mono: q} if q else {})
 
     # -- ring structure ----------------------------------------------------
 
@@ -323,24 +381,21 @@ class DiffPoly:
         if rhs is None:
             return NotImplemented
         out = dict(self.terms)
-        for m, q in rhs.terms.items():
-            s = out.get(m, Fraction(0)) + q
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return DiffPoly(self.n, out)
+        _accumulate(out, rhs.terms.items())
+        return DiffPoly._tidy(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly(self.n, {m: -q for m, q in self.terms.items()})
+        return DiffPoly._tidy(self.n, {m: -q for m, q in self.terms.items()})
 
     def __sub__(self, other) -> "DiffPoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        out = dict(self.terms)
+        _accumulate(out, ((m, -q) for m, q in rhs.terms.items()))
+        return DiffPoly._tidy(self.n, out)
 
     def __rsub__(self, other) -> "DiffPoly":
         rhs = self._coerce(other)
@@ -353,20 +408,23 @@ class DiffPoly:
             q = _as_fraction(other)
             if not q:
                 return DiffPoly.zero(self.n)
-            return DiffPoly(self.n, {m: c * q for m, c in self.terms.items()})
+            return DiffPoly._tidy(self.n, {m: c * q for m, c in self.terms.items()})
         if not isinstance(other, DiffPoly):
             return NotImplemented
         self._check_ambient(other)
+        # Multiplying by one term is injective on monomials, so the other
+        # operand's terms map one to one, in order, with no sums and no
+        # zeros, as the double loop below would produce them.
+        many, one = (self, other) if len(other.terms) == 1 else (other, self)
+        if len(one.terms) == 1:
+            ((m1, c1),) = one.terms.items()
+            if c1 == 1:
+                return DiffPoly._tidy(self.n, {m * m1: q for m, q in many.terms.items()})
+            return DiffPoly._tidy(self.n, {m * m1: q * c1 for m, q in many.terms.items()})
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = ma * mb
-                s = out.get(m, Fraction(0)) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return DiffPoly(self.n, out)
+            _accumulate(out, ((ma * mb, ca * cb) for mb, cb in other.terms.items()))
+        return DiffPoly._tidy(self.n, out)
 
     __rmul__ = __mul__
 
@@ -458,25 +516,8 @@ class DiffPoly:
         poly = self
         for _ in range(times):
             out: dict[Monomial, Fraction] = {}
-            for mono, coeff in poly.terms.items():
-                exps = dict(mono.exps)
-                for gen, e in mono.exps:
-                    dgen = gen.derived()
-                    if dgen is None:
-                        continue
-                    bumped = dict(exps)
-                    if e == 1:
-                        del bumped[gen]
-                    else:
-                        bumped[gen] = e - 1
-                    bumped[dgen] = bumped.get(dgen, 0) + 1
-                    m2 = Monomial(bumped.items())
-                    s = out.get(m2, Fraction(0)) + coeff * e
-                    if s:
-                        out[m2] = s
-                    else:
-                        out.pop(m2, None)
-            poly = DiffPoly(self.n, out)
+            _accumulate(out, _leibniz_terms(poly.terms))
+            poly = DiffPoly._tidy(self.n, out)
         return poly
 
     # -- substitution ------------------------------------------------------
@@ -488,6 +529,41 @@ class DiffPoly:
         from .formatting import format_poly
 
         return format_poly(self)
+
+
+def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
+    """Add (monomial, nonzero Fraction) pairs into out in place, dropping
+    sums that cancel; a cancelled monomial that comes back is re-inserted
+    at the end, as a fresh key."""
+    for m, q in terms:
+        s = out.get(m)
+        if s is None:
+            out[m] = q
+        elif s := s + q:
+            out[m] = s
+        else:
+            del out[m]
+
+
+def _leibniz_terms(terms: Mapping[Monomial, Fraction]):
+    """The (monomial, coefficient) terms of the derivative, one for each
+    derivable factor of each term, before like terms are summed."""
+    for mono, coeff in terms.items():
+        exps = dict(mono.exps)
+        # A derivative moves one unit of exponent one order up, which
+        # raises the weight by one.
+        wn, w0 = mono._wn, mono._w0 + 1
+        for gen, e in mono.exps:
+            dgen = gen.derived()
+            if dgen is None:
+                continue
+            bumped = dict(exps)
+            if e == 1:
+                del bumped[gen]
+            else:
+                bumped[gen] = e - 1
+            bumped[dgen] = bumped.get(dgen, 0) + 1
+            yield Monomial._build(bumped.items(), wn, w0), coeff if e == 1 else coeff * e
 
 
 def replace_constants(poly: DiffPoly, images: Mapping[Generator, DiffPoly]) -> DiffPoly:

@@ -11,13 +11,15 @@ Grammar (UTF-8 text):
 Generators: ``w<k>``, ``u<k>``, ``V+``, ``V-``, ``C<k>``, ``alpha<k>``,
 ``beta<k>``, ``gamma<k>``; a derivative is written with trailing
 apostrophes (``w1''``) or via ``D^m(...)`` applied to any subexpression.
-Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep.
+Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep, and a power
+is refused when its result could exceed ``MAX_TERMS`` terms.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .config import max_deriv_order
 from .diffring import (
@@ -45,6 +47,11 @@ class DerivCapError(ParseError, DerivOrderError):
 # Each level of nesting costs four stack frames of the recursive descent;
 # the corpus nests two deep.
 MAX_NESTING = 100
+
+# A power of a t-term polynomial to the e has at most C(t+e-1, e) terms,
+# and squaring its way there costs about the square of that; the corpus
+# needs at most 78.
+MAX_TERMS = 500
 
 
 _TOKEN_RE = re.compile(
@@ -170,6 +177,15 @@ class _Parser:
             exp = int(val)
             if exp < 1:
                 raise ParseError("power must be a positive integer", pos)
+            t = len(poly.terms)
+            # For t >= 2 the bound is at least e + 1, so a larger e is out
+            # before the binomial is computed.
+            if t > 1 and (exp >= MAX_TERMS or comb(t + exp - 1, exp) > MAX_TERMS):
+                raise ParseError(
+                    f"power {exp} of a {t}-term expression could exceed the "
+                    f"budget of MAX_TERMS = {MAX_TERMS} terms",
+                    pos,
+                )
             poly = poly**exp
         return poly * sign if sign < 0 else poly
 

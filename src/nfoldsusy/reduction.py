@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .config import search_deriv_bound
+from .config import max_deriv_order, search_deriv_bound
 from .diffop import DiffOperator
 from .diffring import (
     DiffPoly,
@@ -211,7 +211,11 @@ def ideal_membership(
 ) -> Decomposition | None:
     """Decide membership of the target in the module generated by the
     conditions and their derivatives, multipliers drawn from monomial
-    bases of the complementary weight."""
+    bases of the complementary weight.
+
+    A condition is derived at most ``max_shift`` times, and never beyond
+    the derivative cap (``NFOLDSUSY_MAX_DERIV``), so ``None`` means "no
+    certificate within these bounds", not "not a member"."""
     conditions = _conditions_of(cs)
     n = target.n
     if target.is_zero():
@@ -229,6 +233,7 @@ def ideal_membership(
         shift_top = weight - cw
         if max_shift is not None:
             shift_top = min(shift_top, max_shift)
+        shift_top = min(shift_top, max_deriv_order() - cond.max_deriv())
         derived = cond
         for m in range(shift_top + 1):
             for b in monomial_basis(n, weight - cw - m, pool, max_deriv):

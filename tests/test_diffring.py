@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+from functools import cmp_to_key
+
 import pytest
 
 from nfoldsusy import (
@@ -10,7 +14,19 @@ from nfoldsusy import (
     parse,
     replace_constants,
 )
-from nfoldsusy.diffring import c, w
+from nfoldsusy.diffring import (
+    Family,
+    Generator,
+    alpha,
+    beta,
+    c,
+    compare_monomials,
+    gamma,
+    monomial_sort_key,
+    vminus,
+    vplus,
+    w,
+)
 
 
 def P(s, n=2):
@@ -126,3 +142,95 @@ def test_pow():
     p = P("w1 + 1")
     assert p**0 == DiffPoly.constant(2, 1)
     assert p**3 == p * p * p
+
+
+def _reference_compare(a, b, n):
+    """The graded order spelled out: weight first, then, walking the union
+    of both generator sets in ascending order, the first differing
+    exponent decides and the higher one wins."""
+    wa = sum(e * g.weight(n) for g, e in a.exps)
+    wb = sum(e * g.weight(n) for g, e in b.exps)
+    if wa != wb:
+        return -1 if wa < wb else 1
+    da, db = dict(a.exps), dict(b.exps)
+    for g in sorted(set(da) | set(db)):
+        ea, eb = da.get(g, 0), db.get(g, 0)
+        if ea != eb:
+            return 1 if ea > eb else -1
+    return 0
+
+
+def _reference_product(a, b):
+    """The general double loop over both operands' terms."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            m = ma * mb
+            s = out.get(m, Fraction(0)) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return DiffPoly(a.n, out)
+
+
+def _generator_pool(n):
+    pool = [Generator(f, k, d) for f in (Family.W, Family.U) for k in range(n) for d in range(3)]
+    pool += [vplus(d) for d in range(3)] + [vminus(d) for d in range(3)]
+    pool += [c(k) for k in range(3)] + [alpha(0), alpha(1), beta(0), gamma(2)]
+    return pool
+
+
+def _random_monomials(rng, n, count):
+    pool = _generator_pool(n)
+    out = [Monomial.unit()]
+    for _ in range(count):
+        gens = rng.sample(pool, rng.randint(1, 4))
+        out.append(Monomial((g, rng.randint(1, 3)) for g in gens))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 9])
+def test_sort_key_is_the_reference_order(n):
+    rng = random.Random(n)
+    monos = _random_monomials(rng, n, 400)
+    families = {g.family for m in monos for g in m.generators()}
+    assert families == set(Family)
+    # equal weights with different factors, so the tie-break is exercised
+    assert len({m.weight(n) for m in monos}) < len(set(monos)) // 4
+    want = sorted(monos, key=cmp_to_key(lambda a, b: _reference_compare(a, b, n)))
+    assert sorted(monos, key=monomial_sort_key(n)) == want
+    assert sorted(monos, key=monomial_sort_key(n), reverse=True) == sorted(
+        monos, key=cmp_to_key(lambda a, b: _reference_compare(a, b, n)), reverse=True
+    )
+    for a, b in zip(monos, monos[1:] + monos[:1]):
+        assert compare_monomials(a, b, n) == _reference_compare(a, b, n)
+        assert compare_monomials(a, a, n) == 0
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 9])
+def test_monomial_weight_is_the_sum_of_generator_weights(n):
+    rng = random.Random(100 + n)
+    monos = _random_monomials(rng, n, 200)
+    # products and derivatives are built without the constructor's pass
+    monos += [a * b for a, b in zip(monos, reversed(monos))]
+    monos += [m for a in monos[:60] for m in DiffPoly.monomial(n, a).derive().terms]
+    for m in monos:
+        assert m.weight(n) == sum(e * g.weight(n) for g, e in m.exps)
+        assert m == Monomial(m.exps)
+
+
+def test_single_term_products_match_the_general_product():
+    rng = random.Random(7)
+    n = 4
+    monos = _random_monomials(rng, n, 60)
+    for _ in range(200):
+        many = DiffPoly(
+            n, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for m in rng.sample(monos, 6)}
+        )
+        coeff = rng.choice([Fraction(1), Fraction(-3, 2), Fraction(2)])
+        one = DiffPoly.monomial(n, rng.choice(monos), coeff)
+        for a, b in ((many, one), (one, many)):
+            got, want = a * b, _reference_product(a, b)
+            assert got == want
+            assert list(got.terms.items()) == list(want.terms.items())

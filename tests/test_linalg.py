@@ -180,3 +180,41 @@ def test_sixfold_probe_certificate_is_pinned():
         ((0, 2), "w5^2"),
         ((4, 0), "w0*w5^2"),
     ]
+
+
+def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
+    """Digests recorded before the ring kept its monomials pre-keyed.  The
+    certificate depends only on the column order (the pivot columns are
+    the greedy lowest ones), so the matrix digest is what pins the row
+    order, that is, the graded monomial sort."""
+    import hashlib
+    import json
+
+    from nfoldsusy import reduction
+
+    seen = []
+
+    def spy(rows, rhs, ncols):
+        seen.append(repr(([sorted(r.items()) for r in rows], rhs, ncols)))
+        return solve(rows, rhs, ncols)
+
+    monkeypatch.setattr(reduction, "solve", spy)
+    n = 7
+    cs = pipeline(n, "eliminated", "paper")
+    w0 = DiffPoly.generator(n, Generator(Family.W, 0, 0))
+    top = DiffPoly.generator(n, Generator(Family.W, n - 1, 0))
+    target = (cs.condition(0).derive(2) + cs.condition(n - 2) * w0) * top**2
+    dec = ideal_membership(target, cs)
+    assert dec is not None
+    assert [(key, format_poly(p)) for key, p in dec.multipliers] == [
+        ((0, 2), "w6^2"),
+        ((5, 0), "w0*w6^2"),
+    ]
+    cert = json.dumps(dec.to_dict(), sort_keys=True)
+    assert hashlib.sha256(cert.encode()).hexdigest() == (
+        "21712b1fe9160414a3a608e7e3f0df74b0c1fa1e34b3d1a7696bab9d9720bce6"
+    )
+    assert len(seen) == 1
+    assert hashlib.sha256(seen[0].encode()).hexdigest() == (
+        "427654cb0a07f99a39bbf4022454a6eef51f688f44d0c7e1d1c7ddb8edbf226e"
+    )

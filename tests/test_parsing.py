@@ -101,3 +101,17 @@ def test_primes_beyond_the_cap_raise_the_cap_error(monkeypatch):
     for text in ("w1'''", "D^3(w1)"):
         with pytest.raises(DerivOrderError):
             parse(text, 2)
+
+
+def test_powers_beyond_the_term_budget_are_parse_errors():
+    from nfoldsusy.parsing import MAX_TERMS
+
+    # (w1+w0+u0+u1)^20 would have C(23, 20) = 1771 terms
+    for text in ("(w1+w0+u0+u1)^20", "(w1+w0)^100000", "(w1+w0)^" + "9" * 400):
+        with pytest.raises(ParseError, match=f"MAX_TERMS = {MAX_TERMS}"):
+            parse(text, 2)
+    # the largest powers of two- and three-term bases within the budget
+    assert len(parse(f"(w1+w0)^{MAX_TERMS - 1}", 2).terms) == MAX_TERMS
+    assert len(parse("(w1+w0+u0)^30", 2).terms) == 496
+    # a one-term base never grows
+    assert parse("(3*w1)^40", 2) == parse(f"{3**40}*w1^40", 2)

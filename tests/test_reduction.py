@@ -164,3 +164,20 @@ def test_inhomogeneous_inputs_raise():
     cs = transformed_conditions(2, "paper")
     with pytest.raises(InhomogeneousError):
         ideal_membership(mixed, cs)
+
+
+def test_membership_shifts_stop_at_the_derivative_cap(monkeypatch):
+    from nfoldsusy import pipeline
+
+    cs = pipeline(3, "eliminated")
+    target = (cs.condition(0).derive(2) + cs.condition(1) * parse("w0", 3)) * parse(
+        "w2^2", 3
+    )
+    # The weight alone would derive the conditions up to 9 times, past
+    # these caps; the verdict is bounded instead of an error.
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "6")
+    dec = ideal_membership(target, cs)
+    assert dec is not None
+    assert max(m for (_, m), _ in dec.multipliers) <= 6 - 4
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "5")
+    assert ideal_membership(target, cs) is None
