@@ -9,6 +9,7 @@ verifies the operator product identities modulo the constraint module --
 everything over exact rationals.
 """
 
+from .config import ConfigError
 from .diffop import DiffOperator
 from .diffring import (
     AmbientMismatchError,

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import goldens, reduction, suites, susy
-from .config import max_deriv_order, search_deriv_bound
+from .config import ConfigError, max_deriv_order, search_deriv_bound
 from .diffring import DerivOrderError
 from .formatting import format_poly, poly_to_dict
 from .parsing import parse
@@ -218,25 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_environment(parser: argparse.ArgumentParser) -> None:
-    """Exit with a usage error unless both derivative caps read from the
-    environment are non-negative integers."""
-    for name, read in (
-        ("NFOLDSUSY_MAX_DERIV", max_deriv_order),
-        ("NFOLDSUSY_DERIV_BOUND", search_deriv_bound),
-    ):
-        try:
-            valid = read() >= 0
-        except ValueError:
-            valid = False
-        if not valid:
-            parser.error(f"{name} must be a non-negative integer, got {os.environ[name]!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_environment(parser)
+    try:
+        max_deriv_order()
+        search_deriv_bound()
+    except ConfigError as exc:
+        parser.error(str(exc))
     handlers = {
         "derive": cmd_derive,
         "verify": cmd_verify,

@@ -1,4 +1,9 @@
-"""Run-wide bounds, overridable through environment variables."""
+"""Run-wide bounds, overridable through environment variables.
+
+This is the only module that reads the environment.  Each cap is read on
+every call, so a change to the environment takes effect at once; a value
+that is not a non-negative integer raises ``ConfigError``.
+"""
 
 import os
 
@@ -12,9 +17,26 @@ DEFAULT_MAX_DERIV = 12
 DEFAULT_SEARCH_DERIV_BOUND = 12
 
 
+class ConfigError(ValueError):
+    """An environment cap that is not a non-negative integer."""
+
+
+def _read_cap(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def max_deriv_order() -> int:
-    return int(os.environ.get("NFOLDSUSY_MAX_DERIV", DEFAULT_MAX_DERIV))
+    return _read_cap("NFOLDSUSY_MAX_DERIV", DEFAULT_MAX_DERIV)
 
 
 def search_deriv_bound() -> int:
-    return int(os.environ.get("NFOLDSUSY_DERIV_BOUND", DEFAULT_SEARCH_DERIV_BOUND))
+    return _read_cap("NFOLDSUSY_DERIV_BOUND", DEFAULT_SEARCH_DERIV_BOUND)

@@ -186,13 +186,6 @@ class DiffOperator:
             )
         return weights.pop()
 
-    def is_weight_homogeneous(self) -> bool:
-        try:
-            self.operator_weight()
-        except (InhomogeneousError, ZeroPolynomialError):
-            return not self.coeffs
-        return True
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
             return NotImplemented

@@ -89,16 +89,6 @@ class Generator(NamedTuple):
             return 2 * (self.index + 1)
         return 0
 
-    def derived(self) -> "Generator | None":
-        """One derivative up, or None for constants (C, PARAM)."""
-        if self.family in (Family.C, Family.PARAM):
-            return None
-        if self.deriv + 1 > max_deriv_order():
-            raise DerivOrderError(
-                f"derivative order {self.deriv + 1} exceeds the configured cap"
-            )
-        return Generator(self.family, self.index, self.deriv + 1)
-
     def is_constant(self) -> bool:
         return self.family in (Family.C, Family.PARAM)
 
@@ -154,12 +144,6 @@ def beta(k: int) -> Generator:
 
 def gamma(k: int) -> Generator:
     return Generator(Family.PARAM, 2 * _PARAM_STRIDE + k, 0)
-
-
-def param_name(gen: Generator) -> str:
-    if gen.family is not Family.PARAM:
-        raise ValueError(f"{gen} is not a parameter generator")
-    return gen.token()
 
 
 _PARAM_BY_NAME = {"alpha": alpha, "beta": beta, "gamma": gamma}
@@ -221,9 +205,6 @@ class Monomial:
 
     def is_unit(self) -> bool:
         return not self.exps
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
 
     def weight(self, n: int) -> int:
         return self._wn * n + self._w0
@@ -472,12 +453,6 @@ class DiffPoly:
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
 
-    def monic(self) -> "DiffPoly":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient()
-        return self * (1 / lc)
-
     def base_generators(self) -> set[Generator]:
         return {g.base() for m in self.terms for g in m.generators()}
 
@@ -513,17 +488,13 @@ class DiffPoly:
         derivative order stepping up by one, constants to zero."""
         if times < 0:
             raise ValueError("cannot integrate by deriving a negative number of times")
+        cap = max_deriv_order()
         poly = self
         for _ in range(times):
             out: dict[Monomial, Fraction] = {}
-            _accumulate(out, _leibniz_terms(poly.terms))
+            _accumulate(out, _leibniz_terms(poly.terms, cap))
             poly = DiffPoly._tidy(self.n, out)
         return poly
-
-    # -- substitution ------------------------------------------------------
-
-    def substitute(self, sub: "Substitution") -> "DiffPoly":
-        return sub.apply(self)
 
     def __repr__(self) -> str:
         from .formatting import format_poly
@@ -545,18 +516,23 @@ def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
             del out[m]
 
 
-def _leibniz_terms(terms: Mapping[Monomial, Fraction]):
+def _leibniz_terms(terms: Mapping[Monomial, Fraction], cap: int):
     """The (monomial, coefficient) terms of the derivative, one for each
-    derivable factor of each term, before like terms are summed."""
+    derivable factor of each term, before like terms are summed; a factor
+    already at derivative order ``cap`` raises ``DerivOrderError``."""
     for mono, coeff in terms.items():
         exps = dict(mono.exps)
         # A derivative moves one unit of exponent one order up, which
         # raises the weight by one.
         wn, w0 = mono._wn, mono._w0 + 1
         for gen, e in mono.exps:
-            dgen = gen.derived()
-            if dgen is None:
+            if gen.is_constant():
                 continue
+            if gen.deriv >= cap:
+                raise DerivOrderError(
+                    f"derivative order {gen.deriv + 1} exceeds the configured cap"
+                )
+            dgen = Generator(gen.family, gen.index, gen.deriv + 1)
             bumped = dict(exps)
             if e == 1:
                 del bumped[gen]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .config import max_deriv_order
 from .diffring import DiffPoly, Family, Generator, Monomial
 
 _PARAM_LATEX = {"alpha": r"\alpha", "beta": r"\beta", "gamma": r"\gamma"}
@@ -109,10 +110,11 @@ def poly_from_dict(data: dict) -> DiffPoly:
     from .parsing import _generator_from_token
 
     n = data["ambientN"]
+    cap = max_deriv_order()
     terms: dict[Monomial, Fraction] = {}
     for entry in data["terms"]:
         mono = Monomial(
-            (_generator_from_token(tok, 0), exp) for tok, exp in entry["monomial"]
+            (_generator_from_token(tok, 0, cap), exp) for tok, exp in entry["monomial"]
         )
         terms[mono] = Fraction(entry["coeff"])
     return DiffPoly(n, terms)

@@ -69,6 +69,20 @@ def _eliminate(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, int
     return echelon
 
 
+def _back_substitute(
+    echelon: list[tuple[int, dict[int, int]]], vec: list[Fraction]
+) -> list[Fraction]:
+    """Fill in the pivot entries of vec, whose other entries are fixed, so
+    that every echelon row vanishes on it; returns vec."""
+    for col, row in reversed(echelon):
+        acc = Fraction(0)
+        for c, v in row.items():
+            if c != col:
+                acc -= v * vec[c]
+        vec[col] = acc / row[col]
+    return vec
+
+
 def solve(
     rows: list[dict[int, Fraction]],
     rhs: list[Fraction],
@@ -77,7 +91,8 @@ def solve(
     """One solution of A x = b with free variables set to zero, or None.
 
     The right-hand side is carried as an extra column, so infeasibility
-    shows up as a pivot in that column.
+    shows up as a pivot in that column; otherwise the solution is the
+    null vector of [A | b] with that column fixed at -1.
     """
     aug = []
     for row, b in zip(rows, rhs):
@@ -88,31 +103,18 @@ def solve(
     echelon = _eliminate(aug)
     if any(col == ncols for col, _ in echelon):
         return None
-    solution = [Fraction(0)] * ncols
-    for col, row in reversed(echelon):
-        acc = Fraction(row.get(ncols, 0))
-        for c, v in row.items():
-            if c != col and c != ncols:
-                acc -= v * solution[c]
-        solution[col] = acc / row[col]
-    return solution
+    vec = [Fraction(0)] * ncols + [Fraction(-1)]
+    return _back_substitute(echelon, vec)[:ncols]
 
 
 def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
     """Deterministic basis of the solution space of A x = 0."""
     echelon = _eliminate([dict(r) for r in rows])
-    pivots = [col for col, _ in echelon]
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    pivots = {col for col, _ in echelon}
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for col, row in reversed(echelon):
-            acc = Fraction(0)
-            for c, v in row.items():
-                if c != col:
-                    acc -= v * vec[c]
-            vec[col] = acc / row[col]
-        basis.append(vec)
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            basis.append(_back_substitute(echelon, vec))
     return basis

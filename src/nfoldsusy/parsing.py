@@ -11,8 +11,9 @@ Grammar (UTF-8 text):
 Generators: ``w<k>``, ``u<k>``, ``V+``, ``V-``, ``C<k>``, ``alpha<k>``,
 ``beta<k>``, ``gamma<k>``; a derivative is written with trailing
 apostrophes (``w1''``) or via ``D^m(...)`` applied to any subexpression.
-Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep, and a power
-is refused when its result could exceed ``MAX_TERMS`` terms.
+Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep, a power or a
+product is refused when its result could exceed ``MAX_TERMS`` terms, and
+a number has at most ``MAX_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -50,8 +51,12 @@ MAX_NESTING = 100
 
 # A power of a t-term polynomial to the e has at most C(t+e-1, e) terms,
 # and squaring its way there costs about the square of that; the corpus
-# needs at most 78.
+# needs at most 78 for a power and 11 for a product.
 MAX_TERMS = 500
+
+# CPython's default limit on int() of a decimal string
+# (sys.get_int_max_str_digits); longer runs are refused as tokens.
+MAX_DIGITS = 4300
 
 
 _TOKEN_RE = re.compile(
@@ -65,6 +70,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_LONG_DIGITS = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -75,6 +81,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
+        if m.end() - pos > MAX_DIGITS and _LONG_DIGITS.search(m.group()):
+            raise ParseError(f"a number longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
         if kind != "ws":
             tokens.append((kind, m.group(), pos))
         pos = m.end()
@@ -82,10 +90,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _generator_from_token(tok: str, pos: int) -> Generator:
+def _generator_from_token(tok: str, pos: int, cap: int) -> Generator:
     primes = len(tok) - len(tok.rstrip("'"))
     stem = tok[: len(tok) - primes]
-    if primes > max_deriv_order():
+    if primes > cap:
         raise DerivCapError(f"derivative order {primes} exceeds the configured cap", pos)
     if stem == "V+":
         return Generator(Family.VPLUS, 0, primes)
@@ -113,6 +121,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.cap = max_deriv_order()
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -150,10 +159,17 @@ class _Parser:
     def term(self) -> DiffPoly:
         poly = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.i += 1
-                poly = poly * self.factor()
+                rhs = self.factor()
+                if len(poly.terms) * len(rhs.terms) > MAX_TERMS:
+                    raise ParseError(
+                        f"product of a {len(poly.terms)}-term and a {len(rhs.terms)}-term "
+                        f"expression could exceed the budget of MAX_TERMS = {MAX_TERMS} terms",
+                        pos,
+                    )
+                poly = poly * rhs
             else:
                 return poly
 
@@ -205,7 +221,7 @@ class _Parser:
                 return DiffPoly.constant(self.n, Fraction(num, den))
             return DiffPoly.constant(self.n, num)
         if kind in ("name", "vgen"):
-            return DiffPoly.generator(self.n, _generator_from_token(val, pos))
+            return DiffPoly.generator(self.n, _generator_from_token(val, pos, self.cap))
         if kind == "dfunc":
             times = 1
             if "^" in val:

@@ -158,42 +158,46 @@ def antiderivative(p: DiffPoly) -> Decomposition | None:
     weight = p.weight()
     if weight < 1:
         return None
-    cap = max(p.max_deriv() - 1, 0)
-    basis = [
-        b
-        for b in monomial_basis(n, weight - 1, p.base_generators(), cap)
-        if not b.is_constant()
-    ]
+    basis, columns = _derivative_columns(
+        n, weight - 1, p.base_generators(), max(p.max_deriv() - 1, 0)
+    )
     if not basis:
         return None
-    columns = [DiffPoly.monomial(n, b).derive() for b in basis]
-    sol = _solve_columns(n, columns, p)
+    sol = solve(*_rows(n, columns, p), len(columns))
     if sol is None:
         return None
-    q = DiffPoly.zero(n)
-    for x, b in zip(sol, basis):
-        if x:
-            q = q + DiffPoly.monomial(n, b, x)
+    q = DiffPoly(n, dict(zip(basis, sol)))
     return Decomposition("total-derivative", p, antiderivative=q)
 
 
-def _solve_columns(
-    n: int, columns: Sequence[DiffPoly], target: DiffPoly
-) -> list[Fraction] | None:
-    row_index: dict[Monomial, int] = {}
-    monos = set(target.terms)
+def _derivative_columns(
+    n: int, weight: int, gens: Iterable[Generator], cap: int
+) -> tuple[list[Monomial], list[DiffPoly]]:
+    """The non-constant monomials of the given weight and their derivatives."""
+    basis = [b for b in monomial_basis(n, weight, gens, cap) if not b.is_constant()]
+    return basis, [DiffPoly.monomial(n, b).derive() for b in basis]
+
+
+def _rows(
+    n: int, columns: Sequence[DiffPoly], target: DiffPoly | None = None
+) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+    """The sparse system whose column ``ci`` is ``columns[ci]`` and whose
+    right-hand side is the target (zero if None): one row per monomial of
+    the columns and the target, in descending graded order."""
+    monos = set(target.terms) if target is not None else set()
     for col in columns:
-        monos |= set(col.terms)
-    for mono in sorted(monos, key=monomial_sort_key(n), reverse=True):
-        row_index[mono] = len(row_index)
-    rows: list[dict[int, Fraction]] = [{} for _ in row_index]
+        monos.update(col.terms)
+    order = sorted(monos, key=monomial_sort_key(n), reverse=True)
+    row_index = {mono: i for i, mono in enumerate(order)}
+    rows: list[dict[int, Fraction]] = [{} for _ in order]
     for ci, col in enumerate(columns):
         for mono, q in col.terms.items():
             rows[row_index[mono]][ci] = q
-    rhs = [Fraction(0)] * len(row_index)
-    for mono, q in target.terms.items():
-        rhs[row_index[mono]] = q
-    return solve(rows, rhs, len(columns))
+    rhs = [Fraction(0)] * len(order)
+    if target is not None:
+        for mono, q in target.terms.items():
+            rhs[row_index[mono]] = q
+    return rows, rhs
 
 
 def _conditions_of(cs: ConditionSet | Sequence[tuple[int, DiffPoly]]):
@@ -224,6 +228,7 @@ def ideal_membership(
     pool = list(gens) if gens is not None else _default_gens(
         [target] + [p for _, p in conditions]
     )
+    cap = max_deriv_order()
     columns: list[DiffPoly] = []
     keys: list[tuple[int, int, Monomial]] = []
     for j, cond in conditions:
@@ -233,7 +238,7 @@ def ideal_membership(
         shift_top = weight - cw
         if max_shift is not None:
             shift_top = min(shift_top, max_shift)
-        shift_top = min(shift_top, max_deriv_order() - cond.max_deriv())
+        shift_top = min(shift_top, cap - cond.max_deriv())
         derived = cond
         for m in range(shift_top + 1):
             for b in monomial_basis(n, weight - cw - m, pool, max_deriv):
@@ -243,18 +248,17 @@ def ideal_membership(
                 derived = derived.derive()
     if not columns:
         return None
-    sol = _solve_columns(n, columns, target)
+    sol = solve(*_rows(n, columns, target), len(columns))
     if sol is None:
         return None
-    mults: dict[tuple[int, int], DiffPoly] = {}
+    mults: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
     for x, (j, m, b) in zip(sol, keys):
         if x:
-            cur = mults.get((j, m), DiffPoly.zero(n))
-            mults[(j, m)] = cur + DiffPoly.monomial(n, b, x)
+            mults.setdefault((j, m), {})[b] = x
     return Decomposition(
         "ideal-member",
         target,
-        multipliers=tuple(sorted(mults.items())),
+        multipliers=tuple(sorted((jm, DiffPoly(n, t)) for jm, t in mults.items())),
         conditions=tuple(conditions),
     )
 
@@ -413,25 +417,11 @@ def search_integral(
     q_cap = max(cap - 1, 0)
     if max_deriv is not None:
         q_cap = min(q_cap, max_deriv)
-    q_basis = [
-        b
-        for b in monomial_basis(n, target_weight - 1, q_gens, q_cap)
-        if not b.is_constant()
-    ]
-    q_columns = [DiffPoly.monomial(n, b).derive() for b in q_basis]
+    q_basis, q_columns = _derivative_columns(n, target_weight - 1, q_gens, q_cap)
 
     # Homogeneous system: candidate combination minus total derivative = 0.
     all_cols = columns + [-qc for qc in q_columns]
-    row_index: dict[Monomial, int] = {}
-    for col in all_cols:
-        for mono in col.terms:
-            row_index.setdefault(mono, len(row_index))
-    rows: list[dict[int, Fraction]] = [{} for _ in row_index]
-    for ci, col in enumerate(all_cols):
-        for mono, qv in col.terms.items():
-            rows[row_index[mono]][ci] = qv
-    ncols = len(all_cols)
-    rays = nullspace(rows, ncols)
+    rays = nullspace(_rows(n, all_cols)[0], len(all_cols))
 
     nmult = len(columns)
     candidates = []
@@ -439,10 +429,7 @@ def search_integral(
         mult_part = ray[:nmult]
         if not any(mult_part):
             continue
-        j_poly = DiffPoly.zero(n)
-        for x, b in zip(ray[nmult:], q_basis):
-            if x:
-                j_poly = j_poly + DiffPoly.monomial(n, b, x)
+        j_poly = DiffPoly(n, dict(zip(q_basis, ray[nmult:])))
         if j_poly.is_zero():
             continue
         # Discard integrals that are already known constants on shell:

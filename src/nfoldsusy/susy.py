@@ -99,16 +99,6 @@ class ConditionSet:
     def items(self) -> Iterable[tuple[int, DiffPoly]]:
         return zip(self.ks, self.conditions)
 
-    def substituted(self, sub: Substitution) -> "ConditionSet":
-        return ConditionSet(
-            self.n,
-            self.stage,
-            self.ks,
-            tuple(sub.apply(p) for p in self.conditions),
-            self.preset,
-            dict(self.scale_notes),
-        )
-
 
 def build_system(n: int, symbolic_potentials: bool = True) -> SusySystem:
     """Monic order-n charge with generic coefficients w_{n-1}..w_0 and the

@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import nfoldsusy
 from nfoldsusy import (
     DerivOrderError,
     DiffOperator,
@@ -12,7 +15,7 @@ from nfoldsusy import (
     parse,
     transformed_conditions,
 )
-from nfoldsusy.config import max_deriv_order, search_deriv_bound
+from nfoldsusy.config import ConfigError, max_deriv_order, search_deriv_bound
 
 
 def test_operator_json_round_trip():
@@ -53,3 +56,26 @@ def test_search_bound_env(monkeypatch):
 
     basis = monomial_basis(2, 6, [w(1)])
     assert all(m.max_deriv() <= 4 for m in basis)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_invalid_derivative_cap_raises_config_error(monkeypatch, value):
+    poly = parse("w1", 2)
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", value)
+    message = re.escape(f"NFOLDSUSY_MAX_DERIV must be a non-negative integer, got {value!r}")
+    with pytest.raises(ConfigError, match=message):
+        parse("w1'", 2)
+    with pytest.raises(ConfigError, match=message):
+        poly.derive()
+    with pytest.raises(ConfigError, match=message):
+        parse("w1", 2).derive()
+
+
+def test_config_is_the_only_module_that_reads_the_environment():
+    package = Path(nfoldsusy.__file__).parent
+    readers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if re.search(r"os\.environ|getenv", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == ["config.py"]

@@ -107,7 +107,8 @@ def test_powers_beyond_the_term_budget_are_parse_errors():
     from nfoldsusy.parsing import MAX_TERMS
 
     # (w1+w0+u0+u1)^20 would have C(23, 20) = 1771 terms
-    for text in ("(w1+w0+u0+u1)^20", "(w1+w0)^100000", "(w1+w0)^" + "9" * 400):
+    for text in ("(w1+w0+u0+u1)^20", "(w1+w0)^100000", "(w1+w0)^" + "9" * 400,
+                 "(w1+w0)^200*(u0+u1)^200"):
         with pytest.raises(ParseError, match=f"MAX_TERMS = {MAX_TERMS}"):
             parse(text, 2)
     # the largest powers of two- and three-term bases within the budget
@@ -115,3 +116,20 @@ def test_powers_beyond_the_term_budget_are_parse_errors():
     assert len(parse("(w1+w0+u0)^30", 2).terms) == 496
     # a one-term base never grows
     assert parse("(3*w1)^40", 2) == parse(f"{3**40}*w1^40", 2)
+
+
+def test_digit_runs_beyond_int_conversion_are_parse_errors():
+    from nfoldsusy.parsing import MAX_DIGITS
+
+    digits = "9" * 5000
+    for text, position in (
+        (digits, 0),
+        ("w" + digits, 0),
+        ("(w1+w0)^" + digits, 8),
+        ("D^" + digits + "(w1)", 0),
+        ("1/" + digits, 2),
+    ):
+        with pytest.raises(ParseError, match=f"MAX_DIGITS = {MAX_DIGITS}") as info:
+            parse(text, 2)
+        assert info.value.position == position
+    assert parse("9" * MAX_DIGITS, 2) == 10**MAX_DIGITS - 1
