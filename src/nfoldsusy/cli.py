@@ -38,6 +38,16 @@ def _condition_label(stage: str, k: int) -> str:
     return f"Ibar_{k}" if stage == "transformed" else f"I_{k}"
 
 
+def _scale_note(n: int, stage: str, k: int) -> str:
+    """The rational prefactor tying a printed condition to its displayed
+    normalization, or "" when there is none."""
+    if stage == "raw":
+        return f"displayed as I_{n}" if k == n else f"displayed as 2*I_{k}"
+    if stage == "eliminated":
+        return f"displayed as {-2 * n}*I_{k}"
+    return susy.TRANSFORMED_NOTES.get(n, {}).get(k, "")
+
+
 def cmd_derive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     n, stage, preset = args.n, args.stage, args.preset
     if stage in ("raw", "eliminated") and not 2 <= n <= 8:
@@ -60,7 +70,7 @@ def cmd_derive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "conditions": [
                 {
                     "k": k,
-                    "note": cs.scale_notes.get(k, ""),
+                    "note": _scale_note(n, stage, k),
                     "poly": poly_to_dict(p),
                 }
                 for k, p in cs.items()
@@ -70,7 +80,7 @@ def cmd_derive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         return EXIT_OK
     lines = []
     for k, p in cs.items():
-        note = cs.scale_notes.get(k)
+        note = _scale_note(n, stage, k)
         suffix = f"   [{note}]" if note else ""
         lines.append(f"{_condition_label(stage, k)} = {format_poly(p, args.format)}{suffix}")
     _write("\n".join(lines), args.out)

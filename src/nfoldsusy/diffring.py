@@ -29,7 +29,7 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .config import max_deriv_order
 
@@ -253,11 +253,9 @@ class Monomial:
         return hash(self.exps)
 
     def __repr__(self) -> str:
-        if not self.exps:
-            return "1"
-        return "*".join(
-            g.token() if e == 1 else f"{g.token()}^{e}" for g, e in self.exps
-        )
+        from .formatting import format_monomial
+
+        return format_monomial(self)
 
 
 _UNIT = Monomial()
@@ -485,12 +483,15 @@ class DiffPoly:
 
     def derive(self, times: int = 1) -> "DiffPoly":
         """The ring derivation d/dq: Leibniz over monomials, each symbol's
-        derivative order stepping up by one, constants to zero."""
+        derivative order stepping up by one, constants to zero.  Stops early
+        once the polynomial is zero."""
         if times < 0:
             raise ValueError("cannot integrate by deriving a negative number of times")
         cap = max_deriv_order()
         poly = self
         for _ in range(times):
+            if not poly.terms:
+                break
             out: dict[Monomial, Fraction] = {}
             _accumulate(out, _leibniz_terms(poly.terms, cap))
             poly = DiffPoly._tidy(self.n, out)
@@ -556,15 +557,24 @@ def replace_constants(poly: DiffPoly, images: Mapping[Generator, DiffPoly]) -> D
             raise ValueError(f"{gen} is not a constant generator")
         if img.n != n:
             raise AmbientMismatchError("replacement image has wrong ambient N")
+    return _map_terms(
+        poly, lambda gen: images[gen] if gen in images else DiffPoly.generator(n, gen)
+    )
+
+
+def _map_terms(poly: DiffPoly, image: Callable[[Generator], DiffPoly]) -> DiffPoly:
+    """The algebra map sending each generator ``g`` of ``poly`` to
+    ``image(g)``, applied term by term; each power is computed once."""
+    n = poly.n
     out = DiffPoly.zero(n)
+    powers: dict[tuple[Generator, int], DiffPoly] = {}
     for mono, coeff in poly.terms.items():
         acc = DiffPoly.constant(n, coeff)
         for gen, e in mono.exps:
-            img = images.get(gen)
-            if img is None:
-                acc = acc * DiffPoly.monomial(n, Monomial.of(gen, e))
-            else:
-                acc = acc * img**e
+            pw = powers.get((gen, e))
+            if pw is None:
+                pw = powers[gen, e] = image(gen) ** e
+            acc = acc * pw
         out = out + acc
     return out
 
@@ -609,19 +619,7 @@ class Substitution:
     def apply(self, poly: DiffPoly) -> DiffPoly:
         if poly.n != self.n:
             raise AmbientMismatchError("substitution applied across ambient N")
-        out = DiffPoly.zero(self.n)
-        power_cache: dict[tuple[Generator, int], DiffPoly] = {}
-        for mono, coeff in poly.terms.items():
-            acc = DiffPoly.constant(self.n, coeff)
-            for gen, e in mono.exps:
-                key = (gen, e)
-                pw = power_cache.get(key)
-                if pw is None:
-                    pw = self.image(gen) ** e
-                    power_cache[key] = pw
-                acc = acc * pw
-            out = out + acc
-        return out
+        return _map_terms(poly, self.image)
 
     def is_weight_preserving(self) -> bool:
         for gen, img in self.images.items():

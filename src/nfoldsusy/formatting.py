@@ -12,26 +12,20 @@ import json
 from fractions import Fraction
 
 from .config import max_deriv_order
-from .diffring import DiffPoly, Family, Generator, Monomial
+from .diffring import DiffPoly, Generator, Monomial
 
 _PARAM_LATEX = {"alpha": r"\alpha", "beta": r"\beta", "gamma": r"\gamma"}
 
 
 def _gen_latex(gen: Generator) -> str:
-    primes = "'" * gen.deriv
-    if gen.family is Family.W:
-        return f"w_{{{gen.index}}}{primes}"
-    if gen.family is Family.U:
-        return f"u_{{{gen.index}}}{primes}"
-    if gen.family is Family.VPLUS:
-        return f"V^{{+}}{primes}"
-    if gen.family is Family.VMINUS:
-        return f"V^{{-}}{primes}"
-    if gen.family is Family.C:
-        return f"C_{{{gen.index}}}"
+    """The plain token ``<head><index or sign><primes>`` typeset as
+    ``head_{index}`` or ``head^{sign}``, primes kept."""
     token = gen.token()
-    head = token.rstrip("0123456789")
-    return f"{_PARAM_LATEX[head]}_{{{token[len(head):]}}}"
+    base = token.rstrip("'")
+    head = base.rstrip("0123456789+-")
+    tail = base[len(head):]
+    mark = "^" if tail in ("+", "-") else "_"
+    return f"{_PARAM_LATEX.get(head, head)}{mark}{{{tail}}}{token[len(base):]}"
 
 
 def _factor_plain(gen: Generator, exp: int) -> str:

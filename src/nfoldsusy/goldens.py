@@ -70,7 +70,7 @@ class GoldenEntry:
 
 def parse_combo(raw: dict, n: int) -> dict[int, dict[int, DiffPoly]]:
     """A stored ``{j: {power: expr}}`` condition combination, keyed by
-    integers and parsed, in the form ``reduction.apply_combo`` takes."""
+    integers and parsed, in the form ``susy.apply_combo`` takes."""
     return {
         int(j): {int(power): parse(expr, n) for power, expr in powers.items()}
         for j, powers in raw.items()

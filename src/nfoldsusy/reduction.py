@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .config import max_deriv_order, search_deriv_bound
 from .diffop import DiffOperator
@@ -23,7 +23,7 @@ from .diffring import (
     monomial_sort_key,
 )
 from .linalg import nullspace, solve
-from .susy import ConditionSet
+from .susy import ConditionSet, apply_combo
 
 
 class ReductionError(Exception):
@@ -129,11 +129,12 @@ class Decomposition:
         if self.kind == "total-derivative":
             assert self.antiderivative is not None
             return self.antiderivative.derive()
-        conds = dict(self.conditions)
-        acc = DiffPoly.zero(self.target.n)
+        if not self.multipliers:
+            return DiffPoly.zero(self.target.n)
+        combo: dict[int, dict[int, DiffPoly]] = {}
         for (j, m), mult in self.multipliers:
-            acc = acc + mult * conds[j].derive(m)
-        return acc
+            combo.setdefault(j, {})[m] = mult
+        return apply_combo(combo, self.conditions)
 
     def to_dict(self) -> dict:
         from .formatting import poly_to_dict
@@ -200,12 +201,6 @@ def _rows(
     return rows, rhs
 
 
-def _conditions_of(cs: ConditionSet | Sequence[tuple[int, DiffPoly]]):
-    if isinstance(cs, ConditionSet):
-        return [(k, p) for k, p in cs.items()]
-    return list(cs)
-
-
 def ideal_membership(
     target: DiffPoly,
     cs: ConditionSet | Sequence[tuple[int, DiffPoly]],
@@ -220,7 +215,7 @@ def ideal_membership(
     A condition is derived at most ``max_shift`` times, and never beyond
     the derivative cap (``NFOLDSUSY_MAX_DERIV``), so ``None`` means "no
     certificate within these bounds", not "not a member"."""
-    conditions = _conditions_of(cs)
+    conditions = list(cs.items() if isinstance(cs, ConditionSet) else cs)
     n = target.n
     if target.is_zero():
         return Decomposition("ideal-member", target, conditions=tuple(conditions))
@@ -348,10 +343,8 @@ class IntegralConstant:
     relation_multipliers: tuple[tuple[DiffPoly, DiffPoly], ...] = ()
 
     def residual(self, cs: ConditionSet | Sequence[tuple[int, DiffPoly]]) -> DiffPoly:
-        conds = dict(_conditions_of(cs))
-        acc = self.j_poly.derive()
-        for j, op in self.multipliers.items():
-            acc = acc - op.apply(conds[j])
+        combo = {j: op.coeffs for j, op in self.multipliers.items()}
+        acc = self.j_poly.derive() - apply_combo(combo, cs)
         for rel, mult in self.relation_multipliers:
             acc = acc - mult * rel
         return acc
@@ -478,20 +471,6 @@ def search_integral(
 
 
 # -- products of the supercharge components -------------------------------------
-
-
-def apply_combo(
-    combo: Mapping[int, Mapping[int, DiffPoly]],
-    cs: ConditionSet | Sequence[tuple[int, DiffPoly]],
-) -> DiffPoly:
-    """Expand sum_j sum_p coeff * d^p(condition_j)."""
-    conds = dict(_conditions_of(cs))
-    n = next(iter(conds.values())).n
-    acc = DiffPoly.zero(n)
-    for j, powers in combo.items():
-        for power, coeff in powers.items():
-            acc = acc + coeff * conds[j].derive(power)
-    return acc
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,15 @@ The pipeline mirrors the structure of the underlying identities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from .config import max_deriv_order
 from .diffop import DiffOperator
 from .diffring import (
+    DerivOrderError,
     DiffPoly,
     Family,
     Generator,
@@ -81,9 +83,7 @@ class ConditionSet:
 
     ``stage`` is one of ``raw`` (symbolic potentials), ``eliminated``
     (potentials substituted away) or ``transformed`` (after the w -> u
-    ansatz and recombination).  ``scale_notes`` records, per index, the
-    rational prefactor tying the stored polynomial to its displayed
-    normalization.
+    ansatz and recombination).
     """
 
     n: int
@@ -91,7 +91,6 @@ class ConditionSet:
     ks: tuple[int, ...]
     conditions: tuple[DiffPoly, ...]
     preset: str | None = None
-    scale_notes: Mapping[int, str] = field(default_factory=dict)
 
     def condition(self, k: int) -> DiffPoly:
         return self.conditions[self.ks.index(k)]
@@ -136,11 +135,7 @@ def derive_conditions(system: SusySystem) -> ConditionSet:
         if i > n:
             raise SusyError(f"intertwiner has an unexpected order-{i} coefficient")
     ks = tuple(range(n, -1, -1))
-    conditions = tuple(op.coefficient(k) for k in ks)
-    notes = {n: "displayed as I_%d" % n}
-    for k in range(n):
-        notes[k] = "displayed as 2*I_%d" % k
-    return ConditionSet(n, "raw", ks, conditions, scale_notes=notes)
+    return ConditionSet(n, "raw", ks, tuple(op.coefficient(k) for k in ks))
 
 
 def general_potentials(n: int) -> tuple[DiffPoly, DiffPoly]:
@@ -176,10 +171,7 @@ def eliminate_potentials(cs: ConditionSet) -> ConditionSet:
         if substituted[k]:
             raise SusyError(f"condition I_{k} failed to vanish under the potentials")
     ks = tuple(range(n - 2, -1, -1))
-    notes = {k: "displayed as %d*I_%d" % (-2 * n, k) for k in ks}
-    return ConditionSet(
-        n, "eliminated", ks, tuple(substituted[k] for k in ks), scale_notes=notes
-    )
+    return ConditionSet(n, "eliminated", ks, tuple(substituted[k] for k in ks))
 
 
 # -- dimension-preserving ansatz ----------------------------------------------
@@ -376,6 +368,7 @@ def default_recombination(
     raise ValueError(f"no recombination is defined for a {n}-fold system")
 
 
+# How the transformed conditions relate to their displayed normalization.
 TRANSFORMED_NOTES: dict[int, dict[int, str]] = {
     2: {0: "displayed as -4*Ibar_0"},
     3: {1: "generic display carries -3*Ibar_1", 0: "generic display carries 3*Ibar_0"},
@@ -396,24 +389,24 @@ def transform_conditions(
         raise SusyError("transformation expects potential-eliminated conditions")
     n = cs.n
     rec = default_recombination(n, parameters) if recombination is None else recombination
-    substituted = [sub.apply(p) for p in cs.conditions]
+    substituted = [(k, sub.apply(p)) for k, p in cs.items()]
     if len(rec) != len(substituted) or any(len(row) != len(substituted) for row in rec):
         raise SusyError("recombination shape does not match the condition count")
-    out: list[DiffPoly] = []
-    for row in rec:
-        acc = DiffPoly.zero(n)
-        for entry, poly in zip(row, substituted):
-            for power, coeff in entry.items():
-                acc = acc + poly.derive(power) * coeff
-        out.append(acc)
-    return ConditionSet(
-        n,
-        "transformed",
-        cs.ks,
-        tuple(out),
-        preset=preset,
-        scale_notes=dict(TRANSFORMED_NOTES.get(n, {})),
-    )
+    out = tuple(apply_combo(dict(zip(cs.ks, row)), substituted) for row in rec)
+    return ConditionSet(n, "transformed", cs.ks, out, preset=preset)
+
+
+def apply_combo(
+    combo: Mapping[int, Mapping[int, Fraction | DiffPoly]],
+    cs: ConditionSet | Sequence[tuple[int, DiffPoly]],
+) -> DiffPoly:
+    """Expand sum_j sum_p coeff * d^p(condition_j)."""
+    conds = dict(cs.items() if isinstance(cs, ConditionSet) else cs)
+    acc = DiffPoly.zero(next(iter(conds.values())).n)
+    for j, powers in combo.items():
+        for power, coeff in powers.items():
+            acc = acc + coeff * conds[j].derive(power)
+    return acc
 
 
 def transformed_conditions(n: int, preset: str = "generic") -> ConditionSet:
@@ -431,10 +424,20 @@ STAGES = ("raw", "eliminated", "transformed")
 def pipeline(n: int, stage: str, preset: str = "generic") -> ConditionSet:
     """The n-fold constraint set at a stage of raw -> eliminated ->
     transformed (at the preset, which the first two ignore), memoized: a
-    repeated call returns the same object, which callers must not mutate.
-    The derivative cap can make a call raise but never changes a result."""
+    repeated call returns the same object.
+
+    The raw stage needs the derivative cap ``NFOLDSUSY_MAX_DERIV`` at n or
+    more, the later stages at n + 1 or more.  Below that the call raises
+    ``DerivOrderError`` before building anything, memoized or not; the cap
+    never changes a result."""
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
+    need = n if stage == "raw" else n + 1
+    if max_deriv_order() < need:
+        raise DerivOrderError(
+            f"the {stage} stage at N={n} needs NFOLDSUSY_MAX_DERIV >= {need},"
+            " above the configured cap"
+        )
     return _pipeline(n, stage, preset if stage == "transformed" else None)
 
 
@@ -574,6 +577,22 @@ def _param_unknowns(polys: Iterable[DiffPoly]) -> list[str]:
     return sorted(names, key=key)
 
 
+def _pivot(
+    unknowns: Sequence[str], pending: Sequence[DiffPoly]
+) -> tuple[str, DiffPoly] | None:
+    """The first unknown, then the first equation, in which the unknown
+    occurs only as a lone linear term with a rational coefficient; returns
+    it with the image that solves that equation for it."""
+    for name in unknowns:
+        gen = param_by_name(name)
+        lone = Monomial.of(gen)
+        for eq in pending:
+            ratio = eq.coefficient(lone)
+            if ratio and all(m == lone or not m.exponent(gen) for m in eq.terms):
+                return name, (eq - DiffPoly.monomial(eq.n, lone, ratio)) * (-1 / ratio)
+    return None
+
+
 def solve_parameters(
     n: int,
     targets: TargetList,
@@ -584,9 +603,10 @@ def solve_parameters(
 
     Resolution is triangular in the alpha < beta < gamma order: an unknown
     is pinned from an equation in which it occurs linearly with a rational
-    coefficient, the assignment is substituted everywhere, and the process
-    repeats.  Unresolved parameters are reported as free, with the other
-    assignments given as polynomials in them.
+    coefficient, the pin is substituted once into the pending equations and
+    the earlier assignments, and the process repeats.  Unresolved
+    parameters are reported as free, with the other assignments given as
+    polynomials in them.
     """
     cs = pipeline(n, "transformed")
     equations: list[DiffPoly] = []
@@ -601,60 +621,19 @@ def solve_parameters(
 
     unknowns = _param_unknowns(equations)
     assignments: dict[str, DiffPoly] = {}
-
-    def substitute_known(poly: DiffPoly) -> DiffPoly:
-        # Images reference only unassigned parameters, so one pass resolves.
-        sub = Substitution(
-            n, {param_by_name(name): img for name, img in assignments.items()}
-        )
-        return sub.apply(poly)
-
-    def assign(name: str, image: DiffPoly) -> None:
+    pending = equations
+    while True:
+        if any(eq and all(m.is_unit() for m in eq.terms) for eq in pending):
+            raise InfeasibleError("targets force a nonzero constant to vanish")
+        pin = _pivot(unknowns, pending)
+        if pin is None:
+            break
+        name, image = pin
+        sub = Substitution(n, {param_by_name(name): image})
+        pending = [sub.apply(eq) for eq in pending]
+        assignments = {other: sub.apply(img) for other, img in assignments.items()}
         assignments[name] = image
-        gen = param_by_name(name)
-        for other, img in list(assignments.items()):
-            if other != name:
-                assignments[other] = Substitution(n, {gen: image}).apply(img)
-
-    progress = True
-    while progress:
-        progress = False
-        pending = [substitute_known(eq) for eq in equations]
-        for bad in pending:
-            if bad and all(m.is_unit() for m in bad.terms):
-                raise InfeasibleError("targets force a nonzero constant to vanish")
-        for name in unknowns:
-            if name in assignments:
-                continue
-            gen_mono = Monomial.of(param_by_name(name))
-            for eq in pending:
-                if not eq:
-                    continue
-                linear = DiffPoly.zero(n)
-                rest = DiffPoly.zero(n)
-                degree_ok = True
-                for mono, coeff in eq.terms.items():
-                    e = mono.exponent(param_by_name(name))
-                    if e == 0:
-                        rest = rest + DiffPoly.monomial(n, mono, coeff)
-                    elif e == 1 and mono == gen_mono:
-                        linear = linear + DiffPoly.constant(n, coeff)
-                    else:
-                        degree_ok = False
-                        break
-                if not degree_ok or linear.is_zero():
-                    continue
-                ratio = linear.coefficient(Monomial.unit())
-                assign(name, rest * (Fraction(-1) / ratio))
-                progress = True
-                break
-            if progress:
-                break
-
-    residual = [substitute_known(eq) for eq in equations]
-    if any(r and all(m.is_unit() for m in r.terms) for r in residual):
-        raise InfeasibleError("targets force a nonzero constant to vanish")
-    if any(r for r in residual):
+    if any(pending):
         raise InfeasibleError(
             "target system does not reduce to triangular linear form"
         )

@@ -177,3 +177,23 @@ def test_primes_beyond_the_cap_exit_2_like_any_derivative_beyond_it():
         code, err = run_cli_env(env, *argv)
         assert code == 2, argv
         assert "NFOLDSUSY_MAX_DERIV=2" in err and "Traceback" not in err, argv
+
+
+def test_every_accepted_derive_output_is_pinned():
+    """One digest over stdout and exit code of the 63 accepted ``derive``
+    commands: every format, raw and eliminated at N = 2..8, transformed at
+    N = 2..4 for every preset.  It pins every scale note."""
+    presets = {2: ("generic", "paper"), 3: ("generic", "paper"),
+               4: ("generic", "paper", "footnote-alt")}
+    digest = hashlib.sha256()
+    for fmt in ("plain", "latex", "json"):
+        argvs = [("derive", "--n", str(n), "--stage", stage, "--format", fmt)
+                 for stage in ("raw", "eliminated") for n in range(2, 9)]
+        argvs += [("derive", "--n", str(n), "--stage", "transformed", "--preset", p,
+                   "--format", fmt) for n, names in presets.items() for p in names]
+        for argv in argvs:
+            code, out = run_cli(*argv)
+            digest.update(f"{' '.join(argv)}\n{out}{code}\n".encode())
+    assert digest.hexdigest() == (
+        "b1aaf9d272d5453f1fbc58fac86e1cf081be9c8814ab45e3e7670fd2f65042a8"
+    )

@@ -234,3 +234,18 @@ def test_single_term_products_match_the_general_product():
             got, want = a * b, _reference_product(a, b)
             assert got == want
             assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_derive_stops_once_the_polynomial_is_zero(monkeypatch):
+    from nfoldsusy import diffring
+
+    calls = []
+    leibniz = diffring._leibniz_terms
+
+    def counted(terms, cap):
+        calls.append(len(terms))
+        return leibniz(terms, cap)
+
+    monkeypatch.setattr(diffring, "_leibniz_terms", counted)
+    assert parse("D^5000(C1)", 2).is_zero()
+    assert len(calls) <= 1

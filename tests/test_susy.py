@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from nfoldsusy import (
     transformed_conditions,
     transformed_system,
 )
-from nfoldsusy.diffring import Substitution, u, w
+from nfoldsusy.diffring import DerivOrderError, Substitution, u, w
 from nfoldsusy.susy import (
     PRESETS,
     InfeasibleError,
@@ -177,6 +178,26 @@ def test_solve_parameters_footnote_branch():
     )
 
 
+def test_solve_parameters_footnote_family_is_pinned():
+    family = solve_parameters(4, target_monomials(4, "footnote-alt"))
+    assert family.free == ("gamma6",)
+    expected = {
+        "alpha1": "2*gamma6",
+        "beta1": "-9/4",
+        "beta2": "-3/4",
+        "beta3": "5/3*gamma6 + 1/4",
+        "gamma1": "-1/2",
+        "gamma2": "2*gamma6 - 1/2",
+        "gamma3": "2*gamma6 - 1/8",
+        "gamma4": "-1",
+        "gamma5": "-1/4",
+        "gamma7": "-gamma6^2 + 1/6*gamma6 + 1/16",
+    }
+    assert list(family.assignments) == list(expected)
+    for name, image in expected.items():
+        assert family.assignments[name] == parse(image, 4), name
+
+
 def test_solve_parameters_infeasible():
     mono = next(iter(parse("u0'", 3).terms))
     with pytest.raises(InfeasibleError):
@@ -224,3 +245,22 @@ def test_pipeline_returns_the_memoized_object():
 def test_pipeline_rejects_an_unknown_stage():
     with pytest.raises(ValueError, match="unknown stage"):
         pipeline(3, "cooked")
+
+
+def test_pipeline_refuses_an_n_beyond_the_derivative_cap(monkeypatch):
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "13")
+    assert pipeline(12, "eliminated").ks == tuple(range(10, -1, -1))
+    # the memoized result is not handed out under a cap that cannot reach it
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "12")
+    with pytest.raises(DerivOrderError, match="needs NFOLDSUSY_MAX_DERIV >= 13"):
+        pipeline(12, "eliminated")
+    assert pipeline(12, "raw").ks[0] == 12
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "4")
+    with pytest.raises(DerivOrderError, match="needs NFOLDSUSY_MAX_DERIV >= 5"):
+        pipeline(4, "transformed", "paper")
+
+
+def test_condition_sets_are_hashable_and_hold_no_dict():
+    cs = pipeline(4, "eliminated")
+    assert hash(cs) == hash(eliminate_potentials(derive_conditions(build_system(4))))
+    assert not any(isinstance(getattr(cs, f.name), dict) for f in dataclasses.fields(cs))
