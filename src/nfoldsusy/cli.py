@@ -18,7 +18,6 @@ from . import goldens, reduction, suites, susy
 from .config import ConfigError, max_deriv_order, search_deriv_bound
 from .diffring import DerivOrderError
 from .formatting import format_poly, poly_to_dict
-from .parsing import parse
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -26,10 +25,13 @@ EXIT_USAGE = 2
 EXIT_SEARCH_EXHAUSTED = 3
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            parser.error(f"cannot write --out {out}: {exc.strerror}")
     else:
         print(text)
 
@@ -76,14 +78,14 @@ def cmd_derive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 for k, p in cs.items()
             ],
         }
-        _write(json.dumps(payload, separators=(",", ":")), args.out)
+        _write(json.dumps(payload, separators=(",", ":")), args.out, parser)
         return EXIT_OK
     lines = []
     for k, p in cs.items():
         note = _scale_note(n, stage, k)
         suffix = f"   [{note}]" if note else ""
         lines.append(f"{_condition_label(stage, k)} = {format_poly(p, args.format)}{suffix}")
-    _write("\n".join(lines), args.out)
+    _write("\n".join(lines), args.out, parser)
     return EXIT_OK
 
 
@@ -94,7 +96,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "passed": all(r.passed for r in reports),
             "suites": [r.to_dict() for r in reports],
         }
-        _write(json.dumps(payload, separators=(",", ":")), args.out)
+        _write(json.dumps(payload, separators=(",", ":")), args.out, parser)
     else:
         lines = []
         for rep in reports:
@@ -106,7 +108,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 f"suite {rep.suite}: "
                 f"{sum(r.passed for r in rep.results)}/{len(rep.results)} passed"
             )
-        _write("\n".join(lines), args.out)
+        _write("\n".join(lines), args.out, parser)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
@@ -148,7 +150,7 @@ def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             },
             "display": display_note,
         }
-        _write(json.dumps(payload, separators=(",", ":")), args.out)
+        _write(json.dumps(payload, separators=(",", ":")), args.out, parser)
         return EXIT_OK
     lines = [f"J_{k} = {format_poly(found.j_poly, args.format)}"]
     for j, op in sorted(found.multipliers.items()):
@@ -159,7 +161,7 @@ def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         lines.append(display_note)
     if n == 4 and k == 1:
         lines.append("degenerate case: Ibar_1 = u0' integrates to u0 = 2*C1")
-    _write("\n".join(lines), args.out)
+    _write("\n".join(lines), args.out, parser)
     return EXIT_OK
 
 
@@ -173,19 +175,18 @@ def cmd_emit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         payload.update(e.data)
         if "expression" in e.data:
             payload["poly"] = poly_to_dict(e.poly())
-        _write(json.dumps(payload, separators=(",", ":")), args.out)
+        _write(json.dumps(payload, separators=(",", ":")), args.out, parser)
         return EXIT_OK
     lines = [f"{e.id} ({e.kind}, n={e.n}): {e.provenance}"]
     if "expression" in e.data:
         lines.append(format_poly(e.poly(), args.format))
     elif "coeffs" in e.data:
         dsym = "\\del" if args.format == "latex" else "d"
-        for order in sorted((int(o) for o in e.data["coeffs"]), reverse=True):
-            expr = e.data["coeffs"][str(order)]
-            lines.append(f"{dsym}^{order}: {format_poly(parse(expr, e.n), args.format)}")
+        for order, coeff in sorted(e.operator().coeffs.items(), reverse=True):
+            lines.append(f"{dsym}^{order}: {format_poly(coeff, args.format)}")
     else:
         lines.append(json.dumps(e.data, indent=1))
-    _write("\n".join(lines), args.out)
+    _write("\n".join(lines), args.out, parser)
     return EXIT_OK
 
 

@@ -4,7 +4,8 @@ Entries live in ``data/goldens.json`` in the canonical expression syntax,
 one entry per displayed identity, each with a unique anchor id, the
 rational prefactors tying the stored form to the engine's internal
 normalization, and a short provenance note.  The verification suites
-re-derive every entry from scratch and compare.
+re-derive every entry from scratch and compare.  Only this module reads the
+expression fields, and it parses each string once per derivative cap.
 """
 
 from __future__ import annotations
@@ -14,9 +15,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from .config import max_deriv_order
 from .diffop import DiffOperator
 from .diffring import DiffPoly, c, replace_constants
 from .parsing import parse
+
+# Every field that carries expressions, by shape: 0 is one expression
+# string, d > 0 a map whose integer keys nest d deep above expressions, and
+# a dict the fields of a nested record.
+_FIELDS = {"expression": 0, "lhs": 0, "rhs": 0, "denominator": 0, "coeffs": 1,
+           "denominators": 1, "mult_checks": 1, "combo": 2, "combo_orders": 3,
+           "completion": {"combo": 2, "kernel": 0}}
+
+
+@lru_cache(maxsize=None)
+def _parsed(text: str, n: int, cap: int) -> DiffPoly:
+    """One corpus expression, parsed once per derivative cap; the corpus
+    bounds the memo.  Keying on the cap keeps a lower cap raising
+    ``DerivCapError`` as ``parse`` does."""
+    return parse(text, n)
+
+
+def _parse(text: str, n: int) -> DiffPoly:
+    return _parsed(text, n, max_deriv_order())
+
+
+def _walk(raw, shape, visit):
+    """``raw`` with ``visit`` applied to each expression that ``shape`` names."""
+    if isinstance(shape, dict):
+        return {key: _walk(raw[key], sub, visit) for key, sub in shape.items() if key in raw}
+    if shape == 0:
+        return visit(raw)
+    return {int(key): _walk(value, shape - 1, visit) for key, value in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -31,50 +61,25 @@ class GoldenEntry:
     def preset(self) -> str:
         return self.data.get("preset", "paper")
 
+    def parsed(self, key: str):
+        """The field ``key`` with its expressions parsed: a ``DiffPoly``,
+        maps of them keyed by integers, or a record of those."""
+        return _walk(self.data[key], _FIELDS[key], lambda text: _parse(text, self.n))
+
     def poly(self, key: str = "expression") -> DiffPoly:
-        return parse(self.data[key], self.n)
+        return self.parsed(key)
 
     def scale(self, key: str = "scale") -> Fraction:
         return Fraction(self.data.get(key, "1"))
 
     def operator(self, key: str = "coeffs") -> DiffOperator:
-        coeffs = {
-            int(order): parse(expr, self.n)
-            for order, expr in self.data[key].items()
-        }
-        return DiffOperator(self.n, coeffs)
+        return DiffOperator(self.n, self.parsed(key))
 
-    def combo(self, key: str = "combo") -> dict[int, dict[int, DiffPoly]]:
-        return parse_combo(self.data[key], self.n)
-
-    def expressions(self) -> list[str]:
-        """Every expression string carried by the entry, for integrity checks."""
-        found: list[str] = []
-
-        def walk(value):
-            if isinstance(value, str):
-                found.append(value)
-            elif isinstance(value, dict):
-                for v in value.values():
-                    walk(v)
-            elif isinstance(value, (list, tuple)):
-                for v in value:
-                    walk(v)
-
-        for key in ("expression", "lhs", "rhs", "coeffs", "combo", "relations",
-                    "mult_checks", "denominator", "denominators", "kernel"):
-            if key in self.data:
-                walk(self.data[key])
+    def expressions(self) -> dict[str, DiffPoly]:
+        """Every expression string the entry carries, parsed, for integrity checks."""
+        found: dict[str, DiffPoly] = {}
+        _walk(self.data, _FIELDS, lambda text: found.setdefault(text, _parse(text, self.n)))
         return found
-
-
-def parse_combo(raw: dict, n: int) -> dict[int, dict[int, DiffPoly]]:
-    """A stored ``{j: {power: expr}}`` condition combination, keyed by
-    integers and parsed, in the form ``susy.apply_combo`` takes."""
-    return {
-        int(j): {int(power): parse(expr, n) for power, expr in powers.items()}
-        for j, powers in raw.items()
-    }
 
 
 @lru_cache(maxsize=1)
@@ -136,3 +141,17 @@ def search_relations(n: int, k: int, preset: str = "paper") -> list[DiffPoly]:
     if e is None:
         return []
     return [integral_relation(n, i, preset) for i in e.data.get("relations", ())]
+
+
+def residual_combos(n: int, product: str) -> dict[int, dict[int, dict[int, DiffPoly]]]:
+    """The displayed residual of the ``product`` ("minus" or "plus") charge
+    product at N = ``n``: per derivative order, the condition combination
+    that its coefficient equals, in the form ``susy.apply_combo`` takes."""
+    out = {}
+    for e in corpus().values():
+        if e.kind == "residual" and e.n == n and e.data["product"] == product:
+            if "combo_orders" in e.data:
+                out.update(e.parsed("combo_orders"))
+            else:
+                out[e.data["order"]] = e.parsed("combo")
+    return out

@@ -519,7 +519,7 @@ def verify_product(n: int, preset: str = "paper") -> ProductReport:
     # reconcile the pulled-back integrals with that choice.
     for e in goldens.corpus().values():
         if e.kind == "jw-shift" and e.n == n:
-            j_w[e.data["k"]] = j_w[e.data["k"]] + apply_combo(e.combo(), cs)
+            j_w[e.data["k"]] = j_w[e.data["k"]] + apply_combo(e.parsed("combo"), cs)
 
     c0 = DiffOperator.multiplication(DiffPoly.generator(n, c_gen(0)))
 
@@ -535,15 +535,10 @@ def verify_product(n: int, preset: str = "paper") -> ProductReport:
         ("plus", system.charge_minus, system.charge_plus, system.hamiltonian_plus),
     ):
         residual = left * right - mother(ham + c0)
-        expected: dict[int, DiffPoly] = {}
-        for e in goldens.corpus().values():
-            if e.kind != "residual" or e.n != n or e.data["product"] != name:
-                continue
-            if "combo_orders" in e.data:
-                for order, combo in e.data["combo_orders"].items():
-                    expected[int(order)] = apply_combo(goldens.parse_combo(combo, n), cs)
-            else:
-                expected[e.data["order"]] = apply_combo(e.combo(), cs)
+        expected = {
+            order: apply_combo(combo, cs)
+            for order, combo in goldens.residual_combos(n, name).items()
+        }
         matches = {}
         for order in sorted(set(expected) | set(residual.coeffs)):
             matches[order] = residual.coefficient(order) == expected.get(

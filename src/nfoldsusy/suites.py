@@ -141,10 +141,10 @@ def _check_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
 def _check_charge_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
     n, preset, mode = e.n, e.preset, e.data["mode"]
     engine = getattr(_engine_system(n, "transformed", preset), "charge_" + e.data["sign"])
+    coeffs = e.parsed("coeffs")
     details = []
-    for order, den_expr in e.data["denominators"].items():
-        display = parse(e.data["coeffs"][order], n)
-        diff = engine.coefficient(int(order)) * parse(den_expr, n) - display
+    for order, den in e.parsed("denominators").items():
+        diff = engine.coefficient(order) * den - coeffs[order]
         failure = _cleared(diff, n, preset, mode)
         if failure:
             details.append(f"order {order} {failure}")
@@ -154,32 +154,38 @@ def _check_charge_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
 def _check_potential_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
     n, preset = e.n, e.preset
     engine = getattr(_engine_system(n, "transformed", preset), "potential_" + e.data["sign"])
-    diff = engine * parse(e.data["denominator"], n) - e.poly()
+    diff = engine * e.poly("denominator") - e.poly()
     report.add(f"golden:{e.id}", _cleared(diff, n, preset, e.data["mode"]) is None)
+
+
+def _first_inhomogeneous(parsed: dict[str, DiffPoly]) -> str | None:
+    return next((expr for expr, poly in parsed.items()
+                 if poly and not poly.is_homogeneous()), None)
+
+
+def _structural_failure(e: goldens.GoldenEntry) -> str:
+    """Why an entry's expressions are malformed, or "" when they are sound."""
+    try:
+        parsed = e.expressions()
+    except DerivOrderError:
+        raise
+    except Exception as exc:
+        return f"parse failure: {exc}"
+    bad = _first_inhomogeneous(parsed)
+    if bad is not None:
+        return f"inhomogeneous: {bad[:40]}"
+    for poly in parsed.values():
+        if parse(format_poly(poly), e.n) != poly:
+            return "plain round-trip failed"
+        if poly_from_json(poly_to_json(poly)) != poly:
+            return "json round-trip failed"
+    return ""
 
 
 def _structural_checks(report: SuiteReport) -> None:
     for e in goldens.corpus().values():
-        ok, detail = True, ""
-        for expr in e.expressions():
-            try:
-                poly = parse(expr, e.n)
-            except DerivOrderError:
-                raise
-            except Exception as exc:
-                ok, detail = False, f"parse failure: {exc}"
-                break
-            if poly and not poly.is_homogeneous():
-                ok, detail = False, f"inhomogeneous: {expr[:40]}"
-                break
-            rendered = format_poly(poly)
-            if parse(rendered, e.n) != poly:
-                ok, detail = False, "plain round-trip failed"
-                break
-            if poly_from_json(poly_to_json(poly)) != poly:
-                ok, detail = False, "json round-trip failed"
-                break
-        report.add(f"corpus:{e.id}", ok, detail)
+        detail = _structural_failure(e)
+        report.add(f"corpus:{e.id}", not detail, detail)
 
 
 def _general_n_checks(report: SuiteReport) -> None:
@@ -214,11 +220,7 @@ def _preset_instantiation_checks(report: SuiteReport) -> None:
     """Generic-parameter goldens, instantiated at the presets, must agree
     with the engine objects built directly at those presets."""
     for n, preset in ((2, "paper"), (3, "paper"), (4, "paper"), (4, "footnote-alt")):
-        values = susy.preset_parameters(n, preset)
-        sub = susy.Substitution(
-            n,
-            {susy.param_by_name(name): DiffPoly.constant(n, q) for name, q in values.items()},
-        )
+        sub = susy.parameter_substitution(n, susy.preset_parameters(n, preset))
         system = susy.transformed_system(n, preset)
         for e in goldens.corpus().values():
             if e.n == n and e.preset == "generic" and e.kind in ("charge", "potential"):
@@ -283,15 +285,8 @@ def suite_goldens() -> SuiteReport:
 def suite_weights() -> SuiteReport:
     report = SuiteReport("weights")
     for e in goldens.corpus().values():
-        ok = True
-        detail = ""
-        for expr in e.expressions():
-            poly = parse(expr, e.n)
-            if poly and not poly.is_homogeneous():
-                ok = False
-                detail = expr[:48]
-                break
-        report.add(f"homogeneous:{e.id}", ok, detail)
+        bad = _first_inhomogeneous(e.expressions())
+        report.add(f"homogeneous:{e.id}", bad is None, (bad or "")[:48])
     for n in range(2, 7):
         raw = susy.pipeline(n, "raw")
         ok = all(
@@ -350,36 +345,21 @@ def _check_integral(report: SuiteReport, e: goldens.GoldenEntry) -> None:
     expected = found.j_poly * e.scale()
     cs = susy.pipeline(n, "transformed", preset)
     if "completion" in e.data:
-        comp = e.data["completion"]
-        combo = goldens.parse_combo(comp["combo"], n)
-        expected = expected + reduction.apply_combo(combo, cs) + parse(comp["kernel"], n)
+        comp = e.parsed("completion")
+        expected = expected + reduction.apply_combo(comp["combo"], cs) + comp["kernel"]
     report.add(f"integral:{e.id}", display == expected, "display vs search")
 
     # multiplier identifications: the listed condition multipliers must be
     # a common rational multiple of the displayed choices
-    checks = e.data.get("mult_checks")
-    if checks:
-        ok = True
-        ratio = None
-        for j_str, expr in checks.items():
-            j = int(j_str)
-            op = found.multipliers.get(j)
-            if op is None or set(op.coeffs) != {0}:
-                ok = False
-                break
-            got = op.coefficient(0)
-            want = parse(expr, n)
+    if e.data.get("mult_checks"):
+        ratios = set()
+        for j, want in e.parsed("mult_checks").items():
+            op = found.multipliers.get(j, DiffOperator.zero(n))
+            got = op.coefficient(0) if set(op.coeffs) == {0} else DiffPoly.zero(n)
             lm = want.leading_monomial()
             lam = got.coefficient(lm) / want.coefficient(lm)
-            if not lam or got != want * lam:
-                ok = False
-                break
-            if ratio is None:
-                ratio = lam
-            elif lam != ratio:
-                ok = False
-                break
-        report.add(f"integral-multipliers:{e.id}", ok)
+            ratios.add(lam if lam and got == want * lam else None)
+        report.add(f"integral-multipliers:{e.id}", len(ratios) == 1 and None not in ratios)
 
     # weight bookkeeping: weight(L_kj) + weight(condition_j) = 2k+3
     ok = True

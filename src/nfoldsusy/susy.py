@@ -244,6 +244,13 @@ def preset_parameters(n: int, preset: str) -> dict[str, Fraction]:
         raise UnknownParameterError(f"no preset {preset!r} for a {n}-fold system") from None
 
 
+def parameter_substitution(n: int, values: Mapping[str, Fraction]) -> Substitution:
+    """Each named parameter replaced by its value."""
+    return Substitution(
+        n, {param_by_name(name): DiffPoly.constant(n, q) for name, q in values.items()}
+    )
+
+
 def _param_poly(n: int, name: str, values: Mapping[str, Fraction]) -> DiffPoly:
     if name in values:
         return DiffPoly.constant(n, values[name])
@@ -646,10 +653,7 @@ def is_parameter_solution(
 ) -> bool:
     """Check a concrete assignment against a target set directly."""
     cs = pipeline(n, "transformed")
-    sub = Substitution(
-        n,
-        {param_by_name(name): DiffPoly.constant(n, q) for name, q in values.items()},
-    )
+    sub = parameter_substitution(n, values)
     for k, mono in targets:
         grouped = _split_parameters(cs.condition(k))
         eq = grouped.get(mono)

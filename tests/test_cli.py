@@ -116,6 +116,15 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text())["n"] == 2
 
 
+def test_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    for argv in (("derive", "--n", "3", "--out", str(tmp_path / "missing" / "x.txt")),
+                 ("emit", "--id", "2fc3pp", "--out", str(tmp_path))):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == "", argv
+        assert argv[-1] in err and "Traceback" not in err, argv
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "nfoldsusy.cli", "derive", "--n", "2", "--stage", "raw"],

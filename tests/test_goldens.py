@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from nfoldsusy import format_poly, parse, poly_from_json, poly_to_json
 from nfoldsusy import goldens, suites
+from nfoldsusy.parsing import DerivCapError
 
 
 def test_corpus_loads_with_unique_ids():
@@ -38,3 +41,35 @@ def test_suites_pass(suite):
     (report,) = suites.run_suite(suite)
     failures = [r for r in report.results if not r.passed]
     assert not failures, failures[:5]
+
+
+@pytest.fixture(scope="module")
+def corpus_parses():
+    """Each (text, n) that ``goldens`` hands to ``parse`` over every suite,
+    starting from an empty memo."""
+    calls = []
+    real = goldens.parse
+    goldens._parsed.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(goldens, "parse", lambda text, n: calls.append((text, n)) or real(text, n))
+        suites.run_suite("all")
+    goldens._parsed.cache_clear()
+    return calls
+
+
+def test_each_corpus_expression_reaches_parse_once(corpus_parses):
+    repeated = [key for key, count in Counter(corpus_parses).items() if count > 1]
+    assert corpus_parses and not repeated, repeated[:3]
+
+
+def test_every_expression_an_accessor_parses_is_walked(corpus_parses):
+    walked = {(text, e.n) for e in goldens.corpus().values() for text in e.expressions()}
+    assert not set(corpus_parses) - walked, sorted(set(corpus_parses) - walked)[:3]
+
+
+def test_the_memo_keeps_a_lower_cap_raising(monkeypatch):
+    e = goldens.entry("2fc3pp")
+    assert e.poly() == parse(e.data["expression"], e.n)
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "2")
+    with pytest.raises(DerivCapError):
+        e.poly()
