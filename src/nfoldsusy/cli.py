@@ -169,7 +169,7 @@ def cmd_emit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         e = goldens.entry(args.id)
     except KeyError as exc:
-        parser.error(str(exc))
+        parser.error(exc.args[0])
     if args.format == "json":
         payload = {"id": e.id, "n": e.n, "kind": e.kind, "provenance": e.provenance}
         payload.update(e.data)

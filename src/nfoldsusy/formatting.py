@@ -101,16 +101,24 @@ def poly_to_json(poly: DiffPoly) -> str:
 
 
 def poly_from_dict(data: dict) -> DiffPoly:
-    from .parsing import _generator_from_token
+    """Inverse of ``poly_to_dict``; a malformed term raises ``ParseError``
+    whose position is the index of the term."""
+    from .parsing import ParseError, _generator_from_token
 
     n = data["ambientN"]
     cap = max_deriv_order()
     terms: dict[Monomial, Fraction] = {}
-    for entry in data["terms"]:
-        mono = Monomial(
-            (_generator_from_token(tok, 0, cap), exp) for tok, exp in entry["monomial"]
-        )
-        terms[mono] = Fraction(entry["coeff"])
+    for i, entry in enumerate(data["terms"]):
+        factors = [(_generator_from_token(t, i, cap), e) for t, e in entry["monomial"]]
+        if len({g for g, _ in factors}) != len(factors):
+            raise ParseError("a generator repeated within one monomial", i)
+        mono = Monomial(factors)
+        if mono in terms:
+            raise ParseError("a monomial repeated across terms", i)
+        try:
+            terms[mono] = Fraction(entry["coeff"])
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"invalid coefficient {entry['coeff']!r}", i) from None
     return DiffPoly(n, terms)
 
 

@@ -99,7 +99,7 @@ def _generator_from_token(tok: str, pos: int, cap: int) -> Generator:
         return Generator(Family.VPLUS, 0, primes)
     if stem == "V-":
         return Generator(Family.VMINUS, 0, primes)
-    head = stem[0]
+    head = stem[:1]
     if head in ("w", "u") and stem[1:].isdigit():
         fam = Family.W if head == "w" else Family.U
         return Generator(fam, int(stem[1:]), primes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .config import max_deriv_order, search_deriv_bound
 from .diffop import DiffOperator
@@ -201,12 +201,46 @@ def _rows(
     return rows, rhs
 
 
+def _multiplier_columns(
+    n: int, conditions: Iterable[tuple[int, DiffPoly]], weight: int,
+    top: Callable[[DiffPoly], int], pool: Sequence[Generator], max_deriv: int | None,
+) -> tuple[list[tuple[int, int, Monomial]], list[DiffPoly]]:
+    """The columns b * D^m(I_j) of a multiplier system and their keys
+    (j, m, b): conditions in order, zero ones skipped, m from 0 to
+    min(weight - wt(I_j), top(I_j)), b over the monomial basis of the
+    complementary weight."""
+    keys: list[tuple[int, int, Monomial]] = []
+    columns: list[DiffPoly] = []
+    for j, cond in conditions:
+        if cond.is_zero():
+            continue
+        cw = cond.weight()
+        derived = cond
+        for m in range(min(weight - cw, top(cond)) + 1):
+            if m:
+                derived = derived.derive()
+            for b in monomial_basis(n, weight - cw - m, pool, max_deriv):
+                columns.append(DiffPoly.monomial(n, b) * derived)
+                keys.append((j, m, b))
+    return keys, columns
+
+
+def _gather(
+    n: int, keys: Sequence[tuple[int, int, Monomial]], xs: Sequence[Fraction], scale: Fraction
+) -> dict[int, dict[int, DiffPoly]]:
+    """Read a solution of a multiplier system back as {j: {m: multiplier}},
+    in key order and scaled, the shape ``apply_combo`` takes."""
+    terms: dict[int, dict[int, dict[Monomial, Fraction]]] = {}
+    for (j, m, b), x in zip(keys, xs):
+        if x:
+            terms.setdefault(j, {}).setdefault(m, {})[b] = x * scale
+    return {j: {m: DiffPoly(n, t) for m, t in ms.items()} for j, ms in terms.items()}
+
+
 def ideal_membership(
     target: DiffPoly,
     cs: ConditionSet | Sequence[tuple[int, DiffPoly]],
-    gens: Iterable[Generator] | None = None,
     max_shift: int | None = None,
-    max_deriv: int | None = None,
 ) -> Decomposition | None:
     """Decide membership of the target in the module generated by the
     conditions and their derivatives, multipliers drawn from monomial
@@ -220,40 +254,24 @@ def ideal_membership(
     if target.is_zero():
         return Decomposition("ideal-member", target, conditions=tuple(conditions))
     weight = target.weight()
-    pool = list(gens) if gens is not None else _default_gens(
-        [target] + [p for _, p in conditions]
-    )
+    pool = _default_gens([target] + [p for _, p in conditions])
     cap = max_deriv_order()
-    columns: list[DiffPoly] = []
-    keys: list[tuple[int, int, Monomial]] = []
-    for j, cond in conditions:
-        if cond.is_zero():
-            continue
-        cw = cond.weight()
-        shift_top = weight - cw
-        if max_shift is not None:
-            shift_top = min(shift_top, max_shift)
-        shift_top = min(shift_top, cap - cond.max_deriv())
-        derived = cond
-        for m in range(shift_top + 1):
-            for b in monomial_basis(n, weight - cw - m, pool, max_deriv):
-                columns.append(DiffPoly.monomial(n, b) * derived)
-                keys.append((j, m, b))
-            if m < shift_top:
-                derived = derived.derive()
+    shift = weight if max_shift is None else max_shift
+    keys, columns = _multiplier_columns(
+        n, conditions, weight, lambda c: min(shift, cap - c.max_deriv()), pool, None
+    )
     if not columns:
         return None
     sol = solve(*_rows(n, columns, target), len(columns))
     if sol is None:
         return None
-    mults: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
-    for x, (j, m, b) in zip(sol, keys):
-        if x:
-            mults.setdefault((j, m), {})[b] = x
+    combo = _gather(n, keys, sol, Fraction(1))
     return Decomposition(
         "ideal-member",
         target,
-        multipliers=tuple(sorted((jm, DiffPoly(n, t)) for jm, t in mults.items())),
+        multipliers=tuple(
+            sorted(((j, m), p) for j, ms in combo.items() for m, p in ms.items())
+        ),
         conditions=tuple(conditions),
     )
 
@@ -272,8 +290,6 @@ def op_equivalent(
     a: DiffOperator,
     b: DiffOperator,
     cs: ConditionSet | Sequence[tuple[int, DiffPoly]],
-    gens: Iterable[Generator] | None = None,
-    max_deriv: int | None = None,
 ) -> EquivalenceVerdict:
     """Two operators are equivalent when every coefficient of their
     difference lies in the constraint module."""
@@ -281,16 +297,11 @@ def op_equivalent(
     if diff.is_zero():
         return EquivalenceVerdict(True, {}, {"max_shift": 0})
     max_shift = diff.order() + 2
-    certificates: dict[int, Decomposition | None] = {}
-    ok = True
-    for order in sorted(diff.coeffs):
-        cert = ideal_membership(
-            diff.coefficient(order), cs, gens=gens, max_shift=max_shift,
-            max_deriv=max_deriv,
-        )
-        certificates[order] = cert
-        if cert is None:
-            ok = False
+    certificates = {
+        order: ideal_membership(diff.coefficient(order), cs, max_shift=max_shift)
+        for order in sorted(diff.coeffs)
+    }
+    ok = all(cert is not None for cert in certificates.values())
     return EquivalenceVerdict(ok, certificates, {"max_shift": max_shift})
 
 
@@ -371,32 +382,20 @@ def search_integral(
         raise ValueError(f"unknown candidate policy {policy!r}")
     n = cs.n
     target_weight = 2 * k + 3
-    conditions = [(j, p) for j, p in cs.items() if p]
-    pool = list(gens) if gens is not None else _default_gens([p for _, p in conditions])
-
-    columns: list[DiffPoly] = []
-    quotient_cols: list[list[DiffPoly]] = []
-    keys: list[tuple[int, int, Monomial]] = []
-    for j, cond in conditions:
-        cw = cond.weight()
-        orders = (0,) if policy == "multiplicative" else (0, 1)
-        for d in orders:
-            mw = target_weight - cw - d
-            if mw < 0:
-                continue
-            derived = cond.derive(d)
-            for b in monomial_basis(n, mw, pool, max_deriv):
-                raw = DiffPoly.monomial(n, b) * derived
-                nf, quots = reduce_by_relations(raw, relations)
-                columns.append(nf)
-                quotient_cols.append(quots)
-                keys.append((j, d, b))
+    if max_deriv is None:
+        max_deriv = search_deriv_bound()
+    pool = list(gens) if gens is not None else _default_gens([p for _, p in cs.items()])
+    top = 0 if policy == "multiplicative" else 1
+    keys, raw = _multiplier_columns(n, cs.items(), target_weight, lambda c: top, pool,
+                                    max_deriv)
+    reduced = [reduce_by_relations(col, relations) for col in raw]
+    columns = [nf for nf, _ in reduced]
     bounds = {
         "k": k,
         "policy": policy,
         "target_weight": target_weight,
         "candidates": len(columns),
-        "max_deriv": search_deriv_bound() if max_deriv is None else max_deriv,
+        "max_deriv": max_deriv,
     }
     if not columns:
         raise SearchExhausted("no multiplier candidates at this weight", bounds)
@@ -407,9 +406,7 @@ def search_integral(
     cap = max(
         [c.max_deriv() for c in columns if c] + [0]
     )
-    q_cap = max(cap - 1, 0)
-    if max_deriv is not None:
-        q_cap = min(q_cap, max_deriv)
+    q_cap = min(max(cap - 1, 0), max_deriv)
     q_basis, q_columns = _derivative_columns(n, target_weight - 1, q_gens, q_cap)
 
     # Homogeneous system: candidate combination minus total derivative = 0.
@@ -432,7 +429,7 @@ def search_integral(
         nf_j, _ = reduce_by_relations(j_poly, relations)
         if all(m.is_constant() for m in nf_j.terms):
             continue
-        if ideal_membership(nf_j, conditions) is not None:
+        if ideal_membership(nf_j, cs) is not None:
             continue
         score = (
             sum(1 for x in mult_part if x),
@@ -448,16 +445,13 @@ def search_integral(
     lc = j_poly.leading_coefficient()
     scale = Fraction(1) / lc
     j_poly = j_poly * scale
-    mults: dict[int, DiffOperator] = {}
+    combo = _gather(n, keys, ray[:nmult], scale)
+    mults = {j: DiffOperator(n, ms) for j, ms in combo.items()}
     rel_mults = [DiffPoly.zero(n) for _ in relations]
-    for x, (j, d, b), quots in zip(ray[:nmult], keys, quotient_cols):
-        if not x:
-            continue
-        coeff = DiffPoly.monomial(n, b, x * scale)
-        cur = mults.get(j, DiffOperator.zero(n))
-        mults[j] = cur + DiffOperator(n, {d: coeff})
-        for i, qq in enumerate(quots):
-            rel_mults[i] = rel_mults[i] - qq * (x * scale)
+    for x, (_, quots) in zip(ray[:nmult], reduced):
+        if x:
+            for i, qq in enumerate(quots):
+                rel_mults[i] = rel_mults[i] - qq * (x * scale)
     result = IntegralConstant(
         n,
         k,

@@ -386,7 +386,6 @@ TRANSFORMED_NOTES: dict[int, dict[int, str]] = {
 def transform_conditions(
     cs: ConditionSet,
     sub: Substitution,
-    recombination: Recombination | None = None,
     preset: str | None = None,
     parameters: Mapping[str, Fraction] | None = None,
 ) -> ConditionSet:
@@ -395,10 +394,8 @@ def transform_conditions(
     if cs.stage != "eliminated":
         raise SusyError("transformation expects potential-eliminated conditions")
     n = cs.n
-    rec = default_recombination(n, parameters) if recombination is None else recombination
+    rec = default_recombination(n, parameters)
     substituted = [(k, sub.apply(p)) for k, p in cs.items()]
-    if len(rec) != len(substituted) or any(len(row) != len(substituted) for row in rec):
-        raise SusyError("recombination shape does not match the condition count")
     out = tuple(apply_combo(dict(zip(cs.ks, row)), substituted) for row in rec)
     return ConditionSet(n, "transformed", cs.ks, out, preset=preset)
 

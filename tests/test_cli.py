@@ -77,7 +77,7 @@ def test_search_exhausted_exits_3():
     assert code == 3
 
 
-def test_emit():
+def test_emit(capsys):
     code, out = run_cli("emit", "--id", "2fC1")
     assert code == 0 and "w1''" in out
     code, out = run_cli("emit", "--id", "2fC1", "--format", "json")
@@ -86,6 +86,7 @@ def test_emit():
     assert payload["prefactor"] == "16"
     code, _ = run_cli("emit", "--id", "nope")
     assert code == 2
+    assert capsys.readouterr().err.endswith("nfoldsusy: error: no golden with id 'nope'\n")
 
 
 def test_emit_latex():
@@ -205,4 +206,23 @@ def test_every_accepted_derive_output_is_pinned():
             digest.update(f"{' '.join(argv)}\n{out}{code}\n".encode())
     assert digest.hexdigest() == (
         "b1aaf9d272d5453f1fbc58fac86e1cf081be9c8814ab45e3e7670fd2f65042a8"
+    )
+
+
+def test_every_accepted_search_output_is_pinned():
+    """One digest over stdout and exit code of the 36 accepted ``search``
+    commands: every (n, k, preset), both policies, plain and json.  It pins
+    the order of every multiplier and of its terms."""
+    cases = [(2, 1, "paper"), (3, 1, "paper"), (3, 2, "paper")]
+    cases += [(4, k, p) for k in (1, 2, 3) for p in ("paper", "footnote-alt")]
+    digest = hashlib.sha256()
+    for n, k, preset in cases:
+        for policy in ("multiplicative", "first-order"):
+            for fmt in ("plain", "json"):
+                argv = ("search", "--n", str(n), "--k", str(k), "--preset", preset,
+                        "--policy", policy, "--format", fmt)
+                code, out = run_cli(*argv)
+                digest.update(f"{' '.join(argv)}\n{out}{code}\n".encode())
+    assert digest.hexdigest() == (
+        "08dc55ba693e972d3d70dfa9d084aa916c8634535e111d534fe40fa3b713a730"
     )

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,22 @@ def test_json_round_trip_and_stability():
     blob = poly_to_json(p)
     assert poly_from_json(blob) == p
     assert poly_to_json(poly_from_json(blob)) == blob
+
+
+def test_malformed_json_raises_parse_error():
+    def blob(*terms):
+        return json.dumps({"ambientN": 2, "terms": [
+            {"monomial": mono, "coeff": coeff} for mono, coeff in terms
+        ]})
+
+    for text in (
+        blob(([["", 1]], "1")),
+        blob(([["w1", 1], ["w1", 2]], "1")),
+        blob(([["w1", 1]], "1"), ([["w1", 1]], "2")),
+        blob(([["w1", 1]], "1/0")),
+    ):
+        with pytest.raises(ParseError):
+            poly_from_json(text)
 
 
 def test_latex_rendering():

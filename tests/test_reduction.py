@@ -148,6 +148,20 @@ def test_search_exhausted():
         search_integral(cs, 1, gens=[u(0)])
 
 
+def test_the_search_bound_from_the_environment_also_caps_the_antiderivatives(monkeypatch):
+    from nfoldsusy import pipeline
+
+    cs = pipeline(2, "transformed", "paper")
+    relations = search_relations(2, 1)
+    # J_1 needs w1'' in its antiderivative basis, which a bound of 1 excludes
+    with pytest.raises(SearchExhausted):
+        search_integral(cs, 1, relations=relations, max_deriv=1)
+    monkeypatch.setenv("NFOLDSUSY_DERIV_BOUND", "1")
+    with pytest.raises(SearchExhausted) as exc:
+        search_integral(cs, 1, relations=relations)
+    assert exc.value.bounds["max_deriv"] == 1
+
+
 def test_first_order_policy_also_finds_twofold_integral():
     cs = transformed_conditions(2, "paper")
     found = search_integral(cs, 1, policy="first-order",
