@@ -101,24 +101,39 @@ def poly_to_json(poly: DiffPoly) -> str:
 
 
 def poly_from_dict(data: dict) -> DiffPoly:
-    """Inverse of ``poly_to_dict``; a malformed term raises ``ParseError``
-    whose position is the index of the term."""
+    """Inverse of ``poly_to_dict``; malformed input raises ``ParseError``
+    whose position is the index of the term (0 for a top-level key).
+    Exponents are ints of at least 1 and coefficients are strings or ints,
+    as ``poly_to_dict`` writes them."""
     from .parsing import ParseError, _generator_from_token
 
-    n = data["ambientN"]
+    try:
+        n, entries = data["ambientN"], data["terms"]
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
     cap = max_deriv_order()
     terms: dict[Monomial, Fraction] = {}
-    for i, entry in enumerate(data["terms"]):
-        factors = [(_generator_from_token(t, i, cap), e) for t, e in entry["monomial"]]
+    for i, entry in enumerate(entries):
+        try:
+            monomial, coeff = entry["monomial"], entry["coeff"]
+        except KeyError as exc:
+            raise ParseError(f"missing key {exc.args[0]!r}", i) from None
+        factors = []
+        for t, e in monomial:
+            if type(e) is not int or e < 1:
+                raise ParseError(f"exponent {e!r} is not a positive int", i)
+            factors.append((_generator_from_token(t, i, cap), e))
         if len({g for g, _ in factors}) != len(factors):
             raise ParseError("a generator repeated within one monomial", i)
         mono = Monomial(factors)
         if mono in terms:
             raise ParseError("a monomial repeated across terms", i)
+        if type(coeff) not in (str, int):
+            raise ParseError(f"coefficient {coeff!r} is not a string or an int", i)
         try:
-            terms[mono] = Fraction(entry["coeff"])
+            terms[mono] = Fraction(coeff)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"invalid coefficient {entry['coeff']!r}", i) from None
+            raise ParseError(f"invalid coefficient {coeff!r}", i) from None
     return DiffPoly(n, terms)
 
 

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from nfoldsusy import DiffPoly, format_poly, ideal_membership, pipeline
+from nfoldsusy import DiffPoly, format_poly, ideal_membership, linalg, pipeline
 from nfoldsusy.diffring import Family, Generator
 from nfoldsusy.linalg import _eliminate, nullspace, solve
 
@@ -136,22 +136,78 @@ def test_elimination_leaves_the_input_rows_alone():
     assert rows == copies
 
 
+def _oracle_solve(rows, rhs, ncols):
+    """None when the unpruned oracle echelon of [A | b] pivots in the rhs
+    column; otherwise back-substitution on that echelon with the free
+    variables at zero."""
+    aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
+    echelon = _oracle_eliminate(aug)
+    if any(col == ncols for col, _ in echelon):
+        return None
+    vec = [Fraction(0)] * ncols + [Fraction(-1)]
+    for col, row in reversed(echelon):
+        vec[col] = -sum((v * vec[c] for c, v in row.items() if c != col), Fraction(0)) / row[col]
+    return vec[:ncols]
+
+
 def test_solve_is_none_exactly_when_the_oracle_pivots_in_the_rhs_column():
     rng = random.Random(7)
     infeasible = feasible = 0
     for _ in range(400):
         rows, ncols = _random_system(rng)
         rhs = _random_rhs(rng, rows, ncols)
-        aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
-        oracle_infeasible = any(col == ncols for col, _ in _oracle_eliminate(aug))
         x = solve(rows, rhs, ncols)
-        assert (x is None) == oracle_infeasible
+        assert x == _oracle_solve(rows, rhs, ncols)
         if x is None:
             infeasible += 1
         else:
             feasible += 1
             assert _apply(rows, x) == rhs
     assert infeasible > 50 and feasible > 50
+
+
+def _q(row):
+    return {c: Fraction(v) for c, v in row.items()}
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, ncols, pruned",
+    [
+        # a chain of singletons, listed backwards so that each one appears
+        # only after the column before it is dropped
+        (
+            [{2: 1, 3: 1}, {1: 1, 2: 3}, {0: 1, 1: 2}, {0: 4}],
+            [5, 0, 0, 0],
+            4,
+            [{3: 1, 4: 5}],
+        ),
+        # the cascade ends in a row whose one entry is the rhs: infeasible
+        ([{0: 2}, {0: 1}], [3, 0], 1, [{1: 3}]),
+        # an explicit zero does not count as an entry
+        ([{0: 1, 1: 1}, {0: 0, 1: 2}], [4, 0], 2, [{0: 1, 2: 4}]),
+        # everything prunes away
+        ([{0: 1, 1: 1}, {1: 3}, {}], [0, 0, 0], 2, []),
+    ],
+)
+def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, pruned):
+    rows = [_q(r) for r in rows]
+    rhs = [Fraction(b) for b in rhs]
+    seen = []
+
+    def spy(aug):
+        seen.append(aug)
+        return _eliminate(aug)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    assert solve(rows, rhs, ncols) == _oracle_solve(rows, rhs, ncols)
+    assert seen == [[_q(r) for r in pruned]]
+
+
+def test_solve_rejects_a_rhs_of_another_length():
+    with pytest.raises(ValueError):
+        solve([{0: Fraction(1)}], [], 1)
+    with pytest.raises(ValueError):
+        solve([], [Fraction(1)], 1)
 
 
 def test_nullspace_vectors_satisfy_the_homogeneous_system():
@@ -218,3 +274,22 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     assert hashlib.sha256(seen[0].encode()).hexdigest() == (
         "427654cb0a07f99a39bbf4022454a6eef51f688f44d0c7e1d1c7ddb8edbf226e"
     )
+
+
+def test_sevenfold_probe_is_pruned_before_elimination(monkeypatch):
+    """The singleton rows and the columns they force to zero are gone from
+    the system that reaches elimination; nonzeros count rhs entries."""
+    seen = []
+
+    def spy(rows):
+        seen.append((sum(1 for r in rows if r), sum(len(r) for r in rows)))
+        return _eliminate(rows)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    n = 7
+    cs = pipeline(n, "eliminated", "paper")
+    w0 = DiffPoly.generator(n, Generator(Family.W, 0, 0))
+    top = DiffPoly.generator(n, Generator(Family.W, n - 1, 0))
+    target = (cs.condition(0).derive(2) + cs.condition(n - 2) * w0) * top**2
+    assert ideal_membership(target, cs) is not None
+    assert seen == [(1741, 18504)]

@@ -88,6 +88,26 @@ def test_malformed_json_raises_parse_error():
             poly_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"ambientN": 2, "terms": [{"monomial": [["w1", -1]], "coeff": "1"}]},
+        {"ambientN": 2, "terms": [{"monomial": [["w1", "2"]], "coeff": "1"}]},
+        {"ambientN": 2},
+        {"terms": []},
+        {"ambientN": 2, "terms": [{"monomial": [["w1", 1]]}]},
+        {"ambientN": 2, "terms": [{"monomial": [["w1", 1]], "coeff": 0.1}]},
+        {"ambientN": 2, "terms": [{"monomial": [["w1", 0]], "coeff": "1"}]},
+        {"ambientN": 2, "terms": [{"monomial": [["w1", True]], "coeff": "1"}]},
+    ],
+    ids=["negative-exponent", "string-exponent", "no-terms", "no-ambientN", "no-coeff",
+         "float-coefficient", "zero-exponent", "bool-exponent"],
+)
+def test_malformed_json_fields_raise_parse_error(data):
+    with pytest.raises(ParseError):
+        poly_from_json(json.dumps(data))
+
+
 def test_latex_rendering():
     p = parse("3/2*w1'^2 - alpha0*V+", 2)
     tex = format_poly(p, "latex")
