@@ -103,23 +103,40 @@ def poly_to_json(poly: DiffPoly) -> str:
 def poly_from_dict(data: dict) -> DiffPoly:
     """Inverse of ``poly_to_dict``; malformed input raises ``ParseError``
     whose position is the index of the term (0 for a top-level key).
-    Exponents are ints of at least 1 and coefficients are strings or ints,
-    as ``poly_to_dict`` writes them."""
+    The shape is the one ``poly_to_dict`` writes: an object with an int
+    ``ambientN`` and a list of ``terms``, each an object whose monomial is
+    a list of [token, exponent] pairs, tokens strings and exponents ints of
+    at least 1, and whose coefficient is a string or an int."""
     from .parsing import ParseError, _generator_from_token
 
+    if not isinstance(data, dict):
+        raise ParseError("a polynomial is an object", 0)
     try:
         n, entries = data["ambientN"], data["terms"]
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
+    if type(n) is not int:
+        raise ParseError(f"ambientN {n!r} is not an int", 0)
+    if not isinstance(entries, list):
+        raise ParseError("terms is not a list", 0)
     cap = max_deriv_order()
     terms: dict[Monomial, Fraction] = {}
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError("a term is not an object", i)
         try:
             monomial, coeff = entry["monomial"], entry["coeff"]
         except KeyError as exc:
             raise ParseError(f"missing key {exc.args[0]!r}", i) from None
+        if not isinstance(monomial, list):
+            raise ParseError("a monomial is not a list", i)
         factors = []
-        for t, e in monomial:
+        for factor in monomial:
+            if not isinstance(factor, list) or len(factor) != 2:
+                raise ParseError(f"factor {factor!r} is not a [token, exponent] pair", i)
+            t, e = factor
+            if type(t) is not str:
+                raise ParseError(f"generator token {t!r} is not a string", i)
             if type(e) is not int or e < 1:
                 raise ParseError(f"exponent {e!r} is not a positive int", i)
             factors.append((_generator_from_token(t, i, cap), e))

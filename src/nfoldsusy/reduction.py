@@ -5,17 +5,40 @@ Everything here reduces to exact sparse linear algebra over Q on monomial
 bases that the weight grading makes finite.  Certificates re-expand to
 their targets by construction; a negative verdict is always relative to
 the bounds used and the reports say so.
+
+Packed monomial keys.  ``_rows`` builds every system without multiplying
+polynomials or sorting ``Monomial`` objects.  Its columns come in blocks
+``(p, shifts)``, one column ``s * p`` per shift monomial ``s``: in a
+multiplier system ``p`` is a shifted condition D^m(I_j), derived once, and
+the shifts are the monomial basis of the complementary weight, built once
+per weight.  List the G generators the system holds in ascending order
+g_0 < ... < g_{G-1}, and let B exceed every exponent a row can hold (the
+largest shift exponent plus the largest exponent of a block polynomial,
+or a target exponent).  Then
+
+    key(m) = wt(m) * B^G + sum_i e_i(m) * B^(G-1-i)
+
+is injective, and key(s * m) = key(s) + key(m): weights and exponents add,
+and no digit reaches B, so nothing carries.  Descending key order is
+descending ``monomial_sort_key`` order.  The lower digits sum to less than
+B^G, so keys compare by weight first, whatever its sign.  At equal weight
+they compare as exponent vectors, lexicographically from g_0 with the
+higher exponent winning, and that is how ``monomial_sort_key`` breaks ties
+(see the ``diffring`` module docstring).  So each row is one int key,
+filled in column order, and the rows are the keys sorted descending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .config import max_deriv_order, search_deriv_bound
 from .diffop import DiffOperator
 from .diffring import (
+    AmbientMismatchError,
     DiffPoly,
     Family,
     Generator,
@@ -159,58 +182,105 @@ def antiderivative(p: DiffPoly) -> Decomposition | None:
     weight = p.weight()
     if weight < 1:
         return None
-    basis, columns = _derivative_columns(
+    basis, blocks = _derivative_columns(
         n, weight - 1, p.base_generators(), max(p.max_deriv() - 1, 0)
     )
     if not basis:
         return None
-    sol = solve(*_rows(n, columns, p), len(columns))
+    sol = solve(*_rows(n, blocks, p), len(blocks))
     if sol is None:
         return None
     q = DiffPoly(n, dict(zip(basis, sol)))
     return Decomposition("total-derivative", p, antiderivative=q)
 
 
+# A block whose one column is its polynomial.
+_UNSHIFTED = (Monomial.unit(),)
+
+Block = tuple[DiffPoly, Sequence[Monomial]]
+
+
 def _derivative_columns(
     n: int, weight: int, gens: Iterable[Generator], cap: int
-) -> tuple[list[Monomial], list[DiffPoly]]:
-    """The non-constant monomials of the given weight and their derivatives."""
+) -> tuple[list[Monomial], list[Block]]:
+    """The non-constant monomials of the given weight, and one block for
+    the derivative of each."""
     basis = [b for b in monomial_basis(n, weight, gens, cap) if not b.is_constant()]
-    return basis, [DiffPoly.monomial(n, b).derive() for b in basis]
+    return basis, [(DiffPoly.monomial(n, b).derive(), _UNSHIFTED) for b in basis]
+
+
+def _check_ambient(n: int, polys: Iterable[DiffPoly]) -> None:
+    """Refuse, naming both N, a polynomial of another ambient than n."""
+    for p in polys:
+        if p.n != n:
+            raise AmbientMismatchError(f"ambient N mismatch: {n} vs {p.n}")
+
+
+def _span(monos: Iterable[Monomial], gens: set[Generator]) -> int:
+    """Add the generators of the monomials to gens; return their largest
+    exponent, 0 if there is none."""
+    top = 0
+    for m in monos:
+        for g, e in m.exps:
+            gens.add(g)
+            if e > top:
+                top = e
+    return top
 
 
 def _rows(
-    n: int, columns: Sequence[DiffPoly], target: DiffPoly | None = None
+    n: int, blocks: Sequence[Block], target: DiffPoly | None = None
 ) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
-    """The sparse system whose column ``ci`` is ``columns[ci]`` and whose
-    right-hand side is the target (zero if None): one row per monomial of
-    the columns and the target, in descending graded order."""
-    monos = set(target.terms) if target is not None else set()
-    for col in columns:
-        monos.update(col.terms)
-    order = sorted(monos, key=monomial_sort_key(n), reverse=True)
-    row_index = {mono: i for i, mono in enumerate(order)}
-    rows: list[dict[int, Fraction]] = [{} for _ in order]
-    for ci, col in enumerate(columns):
-        for mono, q in col.terms.items():
-            rows[row_index[mono]][ci] = q
-    rhs = [Fraction(0)] * len(order)
-    if target is not None:
-        for mono, q in target.terms.items():
-            rhs[row_index[mono]] = q
-    return rows, rhs
+    """The sparse system with one column ``s * p`` for each block
+    ``(p, shifts)`` and each ``s`` in ``shifts``, in that order, and the
+    target (zero if None) as right-hand side: one row per monomial of the
+    columns and the target, in descending graded order, each row's entries
+    in column order.  Rows are keyed by packed monomial ints (module
+    docstring)."""
+    gens: set[Generator] = set()
+    top = 0 if target is None else _span(target.terms, gens)
+    for poly, shifts in blocks:
+        top = max(top, _span(shifts, gens) + _span(poly.terms, gens))
+    base = top + 1
+    place = {g: base**i for i, g in enumerate(sorted(gens, reverse=True))}
+    weight_place = base ** len(place)
+
+    def key(m: Monomial) -> int:
+        return m.weight(n) * weight_place + sum(e * place[g] for g, e in m.exps)
+
+    rowmap: dict[int, dict[int, Fraction]] = {}
+    ci = 0
+    for poly, shifts in blocks:
+        packed = [(key(m), q) for m, q in poly.terms.items()]
+        for s in shifts:
+            ks = key(s)
+            for k, q in packed:
+                k += ks
+                row = rowmap.get(k)
+                if row is None:
+                    rowmap[k] = {ci: q}
+                else:
+                    row[ci] = q
+            ci += 1
+    rhs_at = {} if target is None else {key(m): q for m, q in target.terms.items()}
+    for k in rhs_at:
+        rowmap.setdefault(k, {})
+    order = sorted(rowmap, reverse=True)
+    zero = Fraction(0)
+    return [rowmap[k] for k in order], [rhs_at.get(k, zero) for k in order]
 
 
 def _multiplier_columns(
     n: int, conditions: Iterable[tuple[int, DiffPoly]], weight: int,
     top: Callable[[DiffPoly], int], pool: Sequence[Generator], max_deriv: int | None,
-) -> tuple[list[tuple[int, int, Monomial]], list[DiffPoly]]:
-    """The columns b * D^m(I_j) of a multiplier system and their keys
-    (j, m, b): conditions in order, zero ones skipped, m from 0 to
-    min(weight - wt(I_j), top(I_j)), b over the monomial basis of the
-    complementary weight."""
+) -> tuple[list[tuple[int, int, Monomial]], list[Block]]:
+    """The keys (j, m, b) of the columns b * D^m(I_j) of a multiplier
+    system, and their blocks (D^m(I_j), basis): conditions in order, zero
+    ones skipped, m from 0 to min(weight - wt(I_j), top(I_j)), b over the
+    monomial basis of the complementary weight, built once per weight."""
+    bases: dict[int, list[Monomial]] = {}
     keys: list[tuple[int, int, Monomial]] = []
-    columns: list[DiffPoly] = []
+    blocks: list[Block] = []
     for j, cond in conditions:
         if cond.is_zero():
             continue
@@ -219,10 +289,12 @@ def _multiplier_columns(
         for m in range(min(weight - cw, top(cond)) + 1):
             if m:
                 derived = derived.derive()
-            for b in monomial_basis(n, weight - cw - m, pool, max_deriv):
-                columns.append(DiffPoly.monomial(n, b) * derived)
-                keys.append((j, m, b))
-    return keys, columns
+            rest = weight - cw - m
+            if rest not in bases:
+                bases[rest] = monomial_basis(n, rest, pool, max_deriv)
+            blocks.append((derived, bases[rest]))
+            keys.extend((j, m, b) for b in bases[rest])
+    return keys, blocks
 
 
 def _gather(
@@ -251,18 +323,19 @@ def ideal_membership(
     certificate within these bounds", not "not a member"."""
     conditions = list(cs.items() if isinstance(cs, ConditionSet) else cs)
     n = target.n
+    _check_ambient(n, (p for _, p in conditions))
     if target.is_zero():
         return Decomposition("ideal-member", target, conditions=tuple(conditions))
     weight = target.weight()
     pool = _default_gens([target] + [p for _, p in conditions])
     cap = max_deriv_order()
     shift = weight if max_shift is None else max_shift
-    keys, columns = _multiplier_columns(
+    keys, blocks = _multiplier_columns(
         n, conditions, weight, lambda c: min(shift, cap - c.max_deriv()), pool, None
     )
-    if not columns:
+    if not keys:
         return None
-    sol = solve(*_rows(n, columns, target), len(columns))
+    sol = solve(*_rows(n, blocks, target), len(keys))
     if sol is None:
         return None
     combo = _gather(n, keys, sol, Fraction(1))
@@ -381,39 +454,49 @@ def search_integral(
     if policy not in ("multiplicative", "first-order"):
         raise ValueError(f"unknown candidate policy {policy!r}")
     n = cs.n
+    _check_ambient(n, chain((p for _, p in cs.items()), relations))
     target_weight = 2 * k + 3
     if max_deriv is None:
         max_deriv = search_deriv_bound()
     pool = list(gens) if gens is not None else _default_gens([p for _, p in cs.items()])
     top = 0 if policy == "multiplicative" else 1
-    keys, raw = _multiplier_columns(n, cs.items(), target_weight, lambda c: top, pool,
-                                    max_deriv)
-    reduced = [reduce_by_relations(col, relations) for col in raw]
-    columns = [nf for nf, _ in reduced]
+    keys, blocks = _multiplier_columns(n, cs.items(), target_weight, lambda c: top, pool,
+                                       max_deriv)
+    reduced = []
+    if relations:
+        reduced = [
+            reduce_by_relations(DiffPoly.monomial(n, b) * derived, relations)
+            for derived, basis in blocks
+            for b in basis
+        ]
+        blocks = [(nf, _UNSHIFTED) for nf, _ in reduced]
+    nmult = len(keys)
     bounds = {
         "k": k,
         "policy": policy,
         "target_weight": target_weight,
-        "candidates": len(columns),
+        "candidates": nmult,
         "max_deriv": max_deriv,
     }
-    if not columns:
+    if not nmult:
         raise SearchExhausted("no multiplier candidates at this weight", bounds)
 
     q_gens = set(pool)
     for rel in relations:
         q_gens |= rel.base_generators()
+    # The largest derivative order in a nonzero column s * p.
     cap = max(
-        [c.max_deriv() for c in columns if c] + [0]
+        (max(p.max_deriv(), max(s.max_deriv() for s in shifts))
+         for p, shifts in blocks if p and shifts),
+        default=0,
     )
     q_cap = min(max(cap - 1, 0), max_deriv)
-    q_basis, q_columns = _derivative_columns(n, target_weight - 1, q_gens, q_cap)
+    q_basis, q_blocks = _derivative_columns(n, target_weight - 1, q_gens, q_cap)
 
     # Homogeneous system: candidate combination minus total derivative = 0.
-    all_cols = columns + [-qc for qc in q_columns]
-    rays = nullspace(_rows(n, all_cols)[0], len(all_cols))
+    all_blocks = blocks + [(-dq, shifts) for dq, shifts in q_blocks]
+    rays = nullspace(_rows(n, all_blocks)[0], nmult + len(q_blocks))
 
-    nmult = len(columns)
     candidates = []
     for ray in rays:
         mult_part = ray[:nmult]

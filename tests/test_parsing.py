@@ -99,9 +99,22 @@ def test_malformed_json_raises_parse_error():
         {"ambientN": 2, "terms": [{"monomial": [["w1", 1]], "coeff": 0.1}]},
         {"ambientN": 2, "terms": [{"monomial": [["w1", 0]], "coeff": "1"}]},
         {"ambientN": 2, "terms": [{"monomial": [["w1", True]], "coeff": "1"}]},
+        {"ambientN": "2", "terms": [{"monomial": [["w1", 1]], "coeff": "1"}]},
+        {"ambientN": "2", "terms": []},
+        {"ambientN": 2, "terms": [{"monomial": [[1, 1]], "coeff": "1"}]},
+        {"ambientN": 2, "terms": [{"monomial": [["w1"]], "coeff": "1"}]},
+        {"ambientN": 2, "terms": [{"monomial": [["w1", 1, 2]], "coeff": "1"}]},
+        {"ambientN": 2, "terms": [{"monomial": "w1", "coeff": "1"}]},
+        {"ambientN": 2, "terms": {"monomial": [["w1", 1]], "coeff": "1"}},
+        {"ambientN": 2, "terms": {}},
+        {"ambientN": 2, "terms": ["w1"]},
+        [{"ambientN": 2, "terms": []}],
     ],
     ids=["negative-exponent", "string-exponent", "no-terms", "no-ambientN", "no-coeff",
-         "float-coefficient", "zero-exponent", "bool-exponent"],
+         "float-coefficient", "zero-exponent", "bool-exponent", "string-ambientN",
+         "string-ambientN-no-terms", "int-token", "one-element-factor",
+         "three-element-factor", "string-monomial", "object-terms", "empty-object-terms",
+         "string-term", "top-level-list"],
 )
 def test_malformed_json_fields_raise_parse_error(data):
     with pytest.raises(ParseError):

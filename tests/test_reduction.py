@@ -1,19 +1,27 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from nfoldsusy import (
+    AmbientMismatchError,
     DiffOperator,
     DiffPoly,
+    Monomial,
     SearchExhausted,
     antiderivative,
     ideal_membership,
     monomial_basis,
     op_equivalent,
     parse,
+    pipeline,
+    reduction,
     search_integral,
     transformed_conditions,
 )
-from nfoldsusy.diffring import u, w
+from nfoldsusy.diffring import monomial_sort_key, u, w
 from nfoldsusy.goldens import search_relations
+from nfoldsusy.linalg import solve
 from nfoldsusy.reduction import reduce_by_relations
 from nfoldsusy.suites import run_search
 
@@ -195,3 +203,240 @@ def test_membership_shifts_stop_at_the_derivative_cap(monkeypatch):
     assert max(m for (_, m), _ in dec.multipliers) <= 6 - 4
     monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "5")
     assert ideal_membership(target, cs) is None
+
+
+# -- the packed system builder against the product-and-sort reference ------------
+
+
+def _reference_multiplier_columns(n, conditions, weight, top, pool, max_deriv):
+    """Reference multiplier system: every column b * D^m(I_j) multiplied out
+    as a polynomial, the basis rebuilt for each (j, m)."""
+    keys, columns = [], []
+    for j, cond in conditions:
+        if cond.is_zero():
+            continue
+        cw = cond.weight()
+        derived = cond
+        for m in range(min(weight - cw, top(cond)) + 1):
+            if m:
+                derived = derived.derive()
+            for b in monomial_basis(n, weight - cw - m, pool, max_deriv):
+                columns.append(DiffPoly.monomial(n, b) * derived)
+                keys.append((j, m, b))
+    return keys, columns
+
+
+def _reference_rows(n, columns, target=None):
+    """One row per monomial of the columns and the target, the monomials
+    sorted by ``monomial_sort_key``, each row filled in column order."""
+    monos = set(target.terms) if target is not None else set()
+    for col in columns:
+        monos.update(col.terms)
+    order = sorted(monos, key=monomial_sort_key(n), reverse=True)
+    row_index = {mono: i for i, mono in enumerate(order)}
+    rows = [{} for _ in order]
+    for ci, col in enumerate(columns):
+        for mono, q in col.terms.items():
+            rows[row_index[mono]][ci] = q
+    rhs = [Fraction(0)] * len(order)
+    if target is not None:
+        for mono, q in target.terms.items():
+            rhs[row_index[mono]] = q
+    return rows, rhs
+
+
+def _expand(n, blocks):
+    return [DiffPoly.monomial(n, s) * p for p, shifts in blocks for s in shifts]
+
+
+def _assert_same_system(got, want):
+    assert [list(r.items()) for r in got[0]] == [list(r.items()) for r in want[0]]
+    assert got[1] == want[1]
+
+
+@pytest.fixture
+def checked_builder(monkeypatch):
+    """Check every system the reduction layer builds against the reference:
+    the column keys, the columns, the rows with the column order inside
+    each, and the right-hand side.  Returns, per system built, the set of
+    generator families it holds."""
+    real_columns, real_rows = reduction._multiplier_columns, reduction._rows
+    seen = []
+
+    def columns(n, conditions, weight, top, pool, max_deriv):
+        conditions = list(conditions)
+        keys, blocks = real_columns(n, conditions, weight, top, pool, max_deriv)
+        ref_keys, ref_columns = _reference_multiplier_columns(
+            n, conditions, weight, top, pool, max_deriv
+        )
+        assert keys == ref_keys
+        assert _expand(n, blocks) == ref_columns
+        return keys, blocks
+
+    def rows(n, blocks, target=None):
+        got = real_rows(n, blocks, target)
+        expanded = _expand(n, blocks)
+        _assert_same_system(got, _reference_rows(n, expanded, target))
+        polys = expanded + ([target] if target is not None else [])
+        seen.append({g.family for p in polys for m in p.terms for g in m.generators()})
+        return got
+
+    monkeypatch.setattr(reduction, "_multiplier_columns", columns)
+    monkeypatch.setattr(reduction, "_rows", rows)
+    return seen
+
+
+def _probe(n, cs):
+    w0 = DiffPoly.generator(n, w(0))
+    top = DiffPoly.generator(n, w(n - 1))
+    return (cs.condition(0).derive(2) + cs.condition(n - 2) * w0) * top**2
+
+
+def _random_member(n, cs, rng):
+    """Four terms m * I_j^(s) of the probe's weight, m drawn from the bases."""
+    weight = n + 6
+    gens = sorted(set().union(*(p.base_generators() for _, p in cs.items())))
+    columns = [
+        (j, s, b)
+        for j, cond in cs.items()
+        for s in range(weight - cond.weight() + 1)
+        for b in monomial_basis(n, weight - cond.weight() - s, gens)
+    ]
+    target = DiffPoly.zero(n)
+    for j, s, b in rng.sample(columns, 4):
+        coeff = rng.choice((-3, -2, -1, 1, 2, 3))
+        target = target + DiffPoly.monomial(n, b, coeff) * cs.condition(j).derive(s)
+    return target
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_packed_probe_systems_match_the_reference(checked_builder, n):
+    cs = pipeline(n, "eliminated")
+    probe = _probe(n, cs)
+    member = _random_member(n, cs, random.Random(n))
+    assert member
+    non_member = probe + DiffPoly.generator(n, w(n - 1)) ** (n + 6)
+    assert ideal_membership(probe, cs) is not None
+    assert ideal_membership(member, cs) is not None
+    assert ideal_membership(non_member, cs) is None
+    assert len(checked_builder) == 3
+
+
+def test_packed_transformed_systems_match_the_reference(checked_builder):
+    """The goldens suite's memberships, which carry C generators, and
+    members at the generic preset, whose conditions carry parameters, with
+    a C factor in the target."""
+    from nfoldsusy.diffring import Family
+    from nfoldsusy.suites import run_suite
+
+    assert all(report.passed for report in run_suite("goldens"))
+    assert any(Family.C in fams for fams in checked_builder)
+    for n in (2, 3, 4):
+        cs = pipeline(n, "transformed", "generic")
+        j, cond = min(cs.items(), key=lambda jc: jc[1].weight())
+        target = (parse("C1", n) + parse(f"w{n - 1}^4", n)) * cond
+        dec = ideal_membership(target, cs)
+        assert dec is not None and dec.target == target
+    assert {Family.C, Family.PARAM} <= checked_builder[-1]
+
+
+def test_packed_search_and_antiderivative_systems_match_the_reference(checked_builder):
+    assert search_relations(3, 2)
+    assert run_search(3, 2).j_poly == parse("u0^2 - u1'^2 - 8*u1^3 - 8*C1*u1", 3)
+    cs = pipeline(2, "transformed", "paper")
+    found = search_integral(cs, 1, policy="first-order", relations=search_relations(2, 1))
+    assert found.j_poly.weight() == 4
+    for text, n in (("w1^2*u0 + 1/2*w1*w1'' - 1/4*w1'^2", 2), ("u1*w2'*C1 - 3*w1*w2^4*w2'", 3)):
+        p = parse(text, n)
+        assert antiderivative(p.derive()).antiderivative == p
+    assert antiderivative(parse("w1", 2)) is None
+    assert len(checked_builder) == 7
+
+
+def _ordering_pool(n):
+    from nfoldsusy.diffring import alpha, beta, c, gamma, vminus, vplus
+
+    pool = [w(k, d) for k in range(n) for d in range(3)]
+    pool += [u(k, d) for k in range(n - 1) for d in range(2)]
+    pool += [vplus(0), vplus(1), vminus(2), c(0), c(1), c(3)]
+    pool += [alpha(0), alpha(2), beta(1), gamma(0)]
+    return pool
+
+
+def _random_monomials(rng, n, count):
+    from nfoldsusy.diffring import alpha
+
+    pool = _ordering_pool(n)
+    monos = {
+        Monomial.of(w(n - 1), n + 6),
+        Monomial.of(alpha(0), 20),
+        Monomial([(w(n - 1), n + 6), (alpha(0), 20)]),
+        Monomial.unit(),
+    }
+    while len(monos) < count:
+        picks = rng.sample(pool, rng.randint(1, 4))
+        monos.add(Monomial((g, rng.choice((1, 1, 2, 3, 7))) for g in picks))
+    return sorted(monos, key=lambda m: repr(m))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_packed_key_order_is_the_graded_order(n):
+    """Rows come out in ``monomial_sort_key`` order across mixed weights,
+    C and PARAM factors and exponents above the weight, both for target
+    monomials alone and for shifted products s * m."""
+    rng = random.Random(100 + n)
+    monos = _random_monomials(rng, n, 60)
+    target = DiffPoly(n, {m: i + 1 for i, m in enumerate(monos)})
+    rows, rhs = reduction._rows(n, [], target)
+    assert rows == [{} for _ in monos]
+    by_coeff = {i + 1: m for i, m in enumerate(monos)}
+    assert [by_coeff[q] for q in rhs] == sorted(monos, key=monomial_sort_key(n), reverse=True)
+
+    blocks = [
+        (DiffPoly(n, {m: rng.randint(1, 5) for m in rng.sample(monos, 5)}), rng.sample(monos, 4))
+        for _ in range(6)
+    ]
+    target = DiffPoly(n, {m: 1 for m in rng.sample(monos, 10)})
+    _assert_same_system(
+        reduction._rows(n, blocks, target), _reference_rows(n, _expand(n, blocks), target)
+    )
+
+
+def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
+    sizes = []
+
+    def spy(rows, rhs, ncols):
+        sizes.append((len(rows), ncols))
+        return solve(rows, rhs, ncols)
+
+    monkeypatch.setattr(reduction, "solve", spy)
+    n = 8
+    cs = pipeline(n, "eliminated")
+    assert ideal_membership(_probe(n, cs), cs) is not None
+    assert sizes == [(3952, 2428)]
+
+
+# -- mixed ambients -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("target_n, cs_n", [(3, 4), (4, 3)])
+def test_membership_refuses_mixed_ambients_before_building(monkeypatch, target_n, cs_n):
+    calls = []
+    monkeypatch.setattr(reduction, "monomial_basis", lambda *a: calls.append(a))
+    cs = pipeline(cs_n, "eliminated")
+    target = DiffPoly.generator(target_n, w(0)) ** 4
+    with pytest.raises(AmbientMismatchError, match=f"{target_n} vs {cs_n}"):
+        ideal_membership(target, cs)
+    with pytest.raises(AmbientMismatchError, match=f"{target_n} vs {cs_n}"):
+        ideal_membership(DiffPoly.zero(target_n), cs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("cs_n, rel_n", [(2, 3), (3, 2)])
+def test_search_refuses_mixed_ambients_before_building(monkeypatch, cs_n, rel_n):
+    calls = []
+    monkeypatch.setattr(reduction, "monomial_basis", lambda *a: calls.append(a))
+    cs = pipeline(cs_n, "transformed", "paper")
+    with pytest.raises(AmbientMismatchError, match=f"{cs_n} vs {rel_n}"):
+        search_integral(cs, 1, relations=[parse("u0 - 2*C1", rel_n)])
+    assert calls == []
