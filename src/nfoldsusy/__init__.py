@@ -47,6 +47,7 @@ from .reduction import (
     Decomposition,
     EquivalenceVerdict,
     IntegralConstant,
+    ParameterFactorError,
     ProductReport,
     SearchExhausted,
     antiderivative,

@@ -139,7 +139,7 @@ def poly_from_dict(data: dict) -> DiffPoly:
                 raise ParseError(f"generator token {t!r} is not a string", i)
             if type(e) is not int or e < 1:
                 raise ParseError(f"exponent {e!r} is not a positive int", i)
-            factors.append((_generator_from_token(t, i, cap), e))
+            factors.append((_generator_from_token(t, i, cap, n), e))
         if len({g for g, _ in factors}) != len(factors):
             raise ParseError("a generator repeated within one monomial", i)
         mono = Monomial(factors)

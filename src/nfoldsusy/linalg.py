@@ -2,25 +2,29 @@
 
 Rows are dicts column -> coefficient.  Elimination is fraction-free: each
 row is scaled to integers, pivoting is deterministic (lowest column index,
-first eligible row), and each update replaces a row by its primitive
-integer combination with the pivot, so certificates are reproducible bit
-for bit.
+first eligible row), and every pivot row is primitive, so certificates are
+reproducible bit for bit.
 
-The rows still to be eliminated sit in a heap keyed by (leading column,
-original row index).  Its top is the pivot the rule above picks: the lowest
-column any row holds is the lowest leading column, and rows keep their
-original relative order, so the first row holding that column is the one
-with the smallest index among the rows that lead with it.  No other row
-holds the pivot column, so each step pops the pivot and then only the rows
-that lead with the same column, reduces them and pushes them back under
-their new leading columns; the rest of the rows are never touched.
+Rows are reduced one at a time, in input order, against the pivots found
+so far (a dict column -> pivot row), and each nonzero result is installed
+as the pivot of its leading column.  The echelon is the one a heap of all
+the rows keyed by (leading column, row index) gives.  (1) Pivots come only
+from lower-index rows: the pivot of column c is the lowest-index row that
+comes to lead with c, so row i meets the same pivots either way.  (2) A
+row's content is divided out once, at install, but every update divides
+only by a positive g0 (below), so each intermediate row is a positive
+multiple of the heap's primitive row, and the installed row is the same.
+(3) The echelon is sorted by pivot column, the heap's pop order.  The
+row's leading column is the top of a lazy heap of its columns: an update
+pushes only the columns the pivot adds and pops lost ones as they surface,
+so it costs the pivot's length, not the row's.
 
 Cofactor scaling.  To clear the entry rv of row r under the pivot entry pv,
 an update divides out g0 = gcd(pv, rv) first and forms
 r·(pv/g0) − pivot·(rv/g0).  That is r·pv − pivot·rv divided by the
 positive g0, so both have the same primitive part, sign included, and the
-echelon is the one plain cross-multiplication gives; the multipliers are
-smaller and the content left to divide out is usually 1.
+echelon is the one plain cross-multiplication gives, with smaller
+multipliers.
 
 Singleton pruning.  ``solve`` carries the right-hand side as an extra
 column.  A row whose only nonzero entry is in a column c other than that
@@ -61,39 +65,39 @@ def _scale_to_int(row: dict[int, Fraction]) -> dict[int, int]:
 
 def _eliminate(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, int]]]:
     """Forward elimination; returns echelon rows as (pivot_col, row)."""
-    heap = []
-    for index, row in enumerate(rows):
-        row = _scale_to_int(row)
-        if row:
-            heap.append((min(row), index, row))
-    heapq.heapify(heap)
-    echelon: list[tuple[int, dict[int, int]]] = []
-    while heap:
-        pivot_col, _, pivot = heapq.heappop(heap)
-        echelon.append((pivot_col, pivot))
-        pv = pivot[pivot_col]
-        while heap and heap[0][0] == pivot_col:
-            _, index, r = heapq.heappop(heap)
-            rv = r[pivot_col]
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = _scale_to_int(row)
+        cols = list(r)  # a heap of r's columns, and of some it has lost
+        heapq.heapify(cols)
+        while r:
+            col = cols[0]
+            while col not in r:
+                heapq.heappop(cols)
+                col = cols[0]
+            pivot = pivots.get(col)
+            if pivot is None:
+                g = gcd(*r.values())
+                pivots[col] = {c: v // g for c, v in r.items()} if g > 1 else r
+                break
+            pv, rv = pivot[col], r[col]
             g0 = gcd(pv, rv)
             scale = pv // g0
             if scale != 1:
-                for col in r:
-                    r[col] *= scale
+                for c in r:
+                    r[c] *= scale
             rv //= g0
-            for col, v in pivot.items():
-                val = r.get(col, 0) - v * rv
-                if val:
-                    r[col] = val
+            for c, v in pivot.items():
+                if c in r:
+                    val = r[c] - v * rv
+                    if val:
+                        r[c] = val
+                    else:
+                        del r[c]
                 else:
-                    del r[col]
-            if not r:
-                continue
-            g = gcd(*r.values())
-            if g > 1:
-                r = {c: v // g for c, v in r.items()}
-            heapq.heappush(heap, (min(r), index, r))
-    return echelon
+                    r[c] = -v * rv
+                    heapq.heappush(cols, c)
+    return sorted(pivots.items())
 
 
 def _back_substitute(
@@ -104,8 +108,9 @@ def _back_substitute(
     for col, row in reversed(echelon):
         acc = Fraction(0)
         for c, v in row.items():
-            if c != col:
-                acc -= v * vec[c]
+            x = vec[c]
+            if x and c != col:
+                acc -= v * x
         vec[col] = acc / row[col]
     return vec
 

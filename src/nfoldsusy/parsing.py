@@ -8,8 +8,8 @@ Grammar (UTF-8 text):
     atom     := INT ('/' INT)? | generator | 'D' ['^' INT] '(' expr ')'
               | '(' expr ')'
 
-Generators: ``w<k>``, ``u<k>``, ``V+``, ``V-``, ``C<k>``, ``alpha<k>``,
-``beta<k>``, ``gamma<k>``; a derivative is written with trailing
+Generators: ``w<k>`` and ``u<k>`` for k < N, ``V+``, ``V-``, ``C<k>``,
+``alpha<k>``, ``beta<k>``, ``gamma<k>``; a derivative is written with trailing
 apostrophes (``w1''``) or via ``D^m(...)`` applied to any subexpression.
 Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep, a power or a
 product is refused when its result could exceed ``MAX_TERMS`` terms, and
@@ -90,7 +90,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _generator_from_token(tok: str, pos: int, cap: int) -> Generator:
+def _generator_from_token(tok: str, pos: int, cap: int, n: int) -> Generator:
+    """The generator a token names in ambient N = ``n``.  ``w<k>`` and
+    ``u<k>`` exist for k < n only: w_k has weight n - k, so a larger k
+    would give a generator of nonpositive weight.  ``C<k>`` has weight
+    2(k + 1) > 0 for every k and is not bounded."""
     primes = len(tok) - len(tok.rstrip("'"))
     stem = tok[: len(tok) - primes]
     if primes > cap:
@@ -101,8 +105,10 @@ def _generator_from_token(tok: str, pos: int, cap: int) -> Generator:
         return Generator(Family.VMINUS, 0, primes)
     head = stem[:1]
     if head in ("w", "u") and stem[1:].isdigit():
-        fam = Family.W if head == "w" else Family.U
-        return Generator(fam, int(stem[1:]), primes)
+        index = int(stem[1:])
+        if index >= n:
+            raise ParseError(f"generator {stem} does not exist at N = {n} (needs k < N)", pos)
+        return Generator(Family.W if head == "w" else Family.U, index, primes)
     if head == "C" and stem[1:].isdigit():
         if primes:
             raise ParseError("constants cannot carry derivatives", pos)
@@ -221,7 +227,7 @@ class _Parser:
                 return DiffPoly.constant(self.n, Fraction(num, den))
             return DiffPoly.constant(self.n, num)
         if kind in ("name", "vgen"):
-            return DiffPoly.generator(self.n, _generator_from_token(val, pos, self.cap))
+            return DiffPoly.generator(self.n, _generator_from_token(val, pos, self.cap, self.n))
         if kind == "dfunc":
             times = 1
             if "^" in val:

@@ -53,6 +53,11 @@ class ReductionError(Exception):
     pass
 
 
+class ParameterFactorError(ReductionError):
+    """A polynomial with a parameter factor given to ``antiderivative``:
+    parameters have weight 0, so no finite basis holds its antiderivatives."""
+
+
 class SearchExhausted(ReductionError):
     """No multiplier combination in the searched basis integrates."""
 
@@ -175,10 +180,15 @@ class Decomposition:
 
 def antiderivative(p: DiffPoly) -> Decomposition | None:
     """Invert the derivation by exact linear solving over the basis one
-    weight down, pure-constant monomials excluded; None when infeasible."""
+    weight down, pure-constant monomials excluded; None when infeasible.
+    A parameter factor raises ``ParameterFactorError``."""
     n = p.n
     if p.is_zero():
         return Decomposition("total-derivative", p, antiderivative=DiffPoly.zero(n))
+    params = sorted(g for g in p.base_generators() if g.family is Family.PARAM)
+    if params:
+        names = ", ".join(g.token() for g in params)
+        raise ParameterFactorError(f"antiderivative of a polynomial with parameters: {names}")
     weight = p.weight()
     if weight < 1:
         return None

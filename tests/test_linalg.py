@@ -1,5 +1,6 @@
 """Exactness of the sparse elimination against a straightforward reference."""
 
+import heapq
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,7 +9,7 @@ import pytest
 
 from nfoldsusy import DiffPoly, format_poly, ideal_membership, linalg, pipeline
 from nfoldsusy.diffring import Family, Generator
-from nfoldsusy.linalg import _eliminate, nullspace, solve
+from nfoldsusy.linalg import _eliminate, _scale_to_int, nullspace, solve
 
 
 def _oracle_scale_to_int(row):
@@ -293,3 +294,151 @@ def test_sevenfold_probe_is_pruned_before_elimination(monkeypatch):
     target = (cs.condition(0).derive(2) + cs.condition(n - 2) * w0) * top**2
     assert ideal_membership(target, cs) is not None
     assert seen == [(1741, 18504)]
+
+
+# -- row-at-a-time elimination against the all-rows heap reference -------------
+
+
+def _heap_eliminate(rows):
+    """Reference elimination: every row in one heap keyed by (leading
+    column, row index), each row made primitive after every update."""
+    heap = []
+    for index, row in enumerate(rows):
+        row = _scale_to_int(row)
+        if row:
+            heap.append((min(row), index, row))
+    heapq.heapify(heap)
+    echelon = []
+    while heap:
+        pivot_col, _, pivot = heapq.heappop(heap)
+        echelon.append((pivot_col, pivot))
+        pv = pivot[pivot_col]
+        while heap and heap[0][0] == pivot_col:
+            _, index, r = heapq.heappop(heap)
+            rv = r[pivot_col]
+            g0 = gcd(pv, rv)
+            scale = pv // g0
+            if scale != 1:
+                for col in r:
+                    r[col] *= scale
+            rv //= g0
+            for col, v in pivot.items():
+                val = r.get(col, 0) - v * rv
+                if val:
+                    r[col] = val
+                else:
+                    del r[col]
+            if not r:
+                continue
+            g = gcd(*r.values())
+            if g > 1:
+                r = {c: v // g for c, v in r.items()}
+            heapq.heappush(heap, (min(r), index, r))
+    return echelon
+
+
+def _reference_back_substitute(echelon, vec):
+    """Reference back-substitution: multiplies through every entry of vec."""
+    for col, row in reversed(echelon):
+        acc = Fraction(0)
+        for c, v in row.items():
+            if c != col:
+                acc -= v * vec[c]
+        vec[col] = acc / row[col]
+    return vec
+
+
+def _reference_nullspace(rows, ncols):
+    echelon = _heap_eliminate(rows)
+    pivots = {col for col, _ in echelon}
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            basis.append(_reference_back_substitute(echelon, vec))
+    return basis
+
+
+def _assert_same_fractions(got, want):
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_echelon_equals_the_heap_reference_exactly(seed):
+    """Same pivots in the same order, same integers, same nullspace."""
+    rng = random.Random(1000 + seed)
+    for _ in range(100):
+        rows, ncols = _random_system(rng)
+        if rng.random() < 0.2:  # a block of all-zero rows at a random place
+            at = rng.randint(0, len(rows))
+            rows[at:at] = [{}, {rng.randrange(ncols): Fraction(0)}]
+        assert _eliminate(rows) == _heap_eliminate(rows)
+        basis = nullspace(rows, ncols)
+        want = _reference_nullspace(rows, ncols)
+        assert len(basis) == len(want)
+        for got_vec, want_vec in zip(basis, want):
+            _assert_same_fractions(got_vec, want_vec)
+
+
+def _probe(n):
+    cs = pipeline(n, "eliminated", "paper")
+    w0 = DiffPoly.generator(n, Generator(Family.W, 0, 0))
+    top = DiffPoly.generator(n, Generator(Family.W, n - 1, 0))
+    return (cs.condition(0).derive(2) + cs.condition(n - 2) * w0) * top**2, cs
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_probe_echelons_equal_the_heap_reference(monkeypatch, n):
+    """On the system ``solve`` is handed, unpruned, and on the one that
+    reaches elimination after pruning."""
+    from nfoldsusy import reduction
+
+    systems, pruned = [], []
+
+    def solve_spy(rows, rhs, ncols):
+        systems.append((rows, rhs, ncols))
+        return solve(rows, rhs, ncols)
+
+    def eliminate_spy(rows):
+        pruned.append([dict(r) for r in rows])
+        return _eliminate(rows)
+
+    monkeypatch.setattr(reduction, "solve", solve_spy)
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
+    assert ideal_membership(*_probe(n)) is not None
+    [(rows, rhs, ncols)], [after] = systems, pruned
+    aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
+    for system in (aug, after):
+        echelon = _eliminate(system)
+        assert echelon == _heap_eliminate(system)
+        assert all(col != ncols for col, _ in echelon)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zero_skipping_back_substitution_equals_the_reference(seed):
+    """With the vector ``solve`` builds (rhs column at -1, the rest zero)
+    and with the unit vectors ``nullspace`` builds."""
+    rng = random.Random(2000 + seed)
+    feasible = units = 0
+    for _ in range(100):
+        rows, ncols = _random_system(rng)
+        rhs = _random_rhs(rng, rows, ncols)
+        aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
+        echelon = _heap_eliminate(aug)
+        vecs = []
+        if all(col != ncols for col, _ in echelon):
+            vecs.append([Fraction(0)] * ncols + [Fraction(-1)])
+            feasible += 1
+        pivots = {col for col, _ in echelon}
+        for free in range(ncols + 1):
+            if free not in pivots:
+                vec = [Fraction(0)] * (ncols + 1)
+                vec[free] = Fraction(1)
+                vecs.append(vec)
+                units += 1
+        for vec in vecs:
+            got = linalg._back_substitute(echelon, list(vec))
+            _assert_same_fractions(got, _reference_back_substitute(echelon, list(vec)))
+    assert feasible > 30 and units > 100

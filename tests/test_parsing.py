@@ -72,6 +72,21 @@ def test_json_round_trip_and_stability():
     assert poly_to_json(poly_from_json(blob)) == blob
 
 
+def test_generator_indices_are_bounded_by_the_ambient_n():
+    """w_k and u_k exist for k < N only; C_k has positive weight for every k."""
+    for text, n, position in (("w9", 2, 0), ("w1*u2", 2, 3), ("w1 + w2'", 2, 5),
+                              ("w9*w1", 2, 0), ("u3", 3, 0)):
+        with pytest.raises(ParseError) as err:
+            parse(text, n)
+        assert err.value.position == position
+    assert format_poly(parse("w1*u1 + C9", 2)) == "C9 + w1*u1"
+    data = {"ambientN": 2, "terms": [{"monomial": [["w1", 1]], "coeff": "1"},
+                                     {"monomial": [["u2", 1]], "coeff": "1"}]}
+    with pytest.raises(ParseError) as err:
+        poly_from_json(json.dumps(data))
+    assert err.value.position == 1
+
+
 def test_malformed_json_raises_parse_error():
     def blob(*terms):
         return json.dumps({"ambientN": 2, "terms": [
@@ -109,12 +124,14 @@ def test_malformed_json_raises_parse_error():
         {"ambientN": 2, "terms": {}},
         {"ambientN": 2, "terms": ["w1"]},
         [{"ambientN": 2, "terms": []}],
+        {"ambientN": 0, "terms": [{"monomial": [["w5", 1]], "coeff": "1"}]},
+        {"ambientN": 2, "terms": [{"monomial": [["u2", 1]], "coeff": "1"}]},
     ],
     ids=["negative-exponent", "string-exponent", "no-terms", "no-ambientN", "no-coeff",
          "float-coefficient", "zero-exponent", "bool-exponent", "string-ambientN",
          "string-ambientN-no-terms", "int-token", "one-element-factor",
          "three-element-factor", "string-monomial", "object-terms", "empty-object-terms",
-         "string-term", "top-level-list"],
+         "string-term", "top-level-list", "w-index-above-ambientN", "u-index-at-ambientN"],
 )
 def test_malformed_json_fields_raise_parse_error(data):
     with pytest.raises(ParseError):

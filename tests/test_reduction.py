@@ -177,6 +177,20 @@ def test_first_order_policy_also_finds_twofold_integral():
     assert found.j_poly.weight() == 4
 
 
+def test_antiderivative_names_the_parameters_before_building_a_basis(monkeypatch):
+    from nfoldsusy import ParameterFactorError
+
+    def no_basis(*args):
+        raise AssertionError("monomial_basis was called")
+
+    monkeypatch.setattr(reduction, "monomial_basis", no_basis)
+    p = parse("u1*w2'*C1 + alpha0*w2^6*w2'", 3).derive()
+    with pytest.raises(ParameterFactorError, match="alpha0"):
+        antiderivative(p)
+    with pytest.raises(ParameterFactorError, match="alpha0, beta1"):
+        antiderivative(parse("beta1*w1' + alpha0*w1'", 2))
+
+
 def test_inhomogeneous_inputs_raise():
     from nfoldsusy.diffring import InhomogeneousError
 
