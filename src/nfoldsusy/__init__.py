@@ -47,7 +47,6 @@ from .reduction import (
     Decomposition,
     EquivalenceVerdict,
     IntegralConstant,
-    ParameterFactorError,
     ProductReport,
     SearchExhausted,
     antiderivative,
@@ -74,7 +73,6 @@ from .susy import (
     preset_parameters,
     solve_parameters,
     target_monomials,
-    transform_conditions,
     transformed_conditions,
     transformed_system,
 )

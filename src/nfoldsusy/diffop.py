@@ -164,15 +164,6 @@ class DiffOperator:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def apply(self, poly: DiffPoly) -> DiffPoly:
-        """Act on a polynomial as a differential operator."""
-        if poly.n != self.n:
-            raise AmbientMismatchError("operator applied across ambient N")
-        out = DiffPoly.zero(self.n)
-        for i, a in self.coeffs.items():
-            out = out + a * poly.derive(i)
-        return out
-
     def operator_weight(self) -> int:
         """Common value of weight(a_i) + i; d/dq itself carries weight 1."""
         if not self.coeffs:

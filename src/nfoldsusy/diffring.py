@@ -12,12 +12,12 @@ this module or anywhere downstream of it.
 
 Monomials are ordered by ``monomial_sort_key(n)``: weight first, then the
 factors compared as one flat tuple of ``(-family, -index, -deriv, exp)``
-per factor, factors in ascending generator order.  This is the order of
-``compare_monomials``, "a higher power on an earlier generator wins": at
-the first position where two equal-weight monomials differ, either both
-hold the same generator and the higher exponent wins, or one holds an
-earlier generator, which the other lacks, and the negated generator fields
-rank it higher; a monomial that extends the other wins as a longer tuple.
+per factor, factors in ascending generator order.  This is the graded
+order "a higher power on an earlier generator wins": at the first
+position where two equal-weight monomials differ, either both hold the
+same generator and the higher exponent wins, or one holds an earlier
+generator, which the other lacks, and the negated generator fields rank
+it higher; a monomial that extends the other wins as a longer tuple.
 A flat tuple holds fewer objects than one tuple per factor, which keeps
 the peak memory of a large sort down.
 Each monomial stores its weight as two ints fixed at construction,
@@ -134,16 +134,25 @@ def c(k: int) -> Generator:
     return Generator(Family.C, k, 0)
 
 
+def _param(group: int, k: int) -> Generator:
+    """The parameter ``<group name><k>``; k must lie below the stride, or
+    it would alias a parameter of a later group."""
+    if not 0 <= k < _PARAM_STRIDE:
+        name = f"{_PARAM_GROUPS[group]}{k}"
+        raise ValueError(f"parameter {name} is out of range (needs k < {_PARAM_STRIDE})")
+    return Generator(Family.PARAM, group * _PARAM_STRIDE + k, 0)
+
+
 def alpha(k: int) -> Generator:
-    return Generator(Family.PARAM, k, 0)
+    return _param(0, k)
 
 
 def beta(k: int) -> Generator:
-    return Generator(Family.PARAM, _PARAM_STRIDE + k, 0)
+    return _param(1, k)
 
 
 def gamma(k: int) -> Generator:
-    return Generator(Family.PARAM, 2 * _PARAM_STRIDE + k, 0)
+    return _param(2, k)
 
 
 _PARAM_BY_NAME = {"alpha": alpha, "beta": beta, "gamma": gamma}
@@ -153,7 +162,7 @@ def param_by_name(name: str) -> Generator:
     for prefix, ctor in _PARAM_BY_NAME.items():
         if name.startswith(prefix) and name[len(prefix):].isdigit():
             return ctor(int(name[len(prefix):]))
-    raise ValueError(f"unknown parameter name {name!r}")
+    raise ValueError(f"unknown generator {name!r}")
 
 
 def _weight_parts(g: Generator) -> tuple[int, int]:
@@ -272,14 +281,6 @@ def monomial_sort_key(n: int):
         )
 
     return key
-
-
-def compare_monomials(a: Monomial, b: Monomial, n: int) -> int:
-    """Graded order: weight first, then a higher power on an earlier
-    generator wins.  Returns negative/zero/positive like a C comparator."""
-    key = monomial_sort_key(n)
-    ka, kb = key(a), key(b)
-    return (ka > kb) - (ka < kb)
 
 
 Scalar = Union[int, Fraction]
@@ -472,12 +473,6 @@ class DiffPoly:
         if not self.terms:
             return True
         return len({m.weight(self.n) for m in self.terms}) == 1
-
-    def homogeneous_part(self, weight: int) -> "DiffPoly":
-        return DiffPoly(
-            self.n,
-            {m: q for m, q in self.terms.items() if m.weight(self.n) == weight},
-        )
 
     # -- derivation --------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Deterministic rendering of polynomials and operators.
 
 ``plain`` output round-trips through the parser; ``latex`` mirrors the
-prime/power typesetting conventions of the source identities; ``json`` is
-the canonical serialization (terms in descending canonical monomial order,
-so equal values always serialize to identical bytes).
+prime/power typesetting conventions of the source identities;
+``poly_to_json`` is the canonical serialization (terms in descending
+canonical monomial order, so equal values always serialize to identical
+bytes).
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ def format_monomial(mono: Monomial, style: str = "plain") -> str:
 
 
 def format_poly(poly: DiffPoly, style: str = "plain") -> str:
-    if style == "json":
-        return poly_to_json(poly)
     if not poly.terms:
         return "0"
     parts: list[str] = []
@@ -161,26 +160,21 @@ def poly_from_json(text: str) -> DiffPoly:
 # -- operators ---------------------------------------------------------------
 
 
-def format_operator(op, style: str = "plain") -> str:
-    if style == "json":
-        return operator_to_json(op)
+def format_operator(op) -> str:
     if not op.coeffs:
         return "0"
     parts: list[str] = []
     for order in sorted(op.coeffs, reverse=True):
         coeff = op.coeffs[order]
-        if style == "latex":
-            dsym = "" if order == 0 else (r"\del" if order == 1 else rf"\del^{{{order}}}")
-        else:
-            dsym = "" if order == 0 else ("d" if order == 1 else f"d^{order}")
-        body = format_poly(coeff, style)
+        dsym = "" if order == 0 else ("d" if order == 1 else f"d^{order}")
+        body = format_poly(coeff)
         if order == 0:
             parts.append(f"({body})" if " " in body else body)
         elif coeff == DiffPoly.constant(op.n, 1):
             parts.append(dsym)
         else:
             wrap = f"({body})" if (" " in body or "*" in body) else body
-            parts.append(f"{wrap}*{dsym}" if style == "plain" else f"{wrap}{dsym}")
+            parts.append(f"{wrap}*{dsym}")
     return " + ".join(parts)
 
 

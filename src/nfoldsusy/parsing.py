@@ -9,8 +9,9 @@ Grammar (UTF-8 text):
               | '(' expr ')'
 
 Generators: ``w<k>`` and ``u<k>`` for k < N, ``V+``, ``V-``, ``C<k>``,
-``alpha<k>``, ``beta<k>``, ``gamma<k>``; a derivative is written with trailing
-apostrophes (``w1''``) or via ``D^m(...)`` applied to any subexpression.
+``alpha<k>``, ``beta<k>``, ``gamma<k>`` for k < 100; a derivative is
+written with trailing apostrophes (``w1''``) or via ``D^m(...)`` applied
+to any subexpression.
 Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep, a power or a
 product is refused when its result could exceed ``MAX_TERMS`` terms, and
 a number has at most ``MAX_DIGITS`` digits.
@@ -117,8 +118,8 @@ def _generator_from_token(tok: str, pos: int, cap: int, n: int) -> Generator:
         raise ParseError("parameters cannot carry derivatives", pos)
     try:
         return param_by_name(stem)
-    except ValueError:
-        raise ParseError(f"unknown generator {stem!r}", pos, ("generator",)) from None
+    except ValueError as exc:
+        raise ParseError(str(exc), pos, ("generator",)) from None
 
 
 class _Parser:

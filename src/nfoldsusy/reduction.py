@@ -46,16 +46,11 @@ from .diffring import (
     monomial_sort_key,
 )
 from .linalg import nullspace, solve
-from .susy import ConditionSet, apply_combo
+from .susy import ConditionSet, _split_parameters, apply_combo
 
 
 class ReductionError(Exception):
     pass
-
-
-class ParameterFactorError(ReductionError):
-    """A polynomial with a parameter factor given to ``antiderivative``:
-    parameters have weight 0, so no finite basis holds its antiderivatives."""
 
 
 class SearchExhausted(ReductionError):
@@ -181,27 +176,34 @@ class Decomposition:
 def antiderivative(p: DiffPoly) -> Decomposition | None:
     """Invert the derivation by exact linear solving over the basis one
     weight down, pure-constant monomials excluded; None when infeasible.
-    A parameter factor raises ``ParameterFactorError``."""
+
+    Parameters are constants of the derivation but have weight 0, so no
+    finite basis holds them.  p is split as sum pi * p_pi over its
+    parameter monomials pi; each parameter-free p_pi is inverted on its
+    own, and p integrates exactly when every p_pi does."""
     n = p.n
     if p.is_zero():
         return Decomposition("total-derivative", p, antiderivative=DiffPoly.zero(n))
-    params = sorted(g for g in p.base_generators() if g.family is Family.PARAM)
-    if params:
-        names = ", ".join(g.token() for g in params)
-        raise ParameterFactorError(f"antiderivative of a polynomial with parameters: {names}")
     weight = p.weight()
     if weight < 1:
         return None
-    basis, blocks = _derivative_columns(
-        n, weight - 1, p.base_generators(), max(p.max_deriv() - 1, 0)
-    )
-    if not basis:
-        return None
-    sol = solve(*_rows(n, blocks, p), len(blocks))
-    if sol is None:
-        return None
-    q = DiffPoly(n, dict(zip(basis, sol)))
-    return Decomposition("total-derivative", p, antiderivative=q)
+    parts: dict[Monomial, dict[Monomial, Fraction]] = {}
+    for rest, params in _split_parameters(p).items():
+        for pi, q in params.terms.items():
+            parts.setdefault(pi, {})[rest] = q
+    total = DiffPoly.zero(n)
+    for pi, terms in parts.items():
+        part = DiffPoly(n, terms)
+        basis, blocks = _derivative_columns(
+            n, weight - 1, part.base_generators(), max(part.max_deriv() - 1, 0)
+        )
+        if not basis:
+            return None
+        sol = solve(*_rows(n, blocks, part), len(blocks))
+        if sol is None:
+            return None
+        total = total + DiffPoly.monomial(n, pi) * DiffPoly(n, dict(zip(basis, sol)))
+    return Decomposition("total-derivative", p, antiderivative=total)
 
 
 # A block whose one column is its polynomial.
@@ -449,7 +451,6 @@ def search_integral(
     k: int,
     policy: str = "multiplicative",
     relations: Sequence[DiffPoly] = (),
-    gens: Iterable[Generator] | None = None,
     max_deriv: int | None = None,
 ) -> IntegralConstant:
     """Find rational multiplier combinations making the conditions sum to
@@ -468,7 +469,7 @@ def search_integral(
     target_weight = 2 * k + 3
     if max_deriv is None:
         max_deriv = search_deriv_bound()
-    pool = list(gens) if gens is not None else _default_gens([p for _, p in cs.items()])
+    pool = _default_gens([p for _, p in cs.items()])
     top = 0 if policy == "multiplicative" else 1
     keys, blocks = _multiplier_columns(n, cs.items(), target_weight, lambda c: top, pool,
                                        max_deriv)
@@ -574,7 +575,6 @@ class ProductSide:
 @dataclass(frozen=True)
 class ProductReport:
     n: int
-    preset: str
     sides: dict[str, ProductSide]
 
     @property
@@ -582,25 +582,25 @@ class ProductReport:
         return all(side.passed for side in self.sides.values())
 
 
-def verify_product(n: int, preset: str = "paper") -> ProductReport:
+def verify_product(n: int) -> ProductReport:
     """Check P-+ P+- = 2^n [(H +- + C0)^n + sum C_k (H +- + C0)^(n-k-1)]
     with the constants replaced by their integral polynomials, compare the
     exact residual against the displayed constraint combinations, and
     certify that every residual coefficient lies in the constraint module.
+
+    The check runs at the paper preset only: the displayed residual
+    combinations and the recorded representative shifts belong to the
+    preferred parameter branch, and the alternative branch's integrals
+    are validated separately.
     """
     from . import goldens
     from .diffring import c as c_gen
     from .susy import build_system, inverse_ansatz, pipeline, preset_parameters
 
-    if preset != "paper":
-        # The displayed residual combinations and the recorded
-        # representative shifts belong to the preferred parameter branch;
-        # the alternative branch's integrals are validated separately.
-        raise ValueError("product displays are recorded for the paper preset only")
     system = build_system(n, symbolic_potentials=False)
     cs = pipeline(n, "eliminated")
-    inv = inverse_ansatz(n, preset_parameters(n, preset))
-    j_w = {k: inv.apply(goldens.displayed_j(n, k, preset)) for k in range(1, n)}
+    inv = inverse_ansatz(n, preset_parameters(n, "paper"))
+    j_w = {k: inv.apply(goldens.displayed_j(n, k, "paper")) for k in range(1, n)}
     # The displayed residuals correspond to specific polynomial
     # representatives of the constants; recorded on-shell-zero shifts
     # reconcile the pulled-back integrals with that choice.
@@ -633,4 +633,4 @@ def verify_product(n: int, preset: str = "paper") -> ProductReport:
             )
         verdict = op_equivalent(residual, DiffOperator.zero(n), cs)
         sides[name] = ProductSide(residual, matches, verdict)
-    return ProductReport(n, preset, sides)
+    return ProductReport(n, sides)

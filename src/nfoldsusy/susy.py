@@ -6,9 +6,9 @@ The pipeline mirrors the structure of the underlying identities:
   P_N^- H^- - H^+ P_N^- and read off the constraint polynomials I_k.
 * ``general_potentials`` / ``eliminate_potentials`` solve the top two
   conditions for the potential pair and substitute it away.
-* ``ansatz_substitution`` applies the dimension-preserving change of
-  variables w_k -> u_k with free parameters; ``transform_conditions``
-  forms the recombined constraints Ibar_k.
+* ``ansatz_substitution`` is the dimension-preserving change of variables
+  w_k -> u_k with free parameters; ``transformed_conditions`` applies it
+  at a preset and forms the recombined constraints Ibar_k.
 * ``pipeline`` is the memoized entry point running this chain.
 * ``solve_parameters`` pins the parameters by making chosen monomials
   vanish; ``check_J0`` verifies the closed-form first integral.
@@ -154,18 +154,14 @@ def general_potentials(n: int) -> tuple[DiffPoly, DiffPoly]:
     return vp, vm
 
 
-def potential_substitution(n: int) -> Substitution:
-    vp, vm = general_potentials(n)
-    return Substitution(n, {vplus(): vp, vminus(): vm})
-
-
 def eliminate_potentials(cs: ConditionSet) -> ConditionSet:
     """Substitute the closed-form potentials; the top two conditions must
     vanish identically and the surviving I_{n-2}..I_0 are returned."""
     if cs.stage != "raw":
         raise SusyError("potential elimination expects raw conditions")
     n = cs.n
-    sub = potential_substitution(n)
+    vp, vm = general_potentials(n)
+    sub = Substitution(n, {vplus(): vp, vminus(): vm})
     substituted = {k: sub.apply(p) for k, p in cs.items()}
     for k in (n, n - 1):
         if substituted[k]:
@@ -340,64 +336,12 @@ def inverse_ansatz(n: int, parameters: Mapping[str, Fraction]) -> Substitution:
     return Substitution(n, images)
 
 
-# -- recombination into the barred constraints --------------------------------
-
-# Entries map a derivative power to a rational or polynomial coefficient:
-# Ibar_i = sum_j sum_p coeff * d^p(I_j substituted).
-Recombination = Sequence[Sequence[Mapping[int, Fraction | DiffPoly]]]
-
-
-def default_recombination(
-    n: int, parameters: Mapping[str, Fraction] | None = None
-) -> Recombination:
-    """Rows producing Ibar_{n-2}..Ibar_0 from the substituted I_{n-2}..I_0.
-
-    These are the combinations under which the recombined constraints
-    collapse, at the preferred parameter values, to the short symmetric
-    forms.  The middle 4-fold row needs a parameter-dependent multiple of
-    the top constraint to absorb the u_1' terms the ansatz drags in.
-    """
-    values = dict(parameters or {})
-    if n == 2:
-        return [[{0: Fraction(1)}]]
-    if n == 3:
-        return [
-            [{0: Fraction(1)}, {}],
-            [{1: Fraction(1)}, {0: Fraction(-2)}],
-        ]
-    if n == 4:
-        g4w3 = _param_poly(4, "gamma4", values) * DiffPoly.generator(4, w(3))
-        return [
-            [{0: Fraction(4)}, {}, {}],
-            [{1: Fraction(-1), 0: g4w3}, {0: Fraction(1)}, {}],
-            [{2: Fraction(-4)}, {1: Fraction(8)}, {0: Fraction(-16)}],
-        ]
-    raise ValueError(f"no recombination is defined for a {n}-fold system")
-
-
 # How the transformed conditions relate to their displayed normalization.
 TRANSFORMED_NOTES: dict[int, dict[int, str]] = {
     2: {0: "displayed as -4*Ibar_0"},
     3: {1: "generic display carries -3*Ibar_1", 0: "generic display carries 3*Ibar_0"},
     4: {2: "displayed as Ibar_2", 1: "generic display carries 4*Ibar_1", 0: "displayed as Ibar_0"},
 }
-
-
-def transform_conditions(
-    cs: ConditionSet,
-    sub: Substitution,
-    preset: str | None = None,
-    parameters: Mapping[str, Fraction] | None = None,
-) -> ConditionSet:
-    """Apply the ansatz to eliminated conditions and recombine them into
-    the barred set via multiples of derivative powers."""
-    if cs.stage != "eliminated":
-        raise SusyError("transformation expects potential-eliminated conditions")
-    n = cs.n
-    rec = default_recombination(n, parameters)
-    substituted = [(k, sub.apply(p)) for k, p in cs.items()]
-    out = tuple(apply_combo(dict(zip(cs.ks, row)), substituted) for row in rec)
-    return ConditionSet(n, "transformed", cs.ks, out, preset=preset)
 
 
 def apply_combo(
@@ -414,12 +358,32 @@ def apply_combo(
 
 
 def transformed_conditions(n: int, preset: str = "generic") -> ConditionSet:
-    """The eliminated conditions transformed and recombined at a preset."""
+    """The eliminated conditions under the ansatz at a preset, recombined
+    into Ibar_{n-2}..Ibar_0.
+
+    Row i of the recombination is ``{j: {p: coeff}}``, giving
+    Ibar_i = sum_j sum_p coeff * d^p(I_j substituted).  These are the
+    combinations under which the recombined constraints collapse, at the
+    preferred parameter values, to the short symmetric forms.  The middle
+    4-fold row needs a parameter-dependent multiple of the top constraint
+    to absorb the u_1' terms the ansatz drags in."""
     values = preset_parameters(n, preset)
-    return transform_conditions(
-        pipeline(n, "eliminated"), ansatz_substitution(n, values), preset=preset,
-        parameters=values,
-    )
+    cs = pipeline(n, "eliminated")
+    sub = ansatz_substitution(n, values)
+    substituted = [(k, sub.apply(p)) for k, p in cs.items()]
+    if n == 2:
+        rows = [{0: {0: 1}}]
+    elif n == 3:
+        rows = [{1: {0: 1}}, {1: {1: 1}, 0: {0: -2}}]
+    else:  # n == 4: ansatz_substitution has refused every other n
+        g4w3 = _param_poly(4, "gamma4", values) * DiffPoly.generator(4, w(3))
+        rows = [
+            {2: {0: 4}},
+            {2: {1: -1, 0: g4w3}, 1: {0: 1}},
+            {2: {2: -4}, 1: {1: 8}, 0: {0: -16}},
+        ]
+    out = tuple(apply_combo(row, substituted) for row in rows)
+    return ConditionSet(n, "transformed", cs.ks, out, preset=preset)
 
 
 STAGES = ("raw", "eliminated", "transformed")
@@ -566,19 +530,10 @@ def _split_parameters(poly: DiffPoly) -> dict[Monomial, DiffPoly]:
 
 
 def _param_unknowns(polys: Iterable[DiffPoly]) -> list[str]:
-    names = set()
-    for p in polys:
-        for m in p.terms:
-            for g, _ in m.exps:
-                if g.family is Family.PARAM:
-                    names.add(g.token())
-    group_rank = {"alpha": 0, "beta": 1, "gamma": 2}
-
-    def key(name: str):
-        head = name.rstrip("0123456789")
-        return (group_rank[head], int(name[len(head):]))
-
-    return sorted(names, key=key)
+    """The parameters the polynomials hold, in ``Generator`` order, which
+    is alpha < beta < gamma, then by index."""
+    gens = {g for p in polys for m in p.terms for g in m.generators()}
+    return [g.token() for g in sorted(gens) if g.family is Family.PARAM]
 
 
 def _pivot(

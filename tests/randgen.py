@@ -42,8 +42,8 @@ def random_homogeneous(rng: random.Random, n: int, pool=None, max_terms=3, **kw)
     poly = random_poly(rng, n, pool, max_terms, **kw)
     while not poly:
         poly = random_poly(rng, n, pool, max_terms, **kw)
-    first = next(iter(poly.terms))
-    return poly.homogeneous_part(first.weight(n))
+    weight = next(iter(poly.terms)).weight(n)
+    return DiffPoly(n, {m: q for m, q in poly.terms.items() if m.weight(n) == weight})
 
 
 def random_operator(rng: random.Random, n: int, max_order=2, **kw) -> DiffOperator:

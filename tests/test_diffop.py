@@ -2,6 +2,7 @@ import pytest
 
 from nfoldsusy import DiffOperator, parse
 from nfoldsusy.diffring import InhomogeneousError
+from nfoldsusy.susy import apply_combo
 
 
 def mul(s, n=2):
@@ -68,7 +69,7 @@ def test_coefficient_extraction():
 def test_apply_acts_as_differential_operator():
     op = DiffOperator(2, {1: parse("2", 2), 0: parse("w1", 2)})  # 2 d/dq + w1
     f = parse("w1*u0", 2)
-    assert op.apply(f) == f.derive() * 2 + parse("w1", 2) * f
+    assert apply_combo({0: op.coeffs}, [(0, f)]) == f.derive() * 2 + parse("w1", 2) * f
 
 
 def test_operator_weight():

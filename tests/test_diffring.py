@@ -20,7 +20,6 @@ from nfoldsusy.diffring import (
     alpha,
     beta,
     c,
-    compare_monomials,
     gamma,
     monomial_sort_key,
     vminus,
@@ -133,9 +132,12 @@ def test_monomial_division():
     assert a / b == Monomial.of(w(1))
 
 
-def test_homogeneous_part():
-    p = P("w1 + w1^2 + u0")
-    assert p.homogeneous_part(2) == P("w1^2 + u0")
+def test_parameter_constructors_refuse_indices_beyond_the_stride():
+    assert [g.token() for g in (alpha(99), beta(0), gamma(99))] == ["alpha99", "beta0", "gamma99"]
+    assert alpha(99) < beta(0) < beta(99) < gamma(0)
+    for ctor, k in ((alpha, 100), (beta, 250), (gamma, 100), (beta, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            ctor(k)
 
 
 def test_pow():
@@ -203,9 +205,9 @@ def test_sort_key_is_the_reference_order(n):
     assert sorted(monos, key=monomial_sort_key(n), reverse=True) == sorted(
         monos, key=cmp_to_key(lambda a, b: _reference_compare(a, b, n)), reverse=True
     )
+    key = monomial_sort_key(n)
     for a, b in zip(monos, monos[1:] + monos[:1]):
-        assert compare_monomials(a, b, n) == _reference_compare(a, b, n)
-        assert compare_monomials(a, a, n) == 0
+        assert (key(a) > key(b)) - (key(a) < key(b)) == _reference_compare(a, b, n)
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 9])

@@ -87,6 +87,22 @@ def test_generator_indices_are_bounded_by_the_ambient_n():
     assert err.value.position == 1
 
 
+def test_parameter_indices_are_bounded_by_the_stride():
+    """alpha100 would pack to the index of beta0, and beta250 to one no
+    parameter group holds."""
+    for text, n, position in (("alpha100 - beta0", 2, 0), ("beta250", 3, 0),
+                              ("w1 + gamma100", 2, 5)):
+        with pytest.raises(ParseError, match="out of range") as err:
+            parse(text, n)
+        assert err.value.position == position
+    assert format_poly(parse("alpha99 - beta0", 2)) == "alpha99 - beta0"
+    data = {"ambientN": 2, "terms": [{"monomial": [["alpha0", 1]], "coeff": "1"},
+                                     {"monomial": [["gamma100", 1]], "coeff": "1"}]}
+    with pytest.raises(ParseError, match="out of range") as err:
+        poly_from_json(json.dumps(data))
+    assert err.value.position == 1
+
+
 def test_malformed_json_raises_parse_error():
     def blob(*terms):
         return json.dumps({"ambientN": 2, "terms": [

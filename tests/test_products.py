@@ -48,10 +48,3 @@ def test_fourfold_top_certificate_is_plus_minus_4i2(reports):
     for side, sign in (("minus", 1), ("plus", -1)):
         cert = reports[4].sides[side].equivalence.certificates[4]
         assert dict(cert.multipliers) == {(2, 0): parse(str(4 * sign), 4)}
-
-
-def test_products_are_recorded_for_the_paper_branch_only():
-    import pytest
-
-    with pytest.raises(ValueError):
-        verify_product(4, "footnote-alt")

@@ -150,10 +150,11 @@ def test_search_integral_threefold_second():
 
 def test_search_exhausted():
     cs = transformed_conditions(2, "paper")
-    # weight 5 needs multiplier weight 1 on the single weight-4 condition;
-    # restricting the pool to u0 leaves no candidates of weight 1
-    with pytest.raises(SearchExhausted):
-        search_integral(cs, 1, gens=[u(0)])
+    # k = 0 asks for weight 3, below the single weight-4 condition, so no
+    # multiplier has a weight to take
+    with pytest.raises(SearchExhausted, match="no multiplier candidates") as exc:
+        search_integral(cs, 0)
+    assert exc.value.bounds["candidates"] == 0
 
 
 def test_the_search_bound_from_the_environment_also_caps_the_antiderivatives(monkeypatch):
@@ -177,18 +178,19 @@ def test_first_order_policy_also_finds_twofold_integral():
     assert found.j_poly.weight() == 4
 
 
-def test_antiderivative_names_the_parameters_before_building_a_basis(monkeypatch):
-    from nfoldsusy import ParameterFactorError
-
-    def no_basis(*args):
-        raise AssertionError("monomial_basis was called")
-
-    monkeypatch.setattr(reduction, "monomial_basis", no_basis)
-    p = parse("u1*w2'*C1 + alpha0*w2^6*w2'", 3).derive()
-    with pytest.raises(ParameterFactorError, match="alpha0"):
-        antiderivative(p)
-    with pytest.raises(ParameterFactorError, match="alpha0, beta1"):
-        antiderivative(parse("beta1*w1' + alpha0*w1'", 2))
+def test_antiderivative_integrates_each_parameter_part():
+    # parameters are constants of the derivation: alpha0*w2^6*w2' is
+    # D(alpha0*w2^7/7)
+    p = parse("u1*w2'*C1 + alpha0*w2^6*w2'", 3)
+    dec = antiderivative(p.derive())
+    assert dec is not None and dec.antiderivative.derive() == p.derive()
+    assert antiderivative(parse("alpha0*w2^6*w2'", 3)).antiderivative == parse(
+        "1/7*alpha0*w2^7", 3
+    )
+    two = parse("beta1*w1' + alpha0*w1'", 2)
+    assert antiderivative(two).antiderivative == parse("beta1*w1 + alpha0*w1", 2)
+    # the beta1 part integrates and the alpha0 part does not
+    assert antiderivative(parse("alpha0*w1^2 + beta1*w1'", 2)) is None
 
 
 def test_inhomogeneous_inputs_raise():

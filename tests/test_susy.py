@@ -18,11 +18,10 @@ from nfoldsusy import (
     preset_parameters,
     solve_parameters,
     target_monomials,
-    transform_conditions,
     transformed_conditions,
     transformed_system,
 )
-from nfoldsusy.diffring import DerivOrderError, Substitution, u, w
+from nfoldsusy.diffring import DerivOrderError, u, w
 from nfoldsusy.susy import (
     PRESETS,
     InfeasibleError,
@@ -211,28 +210,16 @@ def test_check_j0():
         assert report.residual.is_zero()
 
 
-def test_transform_requires_eliminated_stage():
-    raw = derive_conditions(build_system(2))
-    from nfoldsusy import transform_conditions
-    from nfoldsusy.susy import SusyError
-
-    with pytest.raises(SusyError):
-        transform_conditions(raw, Substitution(2, {}))
-
-
 def test_pipeline_matches_the_explicit_chain():
     for n in range(2, 9):
         raw = derive_conditions(build_system(n))
         assert pipeline(n, "raw") == raw
         assert pipeline(n, "eliminated") == eliminate_potentials(raw)
     for n in (2, 3, 4):
-        eliminated = eliminate_potentials(derive_conditions(build_system(n)))
         for preset in ("generic",) + tuple(PRESETS[n]):
-            values = preset_parameters(n, preset)
-            chain = transform_conditions(
-                eliminated, ansatz_substitution(n, values), preset=preset, parameters=values
-            )
-            assert pipeline(n, "transformed", preset) == chain
+            fresh = transformed_conditions(n, preset)
+            assert fresh is not pipeline(n, "transformed", preset)
+            assert fresh == pipeline(n, "transformed", preset)
 
 
 def test_pipeline_returns_the_memoized_object():
