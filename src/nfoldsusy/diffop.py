@@ -144,7 +144,7 @@ class DiffOperator:
     # -- transpose -----------------------------------------------------------
 
     def transpose(self) -> "DiffOperator":
-        """Formal transpose: sum a_i d^i  ->  sum (-d)^i a_i, renormalized."""
+        """Formal transpose: sum a_i d^i  ->  sum (-d)^i a_i."""
         out = DiffOperator.zero(self.n)
         for i, a in self.coeffs.items():
             sign = -1 if i % 2 else 1

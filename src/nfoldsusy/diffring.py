@@ -158,9 +158,15 @@ def gamma(k: int) -> Generator:
 _PARAM_BY_NAME = {"alpha": alpha, "beta": beta, "gamma": gamma}
 
 
+def is_index(text: str) -> bool:
+    """True when text is a generator index: ASCII digits only, since
+    ``int`` would also read other scripts' digits as aliases."""
+    return text.isascii() and text.isdigit()
+
+
 def param_by_name(name: str) -> Generator:
     for prefix, ctor in _PARAM_BY_NAME.items():
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
+        if name.startswith(prefix) and is_index(name[len(prefix):]):
             return ctor(int(name[len(prefix):]))
     raise ValueError(f"unknown generator {name!r}")
 
@@ -512,6 +518,12 @@ def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
             del out[m]
 
 
+# Each generator's next derivative, built once, so that derived monomials
+# share one ``Generator`` object per symbol.  One entry per derivable
+# generator reached: at most the symbols times the derivative cap.
+_NEXT_DERIV: dict[Generator, Generator] = {}
+
+
 def _leibniz_terms(terms: Mapping[Monomial, Fraction], cap: int):
     """The (monomial, coefficient) terms of the derivative, one for each
     derivable factor of each term, before like terms are summed; a factor
@@ -528,7 +540,9 @@ def _leibniz_terms(terms: Mapping[Monomial, Fraction], cap: int):
                 raise DerivOrderError(
                     f"derivative order {gen.deriv + 1} exceeds the configured cap"
                 )
-            dgen = Generator(gen.family, gen.index, gen.deriv + 1)
+            dgen = _NEXT_DERIV.get(gen)
+            if dgen is None:
+                dgen = _NEXT_DERIV[gen] = Generator(gen.family, gen.index, gen.deriv + 1)
             bumped = dict(exps)
             if e == 1:
                 del bumped[gen]

@@ -14,7 +14,8 @@ written with trailing apostrophes (``w1''``) or via ``D^m(...)`` applied
 to any subexpression.
 Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep, a power or a
 product is refused when its result could exceed ``MAX_TERMS`` terms, and
-a number has at most ``MAX_DIGITS`` digits.
+a number has at most ``MAX_DIGITS`` digits.  Digits and whitespace are
+ASCII: ``int`` would read other scripts' digits as aliases.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .diffring import (
     DiffPoly,
     Family,
     Generator,
+    is_index,
     param_by_name,
 )
 
@@ -69,9 +71,9 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<op>[-+*/^()])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
-_LONG_DIGITS = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+_LONG_DIGITS = re.compile(r"\d{%d}" % (MAX_DIGITS + 1), re.ASCII)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -105,12 +107,12 @@ def _generator_from_token(tok: str, pos: int, cap: int, n: int) -> Generator:
     if stem == "V-":
         return Generator(Family.VMINUS, 0, primes)
     head = stem[:1]
-    if head in ("w", "u") and stem[1:].isdigit():
+    if head in ("w", "u") and is_index(stem[1:]):
         index = int(stem[1:])
         if index >= n:
             raise ParseError(f"generator {stem} does not exist at N = {n} (needs k < N)", pos)
         return Generator(Family.W if head == "w" else Family.U, index, primes)
-    if head == "C" and stem[1:].isdigit():
+    if head == "C" and is_index(stem[1:]):
         if primes:
             raise ParseError("constants cannot carry derivatives", pos)
         return Generator(Family.C, int(stem[1:]), 0)

@@ -26,12 +26,28 @@ they compare as exponent vectors, lexicographically from g_0 with the
 higher exponent winning, and that is how ``monomial_sort_key`` breaks ties
 (see the ``diffring`` module docstring).  So each row is one int key,
 filled in column order, and the rows are the keys sorted descending.
+
+Memoized columns.  The columns b * D^m(I_j) of a multiplier system do not
+depend on its target, which enters only as the right-hand side, so they
+are built once per process.  ``_derived`` keeps D^m(I_j), keyed on the
+condition's value, m and the derivative cap (``NFOLDSUSY_MAX_DERIV``),
+and derives D^m from the kept D^(m-1); a cap error is raised, not stored.
+``_basis`` keeps each monomial basis as a tuple, keyed on n, the weight,
+the sorted base generators and the basis bound (``NFOLDSUSY_DERIV_BOUND``
+or the caller's), and ``monomial_basis`` hands each caller a fresh list.
+Both are ``functools.lru_cache``s, bounded at 256 towers and 128 bases.
+The ring interns each generator's next derivative, so kept polynomials
+share their generator objects.  A certificate's re-expansion
+(``Decomposition.expansion``) derives the conditions itself, through
+``apply_combo``, and never reads these memos, so every certificate
+returned is checked against the conditions, not against the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -71,14 +87,24 @@ def monomial_basis(
     max_deriv: int | None = None,
 ) -> list[Monomial]:
     """All monomials of exactly the given weight over the allowed base
-    generators, derivative orders capped, in canonical ascending order."""
+    generators, derivative orders capped, in canonical ascending order.
+    A fresh list per call; the memo behind it keeps a tuple."""
     if weight < 0:
         return []
     if weight == 0:
         return [Monomial.unit()]
     cap = search_deriv_bound() if max_deriv is None else max_deriv
+    return list(_basis(n, weight, tuple(sorted({g.base() for g in gens})), cap))
+
+
+@lru_cache(maxsize=128)
+def _basis(
+    n: int, weight: int, base_gens: tuple[Generator, ...], cap: int
+) -> tuple[Monomial, ...]:
+    """``monomial_basis`` over the sorted ``base_gens`` with derivative
+    orders up to ``cap``, for a positive weight."""
     concrete: list[tuple[Generator, int]] = []
-    for base in sorted({g.base() for g in gens}):
+    for base in base_gens:
         if base.is_constant():
             wt = base.weight(n)
             if wt <= 0:
@@ -117,7 +143,7 @@ def monomial_basis(
 
     extend(0, weight, [])
     out.sort(key=monomial_sort_key(n))
-    return out
+    return tuple(out)
 
 
 def _default_gens(polys: Iterable[DiffPoly]) -> list[Generator]:
@@ -282,6 +308,13 @@ def _rows(
     return [rowmap[k] for k in order], [rhs_at.get(k, zero) for k in order]
 
 
+@lru_cache(maxsize=256)
+def _derived(cond: DiffPoly, m: int, cap: int) -> DiffPoly:
+    """D^m(cond) under the derivative cap ``cap``, which must be the
+    configured one: D^m is derived from the memoized D^(m-1)."""
+    return cond if m == 0 else _derived(cond, m - 1, cap).derive()
+
+
 def _multiplier_columns(
     n: int, conditions: Iterable[tuple[int, DiffPoly]], weight: int,
     top: Callable[[DiffPoly], int], pool: Sequence[Generator], max_deriv: int | None,
@@ -289,7 +322,8 @@ def _multiplier_columns(
     """The keys (j, m, b) of the columns b * D^m(I_j) of a multiplier
     system, and their blocks (D^m(I_j), basis): conditions in order, zero
     ones skipped, m from 0 to min(weight - wt(I_j), top(I_j)), b over the
-    monomial basis of the complementary weight, built once per weight."""
+    monomial basis of the complementary weight, one list per weight."""
+    cap = max_deriv_order()
     bases: dict[int, list[Monomial]] = {}
     keys: list[tuple[int, int, Monomial]] = []
     blocks: list[Block] = []
@@ -297,10 +331,8 @@ def _multiplier_columns(
         if cond.is_zero():
             continue
         cw = cond.weight()
-        derived = cond
         for m in range(min(weight - cw, top(cond)) + 1):
-            if m:
-                derived = derived.derive()
+            derived = _derived(cond, m, cap)
             rest = weight - cw - m
             if rest not in bases:
                 bases[rest] = monomial_basis(n, rest, pool, max_deriv)

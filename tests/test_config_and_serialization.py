@@ -1,5 +1,7 @@
+import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,24 @@ def test_config_is_the_only_module_that_reads_the_environment():
         if re.search(r"os\.environ|getenv", path.read_text(encoding="utf-8"))
     ]
     assert readers == ["config.py"]
+
+
+def test_the_package_needs_nothing_outside_the_standard_library():
+    """``dependencies = []`` in pyproject.toml, and every import in the
+    package's modules is the standard library or the package itself."""
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(nfoldsusy.__file__).parent
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text("utf-8"))
+    assert pyproject["project"]["dependencies"] == []
+    allowed = sys.stdlib_module_names | {"nfoldsusy"}
+    outside = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names if name.split(".")[0] not in allowed]
+    assert outside == []

@@ -1,7 +1,9 @@
-"""An independent check of the intertwining conditions.
+"""An independent check of the intertwining conditions and of the formal
+transpose.
 
-The sympy side expands P^- H^- psi - H^+ P^- psi on a symbolic psi(q) with
-plain sympy calculus and imports nothing from nfoldsusy.  Only the bridge
+The sympy side expands P^- H^- psi - H^+ P^- psi, and the transpose
+P^+ psi = sum_i (-d)^i (a_i psi), on a symbolic psi(q) with plain sympy
+calculus and imports nothing from nfoldsusy.  Only the bridge
 that turns an nfoldsusy polynomial into a sympy expression reads the
 package's term data; the expansion itself shares no code with
 ``diffop`` or ``diffring``.
@@ -34,9 +36,24 @@ def _sympy_conditions(n):
         return -sympy.diff(f, q, 2) / 2 + v * f
 
     expr = sympy.expand(charge(hamiltonian(V_MINUS, psi)) - hamiltonian(V_PLUS, charge(psi)))
-    slots = [sympy.Symbol(f"psi_{k}") for k in range(n + 3)]
-    expr = expr.xreplace({sympy.diff(psi, q, k): slots[k] for k in range(n + 3)})
-    return {k: sympy.expand(expr.coeff(slots[k])) for k in range(n + 3)}
+    return _psi_coefficients(expr, n + 2)
+
+
+def _sympy_transpose(n):
+    """{k: coefficient of psi^(k)} in sum_i (-d)^i (a_i psi), where
+    P^- = sum_i a_i d^i with a_n = 1 and a_k = w_k."""
+    coeffs = {n: sympy.Integer(1), **{k: _w(k) for k in range(n)}}
+    expr = sum((-1) ** i * sympy.diff(a * psi, q, i) for i, a in coeffs.items())
+    return _psi_coefficients(sympy.expand(expr), n)
+
+
+def _psi_coefficients(expr, top):
+    """{k: coefficient of psi^(k)} for k = 0..top in an expression linear
+    in psi and its derivatives up to order top."""
+    slots = [sympy.Symbol(f"psi_{k}") for k in range(top + 1)]
+    expr = expr.xreplace({sympy.diff(psi, q, k): slots[k] for k in range(top + 1)})
+    assert not expr.has(psi)
+    return {k: sympy.expand(expr.coeff(slots[k])) for k in range(top + 1)}
 
 
 def _to_sympy(poly):
@@ -61,3 +78,12 @@ def test_conditions_match_an_independent_sympy_expansion(n):
     assert cs.ks == tuple(range(n, -1, -1))
     for k, cond in cs.items():
         assert sympy.expand(_to_sympy(cond) - expected[k]) == 0, (n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_transpose_matches_an_independent_sympy_expansion(n):
+    expected = _sympy_transpose(n)
+    charge_plus = build_system(n).charge_plus
+    assert set(charge_plus.coeffs) <= set(expected)
+    for k, coeff in expected.items():
+        assert sympy.expand(_to_sympy(charge_plus.coefficient(k)) - coeff) == 0, (n, k)

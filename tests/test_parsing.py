@@ -216,3 +216,29 @@ def test_digit_runs_beyond_int_conversion_are_parse_errors():
             parse(text, 2)
         assert info.value.position == position
     assert parse("9" * MAX_DIGITS, 2) == 10**MAX_DIGITS - 1
+
+
+@pytest.mark.parametrize("text, position", [
+    ("١٢*w1", 0),
+    ("w١", 0),
+    ("alpha١ - alpha1", 0),
+    ("alpha²", 0),
+    ("w1 + C²", 5),
+    ("3*w0 - ٣*w0", 7),
+    ("(w1+w0)^٢", 8),
+])
+def test_non_ascii_digits_are_parse_errors(text, position):
+    """Indices, numbers and powers are ASCII digits: other scripts' digits
+    are neither aliases of them nor ``int()`` failures."""
+    with pytest.raises(ParseError) as err:
+        parse(text, 3)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("token", ["C²", "w²", "alpha²", "u١", "C١", "beta٣"])
+def test_non_ascii_digits_in_json_tokens_are_parse_errors(token):
+    data = {"ambientN": 3, "terms": [{"monomial": [["w1", 1]], "coeff": "1"},
+                                     {"monomial": [[token, 1]], "coeff": "1"}]}
+    with pytest.raises(ParseError, match="unknown generator") as err:
+        poly_from_json(json.dumps(data))
+    assert err.value.position == 1

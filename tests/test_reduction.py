@@ -432,6 +432,147 @@ def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
     assert sizes == [(3952, 2428)]
 
 
+# -- memoized columns -----------------------------------------------------------
+
+
+def _clear_memos():
+    reduction._derived.cache_clear()
+    reduction._basis.cache_clear()
+
+
+def _as_dict(dec):
+    return None if dec is None else dec.to_dict()
+
+
+def _goldens_membership_with_constants(monkeypatch):
+    """The first (target, conditions) the goldens suite decides whose
+    conditions hold a C generator."""
+    from nfoldsusy.diffring import Family
+    from nfoldsusy.suites import run_suite
+
+    real, seen = reduction.ideal_membership, []
+
+    def spy(target, cs, *args, **kwargs):
+        conditions = list(cs)
+        if any(g.family is Family.C for _, p in conditions for g in p.base_generators()):
+            seen.append((target, conditions))
+        return real(target, conditions, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "ideal_membership", spy)
+    assert all(report.passed for report in run_suite("goldens"))
+    monkeypatch.undo()
+    assert seen
+    return seen[0]
+
+
+def test_warm_and_cold_memos_give_the_same_certificates(monkeypatch):
+    cases = []
+    for n in (6, 7):
+        cs = pipeline(n, "eliminated")
+        probe = _probe(n, cs)
+        cases += [(probe, cs), (_random_member(n, cs, random.Random(n)), cs),
+                  (probe + DiffPoly.generator(n, w(n - 1)) ** (n + 6), cs)]
+    cases.append(_goldens_membership_with_constants(monkeypatch))
+    cold = []
+    for target, cs in cases:
+        _clear_memos()
+        cold.append(_as_dict(ideal_membership(target, cs)))
+    for target, cs in cases:
+        ideal_membership(target, cs)
+    misses = reduction._derived.cache_info().misses, reduction._basis.cache_info().misses
+    warm = [_as_dict(ideal_membership(target, cs)) for target, cs in cases]
+    # every column of the second pass comes from the memos
+    assert (reduction._derived.cache_info().misses, reduction._basis.cache_info().misses) == misses
+    assert warm == cold
+    assert [c is None for c in cold] == [False, False, True] * 2 + [False]
+
+
+def test_a_second_decision_on_an_equal_condition_set_derives_no_column(monkeypatch):
+    from nfoldsusy import diffring
+    from nfoldsusy.susy import build_system, derive_conditions, eliminate_potentials
+
+    n = 6
+    cs = pipeline(n, "eliminated")
+    equal = eliminate_potentials(derive_conditions(build_system(n)))
+    assert equal == cs and equal.conditions[0] is not cs.conditions[0]
+    target = _probe(n, cs)
+    _clear_memos()
+    first = ideal_membership(target, cs)
+    misses = reduction._derived.cache_info().misses
+    steps = []
+    real = diffring._leibniz_terms
+    monkeypatch.setattr(
+        diffring, "_leibniz_terms", lambda terms, cap: steps.append(1) or real(terms, cap)
+    )
+    second = ideal_membership(target, equal)
+    assert second.to_dict() == first.to_dict()
+    assert reduction._derived.cache_info().misses == misses
+    # What is left is the re-expansion, one derivation step per order.
+    assert len(steps) == sum(m for (_, m), _ in second.multipliers) > 0
+
+
+def test_memos_under_raised_caps_leave_default_verdicts_alone(monkeypatch):
+    """A basis or tower memoized under a raised cap is not reused under the
+    default: the verdict, and the cap error, stay those of a cold memo."""
+    from nfoldsusy import ConditionSet, DerivOrderError
+
+    cs = pipeline(2, "eliminated")
+    # Needs the multiplier w1^(13), which only a basis bound >= 13 admits.
+    target = DiffPoly.generator(2, w(1, 13)) * cs.condition(0)
+    _clear_memos()
+    assert ideal_membership(target, cs, max_shift=0) is None
+    monkeypatch.setenv("NFOLDSUSY_DERIV_BOUND", "20")
+    assert ideal_membership(target, cs, max_shift=0) is not None
+    monkeypatch.delenv("NFOLDSUSY_DERIV_BOUND")
+    assert ideal_membership(target, cs, max_shift=0) is None
+
+    # A condition at derivative order 12: the first-order search derives it
+    # to 13, past the default cap.  The antiderivative basis stops at order
+    # 5, so the condition's tower is the only thing that can pass the cap.
+    top = ConditionSet(2, "eliminated", (0,), (parse("w1" + "'" * 12, 2),))
+    _clear_memos()
+    with pytest.raises(DerivOrderError):
+        search_integral(top, 6, policy="first-order", max_deriv=5)
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "20")
+    with pytest.raises(SearchExhausted):
+        search_integral(top, 6, policy="first-order", max_deriv=5)
+    monkeypatch.delenv("NFOLDSUSY_MAX_DERIV")
+    with pytest.raises(DerivOrderError):
+        search_integral(top, 6, policy="first-order", max_deriv=5)
+
+    n = 6
+    cs = pipeline(n, "eliminated")
+    targets = [_probe(n, cs), _probe(n, cs) + DiffPoly.generator(n, w(n - 1)) ** (n + 6)]
+    _clear_memos()
+    cold = [_as_dict(ideal_membership(t, cs)) for t in targets]
+    for var in ("NFOLDSUSY_MAX_DERIV", "NFOLDSUSY_DERIV_BOUND"):
+        monkeypatch.setenv(var, "20")
+        for t in targets:
+            ideal_membership(t, cs)
+        monkeypatch.delenv(var)
+        assert [_as_dict(ideal_membership(t, cs)) for t in targets] == cold
+
+
+def test_re_expansion_does_not_read_the_memo(monkeypatch):
+    """A wrong memoized D^m(I_j) makes a wrong column; the certificate
+    built on it fails the independent re-expansion instead of coming back."""
+    n = 6
+    cs = pipeline(n, "eliminated")
+    target = _probe(n, cs)
+    _clear_memos()
+    honest = ideal_membership(target, cs)
+    assert (0, 2) in dict(honest.multipliers)
+    real = reduction._derived
+    wrong = real(cs.condition(0), 2, 12) * 2
+
+    def corrupted(cond, m, cap):
+        return wrong if (cond, m) == (cs.condition(0), 2) else real(cond, m, cap)
+
+    monkeypatch.setattr(reduction, "_derived", corrupted)
+    with pytest.raises(reduction.ReductionError, match="does not re-expand"):
+        ideal_membership(target, cs)
+
+
 # -- mixed ambients -------------------------------------------------------------
 
 
