@@ -182,7 +182,7 @@ def cmd_emit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         lines.append(format_poly(e.poly(), args.format))
     elif "coeffs" in e.data:
         dsym = "\\del" if args.format == "latex" else "d"
-        for order, coeff in sorted(e.operator().coeffs.items(), reverse=True):
+        for order, coeff in sorted(e.parsed("coeffs").items(), reverse=True):
             lines.append(f"{dsym}^{order}: {format_poly(coeff, args.format)}")
     else:
         lines.append(json.dumps(e.data, indent=1))

@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from .config import max_deriv_order
-from .diffop import DiffOperator
-from .diffring import DiffPoly, c, replace_constants
+from .diffring import DiffPoly, Generator, c, replace_constants
 from .parsing import parse
 
 # Every field that carries expressions, by shape: 0 is one expression
@@ -72,9 +71,6 @@ class GoldenEntry:
     def scale(self, key: str = "scale") -> Fraction:
         return Fraction(self.data.get(key, "1"))
 
-    def operator(self, key: str = "coeffs") -> DiffOperator:
-        return DiffOperator(self.n, self.parsed(key))
-
     def expressions(self) -> dict[str, DiffPoly]:
         """Every expression string the entry carries, parsed, for integrity checks."""
         found: dict[str, DiffPoly] = {}
@@ -116,15 +112,19 @@ def integral_entries(n: int, preset: str = "paper") -> dict[int, GoldenEntry]:
     return out
 
 
+def constants(n: int, preset: str = "paper") -> dict[Generator, DiffPoly]:
+    """C_k -> J_k: each displayed integral constant as a polynomial over
+    the transformed variables equal to C_k on shell, lower constants
+    expanded.  Built in one pass from the lowest k, never memoized."""
+    out: dict[Generator, DiffPoly] = {}
+    for k, e in sorted(integral_entries(n, preset).items()):
+        out[c(k)] = replace_constants(e.poly() * (1 / Fraction(e.data["prefactor"])), out)
+    return out
+
+
 def displayed_j(n: int, k: int, preset: str = "paper") -> DiffPoly:
-    """The k-th integral constant as the displayed polynomial over the
-    transformed variables, normalized so that it equals C_k on shell;
-    lower constants inside it are expanded recursively."""
-    entries = integral_entries(n, preset)
-    e = entries[k]
-    ju = e.poly() * (Fraction(1) / Fraction(e.data["prefactor"]))
-    lower = {c(i): displayed_j(n, i, preset) for i in entries if i < k}
-    return replace_constants(ju, lower)
+    """The k-th integral constant, as in ``constants``."""
+    return constants(n, preset)[c(k)]
 
 
 def integral_relation(n: int, k: int, preset: str = "paper") -> DiffPoly:

@@ -3,17 +3,23 @@
 Each suite returns a report with one named check per verified fact; the
 CLI renders these and turns failures into exit codes, and the acceptance
 tests reuse them directly.
+
+Every display golden and ``preset:`` check is one display check:
+``_cleared`` judges engine x denominator - display on each derivative
+order (``_differences``).  A check that raises fails through ``_guard``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from . import goldens, reduction, susy
 from .diffop import DiffOperator
-from .diffring import DerivOrderError, DiffPoly, c, replace_constants, w as w_gen
+from .diffring import DerivOrderError, DiffPoly, replace_constants, w as w_gen
 from .formatting import format_poly, poly_from_json, poly_to_json
 from .parsing import parse
 
@@ -51,30 +57,26 @@ class SuiteReport:
 # -- helpers -------------------------------------------------------------------
 
 
+@contextmanager
+def _guard(report: SuiteReport, name: str):
+    """Turn an exception inside the block into the failed check ``name``
+    with detail ``Type: message``.  ``DerivOrderError`` propagates: a
+    derivative cap too low for the job is a usage error, not a failure."""
+    try:
+        yield
+    except DerivOrderError:
+        raise
+    except Exception as exc:
+        report.add(name, False, f"{type(exc).__name__}: {exc}")
+
+
+@lru_cache(maxsize=32)
 def _engine_system(n: int, stage: str, preset: str) -> susy.SusySystem:
-    """A golden's system: closed-form potentials (``base``) or the u
-    variables at a preset; its ``sign`` picks ``charge_<sign>`` and
-    ``potential_<sign>``."""
+    """A golden's system, memoized like ``pipeline``: closed-form
+    potentials (``base``) or the u variables at a preset."""
     if stage == "base":
         return susy.build_system(n, symbolic_potentials=False)
     return susy.transformed_system(n, preset)
-
-
-def _csubst(poly: DiffPoly, n: int, preset: str) -> DiffPoly:
-    """Replace integration constants by their integral polynomials."""
-    images = {}
-    for k in goldens.integral_entries(n, preset):
-        images[c(k)] = goldens.displayed_j(n, k, preset)
-    return replace_constants(poly, images)
-
-
-def _relations_conditions(n: int, preset: str):
-    """Transformed conditions plus the integral-definition relations, for
-    membership checks of cleared rational displays."""
-    extended = list(susy.pipeline(n, "transformed", preset).items())
-    for k in goldens.integral_entries(n, preset):
-        extended.append((100 + k, goldens.integral_relation(n, k, preset)))
-    return extended
 
 
 # -- the goldens suite ----------------------------------------------------------
@@ -85,77 +87,74 @@ def _cleared(diff: DiffPoly, n: int, preset: str, mode: str) -> str | None:
 
     ``csubst-*`` modes first replace the integration constants by their
     integral polynomials; ``*exact`` modes need the difference to vanish,
-    the others only that it lie in the constraint module.
+    the others only that it lie in the constraint module: the transformed
+    conditions plus the relations that define the integral constants.
     """
     if mode.startswith("csubst"):
-        diff = _csubst(diff, n, preset)
+        diff = replace_constants(diff, goldens.constants(n, preset))
     if diff.is_zero():
         return None
     if mode.endswith("exact"):
         return "not exact"
-    if reduction.ideal_membership(diff, _relations_conditions(n, preset)) is None:
+    relations = [(100 + k, goldens.integral_relation(n, k, preset))
+                 for k in goldens.integral_entries(n, preset)]
+    module = [*susy.pipeline(n, "transformed", preset).items(), *relations]
+    if reduction.ideal_membership(diff, module) is None:
         return "not in the constraint module"
     return None
 
 
-def _check_condition(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    cs = susy.pipeline(e.n, e.data["stage"], e.preset)
-    engine = cs.condition(e.data["k"]) * e.scale()
-    report.add(f"golden:{e.id}", engine == e.poly(), "display vs derivation")
+def _differences(e: goldens.GoldenEntry, preset: str,
+                 sub: susy.Substitution | None = None) -> dict[int, DiffPoly | None]:
+    """engine x denominator - display for a display golden at ``preset``,
+    the display's parameters instantiated by ``sub`` when given, on every
+    order of either side (a polynomial is order 0); None marks an order
+    with no denominator.  The denominator is displayed for the
+    ``*-identity`` kinds, else the constant ``scale`` or ``prefactor``."""
+    n, kind, data = e.n, e.kind, e.data
+    family = kind.split("-")[0]
+    if kind == "condition":
+        engine = {0: susy.pipeline(n, data["stage"], preset).condition(data["k"])}
+    elif kind == "ansatz":
+        engine = {0: susy.ansatz_substitution(n).images[w_gen(int(data["target"][1:]))]}
+    elif kind == "identity":
+        engine = {0: e.poly("lhs")}
+    else:
+        system = _engine_system(n, data.get("stage", "transformed"), preset)
+        got = getattr(system, f"{family}_{data['sign']}")
+        engine = got.coeffs if family == "charge" else {0: got}
+    if family == "charge":
+        display = e.parsed("coeffs")
+    else:
+        display = {0: e.poly("rhs" if kind == "identity" else "expression")}
+    if sub is not None:
+        display = {order: sub.apply(p) for order, p in display.items()}
+    orders = sorted(set(engine) | set(display), reverse=True)
+    if kind == "charge-identity":
+        dens = e.parsed("denominators")
+    elif kind == "potential-identity":
+        dens = {0: e.poly("denominator")}
+    else:
+        dens = dict.fromkeys(orders, e.scale("prefactor" if kind == "potential" else "scale"))
+    zero = DiffPoly.zero(n)
+    return {o: engine.get(o, zero) * dens[o] - display.get(o, zero) if o in dens else None
+            for o in orders}
 
 
-def _matches_system(
-    system: susy.SusySystem, e: goldens.GoldenEntry, sub: susy.Substitution | None = None
-) -> bool:
-    """A charge or potential golden, its parameters instantiated by ``sub``
-    when given, against the engine's system."""
-    engine = getattr(system, f"{e.kind}_{e.data['sign']}")
-    if e.kind == "charge":
-        display = e.operator()
-        if sub is not None:
-            display = DiffOperator(e.n, {i: sub.apply(p) for i, p in display.coeffs.items()})
-        return engine == display
-    display = e.poly() if sub is None else sub.apply(e.poly())
-    return engine * Fraction(e.data.get("prefactor", "1")) == display
-
-
-def _check_system(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    system = _engine_system(e.n, e.data["stage"], e.preset)
-    report.add(f"golden:{e.id}", _matches_system(system, e))
-
-
-def _check_ansatz(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    sub = susy.ansatz_substitution(e.n)
-    target = e.data["target"]
-    gen = w_gen(int(target[1:]))
-    report.add(f"golden:{e.id}", sub.images[gen] == e.poly())
-
-
-def _check_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    mode = e.data["mode"]
-    failure = _cleared(e.poly("lhs") - e.poly("rhs"), e.n, e.preset, mode)
-    detail = "is exact" if mode.endswith("exact") else "reduces to constraints"
-    report.add(f"golden:{e.id}", failure is None, f"cleared display {detail}")
-
-
-def _check_charge_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    n, preset, mode = e.n, e.preset, e.data["mode"]
-    engine = getattr(_engine_system(n, "transformed", preset), "charge_" + e.data["sign"])
-    coeffs = e.parsed("coeffs")
-    details = []
-    for order, den in e.parsed("denominators").items():
-        diff = engine.coefficient(order) * den - coeffs[order]
-        failure = _cleared(diff, n, preset, mode)
-        if failure:
-            details.append(f"order {order} {failure}")
-    report.add(f"golden:{e.id}", not details, "; ".join(details))
-
-
-def _check_potential_identity(report: SuiteReport, e: goldens.GoldenEntry) -> None:
-    n, preset = e.n, e.preset
-    engine = getattr(_engine_system(n, "transformed", preset), "potential_" + e.data["sign"])
-    diff = engine * e.poly("denominator") - e.poly()
-    report.add(f"golden:{e.id}", _cleared(diff, n, preset, e.data["mode"]) is None)
+def _check_display(report: SuiteReport, name: str, e: goldens.GoldenEntry,
+                   preset: str, sub: susy.Substitution | None = None) -> None:
+    """One display golden: every difference goes through ``_cleared`` in
+    the entry's mode, ``exact`` unless it names another."""
+    with _guard(report, name):
+        mode = e.data.get("mode", "exact")
+        failures = []
+        for order, diff in _differences(e, preset, sub).items():
+            why = "has no denominator" if diff is None else _cleared(diff, e.n, preset, mode)
+            if why:
+                failures.append(f"order {order} {why}")
+        notes = {"condition": "display vs derivation", "identity": "cleared display "
+                 + ("is exact" if mode.endswith("exact") else "reduces to constraints")}
+        report.add(name, not failures, "; ".join(failures) or notes.get(e.kind, ""))
 
 
 def _first_inhomogeneous(parsed: dict[str, DiffPoly]) -> str | None:
@@ -165,12 +164,7 @@ def _first_inhomogeneous(parsed: dict[str, DiffPoly]) -> str | None:
 
 def _structural_failure(e: goldens.GoldenEntry) -> str:
     """Why an entry's expressions are malformed, or "" when they are sound."""
-    try:
-        parsed = e.expressions()
-    except DerivOrderError:
-        raise
-    except Exception as exc:
-        return f"parse failure: {exc}"
+    parsed = e.expressions()
     bad = _first_inhomogeneous(parsed)
     if bad is not None:
         return f"inhomogeneous: {bad[:40]}"
@@ -184,8 +178,9 @@ def _structural_failure(e: goldens.GoldenEntry) -> str:
 
 def _structural_checks(report: SuiteReport) -> None:
     for e in goldens.corpus().values():
-        detail = _structural_failure(e)
-        report.add(f"corpus:{e.id}", not detail, detail)
+        with _guard(report, f"corpus:{e.id}"):
+            detail = _structural_failure(e)
+            report.add(f"corpus:{e.id}", not detail, detail)
 
 
 def _general_n_checks(report: SuiteReport) -> None:
@@ -221,10 +216,9 @@ def _preset_instantiation_checks(report: SuiteReport) -> None:
     with the engine objects built directly at those presets."""
     for n, preset in ((2, "paper"), (3, "paper"), (4, "paper"), (4, "footnote-alt")):
         sub = susy.parameter_substitution(n, susy.preset_parameters(n, preset))
-        system = susy.transformed_system(n, preset)
         for e in goldens.corpus().values():
             if e.n == n and e.preset == "generic" and e.kind in ("charge", "potential"):
-                report.add(f"preset:{preset}:{e.id}", _matches_system(system, e, sub))
+                _check_display(report, f"preset:{preset}:{e.id}", e, preset, sub)
 
 
 def _parameter_checks(report: SuiteReport) -> None:
@@ -254,25 +248,9 @@ def _parameter_checks(report: SuiteReport) -> None:
 def suite_goldens() -> SuiteReport:
     report = SuiteReport("goldens")
     _structural_checks(report)
-    handlers = {
-        "condition": _check_condition,
-        "charge": _check_system,
-        "potential": _check_system,
-        "ansatz": _check_ansatz,
-        "identity": _check_identity,
-        "charge-identity": _check_charge_identity,
-        "potential-identity": _check_potential_identity,
-    }
     for e in goldens.corpus().values():
-        handler = handlers.get(e.kind)
-        if handler is None:
-            continue  # integral / residual / jw-shift entries run in their suites
-        try:
-            handler(report, e)
-        except DerivOrderError:
-            raise
-        except Exception as exc:
-            report.add(f"golden:{e.id}", False, f"{type(exc).__name__}: {exc}")
+        if e.kind not in ("integral", "residual", "jw-shift"):  # run in their suites
+            _check_display(report, f"golden:{e.id}", e, e.preset)
     _general_n_checks(report)
     _preset_instantiation_checks(report)
     _parameter_checks(report)
@@ -374,16 +352,11 @@ def _check_integral(report: SuiteReport, e: goldens.GoldenEntry) -> None:
 def suite_integrals() -> SuiteReport:
     report = SuiteReport("integrals")
     for e in goldens.corpus().values():
-        if e.kind != "integral":
-            continue
-        try:
-            _check_integral(report, e)
-        except DerivOrderError:
-            raise
-        except Exception as exc:
-            report.add(f"integral:{e.id}", False, f"{type(exc).__name__}: {exc}")
+        if e.kind == "integral":
+            with _guard(report, f"integral:{e.id}"):
+                _check_integral(report, e)
     # trade-off observations for the alternative branch
-    try:
+    with _guard(report, "footnote-tradeoff"):
         j2_alt = goldens.entry("fn4-J2").poly()
         u1_linear = any(
             any(g.family.name == "U" and g.index == 1 and exp == 1 for g, exp in m.exps)
@@ -396,10 +369,6 @@ def suite_integrals() -> SuiteReport:
             "footnote-tradeoff:J3-simpler",
             len(j3_alt.terms) < len(j3_main.terms),
         )
-    except DerivOrderError:
-        raise
-    except Exception as exc:
-        report.add("footnote-tradeoff", False, str(exc))
     return report
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from nfoldsusy import format_poly, parse, poly_from_json, poly_to_json
 from nfoldsusy import goldens, suites
+from nfoldsusy.diffring import Family, c
 from nfoldsusy.parsing import DerivCapError
 
 
@@ -29,6 +32,25 @@ def test_displayed_j_normalization():
     # the fourfold chain replaces C1 inside the second integral
     j2 = goldens.displayed_j(4, 2)
     assert parse("C1", 4).terms.keys().isdisjoint(j2.terms.keys())
+
+
+def test_constants_expand_each_lower_constant():
+    js = goldens.constants(4)
+    assert set(js) == {c(1), c(2), c(3)}
+    for k, j in js.items():
+        assert j == goldens.displayed_j(4, k.index)
+        assert not any(g.family == Family.C and g.index > 0
+                       for m in j.terms for g, _ in m.exps), k
+
+
+def test_constants_follow_a_patched_corpus(monkeypatch):
+    before = goldens.displayed_j(2, 1)
+    entries = dict(goldens.corpus())
+    e = entries["2fC1"]
+    prefactor = Fraction(e.data["prefactor"]) * 2
+    entries["2fC1"] = dataclasses.replace(e, data={**e.data, "prefactor": str(prefactor)})
+    monkeypatch.setattr(goldens, "corpus", lambda: entries)
+    assert goldens.displayed_j(2, 1) * 2 == before
 
 
 def test_integral_relation_vanishes_on_shell():

@@ -6,6 +6,7 @@ import pytest
 
 from nfoldsusy import goldens, suites
 from nfoldsusy.cli import main
+from nfoldsusy.diffop import DiffOperator
 from nfoldsusy.parsing import parse
 from nfoldsusy.susy import build_system, derive_conditions, eliminate_potentials
 
@@ -37,25 +38,58 @@ def test_cli_handles_up_to_eightfold():
         assert f"I_{n - 2} = " in out.getvalue()
 
 
-def test_goldens_suite_detects_corpus_drift(monkeypatch):
+def _patch_corpus(monkeypatch, edits):
+    """The corpus with ``edits(id) -> {field: new value}`` merged into
+    each named entry's data."""
     entries = dict(goldens.corpus())
-    broken = entries["2fc3p"]
-    data = dict(broken.data)
-    data["expression"] = data["expression"].replace("- 2*w1^2*w1'", "+ 2*w1^2*w1'")
-    entries["2fc3p"] = dataclasses.replace(broken, data=data)
+    for golden_id, edit in edits.items():
+        e = entries[golden_id]
+        entries[golden_id] = dataclasses.replace(e, data={**e.data, **edit(e.data)})
     monkeypatch.setattr(goldens, "corpus", lambda: entries)
+
+
+def _doubled(key, order=None):
+    """An edit doubling the display in ``key``, at ``order`` for a map."""
+    def edit(data):
+        if order is None:
+            return {key: f"2*({data[key]})"}
+        return {key: {**data[key], order: f"2*({data[key][order]})"}}
+    return edit
+
+
+# One drifted display per golden kind; P2pm-minus also has a preset check.
+DRIFTS = {
+    "2fc3p": _doubled("expression"),
+    "2fP-minus": _doubled("coeffs", "1"),
+    "2fV-plus": _doubled("expression"),
+    "2ftf-w0": _doubled("expression"),
+    "2fu0-cleared": _doubled("rhs"),
+    "2fP-final-minus": _doubled("coeffs", "0"),
+    "2fV-final-plus": _doubled("expression"),
+    "P2pm-minus": _doubled("coeffs", "0"),
+}
+
+
+def test_goldens_suite_detects_corpus_drift(monkeypatch):
+    _patch_corpus(monkeypatch, DRIFTS)
     report = suites.suite_goldens()
     failed = {r.name for r in report.results if not r.passed}
-    assert "golden:2fc3p" in failed
+    assert failed == {f"golden:{i}" for i in DRIFTS} | {"preset:paper:P2pm-minus"}
+
+
+def test_charge_identity_needs_a_denominator_on_every_order(monkeypatch):
+    def drop_order_0(data):
+        return {key: {o: t for o, t in data[key].items() if o != "0"}
+                for key in ("coeffs", "denominators")}
+
+    _patch_corpus(monkeypatch, {"2fP-final-minus": drop_order_0})
+    report = suites.suite_goldens()
+    failed = {r.name: r.detail for r in report.results if not r.passed}
+    assert failed == {"golden:2fP-final-minus": "order 0 has no denominator"}
 
 
 def test_integrals_suite_detects_scale_drift(monkeypatch):
-    entries = dict(goldens.corpus())
-    broken = entries["3fC1"]
-    data = dict(broken.data)
-    data["scale"] = "3"
-    entries["3fC1"] = dataclasses.replace(broken, data=data)
-    monkeypatch.setattr(goldens, "corpus", lambda: entries)
+    _patch_corpus(monkeypatch, {"3fC1": lambda data: {"scale": "3"}})
     report = suites.suite_integrals()
     failed = {r.name for r in report.results if not r.passed}
     assert "integral:3fC1" in failed
@@ -65,7 +99,7 @@ def test_transposed_charge_goldens_also_cover_higher_orders():
     # the fourfold transposed charge display is literally the engine transpose
     e = goldens.entry("4fP-plus")
     system = build_system(4)
-    assert system.charge_plus == e.operator()
+    assert system.charge_plus == DiffOperator(4, e.parsed("coeffs"))
 
 
 def test_cli_search_fourfold_second_and_determinism():
