@@ -122,11 +122,6 @@ def constants(n: int, preset: str = "paper") -> dict[Generator, DiffPoly]:
     return out
 
 
-def displayed_j(n: int, k: int, preset: str = "paper") -> DiffPoly:
-    """The k-th integral constant, as in ``constants``."""
-    return constants(n, preset)[c(k)]
-
-
 def integral_relation(n: int, k: int, preset: str = "paper") -> DiffPoly:
     """display - prefactor*C_k: a polynomial vanishing on shell."""
     e = integral_entries(n, preset)[k]

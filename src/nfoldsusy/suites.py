@@ -72,8 +72,10 @@ def _guard(report: SuiteReport, name: str):
 
 @lru_cache(maxsize=32)
 def _engine_system(n: int, stage: str, preset: str) -> susy.SusySystem:
-    """A golden's system, memoized like ``pipeline``: closed-form
-    potentials (``base``) or the u variables at a preset."""
+    """A golden's system: closed-form potentials (``base``) or the u
+    variables at a preset.  Unlike ``pipeline`` the memo ignores the
+    derivative cap; the displays it is compared with need the same cap
+    to parse."""
     if stage == "base":
         return susy.build_system(n, symbolic_potentials=False)
     return susy.transformed_system(n, preset)

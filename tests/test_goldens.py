@@ -27,10 +27,10 @@ def test_every_expression_parses_homogeneous_and_round_trips():
 
 def test_displayed_j_normalization():
     # the first twofold integral: 16*J1 equals the stored display
-    j1 = goldens.displayed_j(2, 1)
+    j1 = goldens.constants(2)[c(1)]
     assert j1 * 16 == goldens.entry("2fC1").poly()
     # the fourfold chain replaces C1 inside the second integral
-    j2 = goldens.displayed_j(4, 2)
+    j2 = goldens.constants(4)[c(2)]
     assert parse("C1", 4).terms.keys().isdisjoint(j2.terms.keys())
 
 
@@ -38,19 +38,18 @@ def test_constants_expand_each_lower_constant():
     js = goldens.constants(4)
     assert set(js) == {c(1), c(2), c(3)}
     for k, j in js.items():
-        assert j == goldens.displayed_j(4, k.index)
         assert not any(g.family == Family.C and g.index > 0
                        for m in j.terms for g, _ in m.exps), k
 
 
 def test_constants_follow_a_patched_corpus(monkeypatch):
-    before = goldens.displayed_j(2, 1)
+    before = goldens.constants(2)[c(1)]
     entries = dict(goldens.corpus())
     e = entries["2fC1"]
     prefactor = Fraction(e.data["prefactor"]) * 2
     entries["2fC1"] = dataclasses.replace(e, data={**e.data, "prefactor": str(prefactor)})
     monkeypatch.setattr(goldens, "corpus", lambda: entries)
-    assert goldens.displayed_j(2, 1) * 2 == before
+    assert goldens.constants(2)[c(1)] * 2 == before
 
 
 def test_integral_relation_vanishes_on_shell():

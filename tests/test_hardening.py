@@ -48,6 +48,17 @@ def _patch_corpus(monkeypatch, edits):
     monkeypatch.setattr(goldens, "corpus", lambda: entries)
 
 
+def _replaced(key, old, new, order=None):
+    """An edit replacing one term ``old`` by ``new`` in the display in
+    ``key``, at ``order`` for a map."""
+    def edit(data):
+        text = data[key] if order is None else data[key][order]
+        assert old in text, (key, order, text)
+        text = text.replace(old, new)
+        return {key: text if order is None else {**data[key], order: text}}
+    return edit
+
+
 def _doubled(key, order=None):
     """An edit doubling the display in ``key``, at ``order`` for a map."""
     def edit(data):
@@ -57,8 +68,22 @@ def _doubled(key, order=None):
     return edit
 
 
-# One drifted display per golden kind; P2pm-minus also has a preset check.
+# One drifted display per golden kind, each drift changing one term so
+# that it is not a multiple of the engine's (every golden carries a scale
+# or denominator); P2pm-minus also has a preset check.
 DRIFTS = {
+    "2fc3p": _replaced("expression", "- 2*w1^2*w1'", "+ 2*w1^2*w1'"),
+    "2fP-minus": _replaced("coeffs", "w0", "w0 + w1^2", order="0"),
+    "2fV-plus": _replaced("expression", "- 2*w0", "+ 2*w0"),
+    "2ftf-w0": _replaced("expression", "+ 1/2*w1'", "- 1/2*w1'"),
+    "2fu0-cleared": _replaced("rhs", "+ w1'^2", "- w1'^2"),
+    "2fP-final-minus": _replaced("coeffs", "+ 2*w1^2*w1'", "- 2*w1^2*w1'", order="0"),
+    "2fV-final-plus": _replaced("expression", "- w1'^2", "+ w1'^2"),
+    "P2pm-minus": _replaced("coeffs", "+ 1/2*w1'", "- 1/2*w1'", order="0"),
+}
+
+# The same goldens with a whole display, or one whole order, doubled.
+DOUBLINGS = {
     "2fc3p": _doubled("expression"),
     "2fP-minus": _doubled("coeffs", "1"),
     "2fV-plus": _doubled("expression"),
@@ -75,6 +100,13 @@ def test_goldens_suite_detects_corpus_drift(monkeypatch):
     report = suites.suite_goldens()
     failed = {r.name for r in report.results if not r.passed}
     assert failed == {f"golden:{i}" for i in DRIFTS} | {"preset:paper:P2pm-minus"}
+
+
+def test_goldens_suite_detects_doubled_displays(monkeypatch):
+    _patch_corpus(monkeypatch, DOUBLINGS)
+    report = suites.suite_goldens()
+    failed = {r.name for r in report.results if not r.passed}
+    assert failed == {f"golden:{i}" for i in DOUBLINGS} | {"preset:paper:P2pm-minus"}
 
 
 def test_charge_identity_needs_a_denominator_on_every_order(monkeypatch):
