@@ -37,19 +37,38 @@ the sorted base generators and the basis bound (``NFOLDSUSY_DERIV_BOUND``
 or the caller's), and ``monomial_basis`` hands each caller a fresh list.
 Both are ``functools.lru_cache``s, bounded at 256 towers and 128 bases.
 The ring interns each generator's next derivative, so kept polynomials
-share their generator objects.  A certificate's re-expansion
-(``Decomposition.expansion``) derives the conditions itself, through
-``apply_combo``, and never reads these memos, so every certificate
-returned is checked against the conditions, not against the memo.
+share their generator objects.
+
+Memoized factors.  The matrix of a membership system does not depend on
+the target either, so its elimination is done once too.
+``_membership_system`` keeps, per n, conditions, weight, shift, generator
+pool, derivative cap and basis bound (an ``lru_cache`` of 32 systems),
+what every target of the system shares: per block its label (j, m), its
+shifts and the integer it was scaled by, the rows' packed keys and their
+packing, and the ``linalg.Factor`` of the matrix.  Each block is scaled to
+integers by the lcm of its denominators, which moves no pivot column, and
+the solution is scaled back.  A decision packs the target's monomials
+against the kept keys, and refuses at once a monomial with a generator no
+row holds, an exponent at or above the base (its key could carry into
+another's), or a key no row has: no combination of the columns reaches
+it.  Then it solves against the factor.
+
+A certificate's re-expansion (``Decomposition.expansion``) derives the
+conditions itself, through ``apply_combo``, and never reads these memos,
+so every certificate returned is checked against the conditions, not
+against the memos.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from typing import Callable, Iterable, Sequence
+from itertools import chain, repeat
+from math import lcm
+from operator import neg
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .config import max_deriv_order, search_deriv_bound
 from .diffop import DiffOperator
@@ -59,9 +78,10 @@ from .diffring import (
     Family,
     Generator,
     Monomial,
+    Scalar,
     monomial_sort_key,
 )
-from .linalg import nullspace, solve
+from .linalg import Factor, factor, nullspace, solve
 from .susy import ConditionSet, _split_parameters, apply_combo
 
 
@@ -266,30 +286,46 @@ def _span(monos: Iterable[Monomial], gens: set[Generator]) -> int:
     return top
 
 
-def _rows(
-    n: int, blocks: Sequence[Block], target: DiffPoly | None = None
-) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+class _Packing:
+    """Packed monomial keys (module docstring) over the generators ``gens``,
+    listed in descending order, with base ``base``."""
+
+    __slots__ = ("n", "base", "place", "weight_place")
+
+    def __init__(self, n: int, base: int, gens: Sequence[Generator]):
+        self.n, self.base = n, base
+        self.place = {g: base**i for i, g in enumerate(gens)}
+        self.weight_place = base ** len(self.place)
+
+    def key(self, m: Monomial) -> int:
+        place = self.place
+        return m.weight(self.n) * self.weight_place + sum(e * place[g] for g, e in m.exps)
+
+    def fits(self, m: Monomial) -> bool:
+        """Whether m packs without collision: each of its generators is
+        packed and each exponent is below the base."""
+        return all(g in self.place and e < self.base for g, e in m.exps)
+
+
+def _keyed_rows(
+    n: int, blocks: Sequence[tuple[Mapping[Monomial, Scalar], Sequence[Monomial]]],
+    target: DiffPoly | None = None,
+) -> tuple[list[dict[int, Scalar]], list[int], _Packing]:
     """The sparse system with one column ``s * p`` for each block
-    ``(p, shifts)`` and each ``s`` in ``shifts``, in that order, and the
-    target (zero if None) as right-hand side: one row per monomial of the
-    columns and the target, in descending graded order, each row's entries
-    in column order.  Rows are keyed by packed monomial ints (module
-    docstring)."""
+    ``(p, shifts)``, p given by its terms, and each ``s`` in ``shifts``, in
+    that order: one row per monomial of the columns and the target, each
+    row's entries in column order.  Returns the rows, their packed keys
+    (module docstring) in descending graded order, and the packing."""
     gens: set[Generator] = set()
     top = 0 if target is None else _span(target.terms, gens)
-    for poly, shifts in blocks:
-        top = max(top, _span(shifts, gens) + _span(poly.terms, gens))
-    base = top + 1
-    place = {g: base**i for i, g in enumerate(sorted(gens, reverse=True))}
-    weight_place = base ** len(place)
-
-    def key(m: Monomial) -> int:
-        return m.weight(n) * weight_place + sum(e * place[g] for g, e in m.exps)
-
-    rowmap: dict[int, dict[int, Fraction]] = {}
+    for terms, shifts in blocks:
+        top = max(top, _span(shifts, gens) + _span(terms, gens))
+    packing = _Packing(n, top + 1, sorted(gens, reverse=True))
+    key = packing.key
+    rowmap: dict[int, dict[int, Scalar]] = {}
     ci = 0
-    for poly, shifts in blocks:
-        packed = [(key(m), q) for m, q in poly.terms.items()]
+    for terms, shifts in blocks:
+        packed = [(key(m), q) for m, q in terms.items()]
         for s in shifts:
             ks = key(s)
             for k, q in packed:
@@ -300,12 +336,22 @@ def _rows(
                 else:
                     row[ci] = q
             ci += 1
-    rhs_at = {} if target is None else {key(m): q for m, q in target.terms.items()}
-    for k in rhs_at:
-        rowmap.setdefault(k, {})
+    if target is not None:
+        for m in target.terms:
+            rowmap.setdefault(key(m), {})
     order = sorted(rowmap, reverse=True)
+    return [rowmap[k] for k in order], order, packing
+
+
+def _rows(
+    n: int, blocks: Sequence[Block], target: DiffPoly | None = None
+) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+    """``_keyed_rows`` of the polynomial blocks, with the target (zero if
+    None) as right-hand side."""
+    rows, order, packing = _keyed_rows(n, [(p.terms, s) for p, s in blocks], target)
+    rhs_at = {} if target is None else {packing.key(m): q for m, q in target.terms.items()}
     zero = Fraction(0)
-    return [rowmap[k] for k in order], [rhs_at.get(k, zero) for k in order]
+    return rows, [rhs_at.get(k, zero) for k in order]
 
 
 @lru_cache(maxsize=256)
@@ -318,39 +364,97 @@ def _derived(cond: DiffPoly, m: int, cap: int) -> DiffPoly:
 def _multiplier_columns(
     n: int, conditions: Iterable[tuple[int, DiffPoly]], weight: int,
     top: Callable[[DiffPoly], int], pool: Sequence[Generator], max_deriv: int | None,
-) -> tuple[list[tuple[int, int, Monomial]], list[Block]]:
-    """The keys (j, m, b) of the columns b * D^m(I_j) of a multiplier
-    system, and their blocks (D^m(I_j), basis): conditions in order, zero
-    ones skipped, m from 0 to min(weight - wt(I_j), top(I_j)), b over the
+) -> tuple[list[tuple[int, int]], list[Block]]:
+    """The labels (j, m) and blocks (D^m(I_j), basis) of the columns
+    b * D^m(I_j) of a multiplier system: conditions in order, zero ones
+    skipped, m from 0 to min(weight - wt(I_j), top(I_j)), b over the
     monomial basis of the complementary weight, one list per weight."""
     cap = max_deriv_order()
     bases: dict[int, list[Monomial]] = {}
-    keys: list[tuple[int, int, Monomial]] = []
+    labels: list[tuple[int, int]] = []
     blocks: list[Block] = []
     for j, cond in conditions:
         if cond.is_zero():
             continue
         cw = cond.weight()
         for m in range(min(weight - cw, top(cond)) + 1):
-            derived = _derived(cond, m, cap)
             rest = weight - cw - m
             if rest not in bases:
                 bases[rest] = monomial_basis(n, rest, pool, max_deriv)
-            blocks.append((derived, bases[rest]))
-            keys.extend((j, m, b) for b in bases[rest])
-    return keys, blocks
+            labels.append((j, m))
+            blocks.append((_derived(cond, m, cap), bases[rest]))
+    return labels, blocks
 
 
 def _gather(
-    n: int, keys: Sequence[tuple[int, int, Monomial]], xs: Sequence[Fraction], scale: Fraction
+    n: int, labels: Sequence[tuple[int, int]], shifts: Sequence[Sequence[Monomial]],
+    xs: Sequence[Fraction], scales: Iterable[Scalar],
 ) -> dict[int, dict[int, DiffPoly]]:
     """Read a solution of a multiplier system back as {j: {m: multiplier}},
-    in key order and scaled, the shape ``apply_combo`` takes."""
+    in column order, each block's entries times its scale, the shape
+    ``apply_combo`` takes."""
     terms: dict[int, dict[int, dict[Monomial, Fraction]]] = {}
-    for (j, m, b), x in zip(keys, xs):
-        if x:
-            terms.setdefault(j, {}).setdefault(m, {})[b] = x * scale
+    xs = iter(xs)
+    for (j, m), basis, scale in zip(labels, shifts, scales):
+        for b, x in zip(basis, xs):  # basis first: no x is taken past the block
+            if x:
+                terms.setdefault(j, {}).setdefault(m, {})[b] = x * scale
     return {j: {m: DiffPoly(n, t) for m, t in ms.items()} for j, ms in terms.items()}
+
+
+class _System:
+    """What every target of one multiplier system shares: per block its
+    label (j, m), its shifts and the integer it was scaled by, the packed
+    keys of the rows in descending order with their packing, and the
+    factored matrix."""
+
+    __slots__ = ("labels", "shifts", "scales", "keys", "packing", "factor")
+
+    def __init__(self, labels: list[tuple[int, int]], shifts: list[Sequence[Monomial]],
+                 scales: list[int], keys: list[int], packing: _Packing, factor: Factor):
+        self.labels, self.shifts, self.scales = labels, shifts, scales
+        self.keys, self.packing, self.factor = keys, packing, factor
+
+    def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:
+        """The target as {row index: coefficient}; None when one of its
+        monomials is no row, since no combination of the columns has it."""
+        packing, keys = self.packing, self.keys
+        out = {}
+        for m, q in target.terms.items():
+            if not packing.fits(m):
+                return None
+            k = packing.key(m)
+            i = bisect_left(keys, -k, key=neg)
+            if i == len(keys) or keys[i] != k:
+                return None
+            out[i] = q
+        return out
+
+
+@lru_cache(maxsize=32)
+def _membership_system(
+    n: int, conditions: tuple[tuple[int, DiffPoly], ...], weight: int, shift: int,
+    pool: tuple[Generator, ...], cap: int, bound: int,
+) -> _System | None:
+    """The multiplier system of ``ideal_membership`` without its target,
+    None if it has no column.  ``cap`` and ``bound`` key the memo and must
+    be the configured derivative cap and basis bound, which the column
+    build reads itself.  Each block is scaled to integers by the lcm of its
+    denominators; the solution comes back through the same scales."""
+    labels, blocks = _multiplier_columns(
+        n, conditions, weight, lambda c: min(shift, cap - c.max_deriv()), pool, None
+    )
+    if not labels:
+        return None
+    scales = [lcm(*(q.denominator for q in p.terms.values())) for p, _ in blocks]
+    int_blocks = [
+        ({m: q.numerator * (s // q.denominator) for m, q in p.terms.items()}, shifts)
+        for (p, shifts), s in zip(blocks, scales)
+    ]
+    rows, keys, packing = _keyed_rows(n, int_blocks)
+    ncols = sum(len(shifts) for _, shifts in blocks)
+    return _System(labels, [shifts for _, shifts in blocks], scales, keys, packing,
+                   factor(rows, ncols))
 
 
 def ideal_membership(
@@ -372,17 +476,17 @@ def ideal_membership(
         return Decomposition("ideal-member", target, conditions=tuple(conditions))
     weight = target.weight()
     pool = _default_gens([target] + [p for _, p in conditions])
-    cap = max_deriv_order()
-    shift = weight if max_shift is None else max_shift
-    keys, blocks = _multiplier_columns(
-        n, conditions, weight, lambda c: min(shift, cap - c.max_deriv()), pool, None
+    system = _membership_system(
+        n, tuple(conditions), weight, weight if max_shift is None else max_shift,
+        tuple(pool), max_deriv_order(), search_deriv_bound(),
     )
-    if not keys:
+    rhs = None if system is None else system.rhs(target)
+    if rhs is None:
         return None
-    sol = solve(*_rows(n, blocks, target), len(keys))
+    sol = solve(system.factor, rhs, system.factor.ncols)
     if sol is None:
         return None
-    combo = _gather(n, keys, sol, Fraction(1))
+    combo = _gather(n, system.labels, system.shifts, sol, system.scales)
     return Decomposition(
         "ideal-member",
         target,
@@ -503,8 +607,9 @@ def search_integral(
         max_deriv = search_deriv_bound()
     pool = _default_gens([p for _, p in cs.items()])
     top = 0 if policy == "multiplicative" else 1
-    keys, blocks = _multiplier_columns(n, cs.items(), target_weight, lambda c: top, pool,
-                                       max_deriv)
+    labels, blocks = _multiplier_columns(n, cs.items(), target_weight, lambda c: top, pool,
+                                         max_deriv)
+    shifts = [basis for _, basis in blocks]
     reduced = []
     if relations:
         reduced = [
@@ -513,7 +618,7 @@ def search_integral(
             for b in basis
         ]
         blocks = [(nf, _UNSHIFTED) for nf, _ in reduced]
-    nmult = len(keys)
+    nmult = sum(map(len, shifts))
     bounds = {
         "k": k,
         "policy": policy,
@@ -571,7 +676,7 @@ def search_integral(
     lc = j_poly.leading_coefficient()
     scale = Fraction(1) / lc
     j_poly = j_poly * scale
-    combo = _gather(n, keys, ray[:nmult], scale)
+    combo = _gather(n, labels, shifts, ray[:nmult], repeat(scale))
     mults = {j: DiffOperator(n, ms) for j, ms in combo.items()}
     rel_mults = [DiffPoly.zero(n) for _ in relations]
     for x, (_, quots) in zip(ray[:nmult], reduced):

@@ -84,16 +84,18 @@ def _engine_system(n: int, stage: str, preset: str) -> susy.SusySystem:
 # -- the goldens suite ----------------------------------------------------------
 
 
-def _cleared(diff: DiffPoly, n: int, preset: str, mode: str) -> str | None:
+def _cleared(diff: DiffPoly, n: int, preset: str, mode: str,
+             constants: dict | None) -> str | None:
     """Why a cleared display fails, or None when it holds.
 
     ``csubst-*`` modes first replace the integration constants by their
-    integral polynomials; ``*exact`` modes need the difference to vanish,
-    the others only that it lie in the constraint module: the transformed
-    conditions plus the relations that define the integral constants.
+    integral polynomials, the map ``constants``; ``*exact`` modes need the
+    difference to vanish, the others only that it lie in the constraint
+    module: the transformed conditions plus the relations that define the
+    integral constants.
     """
     if mode.startswith("csubst"):
-        diff = replace_constants(diff, goldens.constants(n, preset))
+        diff = replace_constants(diff, constants)
     if diff.is_zero():
         return None
     if mode.endswith("exact"):
@@ -149,9 +151,11 @@ def _check_display(report: SuiteReport, name: str, e: goldens.GoldenEntry,
     the entry's mode, ``exact`` unless it names another."""
     with _guard(report, name):
         mode = e.data.get("mode", "exact")
+        constants = goldens.constants(e.n, preset) if mode.startswith("csubst") else None
         failures = []
         for order, diff in _differences(e, preset, sub).items():
-            why = "has no denominator" if diff is None else _cleared(diff, e.n, preset, mode)
+            why = ("has no denominator" if diff is None
+                   else _cleared(diff, e.n, preset, mode, constants))
             if why:
                 failures.append(f"order {order} {why}")
         notes = {"condition": "display vs derivation", "identity": "cleared display "
@@ -265,8 +269,9 @@ def suite_goldens() -> SuiteReport:
 def suite_weights() -> SuiteReport:
     report = SuiteReport("weights")
     for e in goldens.corpus().values():
-        bad = _first_inhomogeneous(e.expressions())
-        report.add(f"homogeneous:{e.id}", bad is None, (bad or "")[:48])
+        with _guard(report, f"homogeneous:{e.id}"):
+            bad = _first_inhomogeneous(e.expressions())
+            report.add(f"homogeneous:{e.id}", bad is None, (bad or "")[:48])
     for n in range(2, 7):
         raw = susy.pipeline(n, "raw")
         ok = all(

@@ -120,6 +120,36 @@ def test_charge_identity_needs_a_denominator_on_every_order(monkeypatch):
     assert failed == {"golden:2fP-final-minus": "order 0 has no denominator"}
 
 
+def test_weights_suite_fails_an_expression_that_does_not_parse(monkeypatch, capsys):
+    _patch_corpus(monkeypatch, {"2fc3p": lambda data: {"expression": "w1 +* w0"}})
+    assert main(["verify", "--suite", "weights"]) == 1
+    capsys.readouterr()
+    report = suites.suite_weights()
+    failed = {r.name: r.detail for r in report.results if not r.passed}
+    assert list(failed) == ["homogeneous:2fc3p"]
+    assert failed["homogeneous:2fc3p"].startswith("ParseError: ")
+
+
+def test_goldens_suite_builds_the_constants_once_per_golden(monkeypatch):
+    """A csubst golden clears every order against one C_k -> J_k map."""
+    builds, per_check = [], []
+    real_constants, real_check = goldens.constants, suites._check_display
+
+    def constants(n, preset="paper"):
+        builds.append((n, preset))
+        return real_constants(n, preset)
+
+    def check(report, name, e, preset, sub=None):
+        before = len(builds)
+        real_check(report, name, e, preset, sub)
+        per_check.append(len(builds) - before)
+
+    monkeypatch.setattr(goldens, "constants", constants)
+    monkeypatch.setattr(suites, "_check_display", check)
+    assert suites.suite_goldens().passed
+    assert max(per_check) == 1 and sum(per_check) >= 3
+
+
 def test_integrals_suite_detects_scale_drift(monkeypatch):
     _patch_corpus(monkeypatch, {"3fC1": lambda data: {"scale": "3"}})
     report = suites.suite_integrals()

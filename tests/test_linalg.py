@@ -2,14 +2,15 @@
 
 import heapq
 import random
+from array import array
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from nfoldsusy import DiffPoly, format_poly, ideal_membership, linalg, pipeline
 from nfoldsusy.diffring import Family, Generator
-from nfoldsusy.linalg import _eliminate, _scale_to_int, nullspace, solve
+from nfoldsusy.linalg import _eliminate, _scale_to_int, factor, nullspace, solve
 
 
 def _oracle_scale_to_int(row):
@@ -175,33 +176,111 @@ def _q(row):
     "rows, rhs, ncols, pruned",
     [
         # a chain of singletons, listed backwards so that each one appears
-        # only after the column before it is dropped
-        (
-            [{2: 1, 3: 1}, {1: 1, 2: 3}, {0: 1, 1: 2}, {0: 4}],
-            [5, 0, 0, 0],
-            4,
-            [{3: 1, 4: 5}],
-        ),
-        # the cascade ends in a row whose one entry is the rhs: infeasible
-        ([{0: 2}, {0: 1}], [3, 0], 1, [{1: 3}]),
-        # an explicit zero does not count as an entry
-        ([{0: 1, 1: 1}, {0: 0, 1: 2}], [4, 0], 2, [{0: 1, 2: 4}]),
+        # only after the column before it is dropped; the rhs entry of the
+        # last one does not stop it, and x_3 is forced to 5
+        ([{2: 1, 3: 1}, {1: 1, 2: 3}, {0: 1, 1: 2}, {0: 4}], [5, 0, 0, 0], 4, []),
+        # the cascade empties a row whose rhs entry is left nonzero: infeasible
+        ([{0: 2}, {0: 1}], [3, 0], 1, []),
+        # an explicit zero does not count as an entry, and a row of them is
+        # emptied at once; rows of two entries stay
+        ([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 0, 1: 0}], [4, 8, 0], 2,
+         [{0: 1, 1: 1}, {0: 2, 1: 2}]),
         # everything prunes away
         ([{0: 1, 1: 1}, {1: 3}, {}], [0, 0, 0], 2, []),
+        # a forced value moves into the rhs of the rows left over, which
+        # lose that column
+        ([{0: 2}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 2}], [4, 5, 3], 3,
+         [{1: 1, 2: 1}, {1: 1, 2: 2}]),
+        # a row pruning empties, whose rhs entry the forced value clears ...
+        ([{0: 1}, {0: 3}, {1: 1, 2: 1}, {1: 2, 2: 2}], [2, 6, 1, 2], 3,
+         [{1: 1, 2: 1}, {1: 2, 2: 2}]),
+        # ... or does not: infeasible
+        ([{0: 1}, {0: 3}, {1: 1, 2: 1}, {1: 2, 2: 2}], [2, 7, 1, 2], 3,
+         [{1: 1, 2: 1}, {1: 2, 2: 2}]),
     ],
 )
 def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, pruned):
+    """Pruning looks at A alone; the rows that reach elimination have lost
+    the pruned columns, and the answer is the oracle's on [A | b]."""
     rows = [_q(r) for r in rows]
     rhs = [Fraction(b) for b in rhs]
     seen = []
 
-    def spy(aug):
-        seen.append(aug)
-        return _eliminate(aug)
+    def spy(rows, log=None):
+        rows = list(rows)
+        seen.append([dict(r) for r in rows])
+        return _eliminate(rows, log)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     assert solve(rows, rhs, ncols) == _oracle_solve(rows, rhs, ncols)
     assert seen == [[_q(r) for r in pruned]]
+
+
+def _kinds(f):
+    """The rows a factor pruned as singletons, and those pruning emptied."""
+    return set(f._forced[::2]), set(f._emptied)
+
+
+def _integral(rows):
+    """The rows times the lcm of all their denominators, as ints."""
+    scale = lcm(*(v.denominator for r in rows for v in r.values()))
+    return [{c: int(v * scale) for c, v in r.items()} for r in rows]
+
+
+@pytest.mark.parametrize("ints", [False, True], ids=["fractions", "ints"])
+@pytest.mark.parametrize("seed", range(5))
+def test_one_factor_answers_many_right_hand_sides(seed, ints):
+    """Each factor takes right-hand sides of every kind, dense and sparse,
+    and each answer equals the oracle's on the unpruned [A | b].  A system
+    of ints, like a membership system, is factored into machine arrays."""
+    rng = random.Random(3000 + seed)
+    seen = dict.fromkeys(("feasible", "infeasible", "singleton", "emptied"), 0)
+    for _ in range(60):
+        rows, ncols = _random_system(rng)
+        for i in rng.sample(range(len(rows)), min(len(rows), 2)):
+            rows[i] = {rng.randrange(ncols): Fraction(rng.randint(1, 5))}  # singletons
+        if ints:
+            rows = _integral(rows)
+        f = factor(rows, ncols)
+        if ints:
+            assert type(f._ops) is array and type(f._vals) is array
+        singletons, emptied = _kinds(f)
+        for _ in range(8):
+            rhs = _random_rhs(rng, rows, ncols)
+            kind = rng.choice(("singleton", "emptied", "as is"))
+            targets = sorted(singletons if kind == "singleton" else emptied)
+            if kind != "as is" and targets:
+                rhs[rng.choice(targets)] += Fraction(rng.randint(1, 3))
+                seen[kind] += 1
+            want = _oracle_solve(rows, rhs, ncols)
+            seen["infeasible" if want is None else "feasible"] += 1
+            got = f.solve(rhs)
+            assert got == want
+            assert got is None or all(type(x) is Fraction for x in got)
+            assert f.solve({i: b for i, b in enumerate(rhs) if b}) == want
+    assert min(seen.values()) > 30, seen
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # an entry of A that pruning moves is 2**31
+        [{0: 2**31, 1: 1}, {0: 1, 1: 3, 2: 1}, {0: 5}, {1: 2, 2: 2}],
+        # the entries fit, but eliminating the second row outgrows them
+        [{0: 2**20 + 1, 1: 3}, {0: 3, 1: 2**20 + 7}, {0: 1, 1: 1}],
+    ],
+)
+def test_a_factor_outgrowing_machine_integers_is_redone_in_lists(rows):
+    f = factor(rows, 3)
+    assert type(f._ops) is list and type(f._vals) is list
+    rng = random.Random(5)
+    answers = set()
+    for _ in range(20):
+        rhs = _random_rhs(rng, rows, 3)
+        want = _oracle_solve(rows, rhs, 3)
+        answers.add(want is None)
+        assert f.solve(rhs) == want
+    assert answers == {True, False}
 
 
 def test_solve_rejects_a_rhs_of_another_length():
@@ -239,29 +318,58 @@ def test_sixfold_probe_certificate_is_pinned():
     ]
 
 
+class _Seen:
+    """What one membership decision hands the linear algebra: the system
+    memo's entry, the rows ``factor`` gets (copied) with ncols, the rhs
+    ``solve`` gets, and the rows that reach elimination."""
+
+    def __init__(self):
+        self.systems, self.factored, self.rhs, self.eliminated = [], [], [], []
+
+
+def _decide_cold(monkeypatch, target, cs):
+    from nfoldsusy import reduction
+
+    seen = _Seen()
+    real_system = reduction._membership_system
+
+    def system_spy(*args):
+        seen.systems.append(real_system(*args))
+        return seen.systems[-1]
+
+    def factor_spy(rows, ncols):
+        seen.factored.append(([dict(r) for r in rows], ncols))
+        return factor(rows, ncols)
+
+    def solve_spy(rows, rhs, ncols):
+        seen.rhs.append(dict(rhs))
+        return solve(rows, rhs, ncols)
+
+    def eliminate_spy(rows, log=None):
+        rows = list(rows)
+        seen.eliminated.append([dict(r) for r in rows])
+        return _eliminate(rows, log)
+
+    monkeypatch.setattr(reduction, "_membership_system", system_spy)
+    monkeypatch.setattr(reduction, "factor", factor_spy)
+    monkeypatch.setattr(reduction, "solve", solve_spy)
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
+    real_system.cache_clear()
+    return ideal_membership(target, cs), seen
+
+
 def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     """Digests recorded before the ring kept its monomials pre-keyed.  The
     certificate depends only on the column order (the pivot columns are
     the greedy lowest ones), so the matrix digest is what pins the row
-    order, that is, the graded monomial sort."""
+    order, that is, the graded monomial sort.  The digest is of the
+    system as one (rows, rhs, ncols) over Q; ``factor`` now gets each
+    block scaled to integers and ``solve`` the rhs as {row: entry}, so the
+    test divides the scales back out and spreads the rhs."""
     import hashlib
     import json
 
-    from nfoldsusy import reduction
-
-    seen = []
-
-    def spy(rows, rhs, ncols):
-        seen.append(repr(([sorted(r.items()) for r in rows], rhs, ncols)))
-        return solve(rows, rhs, ncols)
-
-    monkeypatch.setattr(reduction, "solve", spy)
-    n = 7
-    cs = pipeline(n, "eliminated", "paper")
-    w0 = DiffPoly.generator(n, Generator(Family.W, 0, 0))
-    top = DiffPoly.generator(n, Generator(Family.W, n - 1, 0))
-    target = (cs.condition(0).derive(2) + cs.condition(n - 2) * w0) * top**2
-    dec = ideal_membership(target, cs)
+    dec, seen = _decide_cold(monkeypatch, *_probe(7))
     assert dec is not None
     assert [(key, format_poly(p)) for key, p in dec.multipliers] == [
         ((0, 2), "w6^2"),
@@ -271,29 +379,24 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     assert hashlib.sha256(cert.encode()).hexdigest() == (
         "21712b1fe9160414a3a608e7e3f0df74b0c1fa1e34b3d1a7696bab9d9720bce6"
     )
-    assert len(seen) == 1
-    assert hashlib.sha256(seen[0].encode()).hexdigest() == (
+    [system], [(rows, ncols)], [rhs] = seen.systems, seen.factored, seen.rhs
+    col_scale = [s for s, shifts in zip(system.scales, system.shifts) for _ in shifts]
+    rows = [{c: Fraction(v, col_scale[c]) for c, v in r.items()} for r in rows]
+    dense = [rhs.get(i, Fraction(0)) for i in range(len(rows))]
+    matrix = repr(([sorted(r.items()) for r in rows], dense, ncols))
+    assert hashlib.sha256(matrix.encode()).hexdigest() == (
         "427654cb0a07f99a39bbf4022454a6eef51f688f44d0c7e1d1c7ddb8edbf226e"
     )
 
 
 def test_sevenfold_probe_is_pruned_before_elimination(monkeypatch):
-    """The singleton rows and the columns they force to zero are gone from
-    the system that reaches elimination; nonzeros count rhs entries."""
-    seen = []
-
-    def spy(rows):
-        seen.append((sum(1 for r in rows if r), sum(len(r) for r in rows)))
-        return _eliminate(rows)
-
-    monkeypatch.setattr(linalg, "_eliminate", spy)
-    n = 7
-    cs = pipeline(n, "eliminated", "paper")
-    w0 = DiffPoly.generator(n, Generator(Family.W, 0, 0))
-    top = DiffPoly.generator(n, Generator(Family.W, n - 1, 0))
-    target = (cs.condition(0).derive(2) + cs.condition(n - 2) * w0) * top**2
-    assert ideal_membership(target, cs) is not None
-    assert seen == [(1741, 18504)]
+    """The singleton rows, the columns they force and the rows that lose
+    every entry are gone from the system that reaches elimination."""
+    dec, seen = _decide_cold(monkeypatch, *_probe(7))
+    assert dec is not None
+    [(rows, _)], [after] = seen.factored, seen.eliminated
+    assert (len(rows), sum(map(len, rows))) == (2312, 27086)
+    assert (sum(1 for r in after if r), sum(map(len, after))) == (1709, 17930)
 
 
 # -- row-at-a-time elimination against the all-rows heap reference -------------
@@ -391,29 +494,15 @@ def _probe(n):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_probe_echelons_equal_the_heap_reference(monkeypatch, n):
-    """On the system ``solve`` is handed, unpruned, and on the one that
-    reaches elimination after pruning."""
-    from nfoldsusy import reduction
-
-    systems, pruned = [], []
-
-    def solve_spy(rows, rhs, ncols):
-        systems.append((rows, rhs, ncols))
-        return solve(rows, rhs, ncols)
-
-    def eliminate_spy(rows):
-        pruned.append([dict(r) for r in rows])
-        return _eliminate(rows)
-
-    monkeypatch.setattr(reduction, "solve", solve_spy)
-    monkeypatch.setattr(linalg, "_eliminate", eliminate_spy)
-    assert ideal_membership(*_probe(n)) is not None
-    [(rows, rhs, ncols)], [after] = systems, pruned
-    aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
-    for system in (aug, after):
-        echelon = _eliminate(system)
-        assert echelon == _heap_eliminate(system)
-        assert all(col != ncols for col, _ in echelon)
+    """On the system ``factor`` is handed, unpruned, and on the one that
+    reaches elimination after pruning, whose echelon the factor keeps."""
+    dec, seen = _decide_cold(monkeypatch, *_probe(n))
+    assert dec is not None
+    [(rows, _)], [after] = seen.factored, seen.eliminated
+    for system in (rows, after):
+        assert _eliminate(system) == _heap_eliminate(system)
+    kept = seen.systems[0].factor
+    assert list(kept) == [row for _, row in _heap_eliminate(after)]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -21,7 +21,7 @@ from nfoldsusy import (
 )
 from nfoldsusy.diffring import monomial_sort_key, u, w
 from nfoldsusy.goldens import search_relations
-from nfoldsusy.linalg import solve
+from nfoldsusy.linalg import factor
 from nfoldsusy.reduction import reduce_by_relations
 from nfoldsusy.suites import run_search
 
@@ -274,31 +274,59 @@ def _assert_same_system(got, want):
 def checked_builder(monkeypatch):
     """Check every system the reduction layer builds against the reference:
     the column keys, the columns, the rows with the column order inside
-    each, and the right-hand side.  Returns, per system built, the set of
-    generator families it holds."""
-    real_columns, real_rows = reduction._multiplier_columns, reduction._rows
-    seen = []
+    each, and the right-hand side: dense from ``_rows``, and for a
+    membership decision the target as {row: entry} against the memoized
+    rows.  Returns, per system built,
+    the set of generator families it holds."""
+    real_columns, real_keyed, real_rows, real_rhs = (
+        reduction._multiplier_columns, reduction._keyed_rows, reduction._rows,
+        reduction._System.rhs,
+    )
+    seen, monomials = [], {}
 
     def columns(n, conditions, weight, top, pool, max_deriv):
         conditions = list(conditions)
-        keys, blocks = real_columns(n, conditions, weight, top, pool, max_deriv)
+        labels, blocks = real_columns(n, conditions, weight, top, pool, max_deriv)
         ref_keys, ref_columns = _reference_multiplier_columns(
             n, conditions, weight, top, pool, max_deriv
         )
+        keys = [(j, m, b) for (j, m), (_, basis) in zip(labels, blocks) for b in basis]
         assert keys == ref_keys
         assert _expand(n, blocks) == ref_columns
-        return keys, blocks
+        return labels, blocks
 
-    def rows(n, blocks, target=None):
-        got = real_rows(n, blocks, target)
-        expanded = _expand(n, blocks)
-        _assert_same_system(got, _reference_rows(n, expanded, target))
+    def keyed_rows(n, blocks, target=None):
+        rows, keys, packing = real_keyed(n, blocks, target)
+        expanded = _expand(n, [(DiffPoly(n, terms), s) for terms, s in blocks])
+        want, _ = _reference_rows(n, expanded, target)
+        _assert_same_system((rows, None), (want, None))
+        order = sorted({m for p in expanded + ([target] if target else []) for m in p.terms},
+                       key=monomial_sort_key(n), reverse=True)
+        assert keys == [packing.key(m) for m in order]
+        monomials[id(keys)] = order
         polys = expanded + ([target] if target is not None else [])
         seen.append({g.family for p in polys for m in p.terms for g in m.generators()})
+        return rows, keys, packing
+
+    def rows(n, blocks, target=None):
+        got = real_rows(n, blocks, target)  # counted by keyed_rows
+        assert got[1] == _reference_rows(n, _expand(n, blocks), target)[1]
+        return got
+
+    def rhs(system, target):
+        got = real_rhs(system, target)
+        row_of = {m: i for i, m in enumerate(monomials[id(system.keys)])}
+        want = None
+        if all(m in row_of for m in target.terms):
+            want = {row_of[m]: q for m, q in target.terms.items()}
+        assert got == want
         return got
 
     monkeypatch.setattr(reduction, "_multiplier_columns", columns)
+    monkeypatch.setattr(reduction, "_keyed_rows", keyed_rows)
     monkeypatch.setattr(reduction, "_rows", rows)
+    monkeypatch.setattr(reduction._System, "rhs", rhs)
+    reduction._membership_system.cache_clear()
     return seen
 
 
@@ -335,7 +363,7 @@ def test_packed_probe_systems_match_the_reference(checked_builder, n):
     assert ideal_membership(probe, cs) is not None
     assert ideal_membership(member, cs) is not None
     assert ideal_membership(non_member, cs) is None
-    assert len(checked_builder) == 3
+    assert len(checked_builder) == 1  # one system, memoized, for the three targets
 
 
 def test_packed_transformed_systems_match_the_reference(checked_builder):
@@ -366,7 +394,8 @@ def test_packed_search_and_antiderivative_systems_match_the_reference(checked_bu
         p = parse(text, n)
         assert antiderivative(p.derive()).antiderivative == p
     assert antiderivative(parse("w1", 2)) is None
-    assert len(checked_builder) == 7
+    # the twofold search tests two candidates against one memoized system
+    assert len(checked_builder) == 6
 
 
 def _ordering_pool(n):
@@ -421,11 +450,12 @@ def test_packed_key_order_is_the_graded_order(n):
 def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
     sizes = []
 
-    def spy(rows, rhs, ncols):
+    def spy(rows, ncols):
         sizes.append((len(rows), ncols))
-        return solve(rows, rhs, ncols)
+        return factor(rows, ncols)
 
-    monkeypatch.setattr(reduction, "solve", spy)
+    monkeypatch.setattr(reduction, "factor", spy)
+    reduction._membership_system.cache_clear()
     n = 8
     cs = pipeline(n, "eliminated")
     assert ideal_membership(_probe(n, cs), cs) is not None
@@ -438,6 +468,7 @@ def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
 def _clear_memos():
     reduction._derived.cache_clear()
     reduction._basis.cache_clear()
+    reduction._membership_system.cache_clear()
 
 
 def _as_dict(dec):
@@ -569,6 +600,7 @@ def test_re_expansion_does_not_read_the_memo(monkeypatch):
         return wrong if (cond, m) == (cs.condition(0), 2) else real(cond, m, cap)
 
     monkeypatch.setattr(reduction, "_derived", corrupted)
+    reduction._membership_system.cache_clear()  # so that the system is built anew
     with pytest.raises(reduction.ReductionError, match="does not re-expand"):
         ideal_membership(target, cs)
 
@@ -597,3 +629,172 @@ def test_search_refuses_mixed_ambients_before_building(monkeypatch, cs_n, rel_n)
     with pytest.raises(AmbientMismatchError, match=f"{cs_n} vs {rel_n}"):
         search_integral(cs, 1, relations=[parse("u0 - 2*C1", rel_n)])
     assert calls == []
+
+
+# -- memoized factors -----------------------------------------------------------
+
+
+def _system_of(target, cs):
+    """The memo entry a decision on (target, cs) reads, under the current
+    caps."""
+    from nfoldsusy.config import max_deriv_order, search_deriv_bound
+
+    conditions = tuple(cs.items())
+    pool = reduction._default_gens([target] + [p for _, p in conditions])
+    weight = target.weight()
+    return reduction._membership_system(
+        target.n, conditions, weight, weight, tuple(pool), max_deriv_order(), search_deriv_bound()
+    )
+
+
+def test_one_factor_serves_member_and_non_member_targets(monkeypatch):
+    n = 6
+    cs = pipeline(n, "eliminated")
+    probe = _probe(n, cs)
+    targets = [probe, _random_member(n, cs, random.Random(n)),
+               probe + DiffPoly.generator(n, w(n - 1)) ** (n + 6)]
+    cold = []
+    for target in targets:
+        _clear_memos()
+        cold.append(_as_dict(ideal_membership(target, cs)))
+    factored = []
+    monkeypatch.setattr(reduction, "factor", lambda rows, ncols: factored.append(ncols)
+                        or factor(rows, ncols))
+    _clear_memos()
+    warm = [_as_dict(ideal_membership(target, cs)) for target in targets]
+    assert len(factored) == 1
+    assert warm == cold
+    assert [c is None for c in cold] == [False, False, True]
+
+
+def test_a_target_monomial_outside_the_rows_is_refused_without_a_replay(monkeypatch):
+    """The probe plus one monomial that no column holds: an exponent above
+    every row's, a generator no row holds, or a monomial that packs but is
+    no row."""
+    from nfoldsusy import linalg
+    from nfoldsusy.diffring import c
+
+    n = 6
+    cs = pipeline(n, "eliminated")
+    probe = _probe(n, cs)
+    system = _system_of(probe, cs)
+    assert system.rhs(probe) is not None
+    packs = next(
+        m for m in monomial_basis(n, probe.weight(), _default_pool(probe, cs))
+        if system.packing.fits(m) and system.rhs(DiffPoly.monomial(n, m)) is None
+    )
+    outside = [DiffPoly.generator(n, w(n - 1)) ** (system.packing.base + 1),
+               DiffPoly.generator(n, c(5)), DiffPoly.monomial(n, packs)]
+    replays = []
+    real_solve = linalg.Factor.solve
+    monkeypatch.setattr(linalg.Factor, "solve",
+                        lambda self, rhs: replays.append(rhs) or real_solve(self, rhs))
+    for extra in outside:
+        assert extra.weight() == probe.weight()
+        assert ideal_membership(probe + extra, cs) is None
+    assert replays == []
+    assert ideal_membership(probe, cs) is not None and len(replays) == 1
+
+
+def test_packing_refuses_an_exponent_that_would_carry():
+    """With base 2, w5^2 and w4 get one key; the exponent guard keeps the
+    first from reading as a row of the second, and a generator that is
+    not packed does not fit either."""
+    n = 6
+    packing = reduction._Packing(n, 2, [w(5), w(4)])
+    square, single = Monomial.of(w(5), 2), Monomial.of(w(4), 1)
+    assert square.weight(n) == single.weight(n)
+    assert packing.key(square) == packing.key(single)
+    assert packing.fits(single) and not packing.fits(square)
+    assert not packing.fits(Monomial.of(w(3), 1))
+
+
+def _default_pool(target, cs):
+    return reduction._default_gens([target] + [p for _, p in cs.items()])
+
+
+@pytest.mark.parametrize("var", ["NFOLDSUSY_MAX_DERIV", "NFOLDSUSY_DERIV_BOUND"])
+def test_systems_memoized_under_a_raised_cap_stay_apart(monkeypatch, var):
+    """A target that only a raised cap admits: derived past the default
+    derivative cap, or needing a multiplier past the default basis bound.
+    Its system under the raised cap is not the one the default reads."""
+    n = 2
+    cs = pipeline(n, "eliminated")
+    cond = cs.condition(0)
+    monkeypatch.setenv(var, "20")
+    if var == "NFOLDSUSY_MAX_DERIV":
+        target, shift = cond.derive(13 - cond.max_deriv()), None
+    else:
+        target, shift = DiffPoly.generator(n, w(1, 13)) * cond, 0
+    monkeypatch.delenv(var)
+    _clear_memos()
+    assert ideal_membership(target, cs, shift) is None
+    monkeypatch.setenv(var, "20")
+    assert ideal_membership(target, cs, shift) is not None
+    monkeypatch.delenv(var)
+    assert ideal_membership(target, cs, shift) is None
+    assert reduction._membership_system.cache_info().currsize == 2
+
+
+def test_a_corrupted_factor_fails_the_re_expansion():
+    """A factor with one column of the solution scaled by 2 everywhere it
+    keeps that column stays consistent and halves that entry of the
+    solution; the certificate's re-expansion refuses it instead of
+    returning it."""
+    n = 6
+    cs = pipeline(n, "eliminated")
+    target = _probe(n, cs)
+    _clear_memos()
+    honest = ideal_membership(target, cs)
+    system = _system_of(target, cs)
+    f = system.factor
+    x = f.solve(system.rhs(target))
+    col = next(c for c, v in enumerate(x) if v)
+    # the probe's solution columns are pruned ones: each is one entry of
+    # ``_forced_at`` and the entries it took from other rows
+    step = list(f._forced[1::2]).index(col)
+    lo, hi = ([0] + list(f._taken_ends))[step:step + 2]
+    try:
+        f._forced_at[step] *= 2
+        for u in range(lo + 1, hi, 2):
+            f._taken[u] *= 2
+        assert f.solve(system.rhs(target))[col] == x[col] / 2
+        with pytest.raises(reduction.ReductionError, match="does not re-expand"):
+            ideal_membership(target, cs)
+    finally:
+        _clear_memos()
+    assert _as_dict(ideal_membership(target, cs)) == _as_dict(honest)
+
+
+def test_each_decision_makes_one_solve_call_the_benchmark_can_trace(monkeypatch):
+    """The benchmark's tracer wraps ``linalg.solve`` under every name the
+    package holds it by, and reads ``len(args[0])``, ``len(row)`` for each
+    item of ``args[0]`` and ``args[2]`` as the column count."""
+    import sys
+
+    from nfoldsusy import linalg
+
+    real, calls = linalg.solve, []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "nfoldsusy" or name.startswith("nfoldsusy."):
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, spy)
+    n = 6
+    cs = pipeline(n, "eliminated")
+    for target in (_probe(n, cs), _random_member(n, cs, random.Random(n))):
+        for clear in (True, False):
+            if clear:
+                _clear_memos()
+            calls.clear()
+            assert ideal_membership(target, cs) is not None
+            [(args, kwargs)] = calls
+            assert kwargs == {} and len(args) == 3
+            rows, _, ncols = args
+            assert len(rows) > 0 and sum(map(len, rows)) > 0
+            assert ncols == sum(map(len, _system_of(target, cs).shifts))
