@@ -190,8 +190,33 @@ def operator_to_json(op) -> str:
 
 
 def operator_from_dict(data: dict):
+    """Inverse of ``operator_to_dict``; malformed input raises ``ParseError``
+    at position 0, or as ``poly_from_dict`` does inside a coefficient.  The
+    shape is the one ``operator_to_dict`` writes: an object with an int
+    ``ambientN`` and an object ``coeffs`` whose keys are orders written as
+    ASCII decimals without sign, space or leading zero, of at most
+    ``MAX_DIGITS`` digits, and whose values are polynomials of that
+    ambient N."""
     from .diffop import DiffOperator
+    from .parsing import MAX_DIGITS, ParseError
 
-    n = data["ambientN"]
-    coeffs = {int(i): poly_from_dict(d) for i, d in data["coeffs"].items()}
+    if not isinstance(data, dict):
+        raise ParseError("an operator is an object", 0)
+    try:
+        n, entries = data["ambientN"], data["coeffs"]
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
+    if type(n) is not int:
+        raise ParseError(f"ambientN {n!r} is not an int", 0)
+    if not isinstance(entries, dict):
+        raise ParseError("coeffs is not an object", 0)
+    coeffs = {}
+    for order, entry in entries.items():
+        if not (type(order) is str and order.isascii() and order.isdigit()
+                and len(order) <= MAX_DIGITS and str(int(order)) == order):
+            raise ParseError(f"order {order!r} is not a non-negative decimal int", 0)
+        poly = poly_from_dict(entry)
+        if poly.n != n:
+            raise ParseError(f"order {order} has ambientN {poly.n}, not {n}", 0)
+        coeffs[int(order)] = poly
     return DiffOperator(n, coeffs)

@@ -6,15 +6,15 @@ bases that the weight grading makes finite.  Certificates re-expand to
 their targets by construction; a negative verdict is always relative to
 the bounds used and the reports say so.
 
-Packed monomial keys.  ``_rows`` builds every system without multiplying
-polynomials or sorting ``Monomial`` objects.  Its columns come in blocks
-``(p, shifts)``, one column ``s * p`` per shift monomial ``s``: in a
-multiplier system ``p`` is a shifted condition D^m(I_j), derived once, and
-the shifts are the monomial basis of the complementary weight, built once
-per weight.  List the G generators the system holds in ascending order
-g_0 < ... < g_{G-1}, and let B exceed every exponent a row can hold (the
-largest shift exponent plus the largest exponent of a block polynomial,
-or a target exponent).  Then
+Packed monomial keys.  ``_Columns`` builds every system without
+multiplying polynomials or sorting ``Monomial`` objects.  Its columns come
+in blocks ``(p, shifts)``, one column ``s * p`` per shift monomial ``s``:
+in a multiplier system ``p`` is a shifted condition D^m(I_j), derived
+once, and the shifts are the monomial basis of the complementary weight,
+built once per weight.  List the G generators the system holds in
+ascending order g_0 < ... < g_{G-1}, and let B exceed every exponent a row
+can hold (the largest shift exponent plus the largest exponent of a block
+polynomial, or a target exponent).  Then
 
     key(m) = wt(m) * B^G + sum_i e_i(m) * B^(G-1-i)
 
@@ -24,8 +24,10 @@ descending ``monomial_sort_key`` order.  The lower digits sum to less than
 B^G, so keys compare by weight first, whatever its sign.  At equal weight
 they compare as exponent vectors, lexicographically from g_0 with the
 higher exponent winning, and that is how ``monomial_sort_key`` breaks ties
-(see the ``diffring`` module docstring).  So each row is one int key,
-filled in column order, and the rows are the keys sorted descending.
+(see the ``diffring`` module docstring).  So the rows are the keys sorted
+descending, and a column is its block's keys shifted by key(s) and looked
+up.  One pass collects the keys; every later pass over the system streams
+its columns into ``linalg.factor``, which keeps none of them.
 
 Memoized columns.  The columns b * D^m(I_j) of a multiplier system do not
 depend on its target, which enters only as the right-hand side, so they
@@ -45,13 +47,15 @@ the target either, so its elimination is done once too.
 pool, derivative cap and basis bound (an ``lru_cache`` of 32 systems),
 what every target of the system shares: per block its label (j, m), its
 shifts and the integer it was scaled by, the rows' packed keys and their
-packing, and the ``linalg.Factor`` of the matrix.  Each block is scaled to
-integers by the lcm of its denominators, which moves no pivot column, and
-the solution is scaled back.  A decision packs the target's monomials
-against the kept keys, and refuses at once a monomial with a generator no
-row holds, an exponent at or above the base (its key could carry into
-another's), or a key no row has: no combination of the columns reaches
-it.  Then it solves against the factor.
+packing, and the ``linalg.Factor`` of the matrix, eliminated by columns,
+so its pivot columns are the greedy ones and the solution the one with
+the free multipliers at zero.  Each block is scaled to integers by the
+lcm of its denominators, which moves no pivot column, and the solution is
+scaled back.  A decision packs the target's monomials against the kept
+keys, and refuses at once a monomial with a generator no row holds, an
+exponent at or above the base (its key could carry into another's), or a
+key no row has: no combination of the columns reaches it.  Then it solves
+against the factor.
 
 A certificate's re-expansion (``Decomposition.expansion``) derives the
 conditions itself, through ``apply_combo``, and never reads these memos,
@@ -81,7 +85,7 @@ from .diffring import (
     Scalar,
     monomial_sort_key,
 )
-from .linalg import Factor, factor, nullspace, solve
+from .linalg import factor, nullspace, solve
 from .susy import ConditionSet, _split_parameters, apply_combo
 
 
@@ -245,7 +249,8 @@ def antiderivative(p: DiffPoly) -> Decomposition | None:
         )
         if not basis:
             return None
-        sol = solve(*_rows(n, blocks, part), len(blocks))
+        columns = _Columns(n, [(q.terms, s) for q, s in blocks], part)
+        sol = solve(factor(columns, len(columns.keys)), columns.rhs(part), columns.ncols)
         if sol is None:
             return None
         total = total + DiffPoly.monomial(n, pi) * DiffPoly(n, dict(zip(basis, sol)))
@@ -307,51 +312,66 @@ class _Packing:
         return all(g in self.place and e < self.base for g, e in m.exps)
 
 
-def _keyed_rows(
-    n: int, blocks: Sequence[tuple[Mapping[Monomial, Scalar], Sequence[Monomial]]],
-    target: DiffPoly | None = None,
-) -> tuple[list[dict[int, Scalar]], list[int], _Packing]:
+class _Rows:
+    """The rows of a system, one per monomial: their packing and their
+    packed keys (module docstring) in descending graded order."""
+
+    __slots__ = ("packing", "keys")
+
+    def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:
+        """The target as {row index: coefficient}; None when one of its
+        monomials is no row, since no combination of the columns has it."""
+        packing, keys = self.packing, self.keys
+        out = {}
+        for m, q in target.terms.items():
+            if not packing.fits(m):
+                return None
+            k = packing.key(m)
+            i = bisect_left(keys, -k, key=neg)
+            if i == len(keys) or keys[i] != k:
+                return None
+            out[i] = q
+        return out
+
+
+class _Columns(_Rows):
     """The sparse system with one column ``s * p`` for each block
     ``(p, shifts)``, p given by its terms, and each ``s`` in ``shifts``, in
-    that order: one row per monomial of the columns and the target, each
-    row's entries in column order.  Returns the rows, their packed keys
-    (module docstring) in descending graded order, and the packing."""
-    gens: set[Generator] = set()
-    top = 0 if target is None else _span(target.terms, gens)
-    for terms, shifts in blocks:
-        top = max(top, _span(shifts, gens) + _span(terms, gens))
-    packing = _Packing(n, top + 1, sorted(gens, reverse=True))
-    key = packing.key
-    rowmap: dict[int, dict[int, Scalar]] = {}
-    ci = 0
-    for terms, shifts in blocks:
-        packed = [(key(m), q) for m, q in terms.items()]
-        for s in shifts:
-            ks = key(s)
-            for k, q in packed:
-                k += ks
-                row = rowmap.get(k)
-                if row is None:
-                    rowmap[k] = {ci: q}
-                else:
-                    row[ci] = q
-            ci += 1
-    if target is not None:
-        for m in target.terms:
-            rowmap.setdefault(key(m), {})
-    order = sorted(rowmap, reverse=True)
-    return [rowmap[k] for k in order], order, packing
+    that order, and one row per monomial of the columns and the target.
+    Iterating streams the columns, {row index: entry}, built anew on each
+    pass from the packed blocks: terms as (key, coefficient), and one list
+    of keys per list of shifts, which the blocks of one weight share."""
 
+    __slots__ = ("ncols", "_packed")
 
-def _rows(
-    n: int, blocks: Sequence[Block], target: DiffPoly | None = None
-) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
-    """``_keyed_rows`` of the polynomial blocks, with the target (zero if
-    None) as right-hand side."""
-    rows, order, packing = _keyed_rows(n, [(p.terms, s) for p, s in blocks], target)
-    rhs_at = {} if target is None else {packing.key(m): q for m, q in target.terms.items()}
-    zero = Fraction(0)
-    return rows, [rhs_at.get(k, zero) for k in order]
+    def __init__(
+        self, n: int, blocks: Sequence[tuple[Mapping[Monomial, Scalar], Sequence[Monomial]]],
+        target: DiffPoly | None = None,
+    ):
+        gens: set[Generator] = set()
+        top = 0 if target is None else _span(target.terms, gens)
+        for terms, shifts in blocks:
+            top = max(top, _span(shifts, gens) + _span(terms, gens))
+        self.packing = _Packing(n, top + 1, sorted(gens, reverse=True))
+        key = self.packing.key
+        keys = set() if target is None else {key(m) for m in target.terms}
+        shift_keys: dict[int, list[int]] = {}  # by id of the shifts list
+        self._packed = []
+        for terms, shifts in blocks:
+            if id(shifts) not in shift_keys:
+                shift_keys[id(shifts)] = [key(s) for s in shifts]
+            packed = [(key(m), q) for m, q in terms.items()]
+            self._packed.append((packed, shift_keys[id(shifts)]))
+            for ks in shift_keys[id(shifts)]:
+                keys.update([ks + k for k, _ in packed])
+        self.keys = sorted(keys, reverse=True)
+        self.ncols = sum(len(shifts) for _, shifts in blocks)
+
+    def __iter__(self):
+        row = {k: i for i, k in enumerate(self.keys)}
+        for packed, shift_keys in self._packed:
+            for ks in shift_keys:
+                yield {row[ks + k]: q for k, q in packed}
 
 
 @lru_cache(maxsize=256)
@@ -402,33 +422,18 @@ def _gather(
     return {j: {m: DiffPoly(n, t) for m, t in ms.items()} for j, ms in terms.items()}
 
 
-class _System:
+class _System(_Rows):
     """What every target of one multiplier system shares: per block its
-    label (j, m), its shifts and the integer it was scaled by, the packed
-    keys of the rows in descending order with their packing, and the
-    factored matrix."""
+    label (j, m), its shifts and the integer it was scaled by, the rows,
+    and the factored matrix."""
 
-    __slots__ = ("labels", "shifts", "scales", "keys", "packing", "factor")
+    __slots__ = ("labels", "shifts", "scales", "factor")
 
     def __init__(self, labels: list[tuple[int, int]], shifts: list[Sequence[Monomial]],
-                 scales: list[int], keys: list[int], packing: _Packing, factor: Factor):
+                 scales: list[int], columns: _Columns):
         self.labels, self.shifts, self.scales = labels, shifts, scales
-        self.keys, self.packing, self.factor = keys, packing, factor
-
-    def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:
-        """The target as {row index: coefficient}; None when one of its
-        monomials is no row, since no combination of the columns has it."""
-        packing, keys = self.packing, self.keys
-        out = {}
-        for m, q in target.terms.items():
-            if not packing.fits(m):
-                return None
-            k = packing.key(m)
-            i = bisect_left(keys, -k, key=neg)
-            if i == len(keys) or keys[i] != k:
-                return None
-            out[i] = q
-        return out
+        self.packing, self.keys = columns.packing, columns.keys
+        self.factor = factor(columns, len(columns.keys))
 
 
 @lru_cache(maxsize=32)
@@ -451,10 +456,7 @@ def _membership_system(
         ({m: q.numerator * (s // q.denominator) for m, q in p.terms.items()}, shifts)
         for (p, shifts), s in zip(blocks, scales)
     ]
-    rows, keys, packing = _keyed_rows(n, int_blocks)
-    ncols = sum(len(shifts) for _, shifts in blocks)
-    return _System(labels, [shifts for _, shifts in blocks], scales, keys, packing,
-                   factor(rows, ncols))
+    return _System(labels, [shifts for _, shifts in blocks], scales, _Columns(n, int_blocks))
 
 
 def ideal_membership(
@@ -643,7 +645,8 @@ def search_integral(
 
     # Homogeneous system: candidate combination minus total derivative = 0.
     all_blocks = blocks + [(-dq, shifts) for dq, shifts in q_blocks]
-    rays = nullspace(_rows(n, all_blocks)[0], nmult + len(q_blocks))
+    columns = _Columns(n, [(p.terms, s) for p, s in all_blocks])
+    rays = nullspace(factor(columns, len(columns.keys)), columns.ncols)
 
     candidates = []
     for ray in rays:

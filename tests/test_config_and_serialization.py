@@ -27,6 +27,34 @@ def test_operator_json_round_trip():
     assert operator_from_dict(json.loads(operator_to_json(op))) == op
 
 
+def _w1(n):
+    return {"ambientN": n, "terms": [{"monomial": [["w1", 1]], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        None,
+        {"ambientN": 2, "coeffs": {"x": _w1(2)}},
+        {"ambientN": 2, "coeffs": []},
+        {"ambientN": "a", "coeffs": {}},
+        {"ambientN": 2, "coeffs": {"\u0663": _w1(2)}},
+        {"ambientN": 2, "coeffs": {"1": _w1(2), " 1": _w1(2)}},
+        {"ambientN": 2, "coeffs": {"-1": _w1(2)}},
+        {"ambientN": 3, "coeffs": {"1": _w1(2)}},
+        {"ambientN": 2, "coeffs": {"9" * 5000: _w1(2)}},
+    ],
+    ids=["empty", "null", "order-x", "coeffs-list", "ambient-string", "arabic-digit",
+         "spaced-order", "negative-order", "coefficient-ambient", "long-order"],
+)
+def test_malformed_operator_json_raises_parse_error(data):
+    from nfoldsusy import ParseError
+
+    with pytest.raises(ParseError):
+        operator_from_dict(data)
+
+
 def test_decomposition_serializes():
     cs = transformed_conditions(2, "paper")
     target = parse("w1", 2) * cs.condition(0)

@@ -172,53 +172,70 @@ def _q(row):
     return {c: Fraction(v) for c, v in row.items()}
 
 
+_HAND_MADE = [
+    # a chain: each row shares one column with the next; x_3 is 5
+    ([{2: 1, 3: 1}, {1: 1, 2: 3}, {0: 1, 1: 2}, {0: 4}], [5, 0, 0, 0], 4,
+     [{2: 1, 3: 4}, {1: 1, 2: 2}, {0: 1, 1: 3}, {0: 1}]),
+    # one column over two rows, and a rhs off it: infeasible
+    ([{0: 2}, {0: 1}], [3, 0], 1, [{0: 2, 1: 1}]),
+    # explicit zeros are dropped, and a row of them reaches no column; the
+    # second column depends on the first
+    ([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 0, 1: 0}], [4, 8, 0], 2,
+     [{0: 1, 1: 2}, {0: 1, 1: 2}]),
+    # an empty row, and the zero rhs
+    ([{0: 1, 1: 1}, {1: 3}, {}], [0, 0, 0], 2, [{0: 1}, {0: 1, 1: 3}]),
+    # full rank, with a row of three entries
+    ([{0: 2}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 2}], [4, 5, 3], 3,
+     [{0: 2, 1: 1}, {1: 1, 2: 1}, {1: 1, 2: 2}]),
+    # two rows no pivot leads, whose rhs entries the pivots clear ...
+    ([{0: 1}, {0: 3}, {1: 1, 2: 1}, {1: 2, 2: 2}], [2, 6, 1, 2], 3,
+     [{0: 1, 1: 3}, {2: 1, 3: 2}, {2: 1, 3: 2}]),
+    # ... or do not: infeasible
+    ([{0: 1}, {0: 3}, {1: 1, 2: 1}, {1: 2, 2: 2}], [2, 7, 1, 2], 3,
+     [{0: 1, 1: 3}, {2: 1, 3: 2}, {2: 1, 3: 2}]),
+]
+
+
 @pytest.mark.parametrize(
-    "rows, rhs, ncols, pruned",
-    [
-        # a chain of singletons, listed backwards so that each one appears
-        # only after the column before it is dropped; the rhs entry of the
-        # last one does not stop it, and x_3 is forced to 5
-        ([{2: 1, 3: 1}, {1: 1, 2: 3}, {0: 1, 1: 2}, {0: 4}], [5, 0, 0, 0], 4, []),
-        # the cascade empties a row whose rhs entry is left nonzero: infeasible
-        ([{0: 2}, {0: 1}], [3, 0], 1, []),
-        # an explicit zero does not count as an entry, and a row of them is
-        # emptied at once; rows of two entries stay
-        ([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 0, 1: 0}], [4, 8, 0], 2,
-         [{0: 1, 1: 1}, {0: 2, 1: 2}]),
-        # everything prunes away
-        ([{0: 1, 1: 1}, {1: 3}, {}], [0, 0, 0], 2, []),
-        # a forced value moves into the rhs of the rows left over, which
-        # lose that column
-        ([{0: 2}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 2}], [4, 5, 3], 3,
-         [{1: 1, 2: 1}, {1: 1, 2: 2}]),
-        # a row pruning empties, whose rhs entry the forced value clears ...
-        ([{0: 1}, {0: 3}, {1: 1, 2: 1}, {1: 2, 2: 2}], [2, 6, 1, 2], 3,
-         [{1: 1, 2: 1}, {1: 2, 2: 2}]),
-        # ... or does not: infeasible
-        ([{0: 1}, {0: 3}, {1: 1, 2: 1}, {1: 2, 2: 2}], [2, 7, 1, 2], 3,
-         [{1: 1, 2: 1}, {1: 2, 2: 2}]),
-    ],
+    "rows, rhs, ncols, columns",
+    _HAND_MADE,
+    # the ids these systems have had since they were built for singleton pruning
+    ids=[f"rows{i}-rhs{i}-{case[2]}-pruned{i}" for i, case in enumerate(_HAND_MADE)],
 )
-def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, pruned):
-    """Pruning looks at A alone; the rows that reach elimination have lost
-    the pruned columns, and the answer is the oracle's on [A | b]."""
+def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, columns):
+    """The vectors that reach elimination are A's columns, in column order,
+    with explicit zeros dropped, and the answer is the oracle's on [A | b]."""
     rows = [_q(r) for r in rows]
     rhs = [Fraction(b) for b in rhs]
     seen = []
 
-    def spy(rows, log=None):
-        rows = list(rows)
-        seen.append([dict(r) for r in rows])
-        return _eliminate(rows, log)
+    def spy(vectors, log=None):
+        vectors = list(vectors)
+        seen.append([dict(v) for v in vectors])
+        return _eliminate(vectors, log)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     assert solve(rows, rhs, ncols) == _oracle_solve(rows, rhs, ncols)
-    assert seen == [[_q(r) for r in pruned]]
+    assert seen == [[_q(c) for c in columns]]
 
 
 def _kinds(f):
-    """The rows a factor pruned as singletons, and those pruning emptied."""
-    return set(f._forced[::2]), set(f._emptied)
+    """The rows that lead a pivot of a factor, and those no pivot leads."""
+    led = {i for i, t in enumerate(f._pivot) if t >= 0}
+    return led, set(range(f.nrows)) - led
+
+
+def _columns(rows, ncols):
+    """The columns of A = rows, as {row index: entry}."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            columns[c][i] = v
+    return columns
+
+
+def _factor(rows, ncols):
+    return factor(_columns(rows, ncols), len(rows))
 
 
 def _integral(rows):
@@ -231,24 +248,25 @@ def _integral(rows):
 @pytest.mark.parametrize("seed", range(5))
 def test_one_factor_answers_many_right_hand_sides(seed, ints):
     """Each factor takes right-hand sides of every kind, dense and sparse,
-    and each answer equals the oracle's on the unpruned [A | b].  A system
-    of ints, like a membership system, is factored into machine arrays."""
+    and each answer equals the oracle's on [A | b].  A right-hand side is
+    perturbed on a row that leads a pivot or on one that no pivot leads.
+    A system of Fractions, like one of ints, is factored into machine
+    arrays."""
     rng = random.Random(3000 + seed)
-    seen = dict.fromkeys(("feasible", "infeasible", "singleton", "emptied"), 0)
+    seen = dict.fromkeys(("feasible", "infeasible", "leading", "unled"), 0)
     for _ in range(60):
         rows, ncols = _random_system(rng)
         for i in rng.sample(range(len(rows)), min(len(rows), 2)):
-            rows[i] = {rng.randrange(ncols): Fraction(rng.randint(1, 5))}  # singletons
+            rows[i] = {rng.randrange(ncols): Fraction(rng.randint(1, 5))}  # one entry
         if ints:
             rows = _integral(rows)
-        f = factor(rows, ncols)
-        if ints:
-            assert type(f._ops) is array and type(f._vals) is array
-        singletons, emptied = _kinds(f)
+        f = _factor(rows, ncols)
+        assert all(type(a) is array for a in (f._ops, f._ends, f._pivot, f._vals))
+        leading, unled = _kinds(f)
         for _ in range(8):
             rhs = _random_rhs(rng, rows, ncols)
-            kind = rng.choice(("singleton", "emptied", "as is"))
-            targets = sorted(singletons if kind == "singleton" else emptied)
+            kind = rng.choice(("leading", "unled", "as is"))
+            targets = sorted(leading if kind == "leading" else unled)
             if kind != "as is" and targets:
                 rhs[rng.choice(targets)] += Fraction(rng.randint(1, 3))
                 seen[kind] += 1
@@ -261,17 +279,31 @@ def test_one_factor_answers_many_right_hand_sides(seed, ints):
     assert min(seen.values()) > 30, seen
 
 
+class _Passes:
+    """Columns that count the passes made over them."""
+
+    def __init__(self, columns):
+        self.columns, self.passes = columns, 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.columns)
+
+
 @pytest.mark.parametrize(
     "rows",
     [
-        # an entry of A that pruning moves is 2**31
+        # an entry of A is 2**31
         [{0: 2**31, 1: 1}, {0: 1, 1: 3, 2: 1}, {0: 5}, {1: 2, 2: 2}],
-        # the entries fit, but eliminating the second row outgrows them
+        # the entries fit, but eliminating the second column outgrows them
         [{0: 2**20 + 1, 1: 3}, {0: 3, 1: 2**20 + 7}, {0: 1, 1: 1}],
     ],
 )
 def test_a_factor_outgrowing_machine_integers_is_redone_in_lists(rows):
-    f = factor(rows, 3)
+    """On a second pass over the columns, which a streamed system rebuilds."""
+    columns = _Passes(_columns(rows, 3))
+    f = factor(columns, len(rows))
+    assert columns.passes == 2
     assert type(f._ops) is list and type(f._vals) is list
     rng = random.Random(5)
     answers = set()
@@ -320,8 +352,8 @@ def test_sixfold_probe_certificate_is_pinned():
 
 class _Seen:
     """What one membership decision hands the linear algebra: the system
-    memo's entry, the rows ``factor`` gets (copied) with ncols, the rhs
-    ``solve`` gets, and the rows that reach elimination."""
+    memo's entry, the columns ``factor`` gets (copied) with nrows, the rhs
+    ``solve`` gets, and the vectors that reach elimination."""
 
     def __init__(self):
         self.systems, self.factored, self.rhs, self.eliminated = [], [], [], []
@@ -337,18 +369,19 @@ def _decide_cold(monkeypatch, target, cs):
         seen.systems.append(real_system(*args))
         return seen.systems[-1]
 
-    def factor_spy(rows, ncols):
-        seen.factored.append(([dict(r) for r in rows], ncols))
-        return factor(rows, ncols)
+    def factor_spy(columns, nrows):
+        columns = [dict(c) for c in columns]
+        seen.factored.append((columns, nrows))
+        return factor(columns, nrows)
 
     def solve_spy(rows, rhs, ncols):
         seen.rhs.append(dict(rhs))
         return solve(rows, rhs, ncols)
 
-    def eliminate_spy(rows, log=None):
-        rows = list(rows)
-        seen.eliminated.append([dict(r) for r in rows])
-        return _eliminate(rows, log)
+    def eliminate_spy(vectors, log=None):
+        vectors = list(vectors)
+        seen.eliminated.append([dict(v) for v in vectors])
+        return _eliminate(vectors, log)
 
     monkeypatch.setattr(reduction, "_membership_system", system_spy)
     monkeypatch.setattr(reduction, "factor", factor_spy)
@@ -363,9 +396,10 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     certificate depends only on the column order (the pivot columns are
     the greedy lowest ones), so the matrix digest is what pins the row
     order, that is, the graded monomial sort.  The digest is of the
-    system as one (rows, rhs, ncols) over Q; ``factor`` now gets each
-    block scaled to integers and ``solve`` the rhs as {row: entry}, so the
-    test divides the scales back out and spreads the rhs."""
+    system as one (rows, rhs, ncols) over Q; ``factor`` now gets the
+    columns, each block scaled to integers, and ``solve`` the rhs as
+    {row: entry}, so the test rebuilds the rows, divides the scales back
+    out and spreads the rhs."""
     import hashlib
     import json
 
@@ -379,9 +413,13 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     assert hashlib.sha256(cert.encode()).hexdigest() == (
         "21712b1fe9160414a3a608e7e3f0df74b0c1fa1e34b3d1a7696bab9d9720bce6"
     )
-    [system], [(rows, ncols)], [rhs] = seen.systems, seen.factored, seen.rhs
+    [system], [(columns, nrows)], [rhs] = seen.systems, seen.factored, seen.rhs
     col_scale = [s for s, shifts in zip(system.scales, system.shifts) for _ in shifts]
-    rows = [{c: Fraction(v, col_scale[c]) for c, v in r.items()} for r in rows]
+    ncols = len(columns)
+    rows = [{} for _ in range(nrows)]
+    for c, column in enumerate(columns):
+        for i, v in column.items():
+            rows[i][c] = Fraction(v, col_scale[c])
     dense = [rhs.get(i, Fraction(0)) for i in range(len(rows))]
     matrix = repr(([sorted(r.items()) for r in rows], dense, ncols))
     assert hashlib.sha256(matrix.encode()).hexdigest() == (
@@ -389,14 +427,24 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     )
 
 
-def test_sevenfold_probe_is_pruned_before_elimination(monkeypatch):
-    """The singleton rows, the columns they force and the rows that lose
-    every entry are gone from the system that reaches elimination."""
-    dec, seen = _decide_cold(monkeypatch, *_probe(7))
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        (6, (1330, 687, 637, 50, 1720, 12338)),
+        (7, (2312, 1311, 1187, 124, 5691, 24672)),
+    ],
+)
+def test_probe_factors_are_eliminated_by_columns(monkeypatch, n, counts):
+    """The probe's factor, pinned: rows, columns, pivots, dependent columns,
+    updates in the log and nonzeros of the echelon.  A factor that
+    eliminated the rows would pivot on as many rows as columns here and
+    reduce every dependent row to zero."""
+    dec, seen = _decide_cold(monkeypatch, *_probe(n))
     assert dec is not None
-    [(rows, _)], [after] = seen.factored, seen.eliminated
-    assert (len(rows), sum(map(len, rows))) == (2312, 27086)
-    assert (sum(1 for r in after if r), sum(map(len, after))) == (1709, 17930)
+    f = seen.systems[0].factor
+    assert (f.nrows, f.ncols, len(f), f.ncols - len(f), len(f._ops) // 3,
+            sum(map(len, f))) == counts
+    assert sum(1 for t in f._pivot if t >= 0) == len(f)
 
 
 # -- row-at-a-time elimination against the all-rows heap reference -------------
@@ -407,7 +455,7 @@ def _heap_eliminate(rows):
     column, row index), each row made primitive after every update."""
     heap = []
     for index, row in enumerate(rows):
-        row = _scale_to_int(row)
+        row, _, _ = _scale_to_int(row)
         if row:
             heap.append((min(row), index, row))
     heapq.heapify(heap)
@@ -494,21 +542,24 @@ def _probe(n):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_probe_echelons_equal_the_heap_reference(monkeypatch, n):
-    """On the system ``factor`` is handed, unpruned, and on the one that
-    reaches elimination after pruning, whose echelon the factor keeps."""
+    """On the columns ``factor`` is handed, which are what reaches
+    elimination, in one pass; the factor keeps their echelon."""
     dec, seen = _decide_cold(monkeypatch, *_probe(n))
     assert dec is not None
-    [(rows, _)], [after] = seen.factored, seen.eliminated
-    for system in (rows, after):
-        assert _eliminate(system) == _heap_eliminate(system)
+    [(columns, _)] = seen.factored
+    assert seen.eliminated == [columns]
+    echelon = _heap_eliminate(columns)
+    assert _eliminate(columns) == echelon
     kept = seen.systems[0].factor
-    assert list(kept) == [row for _, row in _heap_eliminate(after)]
+    assert list(kept) == [vector for _, vector in echelon]
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_zero_skipping_back_substitution_equals_the_reference(seed):
-    """With the vector ``solve`` builds (rhs column at -1, the rest zero)
-    and with the unit vectors ``nullspace`` builds."""
+    """The adjoint replay, which skips every pivot whose coefficient is zero,
+    gives what the reference back-substitution gives on the heap echelon
+    of [A | b]: with the vector of a solve (rhs column at -1, the rest
+    zero), and with the unit vector of each free column of [A | b]."""
     rng = random.Random(2000 + seed)
     feasible = units = 0
     for _ in range(100):
@@ -516,18 +567,17 @@ def test_zero_skipping_back_substitution_equals_the_reference(seed):
         rhs = _random_rhs(rng, rows, ncols)
         aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
         echelon = _heap_eliminate(aug)
-        vecs = []
-        if all(col != ncols for col, _ in echelon):
-            vecs.append([Fraction(0)] * ncols + [Fraction(-1)])
+        got = solve(rows, rhs, ncols)
+        if any(col == ncols for col, _ in echelon):
+            assert got is None
+        else:
+            want = _reference_back_substitute(echelon, [Fraction(0)] * ncols + [Fraction(-1)])
+            _assert_same_fractions(got, want[:ncols])
             feasible += 1
-        pivots = {col for col, _ in echelon}
-        for free in range(ncols + 1):
-            if free not in pivots:
-                vec = [Fraction(0)] * (ncols + 1)
-                vec[free] = Fraction(1)
-                vecs.append(vec)
-                units += 1
-        for vec in vecs:
-            got = linalg._back_substitute(echelon, list(vec))
-            _assert_same_fractions(got, _reference_back_substitute(echelon, list(vec)))
+        basis = nullspace(aug, ncols + 1)
+        want_basis = _reference_nullspace(aug, ncols + 1)
+        assert len(basis) == len(want_basis)
+        for got_vec, want_vec in zip(basis, want_basis):
+            _assert_same_fractions(got_vec, want_vec)
+        units += len(basis)
     assert feasible > 30 and units > 100

@@ -73,6 +73,25 @@ def test_antiderivative_of_sixteen_j1_integrand():
     assert dec.antiderivative == parse("2*w1*w1'' - w1'^2 + 4*w1^2*u0", 2)
 
 
+def test_antiderivative_factors_once_into_machine_arrays(monkeypatch):
+    from array import array
+
+    from nfoldsusy import linalg
+
+    real, built = linalg.Factor.__init__, []
+
+    def spy(self, columns, nrows, typecode):
+        built.append((self, typecode))
+        real(self, columns, nrows, typecode)
+
+    monkeypatch.setattr(linalg.Factor, "__init__", spy)
+    p = parse("w1^2*u0 + 1/2*w1*w1'' - 1/4*w1'^2", 2)
+    assert antiderivative(p.derive()).antiderivative == p
+    [(f, typecode)] = built
+    assert typecode == "i"
+    assert all(type(a) is array for a in (f._ops, f._ends, f._pivot, f._vals))
+
+
 def test_not_a_total_derivative():
     cs = transformed_conditions(2, "paper")
     assert antiderivative(cs.condition(0)) is None
@@ -265,6 +284,24 @@ def _expand(n, blocks):
     return [DiffPoly.monomial(n, s) * p for p, shifts in blocks for s in shifts]
 
 
+def _system_rows(n, blocks, target=None):
+    """The builder's system for polynomial blocks as (rows, dense rhs): the
+    streamed columns laid out as rows, the target read through ``rhs``."""
+    columns = reduction._Columns(n, [(p.terms, s) for p, s in blocks], target)
+    return _as_rows(columns, target, reduction._Rows.rhs)
+
+
+def _as_rows(columns, target, rhs):
+    """One pass over the columns, laid out as rows filled in column order,
+    and the target read by ``rhs``, spread densely."""
+    rows = [{} for _ in columns.keys]
+    for c, column in enumerate(columns):
+        for i, q in column.items():
+            rows[i][c] = q
+    at = {} if target is None else rhs(columns, target)
+    return rows, [at.get(i, Fraction(0)) for i in range(len(rows))]
+
+
 def _assert_same_system(got, want):
     assert [list(r.items()) for r in got[0]] == [list(r.items()) for r in want[0]]
     assert got[1] == want[1]
@@ -273,14 +310,14 @@ def _assert_same_system(got, want):
 @pytest.fixture
 def checked_builder(monkeypatch):
     """Check every system the reduction layer builds against the reference:
-    the column keys, the columns, the rows with the column order inside
-    each, and the right-hand side: dense from ``_rows``, and for a
-    membership decision the target as {row: entry} against the memoized
-    rows.  Returns, per system built,
-    the set of generator families it holds."""
-    real_columns, real_keyed, real_rows, real_rhs = (
-        reduction._multiplier_columns, reduction._keyed_rows, reduction._rows,
-        reduction._System.rhs,
+    the column keys, the columns, the rows (the streamed columns laid out
+    as rows) with the column order inside each, the rows' keys, and the
+    right-hand side: the target the builder is given, read through
+    ``rhs``, and for a membership decision the target as {row: entry}
+    against the memoized rows.  Returns, per system built, the set of
+    generator families it holds."""
+    real_columns, real_builder, real_rhs = (
+        reduction._multiplier_columns, reduction._Columns, reduction._Rows.rhs,
     )
     seen, monomials = [], {}
 
@@ -295,23 +332,18 @@ def checked_builder(monkeypatch):
         assert _expand(n, blocks) == ref_columns
         return labels, blocks
 
-    def keyed_rows(n, blocks, target=None):
-        rows, keys, packing = real_keyed(n, blocks, target)
+    def builder(n, blocks, target=None):
+        built = real_builder(n, blocks, target)
         expanded = _expand(n, [(DiffPoly(n, terms), s) for terms, s in blocks])
-        want, _ = _reference_rows(n, expanded, target)
-        _assert_same_system((rows, None), (want, None))
-        order = sorted({m for p in expanded + ([target] if target else []) for m in p.terms},
-                       key=monomial_sort_key(n), reverse=True)
-        assert keys == [packing.key(m) for m in order]
-        monomials[id(keys)] = order
+        _assert_same_system(_as_rows(built, target, real_rhs),
+                            _reference_rows(n, expanded, target))
         polys = expanded + ([target] if target is not None else [])
+        order = sorted({m for p in polys for m in p.terms}, key=monomial_sort_key(n),
+                       reverse=True)
+        assert built.keys == [built.packing.key(m) for m in order]
+        monomials[id(built.keys)] = order
         seen.append({g.family for p in polys for m in p.terms for g in m.generators()})
-        return rows, keys, packing
-
-    def rows(n, blocks, target=None):
-        got = real_rows(n, blocks, target)  # counted by keyed_rows
-        assert got[1] == _reference_rows(n, _expand(n, blocks), target)[1]
-        return got
+        return built
 
     def rhs(system, target):
         got = real_rhs(system, target)
@@ -323,9 +355,8 @@ def checked_builder(monkeypatch):
         return got
 
     monkeypatch.setattr(reduction, "_multiplier_columns", columns)
-    monkeypatch.setattr(reduction, "_keyed_rows", keyed_rows)
-    monkeypatch.setattr(reduction, "_rows", rows)
-    monkeypatch.setattr(reduction._System, "rhs", rhs)
+    monkeypatch.setattr(reduction, "_Columns", builder)
+    monkeypatch.setattr(reduction._Rows, "rhs", rhs)
     reduction._membership_system.cache_clear()
     return seen
 
@@ -432,7 +463,7 @@ def test_packed_key_order_is_the_graded_order(n):
     rng = random.Random(100 + n)
     monos = _random_monomials(rng, n, 60)
     target = DiffPoly(n, {m: i + 1 for i, m in enumerate(monos)})
-    rows, rhs = reduction._rows(n, [], target)
+    rows, rhs = _system_rows(n, [], target)
     assert rows == [{} for _ in monos]
     by_coeff = {i + 1: m for i, m in enumerate(monos)}
     assert [by_coeff[q] for q in rhs] == sorted(monos, key=monomial_sort_key(n), reverse=True)
@@ -443,16 +474,17 @@ def test_packed_key_order_is_the_graded_order(n):
     ]
     target = DiffPoly(n, {m: 1 for m in rng.sample(monos, 10)})
     _assert_same_system(
-        reduction._rows(n, blocks, target), _reference_rows(n, _expand(n, blocks), target)
+        _system_rows(n, blocks, target), _reference_rows(n, _expand(n, blocks), target)
     )
 
 
 def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
     sizes = []
 
-    def spy(rows, ncols):
-        sizes.append((len(rows), ncols))
-        return factor(rows, ncols)
+    def spy(columns, nrows):
+        columns = list(columns)
+        sizes.append((nrows, len(columns)))
+        return factor(columns, nrows)
 
     monkeypatch.setattr(reduction, "factor", spy)
     reduction._membership_system.cache_clear()
@@ -658,8 +690,8 @@ def test_one_factor_serves_member_and_non_member_targets(monkeypatch):
         _clear_memos()
         cold.append(_as_dict(ideal_membership(target, cs)))
     factored = []
-    monkeypatch.setattr(reduction, "factor", lambda rows, ncols: factored.append(ncols)
-                        or factor(rows, ncols))
+    monkeypatch.setattr(reduction, "factor", lambda columns, nrows: factored.append(nrows)
+                        or factor(columns, nrows))
     _clear_memos()
     warm = [_as_dict(ideal_membership(target, cs)) for target in targets]
     assert len(factored) == 1
@@ -737,10 +769,9 @@ def test_systems_memoized_under_a_raised_cap_stay_apart(monkeypatch, var):
 
 
 def test_a_corrupted_factor_fails_the_re_expansion():
-    """A factor with one column of the solution scaled by 2 everywhere it
-    keeps that column stays consistent and halves that entry of the
-    solution; the certificate's re-expansion refuses it instead of
-    returning it."""
+    """A factor whose σ is doubled on one column of the probe's solution
+    doubles that entry of the solution and leaves the others alone; the
+    certificate's re-expansion refuses it instead of returning it."""
     n = 6
     cs = pipeline(n, "eliminated")
     target = _probe(n, cs)
@@ -750,15 +781,11 @@ def test_a_corrupted_factor_fails_the_re_expansion():
     f = system.factor
     x = f.solve(system.rhs(target))
     col = next(c for c, v in enumerate(x) if v)
-    # the probe's solution columns are pruned ones: each is one entry of
-    # ``_forced_at`` and the entries it took from other rows
-    step = list(f._forced[1::2]).index(col)
-    lo, hi = ([0] + list(f._taken_ends))[step:step + 2]
     try:
-        f._forced_at[step] *= 2
-        for u in range(lo + 1, hi, 2):
-            f._taken[u] *= 2
-        assert f.solve(system.rhs(target))[col] == x[col] / 2
+        f._ends[5 * col + 3] *= 2  # the numerator of the column's σ
+        got = f.solve(system.rhs(target))
+        assert got[col] == 2 * x[col]
+        assert got[:col] + got[col + 1:] == x[:col] + x[col + 1:]
         with pytest.raises(reduction.ReductionError, match="does not re-expand"):
             ideal_membership(target, cs)
     finally:
