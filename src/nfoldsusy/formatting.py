@@ -102,8 +102,8 @@ def poly_to_json(poly: DiffPoly) -> str:
 def poly_from_dict(data: dict) -> DiffPoly:
     """Inverse of ``poly_to_dict``; malformed input raises ``ParseError``
     whose position is the index of the term (0 for a top-level key).
-    The shape is the one ``poly_to_dict`` writes: an object with an int
-    ``ambientN`` and a list of ``terms``, each an object whose monomial is
+    The shape is the one ``poly_to_dict`` writes: an object with a positive
+    int ``ambientN`` and a list of ``terms``, each an object whose monomial is
     a list of [token, exponent] pairs, tokens strings and exponents ints of
     at least 1, and whose coefficient is a string or an int."""
     from .parsing import ParseError, _generator_from_token
@@ -114,8 +114,8 @@ def poly_from_dict(data: dict) -> DiffPoly:
         n, entries = data["ambientN"], data["terms"]
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
-    if type(n) is not int:
-        raise ParseError(f"ambientN {n!r} is not an int", 0)
+    if type(n) is not int or n < 1:
+        raise ParseError(f"ambientN {n!r} is not a positive int", 0)
     if not isinstance(entries, list):
         raise ParseError("terms is not a list", 0)
     cap = max_deriv_order()
@@ -192,8 +192,8 @@ def operator_to_json(op) -> str:
 def operator_from_dict(data: dict):
     """Inverse of ``operator_to_dict``; malformed input raises ``ParseError``
     at position 0, or as ``poly_from_dict`` does inside a coefficient.  The
-    shape is the one ``operator_to_dict`` writes: an object with an int
-    ``ambientN`` and an object ``coeffs`` whose keys are orders written as
+    shape is the one ``operator_to_dict`` writes: an object with a positive
+    int ``ambientN`` and an object ``coeffs`` whose keys are orders written as
     ASCII decimals without sign, space or leading zero, of at most
     ``MAX_DIGITS`` digits, and whose values are polynomials of that
     ambient N."""
@@ -206,8 +206,8 @@ def operator_from_dict(data: dict):
         n, entries = data["ambientN"], data["coeffs"]
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
-    if type(n) is not int:
-        raise ParseError(f"ambientN {n!r} is not an int", 0)
+    if type(n) is not int or n < 1:
+        raise ParseError(f"ambientN {n!r} is not a positive int", 0)
     if not isinstance(entries, dict):
         raise ParseError("coeffs is not an object", 0)
     coeffs = {}

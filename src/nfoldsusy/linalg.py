@@ -14,7 +14,8 @@ again from a lazy heap of the vector's indices, so it costs the pivot's
 length.  Certificates are reproducible bit for bit.
 
 Eliminating by columns.  ``factor`` runs ``_eliminate`` over the columns
-a_0, a_1, ... of A, each a vector over the row indices, and keeps a log.
+a_0, a_1, ... of A, each a vector over the row indices, and ``_eliminate``
+records every operation in the log it is handed.
 A column that reduces to zero lies in the span of the columns before it:
 a dependent column.  Every other column is installed, so the pivot
 columns are A's greedy pivot columns by definition, and the row order
@@ -32,12 +33,12 @@ so any method that finds solutions of that shape finds the same Fractions.
       g·p_ℓ = W·σ·a_j − Σ_k (s_{k+1}⋯s_K)·rv_k·p_{ℓ_k},
 
   and a dependent column the same with 0 on the left.
-- *Forward reduction.*  ``Factor.solve`` reduces b against the echelon,
-  lowest row first, in integers over one denominator: when that row
-  leads p_ℓ, y_ℓ = b_ℓ / p_ℓ[ℓ] and b −= y_ℓ·p_ℓ.  No pivot has an entry
-  at a row before its lead, so when that row leads no pivot, no
-  combination of the pivots reaches b: infeasible, at once, with no zero
-  row kept.
+- *Forward reduction.*  ``Factor.solve`` takes b as {row index: entry},
+  every index a row of A, and reduces it against the echelon, lowest row
+  first, in integers over one denominator: when that row leads p_ℓ,
+  y_ℓ = b_ℓ / p_ℓ[ℓ] and b −= y_ℓ·p_ℓ.  No pivot has an entry at a row
+  before its lead, so when that row leads no pivot, no combination of the
+  pivots reaches b: infeasible, at once, with no zero row kept.
 - *The adjoint replay.*  Then b = Σ y_ℓ·p_ℓ, and walking the log backwards
   turns that into x.  A pivot column with final coefficient z_ℓ (each
   pivot its log names was installed before it) takes x_j = z_ℓ·W·σ / g and
@@ -66,8 +67,9 @@ _ZERO = Fraction(0)
 
 def _scale_to_int(row: Mapping[int, Fraction | int]) -> tuple[dict[int, int], int, int]:
     """The row times den / g, primitive integers, with den and g."""
-    den = lcm(*(q.denominator for q in row.values()))
-    out = {c: q.numerator * (den // q.denominator) for c, q in row.items() if q}
+    ratios = [q.as_integer_ratio() for q in row.values()]  # one call per Fraction
+    den = lcm(*[d for _, d in ratios])
+    out = {c: p * (den // d) for c, (p, d) in zip(row, ratios) if p}
     g = gcd(*out.values()) or 1
     if g > 1:
         out = {c: v // g for c, v in out.items()}
@@ -75,15 +77,13 @@ def _scale_to_int(row: Mapping[int, Fraction | int]) -> tuple[dict[int, int], in
 
 
 def _eliminate(
-    vectors: Iterable[Mapping[int, Fraction | int]],
-    log: tuple[MutableSequence[int], ...] | None = None,
+    vectors: Iterable[Mapping[int, Fraction | int]], log: tuple[MutableSequence[int], ...]
 ) -> list[tuple[int, dict[int, int]]]:
-    """Forward elimination; returns the pivots as (lead, vector), by lead.
-    With a log (ops, ends), records the operations in it (``Factor``)."""
+    """Forward elimination; returns the pivots as (lead, vector), by lead,
+    and records every operation in ``log``, the (ops, ends) of ``Factor``."""
     pivots: dict[int, dict[int, int]] = {}
-    if log is not None:
-        ops, ends = log
-        record, end_row = ops.extend, ends.extend
+    ops, ends = log
+    record, end_row = ops.extend, ends.extend
     for row in vectors:
         r, den, content = _scale_to_int(row)
         cols = list(r)  # a heap of r's indices, and of some it has lost
@@ -107,8 +107,7 @@ def _eliminate(
                 for c in r:
                     r[c] *= scale
             rv //= g0
-            if log is not None:
-                record((col, scale, rv))
+            record((col, scale, rv))
             for c, v in pivot.items():
                 if c in r:
                     val = r[c] - v * rv
@@ -119,8 +118,7 @@ def _eliminate(
                 else:
                     r[c] = -v * rv
                     heapq.heappush(cols, c)
-        if log is not None:
-            end_row((len(ops), *end, den, content))
+        end_row((len(ops), *end, den, content))
     return sorted(pivots.items())
 
 
@@ -167,13 +165,11 @@ class Factor:
         rows, vals, starts = self._rows, self._vals, self._starts
         return (dict(zip(rows[lo:hi], vals[lo:hi])) for lo, hi in zip(starts, starts[1:]))
 
-    def solve(self, rhs: Mapping[int, Fraction] | Sequence[Fraction]) -> list[Fraction] | None:
+    def solve(self, rhs: Mapping[int, Fraction]) -> list[Fraction] | None:
         """The solution of A x = b with free variables at zero, or None; b
-        is given densely or as {row index: entry}."""
-        if not isinstance(rhs, Mapping):
-            if len(rhs) != self.nrows:
-                raise ValueError(f"{self.nrows} rows but {len(rhs)} right-hand sides")
-            rhs = dict(enumerate(rhs))
+        is given as {row index: entry}, each index a row of A."""
+        if any(not 0 <= i < self.nrows for i in rhs):
+            raise ValueError(f"a right-hand side row outside the {self.nrows} rows")
         # forward reduction, in integers: r = d·(b − Σ y_ℓ·p_ℓ)
         r, den, g = _scale_to_int(rhs)
         d = Fraction(den, g)
@@ -277,9 +273,7 @@ def _factored(rows: Sequence[Mapping[int, Fraction | int]] | Factor, ncols: int)
 
 
 def solve(
-    rows: Sequence[Mapping[int, Fraction | int]] | Factor,
-    rhs: Mapping[int, Fraction] | Sequence[Fraction],
-    ncols: int,
+    rows: Sequence[Mapping[int, Fraction | int]] | Factor, rhs: Mapping[int, Fraction], ncols: int
 ) -> list[Fraction] | None:
     """One solution of A x = b with free variables set to zero, or None.
     ``rows`` is A, with ``ncols`` columns, or its ``Factor``."""

@@ -256,5 +256,7 @@ class _Parser:
 
 
 def parse(text: str, n: int) -> DiffPoly:
-    """Parse an expression into a polynomial with ambient N = ``n``."""
+    """Parse an expression into a polynomial with ambient N = ``n`` >= 1."""
+    if n < 1:
+        raise ParseError(f"ambient N = {n} is not positive", 0)
     return _Parser(text, n).parse()

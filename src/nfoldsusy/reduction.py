@@ -45,17 +45,16 @@ Memoized factors.  The matrix of a membership system does not depend on
 the target either, so its elimination is done once too.
 ``_membership_system`` keeps, per n, conditions, weight, shift, generator
 pool, derivative cap and basis bound (an ``lru_cache`` of 32 systems),
-what every target of the system shares: per block its label (j, m), its
-shifts and the integer it was scaled by, the rows' packed keys and their
-packing, and the ``linalg.Factor`` of the matrix, eliminated by columns,
-so its pivot columns are the greedy ones and the solution the one with
-the free multipliers at zero.  Each block is scaled to integers by the
-lcm of its denominators, which moves no pivot column, and the solution is
-scaled back.  A decision packs the target's monomials against the kept
-keys, and refuses at once a monomial with a generator no row holds, an
-exponent at or above the base (its key could carry into another's), or a
-key no row has: no combination of the columns reaches it.  Then it solves
-against the factor.
+what every target of the system shares: per block its label (j, m) and
+its shifts, the rows' packed keys and their packing, and the
+``linalg.Factor`` of the matrix, eliminated by columns, so its pivot
+columns are the greedy ones and the solution the one with the free
+multipliers at zero.  A decision packs the target's monomials against
+the kept keys, and refuses at once a monomial with a generator no row
+holds, an exponent at or above the base (its key could carry into
+another's), or a key no row has: no combination of the columns reaches
+it; a system with no column refuses every nonzero target so.  Then it
+solves against the factor.
 
 A certificate's re-expansion (``Decomposition.expansion``) derives the
 conditions itself, through ``apply_combo``, and never reads these memos,
@@ -69,10 +68,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
-from math import lcm
+from itertools import chain
 from operator import neg
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .config import max_deriv_order, search_deriv_bound
 from .diffop import DiffOperator
@@ -82,7 +80,6 @@ from .diffring import (
     Family,
     Generator,
     Monomial,
-    Scalar,
     monomial_sort_key,
 )
 from .linalg import factor, nullspace, solve
@@ -249,7 +246,7 @@ def antiderivative(p: DiffPoly) -> Decomposition | None:
         )
         if not basis:
             return None
-        columns = _Columns(n, [(q.terms, s) for q, s in blocks], part)
+        columns = _Columns(n, blocks, part)
         sol = solve(factor(columns, len(columns.keys)), columns.rhs(part), columns.ncols)
         if sol is None:
             return None
@@ -336,31 +333,28 @@ class _Rows:
 
 class _Columns(_Rows):
     """The sparse system with one column ``s * p`` for each block
-    ``(p, shifts)``, p given by its terms, and each ``s`` in ``shifts``, in
-    that order, and one row per monomial of the columns and the target.
-    Iterating streams the columns, {row index: entry}, built anew on each
-    pass from the packed blocks: terms as (key, coefficient), and one list
-    of keys per list of shifts, which the blocks of one weight share."""
+    ``(p, shifts)`` and each ``s`` in ``shifts``, in that order, and one
+    row per monomial of the columns and the target.  Iterating streams the
+    columns, {row index: entry}, built anew on each pass from the packed
+    blocks: terms as (key, coefficient), and one list of keys per list of
+    shifts, which the blocks of one weight share."""
 
     __slots__ = ("ncols", "_packed")
 
-    def __init__(
-        self, n: int, blocks: Sequence[tuple[Mapping[Monomial, Scalar], Sequence[Monomial]]],
-        target: DiffPoly | None = None,
-    ):
+    def __init__(self, n: int, blocks: Sequence[Block], target: DiffPoly | None = None):
         gens: set[Generator] = set()
         top = 0 if target is None else _span(target.terms, gens)
-        for terms, shifts in blocks:
-            top = max(top, _span(shifts, gens) + _span(terms, gens))
+        for p, shifts in blocks:
+            top = max(top, _span(shifts, gens) + _span(p.terms, gens))
         self.packing = _Packing(n, top + 1, sorted(gens, reverse=True))
         key = self.packing.key
         keys = set() if target is None else {key(m) for m in target.terms}
         shift_keys: dict[int, list[int]] = {}  # by id of the shifts list
         self._packed = []
-        for terms, shifts in blocks:
+        for p, shifts in blocks:
             if id(shifts) not in shift_keys:
                 shift_keys[id(shifts)] = [key(s) for s in shifts]
-            packed = [(key(m), q) for m, q in terms.items()]
+            packed = [(key(m), q) for m, q in p.terms.items()]
             self._packed.append((packed, shift_keys[id(shifts)]))
             for ks in shift_keys[id(shifts)]:
                 keys.update([ks + k for k, _ in packed])
@@ -408,30 +402,28 @@ def _multiplier_columns(
 
 def _gather(
     n: int, labels: Sequence[tuple[int, int]], shifts: Sequence[Sequence[Monomial]],
-    xs: Sequence[Fraction], scales: Iterable[Scalar],
+    xs: Sequence[Fraction],
 ) -> dict[int, dict[int, DiffPoly]]:
     """Read a solution of a multiplier system back as {j: {m: multiplier}},
-    in column order, each block's entries times its scale, the shape
-    ``apply_combo`` takes."""
+    in column order, the shape ``apply_combo`` takes."""
     terms: dict[int, dict[int, dict[Monomial, Fraction]]] = {}
     xs = iter(xs)
-    for (j, m), basis, scale in zip(labels, shifts, scales):
+    for (j, m), basis in zip(labels, shifts):
         for b, x in zip(basis, xs):  # basis first: no x is taken past the block
             if x:
-                terms.setdefault(j, {}).setdefault(m, {})[b] = x * scale
+                terms.setdefault(j, {}).setdefault(m, {})[b] = x
     return {j: {m: DiffPoly(n, t) for m, t in ms.items()} for j, ms in terms.items()}
 
 
 class _System(_Rows):
     """What every target of one multiplier system shares: per block its
-    label (j, m), its shifts and the integer it was scaled by, the rows,
-    and the factored matrix."""
+    label (j, m) and its shifts, the rows, and the factored matrix."""
 
-    __slots__ = ("labels", "shifts", "scales", "factor")
+    __slots__ = ("labels", "shifts", "factor")
 
     def __init__(self, labels: list[tuple[int, int]], shifts: list[Sequence[Monomial]],
-                 scales: list[int], columns: _Columns):
-        self.labels, self.shifts, self.scales = labels, shifts, scales
+                 columns: _Columns):
+        self.labels, self.shifts = labels, shifts
         self.packing, self.keys = columns.packing, columns.keys
         self.factor = factor(columns, len(columns.keys))
 
@@ -440,23 +432,14 @@ class _System(_Rows):
 def _membership_system(
     n: int, conditions: tuple[tuple[int, DiffPoly], ...], weight: int, shift: int,
     pool: tuple[Generator, ...], cap: int, bound: int,
-) -> _System | None:
-    """The multiplier system of ``ideal_membership`` without its target,
-    None if it has no column.  ``cap`` and ``bound`` key the memo and must
-    be the configured derivative cap and basis bound, which the column
-    build reads itself.  Each block is scaled to integers by the lcm of its
-    denominators; the solution comes back through the same scales."""
+) -> _System:
+    """The multiplier system of ``ideal_membership`` without its target.
+    ``cap`` and ``bound`` key the memo and must be the configured
+    derivative cap and basis bound, which the column build reads itself."""
     labels, blocks = _multiplier_columns(
         n, conditions, weight, lambda c: min(shift, cap - c.max_deriv()), pool, None
     )
-    if not labels:
-        return None
-    scales = [lcm(*(q.denominator for q in p.terms.values())) for p, _ in blocks]
-    int_blocks = [
-        ({m: q.numerator * (s // q.denominator) for m, q in p.terms.items()}, shifts)
-        for (p, shifts), s in zip(blocks, scales)
-    ]
-    return _System(labels, [shifts for _, shifts in blocks], scales, _Columns(n, int_blocks))
+    return _System(labels, [shifts for _, shifts in blocks], _Columns(n, blocks))
 
 
 def ideal_membership(
@@ -482,13 +465,13 @@ def ideal_membership(
         n, tuple(conditions), weight, weight if max_shift is None else max_shift,
         tuple(pool), max_deriv_order(), search_deriv_bound(),
     )
-    rhs = None if system is None else system.rhs(target)
+    rhs = system.rhs(target)
     if rhs is None:
         return None
     sol = solve(system.factor, rhs, system.factor.ncols)
     if sol is None:
         return None
-    combo = _gather(n, system.labels, system.shifts, sol, system.scales)
+    combo = _gather(n, system.labels, system.shifts, sol)
     return Decomposition(
         "ideal-member",
         target,
@@ -645,7 +628,7 @@ def search_integral(
 
     # Homogeneous system: candidate combination minus total derivative = 0.
     all_blocks = blocks + [(-dq, shifts) for dq, shifts in q_blocks]
-    columns = _Columns(n, [(p.terms, s) for p, s in all_blocks])
+    columns = _Columns(n, all_blocks)
     rays = nullspace(factor(columns, len(columns.keys)), columns.ncols)
 
     candidates = []
@@ -676,16 +659,16 @@ def search_integral(
     candidates.sort(key=lambda t: t[0])
     _, ray, j_poly = candidates[0]
 
-    lc = j_poly.leading_coefficient()
-    scale = Fraction(1) / lc
-    j_poly = j_poly * scale
-    combo = _gather(n, labels, shifts, ray[:nmult], repeat(scale))
+    scale = Fraction(1) / j_poly.leading_coefficient()
+    ray = [x * scale for x in ray]
+    j_poly = DiffPoly(n, dict(zip(q_basis, ray[nmult:])))
+    combo = _gather(n, labels, shifts, ray[:nmult])
     mults = {j: DiffOperator(n, ms) for j, ms in combo.items()}
     rel_mults = [DiffPoly.zero(n) for _ in relations]
     for x, (_, quots) in zip(ray[:nmult], reduced):
         if x:
             for i, qq in enumerate(quots):
-                rel_mults[i] = rel_mults[i] - qq * (x * scale)
+                rel_mults[i] = rel_mults[i] - qq * x
     result = IntegralConstant(
         n,
         k,

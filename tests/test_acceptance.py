@@ -8,8 +8,6 @@ equivalent CLI gate.
 
 from fractions import Fraction
 
-import pytest
-
 from nfoldsusy import goldens, suites, susy
 from nfoldsusy.parsing import parse
 

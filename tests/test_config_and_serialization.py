@@ -44,15 +44,19 @@ def _w1(n):
         {"ambientN": 2, "coeffs": {"-1": _w1(2)}},
         {"ambientN": 3, "coeffs": {"1": _w1(2)}},
         {"ambientN": 2, "coeffs": {"9" * 5000: _w1(2)}},
+        {"ambientN": 0, "coeffs": {}},
+        {"ambientN": -3, "coeffs": {}},
     ],
     ids=["empty", "null", "order-x", "coeffs-list", "ambient-string", "arabic-digit",
-         "spaced-order", "negative-order", "coefficient-ambient", "long-order"],
+         "spaced-order", "negative-order", "coefficient-ambient", "long-order",
+         "ambient-zero", "ambient-negative"],
 )
 def test_malformed_operator_json_raises_parse_error(data):
     from nfoldsusy import ParseError
 
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         operator_from_dict(data)
+    assert err.value.position == 0
 
 
 def test_decomposition_serializes():

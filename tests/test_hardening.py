@@ -2,12 +2,9 @@
 
 import dataclasses
 
-import pytest
-
 from nfoldsusy import goldens, suites
 from nfoldsusy.cli import main
 from nfoldsusy.diffop import DiffOperator
-from nfoldsusy.parsing import parse
 from nfoldsusy.susy import build_system, derive_conditions, eliminate_potentials
 
 

@@ -66,6 +66,11 @@ def _canonical(echelon):
     return [(col, sorted(row.items())) for col, row in echelon]
 
 
+def _echelon(vectors):
+    """``_eliminate`` with a throwaway log."""
+    return _eliminate(vectors, ([], []))
+
+
 def _random_system(rng):
     """A sparse rational matrix with zero rows, explicit zero entries,
     duplicate and scaled rows, and combinations that cancel to zero."""
@@ -112,7 +117,7 @@ def test_echelon_matches_the_rescanning_oracle(seed):
     rng = random.Random(seed)
     for _ in range(30):
         rows, _ = _random_system(rng)
-        assert _canonical(_eliminate(rows)) == _canonical(_oracle_eliminate(rows))
+        assert _canonical(_echelon(rows)) == _canonical(_oracle_eliminate(rows))
 
 
 def test_echelon_on_degenerate_inputs():
@@ -125,16 +130,16 @@ def test_echelon_on_degenerate_inputs():
         [{2: Fraction(3)}, {0: Fraction(1), 2: Fraction(1)}, {0: Fraction(-1), 2: Fraction(2)}],
     ]
     for rows in cases:
-        assert _canonical(_eliminate(rows)) == _canonical(_oracle_eliminate(rows))
-    assert _eliminate(cases[1]) == []
-    assert [col for col, _ in _eliminate(cases[2])] == [1]
-    assert [col for col, _ in _eliminate(cases[3])] == [0, 1]
+        assert _canonical(_echelon(rows)) == _canonical(_oracle_eliminate(rows))
+    assert _echelon(cases[1]) == []
+    assert [col for col, _ in _echelon(cases[2])] == [1]
+    assert [col for col, _ in _echelon(cases[3])] == [0, 1]
 
 
 def test_elimination_leaves_the_input_rows_alone():
     rows = [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}]
     copies = [dict(r) for r in rows]
-    _eliminate(rows)
+    _echelon(rows)
     assert rows == copies
 
 
@@ -158,7 +163,7 @@ def test_solve_is_none_exactly_when_the_oracle_pivots_in_the_rhs_column():
     for _ in range(400):
         rows, ncols = _random_system(rng)
         rhs = _random_rhs(rng, rows, ncols)
-        x = solve(rows, rhs, ncols)
+        x = solve(rows, dict(enumerate(rhs)), ncols)
         assert x == _oracle_solve(rows, rhs, ncols)
         if x is None:
             infeasible += 1
@@ -209,13 +214,13 @@ def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, c
     rhs = [Fraction(b) for b in rhs]
     seen = []
 
-    def spy(vectors, log=None):
+    def spy(vectors, log):
         vectors = list(vectors)
         seen.append([dict(v) for v in vectors])
         return _eliminate(vectors, log)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
-    assert solve(rows, rhs, ncols) == _oracle_solve(rows, rhs, ncols)
+    assert solve(rows, dict(enumerate(rhs)), ncols) == _oracle_solve(rows, rhs, ncols)
     assert seen == [[_q(c) for c in columns]]
 
 
@@ -247,11 +252,11 @@ def _integral(rows):
 @pytest.mark.parametrize("ints", [False, True], ids=["fractions", "ints"])
 @pytest.mark.parametrize("seed", range(5))
 def test_one_factor_answers_many_right_hand_sides(seed, ints):
-    """Each factor takes right-hand sides of every kind, dense and sparse,
-    and each answer equals the oracle's on [A | b].  A right-hand side is
-    perturbed on a row that leads a pivot or on one that no pivot leads.
-    A system of Fractions, like one of ints, is factored into machine
-    arrays."""
+    """Each factor takes right-hand sides of every kind, given on every row
+    or on the nonzero rows only, and each answer equals the oracle's on
+    [A | b].  A right-hand side is perturbed on a row that leads a pivot
+    or on one that no pivot leads.  A system of Fractions, like one of
+    ints, is factored into machine arrays."""
     rng = random.Random(3000 + seed)
     seen = dict.fromkeys(("feasible", "infeasible", "leading", "unled"), 0)
     for _ in range(60):
@@ -272,7 +277,7 @@ def test_one_factor_answers_many_right_hand_sides(seed, ints):
                 seen[kind] += 1
             want = _oracle_solve(rows, rhs, ncols)
             seen["infeasible" if want is None else "feasible"] += 1
-            got = f.solve(rhs)
+            got = f.solve(dict(enumerate(rhs)))
             assert got == want
             assert got is None or all(type(x) is Fraction for x in got)
             assert f.solve({i: b for i, b in enumerate(rhs) if b}) == want
@@ -311,15 +316,19 @@ def test_a_factor_outgrowing_machine_integers_is_redone_in_lists(rows):
         rhs = _random_rhs(rng, rows, 3)
         want = _oracle_solve(rows, rhs, 3)
         answers.add(want is None)
-        assert f.solve(rhs) == want
+        assert f.solve(dict(enumerate(rhs))) == want
     assert answers == {True, False}
 
 
-def test_solve_rejects_a_rhs_of_another_length():
+def test_solve_rejects_a_rhs_row_outside_the_system():
+    """A row index below 0 or at or past the row count is refused, not
+    read as another row or as no row at all."""
     with pytest.raises(ValueError):
-        solve([{0: Fraction(1)}], [], 1)
-    with pytest.raises(ValueError):
-        solve([], [Fraction(1)], 1)
+        solve([{0: Fraction(1), 1: Fraction(1)}], {-1: Fraction(5)}, 2)
+    identity = [{0: Fraction(1)}, {1: Fraction(1)}]
+    for row in (2, -1):
+        with pytest.raises(ValueError):
+            solve(identity, {row: Fraction(1)}, 2)
 
 
 def test_nullspace_vectors_satisfy_the_homogeneous_system():
@@ -378,7 +387,7 @@ def _decide_cold(monkeypatch, target, cs):
         seen.rhs.append(dict(rhs))
         return solve(rows, rhs, ncols)
 
-    def eliminate_spy(vectors, log=None):
+    def eliminate_spy(vectors, log):
         vectors = list(vectors)
         seen.eliminated.append([dict(v) for v in vectors])
         return _eliminate(vectors, log)
@@ -397,9 +406,8 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     the greedy lowest ones), so the matrix digest is what pins the row
     order, that is, the graded monomial sort.  The digest is of the
     system as one (rows, rhs, ncols) over Q; ``factor`` now gets the
-    columns, each block scaled to integers, and ``solve`` the rhs as
-    {row: entry}, so the test rebuilds the rows, divides the scales back
-    out and spreads the rhs."""
+    columns and ``solve`` the rhs as {row: entry}, so the test rebuilds
+    the rows from the columns and spreads the rhs."""
     import hashlib
     import json
 
@@ -413,13 +421,12 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     assert hashlib.sha256(cert.encode()).hexdigest() == (
         "21712b1fe9160414a3a608e7e3f0df74b0c1fa1e34b3d1a7696bab9d9720bce6"
     )
-    [system], [(columns, nrows)], [rhs] = seen.systems, seen.factored, seen.rhs
-    col_scale = [s for s, shifts in zip(system.scales, system.shifts) for _ in shifts]
+    [(columns, nrows)], [rhs] = seen.factored, seen.rhs
     ncols = len(columns)
     rows = [{} for _ in range(nrows)]
     for c, column in enumerate(columns):
         for i, v in column.items():
-            rows[i][c] = Fraction(v, col_scale[c])
+            rows[i][c] = Fraction(v)
     dense = [rhs.get(i, Fraction(0)) for i in range(len(rows))]
     matrix = repr(([sorted(r.items()) for r in rows], dense, ncols))
     assert hashlib.sha256(matrix.encode()).hexdigest() == (
@@ -525,7 +532,7 @@ def test_echelon_equals_the_heap_reference_exactly(seed):
         if rng.random() < 0.2:  # a block of all-zero rows at a random place
             at = rng.randint(0, len(rows))
             rows[at:at] = [{}, {rng.randrange(ncols): Fraction(0)}]
-        assert _eliminate(rows) == _heap_eliminate(rows)
+        assert _echelon(rows) == _heap_eliminate(rows)
         basis = nullspace(rows, ncols)
         want = _reference_nullspace(rows, ncols)
         assert len(basis) == len(want)
@@ -549,7 +556,7 @@ def test_probe_echelons_equal_the_heap_reference(monkeypatch, n):
     [(columns, _)] = seen.factored
     assert seen.eliminated == [columns]
     echelon = _heap_eliminate(columns)
-    assert _eliminate(columns) == echelon
+    assert _echelon(columns) == echelon
     kept = seen.systems[0].factor
     assert list(kept) == [vector for _, vector in echelon]
 
@@ -567,7 +574,7 @@ def test_zero_skipping_back_substitution_equals_the_reference(seed):
         rhs = _random_rhs(rng, rows, ncols)
         aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
         echelon = _heap_eliminate(aug)
-        got = solve(rows, rhs, ncols)
+        got = solve(rows, dict(enumerate(rhs)), ncols)
         if any(col == ncols for col, _ in echelon):
             assert got is None
         else:

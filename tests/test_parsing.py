@@ -52,6 +52,10 @@ def test_parse_error_position_and_expected():
         parse("C1'", 2)
     with pytest.raises(ParseError):
         parse("(w1", 2)
+    for text, n in (("1", 0), ("V+", -3)):
+        with pytest.raises(ParseError) as err:
+            parse(text, n)
+        assert err.value.position == 0
 
 
 def test_format_parse_round_trip_on_displays():
@@ -142,12 +146,15 @@ def test_malformed_json_raises_parse_error():
         [{"ambientN": 2, "terms": []}],
         {"ambientN": 0, "terms": [{"monomial": [["w5", 1]], "coeff": "1"}]},
         {"ambientN": 2, "terms": [{"monomial": [["u2", 1]], "coeff": "1"}]},
+        {"ambientN": -3, "terms": []},
+        {"ambientN": 0, "terms": []},
     ],
     ids=["negative-exponent", "string-exponent", "no-terms", "no-ambientN", "no-coeff",
          "float-coefficient", "zero-exponent", "bool-exponent", "string-ambientN",
          "string-ambientN-no-terms", "int-token", "one-element-factor",
          "three-element-factor", "string-monomial", "object-terms", "empty-object-terms",
-         "string-term", "top-level-list", "w-index-above-ambientN", "u-index-at-ambientN"],
+         "string-term", "top-level-list", "w-index-above-ambientN", "u-index-at-ambientN",
+         "negative-ambientN", "zero-ambientN"],
 )
 def test_malformed_json_fields_raise_parse_error(data):
     with pytest.raises(ParseError):

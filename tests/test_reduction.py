@@ -287,7 +287,7 @@ def _expand(n, blocks):
 def _system_rows(n, blocks, target=None):
     """The builder's system for polynomial blocks as (rows, dense rhs): the
     streamed columns laid out as rows, the target read through ``rhs``."""
-    columns = reduction._Columns(n, [(p.terms, s) for p, s in blocks], target)
+    columns = reduction._Columns(n, blocks, target)
     return _as_rows(columns, target, reduction._Rows.rhs)
 
 
@@ -334,7 +334,7 @@ def checked_builder(monkeypatch):
 
     def builder(n, blocks, target=None):
         built = real_builder(n, blocks, target)
-        expanded = _expand(n, [(DiffPoly(n, terms), s) for terms, s in blocks])
+        expanded = _expand(n, blocks)
         _assert_same_system(_as_rows(built, target, real_rhs),
                             _reference_rows(n, expanded, target))
         polys = expanded + ([target] if target is not None else [])
