@@ -36,8 +36,14 @@ def _write(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
         print(text)
 
 
-def _condition_label(stage: str, k: int) -> str:
-    return f"Ibar_{k}" if stage == "transformed" else f"I_{k}"
+def _check_ansatz(parser: argparse.ArgumentParser, n: int, preset: str, suffix: str = "") -> None:
+    """Refuse an N without the ansatz, or a preset its N lacks (``susy.PRESETS``)."""
+    if n not in susy.PRESETS:
+        *head, last = susy.PRESETS
+        parser.error(f"--n must be {', '.join(map(str, head))} or {last}{suffix}")
+    if preset != "generic" and preset not in susy.PRESETS[n]:
+        owners = " or ".join(str(m) for m, presets in susy.PRESETS.items() if preset in presets)
+        parser.error(f"the {preset} preset exists only for --n {owners}")
 
 
 def _scale_note(n: int, stage: str, k: int) -> str:
@@ -50,22 +56,24 @@ def _scale_note(n: int, stage: str, k: int) -> str:
     return susy.TRANSFORMED_NOTES.get(n, {}).get(k, "")
 
 
-def cmd_derive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+# Each command returns its exit code and what it prints: a dict for
+# ``--format json``, lines otherwise, or None for nothing.
+Output = tuple[int, dict | list[str] | None]
+
+
+def cmd_derive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Output:
     n, stage, preset = args.n, args.stage, args.preset
     if stage in ("raw", "eliminated") and not 2 <= n <= 8:
         parser.error(f"--n must be in 2..8 for stage {stage}")
     if stage == "transformed":
-        if n not in (2, 3, 4):
-            parser.error("--n must be 2, 3 or 4 for the transformed stage")
-        if preset == "footnote-alt" and n != 4:
-            parser.error("the footnote-alt preset exists only for --n 4")
+        _check_ansatz(parser, n, preset, " for the transformed stage")
     try:
         cs = susy.pipeline(n, stage, preset)
     except susy.SusyError as exc:
         parser.error(str(exc))
 
     if args.format == "json":
-        payload = {
+        return EXIT_OK, {
             "n": n,
             "stage": stage,
             "preset": preset if stage == "transformed" else None,
@@ -78,48 +86,41 @@ def cmd_derive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 for k, p in cs.items()
             ],
         }
-        _write(json.dumps(payload, separators=(",", ":")), args.out, parser)
-        return EXIT_OK
     lines = []
     for k, p in cs.items():
         note = _scale_note(n, stage, k)
         suffix = f"   [{note}]" if note else ""
-        lines.append(f"{_condition_label(stage, k)} = {format_poly(p, args.format)}{suffix}")
-    _write("\n".join(lines), args.out, parser)
-    return EXIT_OK
+        label = f"Ibar_{k}" if stage == "transformed" else f"I_{k}"
+        lines.append(f"{label} = {format_poly(p, args.format)}{suffix}")
+    return EXIT_OK, lines
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Output:
     reports = suites.run_suite(args.suite)
+    code = EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
     if args.format == "json":
-        payload = {
-            "passed": all(r.passed for r in reports),
+        return code, {
+            "passed": code == EXIT_OK,
             "suites": [r.to_dict() for r in reports],
         }
-        _write(json.dumps(payload, separators=(",", ":")), args.out, parser)
-    else:
-        lines = []
-        for rep in reports:
-            for res in rep.results:
-                mark = "ok" if res.passed else "FAIL"
-                detail = f"  ({res.detail})" if res.detail else ""
-                lines.append(f"[{mark}] {rep.suite}: {res.name}{detail}")
-            lines.append(
-                f"suite {rep.suite}: "
-                f"{sum(r.passed for r in rep.results)}/{len(rep.results)} passed"
-            )
-        _write("\n".join(lines), args.out, parser)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
+    lines = []
+    for rep in reports:
+        for res in rep.results:
+            mark = "ok" if res.passed else "FAIL"
+            detail = f"  ({res.detail})" if res.detail else ""
+            lines.append(f"[{mark}] {rep.suite}: {res.name}{detail}")
+        lines.append(
+            f"suite {rep.suite}: "
+            f"{sum(r.passed for r in rep.results)}/{len(rep.results)} passed"
+        )
+    return code, lines
 
 
-def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Output:
     n, k, preset = args.n, args.k, args.preset
-    if n not in (2, 3, 4):
-        parser.error("--n must be 2, 3 or 4")
+    _check_ansatz(parser, n, preset)
     if preset == "generic":
         parser.error("search needs a numeric preset (paper or footnote-alt)")
-    if preset == "footnote-alt" and n != 4:
-        parser.error("the footnote-alt preset exists only for --n 4")
     if not 1 <= k <= n - 1:
         parser.error(f"--k must be in 1..{n - 1} for --n {n}")
     if args.deriv_bound is not None and args.deriv_bound < 0:
@@ -129,7 +130,7 @@ def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                                   max_deriv=args.deriv_bound)
     except reduction.SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
-        return EXIT_SEARCH_EXHAUSTED
+        return EXIT_SEARCH_EXHAUSTED, None
 
     display_note = ""
     e = goldens.integral_entries(n, preset).get(k)
@@ -139,7 +140,7 @@ def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             + (" + recorded completion" if "completion" in e.data else "")
         )
     if args.format == "json":
-        payload = {
+        return EXIT_OK, {
             "n": n,
             "k": k,
             "preset": preset,
@@ -150,8 +151,6 @@ def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             },
             "display": display_note,
         }
-        _write(json.dumps(payload, separators=(",", ":")), args.out, parser)
-        return EXIT_OK
     lines = [f"J_{k} = {format_poly(found.j_poly, args.format)}"]
     for j, op in sorted(found.multipliers.items()):
         lines.append(f"L[{k},{j}] (on Ibar_{j}) = {op!r}")
@@ -161,11 +160,10 @@ def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         lines.append(display_note)
     if n == 4 and k == 1:
         lines.append("degenerate case: Ibar_1 = u0' integrates to u0 = 2*C1")
-    _write("\n".join(lines), args.out, parser)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def cmd_emit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_emit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Output:
     try:
         e = goldens.entry(args.id)
     except KeyError as exc:
@@ -175,8 +173,7 @@ def cmd_emit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         payload.update(e.data)
         if "expression" in e.data:
             payload["poly"] = poly_to_dict(e.poly())
-        _write(json.dumps(payload, separators=(",", ":")), args.out, parser)
-        return EXIT_OK
+        return EXIT_OK, payload
     lines = [f"{e.id} ({e.kind}, n={e.n}): {e.provenance}"]
     if "expression" in e.data:
         lines.append(format_poly(e.poly(), args.format))
@@ -186,8 +183,7 @@ def cmd_emit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             lines.append(f"{dsym}^{order}: {format_poly(coeff, args.format)}")
     else:
         lines.append(json.dumps(e.data, indent=1))
-    _write("\n".join(lines), args.out, parser)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,35 +192,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact constraint engine for N-fold supersymmetric quantum mechanics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = dict(choices=("plain", "latex", "json"), default="plain")
+    preset = dict(choices=("paper", "footnote-alt", "generic"), default="paper")
 
     p = sub.add_parser("derive", help="derive and print a constraint set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stage", choices=susy.STAGES, default="raw")
-    p.add_argument("--preset", choices=("paper", "footnote-alt", "generic"), default="paper")
-    p.add_argument("--format", **fmt)
-    p.add_argument("--out")
+    p.add_argument("--preset", **preset)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("all",) + suites.SUITE_NAMES, default="all")
-    p.add_argument("--format", **fmt)
-    p.add_argument("--out")
 
     p = sub.add_parser("search", help="search for an integral constant")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--preset", choices=("paper", "footnote-alt", "generic"), default="paper")
+    p.add_argument("--preset", **preset)
     p.add_argument("--policy", choices=("multiplicative", "first-order"),
                    default="multiplicative")
     p.add_argument("--deriv-bound", type=int, default=None)
-    p.add_argument("--format", **fmt)
-    p.add_argument("--out")
 
     p = sub.add_parser("emit", help="print a golden corpus entry by id")
     p.add_argument("--id", required=True)
-    p.add_argument("--format", **fmt)
-    p.add_argument("--out")
+
+    for p, handler in zip(sub.choices.values(), (cmd_derive, cmd_verify, cmd_search, cmd_emit)):
+        p.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
+        p.add_argument("--out")
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -234,18 +226,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         max_deriv_order()
         search_deriv_bound()
+        code, payload = args.handler(args, parser)
     except ConfigError as exc:
         parser.error(str(exc))
-    handlers = {
-        "derive": cmd_derive,
-        "verify": cmd_verify,
-        "search": cmd_search,
-        "emit": cmd_emit,
-    }
-    try:
-        return handlers[args.command](args, parser)
     except DerivOrderError as exc:
         parser.error(f"{exc} NFOLDSUSY_MAX_DERIV={max_deriv_order()}")
+    if payload is not None:
+        text = (json.dumps(payload, separators=(",", ":")) if args.format == "json"
+                else "\n".join(payload))
+        _write(text, args.out, parser)
+    return code
 
 
 if __name__ == "__main__":

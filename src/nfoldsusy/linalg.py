@@ -146,6 +146,11 @@ class Factor:
         self.nrows = nrows
         self._ops, self._ends = new(), new()
         echelon = _eliminate(columns, (self._ops, self._ends))
+        if echelon:  # only a pivot clears an entry, so each row of A is a pivot's,
+            # and the lowest is the first lead: no pivot holds a row below its lead
+            lo, hi = echelon[0][0], max(map(max, [vec for _, vec in echelon]))
+            if not 0 <= lo <= hi < nrows:
+                raise ValueError(f"row {lo if lo < 0 else hi} is outside 0..{nrows - 1}")
         self.ncols = len(self._ends) // 5
         self._pivot, self._starts, self._rows, self._vals = new(), new(), new(), new()
         self._pivot.extend([-1] * nrows)
@@ -249,7 +254,8 @@ class Factor:
 
 def factor(columns: Iterable[Mapping[int, Fraction | int]], nrows: int) -> Factor:
     """Eliminate A, given by its columns as {row index: entry} over
-    ``nrows`` rows, once for any number of right-hand sides.  The factor is
+    ``nrows`` rows, once for any number of right-hand sides; a row index
+    outside 0..nrows-1 raises ValueError.  The factor is
     kept in 32-bit machine arrays, or redone in lists, on a second pass
     over ``columns``, when an integer outgrows them: pass an iterable that
     can be walked twice."""
@@ -266,6 +272,9 @@ def _factored(rows: Sequence[Mapping[int, Fraction | int]] | Factor, ncols: int)
         return rows
     columns: list[dict] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
+        if row and not 0 <= min(row) <= max(row) < ncols:  # -1 would alias column ncols-1
+            bad = min(row) if min(row) < 0 else max(row)
+            raise ValueError(f"column {bad} is outside 0..{ncols - 1}")
         for c, v in row.items():
             if v:
                 columns[c][i] = v

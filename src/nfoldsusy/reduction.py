@@ -6,7 +6,8 @@ bases that the weight grading makes finite.  Certificates re-expand to
 their targets by construction; a negative verdict is always relative to
 the bounds used and the reports say so.
 
-Packed monomial keys.  ``_Columns`` builds every system without
+Packed monomial keys.  ``_System`` builds every system, the
+antiderivative's, the integral search's and each membership's, without
 multiplying polynomials or sorting ``Monomial`` objects.  Its columns come
 in blocks ``(p, shifts)``, one column ``s * p`` per shift monomial ``s``:
 in a multiplier system ``p`` is a shifted condition D^m(I_j), derived
@@ -14,7 +15,7 @@ once, and the shifts are the monomial basis of the complementary weight,
 built once per weight.  List the G generators the system holds in
 ascending order g_0 < ... < g_{G-1}, and let B exceed every exponent a row
 can hold (the largest shift exponent plus the largest exponent of a block
-polynomial, or a target exponent).  Then
+polynomial).  Then
 
     key(m) = wt(m) * B^G + sum_i e_i(m) * B^(G-1-i)
 
@@ -27,7 +28,8 @@ higher exponent winning, and that is how ``monomial_sort_key`` breaks ties
 (see the ``diffring`` module docstring).  So the rows are the keys sorted
 descending, and a column is its block's keys shifted by key(s) and looked
 up.  One pass collects the keys; every later pass over the system streams
-its columns into ``linalg.factor``, which keeps none of them.
+its columns into ``linalg.factor``, which keeps none of them.  A target is
+packed against the rows and solved against the factor.
 
 Memoized columns.  The columns b * D^m(I_j) of a multiplier system do not
 depend on its target, which enters only as the right-hand side, so they
@@ -72,6 +74,7 @@ from itertools import chain
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
+from . import goldens
 from .config import max_deriv_order, search_deriv_bound
 from .diffop import DiffOperator
 from .diffring import (
@@ -80,10 +83,12 @@ from .diffring import (
     Family,
     Generator,
     Monomial,
+    c as c_gen,
     monomial_sort_key,
 )
 from .linalg import factor, nullspace, solve
-from .susy import ConditionSet, _split_parameters, apply_combo
+from .susy import (ConditionSet, _split_parameters, apply_combo, build_system, inverse_ansatz,
+                   pipeline, preset_parameters)
 
 
 class ReductionError(Exception):
@@ -244,10 +249,7 @@ def antiderivative(p: DiffPoly) -> Decomposition | None:
         basis, blocks = _derivative_columns(
             n, weight - 1, part.base_generators(), max(part.max_deriv() - 1, 0)
         )
-        if not basis:
-            return None
-        columns = _Columns(n, blocks, part)
-        sol = solve(factor(columns, len(columns.keys)), columns.rhs(part), columns.ncols)
+        sol = _System(n, blocks).solution(part)
         if sol is None:
             return None
         total = total + DiffPoly.monomial(n, pi) * DiffPoly(n, dict(zip(basis, sol)))
@@ -309,11 +311,46 @@ class _Packing:
         return all(g in self.place and e < self.base for g, e in m.exps)
 
 
-class _Rows:
-    """The rows of a system, one per monomial: their packing and their
-    packed keys (module docstring) in descending graded order."""
+class _System:
+    """The sparse system with one column ``s * p`` for each block
+    ``(p, shifts)`` and each ``s`` in ``shifts``, in that order, and one
+    row per monomial of the columns, factored: the packing, the rows'
+    packed keys in descending graded order, the shifts of each block and
+    the ``linalg.Factor``.  Iterating streams the columns, {row index:
+    entry}, built anew on each pass from the packed blocks (terms as (key,
+    coefficient), and one list of keys per list of shifts, which the
+    blocks of one weight share); ``factor`` may walk them twice, and the
+    packed blocks are dropped once it is done."""
 
-    __slots__ = ("packing", "keys")
+    __slots__ = ("packing", "keys", "shifts", "factor", "_packed")
+
+    def __init__(self, n: int, blocks: Sequence[Block]):
+        gens: set[Generator] = set()
+        top = 0
+        for p, shifts in blocks:
+            top = max(top, _span(shifts, gens) + _span(p.terms, gens))
+        self.packing = _Packing(n, top + 1, sorted(gens, reverse=True))
+        key = self.packing.key
+        keys: set[int] = set()
+        shift_keys: dict[int, list[int]] = {}  # by id of the shifts list
+        self._packed = []
+        for p, shifts in blocks:
+            if id(shifts) not in shift_keys:
+                shift_keys[id(shifts)] = [key(s) for s in shifts]
+            packed = [(key(m), q) for m, q in p.terms.items()]
+            self._packed.append((packed, shift_keys[id(shifts)]))
+            for ks in shift_keys[id(shifts)]:
+                keys.update([ks + k for k, _ in packed])
+        self.keys = sorted(keys, reverse=True)
+        self.shifts = [shifts for _, shifts in blocks]
+        self.factor = factor(self, len(self.keys))
+        del self._packed
+
+    def __iter__(self):
+        row = {k: i for i, k in enumerate(self.keys)}
+        for packed, shift_keys in self._packed:
+            for ks in shift_keys:
+                yield {row[ks + k]: q for k, q in packed}
 
     def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:
         """The target as {row index: coefficient}; None when one of its
@@ -330,42 +367,11 @@ class _Rows:
             out[i] = q
         return out
 
-
-class _Columns(_Rows):
-    """The sparse system with one column ``s * p`` for each block
-    ``(p, shifts)`` and each ``s`` in ``shifts``, in that order, and one
-    row per monomial of the columns and the target.  Iterating streams the
-    columns, {row index: entry}, built anew on each pass from the packed
-    blocks: terms as (key, coefficient), and one list of keys per list of
-    shifts, which the blocks of one weight share."""
-
-    __slots__ = ("ncols", "_packed")
-
-    def __init__(self, n: int, blocks: Sequence[Block], target: DiffPoly | None = None):
-        gens: set[Generator] = set()
-        top = 0 if target is None else _span(target.terms, gens)
-        for p, shifts in blocks:
-            top = max(top, _span(shifts, gens) + _span(p.terms, gens))
-        self.packing = _Packing(n, top + 1, sorted(gens, reverse=True))
-        key = self.packing.key
-        keys = set() if target is None else {key(m) for m in target.terms}
-        shift_keys: dict[int, list[int]] = {}  # by id of the shifts list
-        self._packed = []
-        for p, shifts in blocks:
-            if id(shifts) not in shift_keys:
-                shift_keys[id(shifts)] = [key(s) for s in shifts]
-            packed = [(key(m), q) for m, q in p.terms.items()]
-            self._packed.append((packed, shift_keys[id(shifts)]))
-            for ks in shift_keys[id(shifts)]:
-                keys.update([ks + k for k, _ in packed])
-        self.keys = sorted(keys, reverse=True)
-        self.ncols = sum(len(shifts) for _, shifts in blocks)
-
-    def __iter__(self):
-        row = {k: i for i, k in enumerate(self.keys)}
-        for packed, shift_keys in self._packed:
-            for ks in shift_keys:
-                yield {row[ks + k]: q for k, q in packed}
+    def solution(self, target: DiffPoly) -> list[Fraction] | None:
+        """The solution of (columns) x = target with the free variables at
+        zero, or None: refused while packing, or infeasible."""
+        rhs = self.rhs(target)
+        return None if rhs is None else solve(self.factor, rhs, self.factor.ncols)
 
 
 @lru_cache(maxsize=256)
@@ -415,31 +421,18 @@ def _gather(
     return {j: {m: DiffPoly(n, t) for m, t in ms.items()} for j, ms in terms.items()}
 
 
-class _System(_Rows):
-    """What every target of one multiplier system shares: per block its
-    label (j, m) and its shifts, the rows, and the factored matrix."""
-
-    __slots__ = ("labels", "shifts", "factor")
-
-    def __init__(self, labels: list[tuple[int, int]], shifts: list[Sequence[Monomial]],
-                 columns: _Columns):
-        self.labels, self.shifts = labels, shifts
-        self.packing, self.keys = columns.packing, columns.keys
-        self.factor = factor(columns, len(columns.keys))
-
-
 @lru_cache(maxsize=32)
 def _membership_system(
     n: int, conditions: tuple[tuple[int, DiffPoly], ...], weight: int, shift: int,
     pool: tuple[Generator, ...], cap: int, bound: int,
-) -> _System:
-    """The multiplier system of ``ideal_membership`` without its target.
+) -> tuple[list[tuple[int, int]], _System]:
+    """The block labels (j, m) and the system of ``ideal_membership``.
     ``cap`` and ``bound`` key the memo and must be the configured
     derivative cap and basis bound, which the column build reads itself."""
     labels, blocks = _multiplier_columns(
         n, conditions, weight, lambda c: min(shift, cap - c.max_deriv()), pool, None
     )
-    return _System(labels, [shifts for _, shifts in blocks], _Columns(n, blocks))
+    return labels, _System(n, blocks)
 
 
 def ideal_membership(
@@ -461,17 +454,14 @@ def ideal_membership(
         return Decomposition("ideal-member", target, conditions=tuple(conditions))
     weight = target.weight()
     pool = _default_gens([target] + [p for _, p in conditions])
-    system = _membership_system(
+    labels, system = _membership_system(
         n, tuple(conditions), weight, weight if max_shift is None else max_shift,
         tuple(pool), max_deriv_order(), search_deriv_bound(),
     )
-    rhs = system.rhs(target)
-    if rhs is None:
-        return None
-    sol = solve(system.factor, rhs, system.factor.ncols)
+    sol = system.solution(target)
     if sol is None:
         return None
-    combo = _gather(n, system.labels, system.shifts, sol)
+    combo = _gather(n, labels, system.shifts, sol)
     return Decomposition(
         "ideal-member",
         target,
@@ -627,9 +617,8 @@ def search_integral(
     q_basis, q_blocks = _derivative_columns(n, target_weight - 1, q_gens, q_cap)
 
     # Homogeneous system: candidate combination minus total derivative = 0.
-    all_blocks = blocks + [(-dq, shifts) for dq, shifts in q_blocks]
-    columns = _Columns(n, all_blocks)
-    rays = nullspace(factor(columns, len(columns.keys)), columns.ncols)
+    system = _System(n, blocks + [(-dq, shifts) for dq, shifts in q_blocks])
+    rays = nullspace(system.factor, system.factor.ncols)
 
     candidates = []
     for ray in rays:
@@ -716,10 +705,6 @@ def verify_product(n: int) -> ProductReport:
     preferred parameter branch, and the alternative branch's integrals
     are validated separately.
     """
-    from . import goldens
-    from .diffring import c as c_gen
-    from .susy import build_system, inverse_ansatz, pipeline, preset_parameters
-
     system = build_system(n, symbolic_potentials=False)
     cs = pipeline(n, "eliminated")
     inv = inverse_ansatz(n, preset_parameters(n, "paper"))
@@ -735,9 +720,9 @@ def verify_product(n: int) -> ProductReport:
     c0 = DiffOperator.multiplication(DiffPoly.generator(n, c_gen(0)))
 
     def mother(hpc: DiffOperator) -> DiffOperator:
-        acc = hpc**n
+        acc = hpc  # Horner: ((hpc * hpc + J_1) * hpc + J_2) ... + J_{n-1}
         for k in range(1, n):
-            acc = acc + DiffOperator.multiplication(j_w[k]) * hpc ** (n - k - 1)
+            acc = acc * hpc + DiffOperator.multiplication(j_w[k])
         return acc.scale(2**n)
 
     sides: dict[str, ProductSide] = {}

@@ -220,11 +220,12 @@ def _general_n_checks(report: SuiteReport) -> None:
 def _preset_instantiation_checks(report: SuiteReport) -> None:
     """Generic-parameter goldens, instantiated at the presets, must agree
     with the engine objects built directly at those presets."""
-    for n, preset in ((2, "paper"), (3, "paper"), (4, "paper"), (4, "footnote-alt")):
-        sub = susy.parameter_substitution(n, susy.preset_parameters(n, preset))
-        for e in goldens.corpus().values():
-            if e.n == n and e.preset == "generic" and e.kind in ("charge", "potential"):
-                _check_display(report, f"preset:{preset}:{e.id}", e, preset, sub)
+    for n, presets in susy.PRESETS.items():
+        for preset, values in presets.items():
+            sub = susy.parameter_substitution(n, values)
+            for e in goldens.corpus().values():
+                if e.n == n and e.preset == "generic" and e.kind in ("charge", "potential"):
+                    _check_display(report, f"preset:{preset}:{e.id}", e, preset, sub)
 
 
 def _parameter_checks(report: SuiteReport) -> None:

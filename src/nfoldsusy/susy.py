@@ -172,24 +172,7 @@ def eliminate_potentials(cs: ConditionSet) -> ConditionSet:
 
 # -- dimension-preserving ansatz ----------------------------------------------
 
-PARAMETER_NAMES: dict[int, tuple[str, ...]] = {
-    2: ("alpha0",),
-    3: ("alpha1", "beta1", "beta2", "beta3"),
-    4: (
-        "alpha1",
-        "beta1",
-        "beta2",
-        "beta3",
-        "gamma1",
-        "gamma2",
-        "gamma3",
-        "gamma4",
-        "gamma5",
-        "gamma6",
-        "gamma7",
-    ),
-}
-
+# Which N has the ansatz, and its presets; each assigns every parameter.
 PRESETS: dict[int, dict[str, dict[str, Fraction]]] = {
     2: {"paper": {"alpha0": Fraction(-1, 4)}},
     3: {
@@ -259,10 +242,10 @@ def ansatz_substitution(n: int, parameters: Mapping[str, Fraction] | None = None
     Parameters omitted from the map stay symbolic; unknown names raise.
     """
     values = dict(parameters or {})
-    if n not in PARAMETER_NAMES:
+    if n not in PRESETS:
         raise ValueError(f"no polynomial ansatz is defined for a {n}-fold system")
     for name in values:
-        if name not in PARAMETER_NAMES[n]:
+        if name not in PRESETS[n]["paper"]:
             raise UnknownParameterError(f"unknown parameter {name!r} for n={n}")
 
     def P(name: str) -> DiffPoly:
@@ -350,6 +333,8 @@ def apply_combo(
 ) -> DiffPoly:
     """Expand sum_j sum_p coeff * d^p(condition_j)."""
     conds = dict(cs.items() if isinstance(cs, ConditionSet) else cs)
+    if not conds:
+        raise ValueError("apply_combo needs at least one condition")
     acc = DiffPoly.zero(next(iter(conds.values())).n)
     for j, powers in combo.items():
         for power, coeff in powers.items():

@@ -331,6 +331,24 @@ def test_solve_rejects_a_rhs_row_outside_the_system():
             solve(identity, {row: Fraction(1)}, 2)
 
 
+def test_indices_outside_a_are_refused():
+    """A row outside 0..nrows-1 in a column handed to ``factor``, and a
+    column outside 0..ncols-1 in a row handed to ``solve`` or
+    ``nullspace``, is refused with the index named, not installed as a
+    lead, read as another index or left to an IndexError."""
+    one = Fraction(1)
+    with pytest.raises(ValueError, match="row -1 "):
+        factor([{-1: one}], 2).solve({1: one})
+    with pytest.raises(ValueError, match="row 5 "):
+        factor([{5: one}], 2)
+    with pytest.raises(ValueError, match="column -1 "):
+        solve([{-1: one}], {0: one}, 2)
+    with pytest.raises(ValueError, match="column -1 "):
+        nullspace([{-1: one, 0: one}], 2)
+    with pytest.raises(ValueError, match="column 2 "):
+        nullspace([{2: one}], 2)
+
+
 def test_nullspace_vectors_satisfy_the_homogeneous_system():
     rng = random.Random(11)
     deficient = 0
@@ -361,7 +379,7 @@ def test_sixfold_probe_certificate_is_pinned():
 
 class _Seen:
     """What one membership decision hands the linear algebra: the system
-    memo's entry, the columns ``factor`` gets (copied) with nrows, the rhs
+    of the memo's entry, the columns ``factor`` gets (copied) with nrows, the rhs
     ``solve`` gets, and the vectors that reach elimination."""
 
     def __init__(self):
@@ -375,8 +393,9 @@ def _decide_cold(monkeypatch, target, cs):
     real_system = reduction._membership_system
 
     def system_spy(*args):
-        seen.systems.append(real_system(*args))
-        return seen.systems[-1]
+        labels, system = real_system(*args)
+        seen.systems.append(system)
+        return labels, system
 
     def factor_spy(columns, nrows):
         columns = [dict(c) for c in columns]

@@ -284,21 +284,36 @@ def _expand(n, blocks):
     return [DiffPoly.monomial(n, s) * p for p, shifts in blocks for s in shifts]
 
 
+def _streaming(mp):
+    """Patch ``reduction.factor`` to record the columns each system streams
+    into it, one list per system, and return the record."""
+    streamed = []
+
+    def spy(columns, nrows):
+        streamed.append([dict(column) for column in columns])
+        return factor(columns, nrows)
+
+    mp.setattr(reduction, "factor", spy)
+    return streamed
+
+
 def _system_rows(n, blocks, target=None):
     """The builder's system for polynomial blocks as (rows, dense rhs): the
-    streamed columns laid out as rows, the target read through ``rhs``."""
-    columns = reduction._Columns(n, blocks, target)
-    return _as_rows(columns, target, reduction._Rows.rhs)
+    streamed columns laid out as rows, the target packed by ``rhs``."""
+    with pytest.MonkeyPatch.context() as mp:
+        streamed = _streaming(mp)
+        system = reduction._System(n, blocks)
+    return _as_rows(system, streamed[0], target)
 
 
-def _as_rows(columns, target, rhs):
-    """One pass over the columns, laid out as rows filled in column order,
-    and the target read by ``rhs``, spread densely."""
-    rows = [{} for _ in columns.keys]
+def _as_rows(system, columns, target=None):
+    """The columns laid out as rows filled in column order, and the target
+    packed by the system's ``rhs``, spread densely."""
+    rows = [{} for _ in system.keys]
     for c, column in enumerate(columns):
         for i, q in column.items():
             rows[i][c] = q
-    at = {} if target is None else rhs(columns, target)
+    at = {} if target is None else system.rhs(target)
     return rows, [at.get(i, Fraction(0)) for i in range(len(rows))]
 
 
@@ -311,15 +326,15 @@ def _assert_same_system(got, want):
 def checked_builder(monkeypatch):
     """Check every system the reduction layer builds against the reference:
     the column keys, the columns, the rows (the streamed columns laid out
-    as rows) with the column order inside each, the rows' keys, and the
-    right-hand side: the target the builder is given, read through
-    ``rhs``, and for a membership decision the target as {row: entry}
-    against the memoized rows.  Returns, per system built, the set of
-    generator families it holds."""
-    real_columns, real_builder, real_rhs = (
-        reduction._multiplier_columns, reduction._Columns, reduction._Rows.rhs,
+    as rows) with the column order inside each, and the rows' keys; and
+    every target packed against one: as {row: entry} against its rows, or
+    None when one of its monomials is no row.  Returns, per system built,
+    the set of generator families it holds."""
+    real_columns, real_system, real_rhs = (
+        reduction._multiplier_columns, reduction._System, reduction._System.rhs,
     )
     seen, monomials = [], {}
+    streamed = _streaming(monkeypatch)
 
     def columns(n, conditions, weight, top, pool, max_deriv):
         conditions = list(conditions)
@@ -332,17 +347,15 @@ def checked_builder(monkeypatch):
         assert _expand(n, blocks) == ref_columns
         return labels, blocks
 
-    def builder(n, blocks, target=None):
-        built = real_builder(n, blocks, target)
+    def builder(n, blocks):
+        built = real_system(n, blocks)
         expanded = _expand(n, blocks)
-        _assert_same_system(_as_rows(built, target, real_rhs),
-                            _reference_rows(n, expanded, target))
-        polys = expanded + ([target] if target is not None else [])
-        order = sorted({m for p in polys for m in p.terms}, key=monomial_sort_key(n),
+        _assert_same_system(_as_rows(built, streamed[-1]), _reference_rows(n, expanded))
+        order = sorted({m for p in expanded for m in p.terms}, key=monomial_sort_key(n),
                        reverse=True)
         assert built.keys == [built.packing.key(m) for m in order]
         monomials[id(built.keys)] = order
-        seen.append({g.family for p in polys for m in p.terms for g in m.generators()})
+        seen.append({g.family for p in expanded for m in p.terms for g in m.generators()})
         return built
 
     def rhs(system, target):
@@ -355,8 +368,8 @@ def checked_builder(monkeypatch):
         return got
 
     monkeypatch.setattr(reduction, "_multiplier_columns", columns)
-    monkeypatch.setattr(reduction, "_Columns", builder)
-    monkeypatch.setattr(reduction._Rows, "rhs", rhs)
+    monkeypatch.setattr(reduction, "_System", builder)
+    monkeypatch.setattr(real_system, "rhs", rhs)
     reduction._membership_system.cache_clear()
     return seen
 
@@ -425,8 +438,10 @@ def test_packed_search_and_antiderivative_systems_match_the_reference(checked_bu
         p = parse(text, n)
         assert antiderivative(p.derive()).antiderivative == p
     assert antiderivative(parse("w1", 2)) is None
-    # the twofold search tests two candidates against one memoized system
-    assert len(checked_builder) == 6
+    # the twofold search tests two candidates against one memoized system,
+    # and w1, whose basis one weight down is empty, gets an empty system
+    # that refuses it while packing
+    assert len(checked_builder) == 7
 
 
 def _ordering_pool(n):
@@ -459,12 +474,13 @@ def _random_monomials(rng, n, count):
 def test_packed_key_order_is_the_graded_order(n):
     """Rows come out in ``monomial_sort_key`` order across mixed weights,
     C and PARAM factors and exponents above the weight, both for target
-    monomials alone and for shifted products s * m."""
+    monomials alone and for shifted products s * m.  A target is also the
+    last column, one unshifted block, so each of its monomials is a row."""
     rng = random.Random(100 + n)
     monos = _random_monomials(rng, n, 60)
     target = DiffPoly(n, {m: i + 1 for i, m in enumerate(monos)})
-    rows, rhs = _system_rows(n, [], target)
-    assert rows == [{} for _ in monos]
+    rows, rhs = _system_rows(n, [(target, reduction._UNSHIFTED)], target)
+    assert rows == [{0: q} for q in rhs]
     by_coeff = {i + 1: m for i, m in enumerate(monos)}
     assert [by_coeff[q] for q in rhs] == sorted(monos, key=monomial_sort_key(n), reverse=True)
 
@@ -474,7 +490,8 @@ def test_packed_key_order_is_the_graded_order(n):
     ]
     target = DiffPoly(n, {m: 1 for m in rng.sample(monos, 10)})
     _assert_same_system(
-        _system_rows(n, blocks, target), _reference_rows(n, _expand(n, blocks), target)
+        _system_rows(n, blocks + [(target, reduction._UNSHIFTED)], target),
+        _reference_rows(n, _expand(n, blocks) + [target], target),
     )
 
 
@@ -667,16 +684,17 @@ def test_search_refuses_mixed_ambients_before_building(monkeypatch, cs_n, rel_n)
 
 
 def _system_of(target, cs):
-    """The memo entry a decision on (target, cs) reads, under the current
-    caps."""
+    """The system of the memo entry a decision on (target, cs) reads, under
+    the current caps."""
     from nfoldsusy.config import max_deriv_order, search_deriv_bound
 
     conditions = tuple(cs.items())
     pool = reduction._default_gens([target] + [p for _, p in conditions])
     weight = target.weight()
-    return reduction._membership_system(
+    _, system = reduction._membership_system(
         target.n, conditions, weight, weight, tuple(pool), max_deriv_order(), search_deriv_bound()
     )
+    return system
 
 
 def test_one_factor_serves_member_and_non_member_targets(monkeypatch):

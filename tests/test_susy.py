@@ -21,12 +21,14 @@ from nfoldsusy import (
     transformed_conditions,
     transformed_system,
 )
-from nfoldsusy.diffring import DerivOrderError, u, w
+from nfoldsusy.diffring import DerivOrderError, Family, u, w
+from nfoldsusy.reduction import IntegralConstant
 from nfoldsusy.susy import (
     PRESETS,
     InfeasibleError,
     UnknownParameterError,
     ansatz_substitution,
+    apply_combo,
     general_inm2,
     general_inm3,
     general_second_condition,
@@ -114,6 +116,26 @@ def test_ansatz_images():
         ansatz_substitution(2, {"beta1": Fraction(1)})
     with pytest.raises(ValueError):
         ansatz_substitution(5)
+
+
+def test_every_preset_assigns_every_parameter():
+    """Each preset of an N assigns exactly the parameters of its ansatz, so
+    ``PRESETS`` is the one record of the parameter names."""
+    for n, presets in PRESETS.items():
+        images = ansatz_substitution(n).images.values()
+        names = {g.token() for p in images for m in p.terms for g in m.generators()
+                 if g.family is Family.PARAM}
+        for preset, values in presets.items():
+            assert set(values) == names, (n, preset)
+
+
+def test_apply_combo_with_no_conditions_raises_value_error():
+    """No condition gives no ambient N: a ValueError, not the StopIteration
+    of an empty lookup."""
+    with pytest.raises(ValueError, match="at least one condition"):
+        apply_combo({0: {0: 1}}, [])
+    with pytest.raises(ValueError, match="at least one condition"):
+        IntegralConstant(2, 1, parse("w1", 2), {}).residual([])
 
 
 def test_inverse_ansatz_round_trip():
