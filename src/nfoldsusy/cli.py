@@ -120,7 +120,7 @@ def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Out
     n, k, preset = args.n, args.k, args.preset
     _check_ansatz(parser, n, preset)
     if preset == "generic":
-        parser.error("search needs a numeric preset (paper or footnote-alt)")
+        parser.error(f"search needs a numeric preset ({' or '.join(susy.PRESET_NAMES)})")
     if not 1 <= k <= n - 1:
         parser.error(f"--k must be in 1..{n - 1} for --n {n}")
     if args.deriv_bound is not None and args.deriv_bound < 0:
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact constraint engine for N-fold supersymmetric quantum mechanics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    preset = dict(choices=("paper", "footnote-alt", "generic"), default="paper")
+    preset = dict(choices=susy.PRESET_NAMES + ("generic",), default="paper")
 
     p = sub.add_parser("derive", help="derive and print a constraint set")
     p.add_argument("--n", type=int, required=True)

@@ -15,6 +15,7 @@ from .diffring import (
     DiffPoly,
     InhomogeneousError,
     ZeroPolynomialError,
+    _accumulate,
 )
 
 Liftable = Union["DiffOperator", DiffPoly, int, Fraction]
@@ -111,21 +112,26 @@ class DiffOperator:
             return NotImplemented
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out: dict[int, DiffPoly] = {}
+        # Each order's sum builds up in one terms dict; an order that
+        # cancels leaves, and comes back at the end, as a fresh key.
+        out: dict[int, dict] = {}
         for i, a in self.coeffs.items():
             for k, b in rhs.coeffs.items():
                 deriv = b
                 for j in range(i + 1):
                     target = i + k - j
                     contrib = a * deriv * comb(i, j)
-                    s = out.get(target, DiffPoly.zero(self.n)) + contrib
-                    if s:
-                        out[target] = s
-                    else:
-                        out.pop(target, None)
+                    terms = out.get(target)
+                    if terms is None:
+                        terms = out[target] = {}
+                    _accumulate(terms, contrib.terms.items())
+                    if not terms:
+                        del out[target]
                     if j < i:
                         deriv = deriv.derive()
-        return DiffOperator(self.n, out)
+        return DiffOperator(
+            self.n, {order: DiffPoly._tidy(self.n, t) for order, t in out.items()}
+        )
 
     def __rmul__(self, other: Liftable) -> "DiffOperator":
         rhs = self._lift(other)

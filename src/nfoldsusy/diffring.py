@@ -22,6 +22,16 @@ A flat tuple holds fewer objects than one tuple per factor, which keeps
 the peak memory of a large sort down.
 Each monomial stores its weight as two ints fixed at construction,
 ``weight(n) = _wn * n + _w0``, so the key costs no per-generator weights.
+
+The kernel keeps each operation to one pass over sorted factors.  A
+monomial keeps ``hash(exps)`` from construction, so dict and set lookups
+hash no tuple twice and orders stay those of ``hash(exps)``.  A derivative
+splices the sorted factors: g^e becomes g^(e-1), and g', the generator
+right after g, is incremented or inserted at the next position; no dict
+and no sort.  A product with the unit or with one factor needs no merge.
+Sums of many polynomials (substitutions, parsed sums, operator products)
+add into one terms dict in place, with the insertion order that repeated
+``+`` gives.
 """
 
 from __future__ import annotations
@@ -179,16 +189,21 @@ def _weight_parts(g: Generator) -> tuple[int, int]:
 
 
 class Monomial:
-    """Product of generator powers; exponents positive, factors sorted."""
+    """Product of generator powers; exponents positive, factors sorted and
+    distinct, the hash of ``exps`` kept from construction."""
 
-    __slots__ = ("exps", "_wn", "_w0")
+    __slots__ = ("exps", "_wn", "_w0", "_hash")
 
     def __init__(self, exps: Iterable[tuple[Generator, int]] = ()):
         items = [(g, e) for g, e in exps if e != 0]
         if any(e < 0 for _, e in items):
             raise ValueError("negative exponent in monomial")
         items.sort(key=lambda p: p[0])
+        for (g, _), (h, _) in zip(items, items[1:]):
+            if g == h:
+                raise ValueError(f"repeated generator {g} in monomial")
         self.exps: tuple[tuple[Generator, int], ...] = tuple(items)
+        self._hash = hash(self.exps)
         wn = w0 = 0
         for g, e in items:
             a, b = _weight_parts(g)
@@ -198,11 +213,12 @@ class Monomial:
         self._w0 = w0
 
     @classmethod
-    def _build(cls, items: Iterable[tuple[Generator, int]], wn: int, w0: int) -> "Monomial":
-        """Monomial from positive exponents on distinct generators and its
-        known weight parts; sorts the factors and validates nothing."""
+    def _build(cls, exps: tuple[tuple[Generator, int], ...], wn: int, w0: int) -> "Monomial":
+        """Monomial from a sorted tuple of positive exponents on distinct
+        generators and its known weight parts; validates nothing."""
         mono = object.__new__(cls)
-        mono.exps = tuple(sorted(items))
+        mono.exps = exps
+        mono._hash = hash(exps)
         mono._wn = wn
         mono._w0 = w0
         return mono
@@ -238,12 +254,27 @@ class Monomial:
         return all(g.is_constant() for g, _ in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for g, e in other.exps:
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        wn, w0 = self._wn + other._wn, self._w0 + other._w0
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # One factor goes in at its place in the sorted factors.
+            ((g, e),) = b
+            for i, (h, f) in enumerate(a):
+                if h >= g:
+                    if h == g:
+                        return Monomial._build(a[:i] + ((h, f + e),) + a[i + 1:], wn, w0)
+                    return Monomial._build(a[:i] + b + a[i:], wn, w0)
+            return Monomial._build(a + b, wn, w0)
+        merged = dict(a)
+        for g, e in b:
             merged[g] = merged.get(g, 0) + e
-        return Monomial._build(
-            merged.items(), self._wn + other._wn, self._w0 + other._w0
-        )
+        return Monomial._build(tuple(sorted(merged.items())), wn, w0)
 
     def divides(self, other: "Monomial") -> bool:
         it = dict(other.exps)
@@ -262,10 +293,16 @@ class Monomial:
         return max((g.deriv for g, _ in self.exps if not g.is_constant()), default=0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
+        if self is other:
+            return True
+        return (
+            isinstance(other, Monomial)
+            and self._hash == other._hash
+            and self.exps == other.exps
+        )
 
     def __hash__(self) -> int:
-        return hash(self.exps)
+        return self._hash
 
     def __repr__(self) -> str:
         from .formatting import format_monomial
@@ -417,14 +454,17 @@ class DiffPoly:
     def __pow__(self, k: int) -> "DiffPoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = DiffPoly.constant(self.n, 1)
+        if not k:
+            return DiffPoly.constant(self.n, 1)
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -529,11 +569,11 @@ def _leibniz_terms(terms: Mapping[Monomial, Fraction], cap: int):
     derivable factor of each term, before like terms are summed; a factor
     already at derivative order ``cap`` raises ``DerivOrderError``."""
     for mono, coeff in terms.items():
-        exps = dict(mono.exps)
+        exps = mono.exps
         # A derivative moves one unit of exponent one order up, which
         # raises the weight by one.
         wn, w0 = mono._wn, mono._w0 + 1
-        for gen, e in mono.exps:
+        for i, (gen, e) in enumerate(exps):
             if gen.is_constant():
                 continue
             if gen.deriv >= cap:
@@ -543,13 +583,14 @@ def _leibniz_terms(terms: Mapping[Monomial, Fraction], cap: int):
             dgen = _NEXT_DERIV.get(gen)
             if dgen is None:
                 dgen = _NEXT_DERIV[gen] = Generator(gen.family, gen.index, gen.deriv + 1)
-            bumped = dict(exps)
-            if e == 1:
-                del bumped[gen]
+            # g^e g'^f ... becomes g^(e-1) g'^(f+1) ...: g' is the next
+            # generator after g, so it sits at i + 1 or goes in there.
+            head = exps[:i] if e == 1 else exps[:i] + ((gen, e - 1),)
+            if i + 1 < len(exps) and exps[i + 1][0] == dgen:
+                spliced = head + ((dgen, exps[i + 1][1] + 1),) + exps[i + 2:]
             else:
-                bumped[gen] = e - 1
-            bumped[dgen] = bumped.get(dgen, 0) + 1
-            yield Monomial._build(bumped.items(), wn, w0), coeff if e == 1 else coeff * e
+                spliced = head + ((dgen, 1),) + exps[i + 1:]
+            yield Monomial._build(spliced, wn, w0), coeff if e == 1 else coeff * e
 
 
 def replace_constants(poly: DiffPoly, images: Mapping[Generator, DiffPoly]) -> DiffPoly:
@@ -575,7 +616,7 @@ def _map_terms(poly: DiffPoly, image: Callable[[Generator], DiffPoly]) -> DiffPo
     """The algebra map sending each generator ``g`` of ``poly`` to
     ``image(g)``, applied term by term; each power is computed once."""
     n = poly.n
-    out = DiffPoly.zero(n)
+    out: dict[Monomial, Fraction] = {}
     powers: dict[tuple[Generator, int], DiffPoly] = {}
     for mono, coeff in poly.terms.items():
         acc = DiffPoly.constant(n, coeff)
@@ -584,8 +625,8 @@ def _map_terms(poly: DiffPoly, image: Callable[[Generator], DiffPoly]) -> DiffPo
             if pw is None:
                 pw = powers[gen, e] = image(gen) ** e
             acc = acc * pw
-        out = out + acc
-    return out
+        _accumulate(out, acc.terms.items())
+    return DiffPoly._tidy(n, out)
 
 
 class Substitution:

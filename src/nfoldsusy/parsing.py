@@ -30,6 +30,7 @@ from .diffring import (
     DiffPoly,
     Family,
     Generator,
+    _accumulate,
     is_index,
     param_by_name,
 )
@@ -155,15 +156,15 @@ class _Parser:
         return poly
 
     def expr(self) -> DiffPoly:
-        poly = self.term()
+        out = dict(self.term().terms)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.i += 1
                 rhs = self.term()
-                poly = poly + rhs if val == "+" else poly - rhs
+                _accumulate(out, (rhs if val == "+" else -rhs).terms.items())
             else:
-                return poly
+                return DiffPoly._tidy(self.n, out)
 
     def term(self) -> DiffPoly:
         poly = self.factor()

@@ -229,7 +229,7 @@ def _preset_instantiation_checks(report: SuiteReport) -> None:
 
 
 def _parameter_checks(report: SuiteReport) -> None:
-    for n in (2, 3, 4):
+    for n in susy.PRESETS:
         sol = susy.solve_parameters(n, susy.target_monomials(n, "paper"))
         report.add(
             f"solve-parameters:n={n}",
@@ -285,7 +285,7 @@ def suite_weights() -> SuiteReport:
             system.charge_minus.operator_weight() == n
             and susy.intertwiner(system).operator_weight() == n + 2,
         )
-    for n in (2, 3, 4):
+    for n in susy.PRESETS:
         sub = susy.ansatz_substitution(n)
         report.add(f"ansatz-weight-preserving:n={n}", sub.is_weight_preserving())
     return report
@@ -296,7 +296,7 @@ def suite_weights() -> SuiteReport:
 
 def suite_products() -> SuiteReport:
     report = SuiteReport("products")
-    for n in (2, 3, 4):
+    for n in susy.PRESETS:
         rep = reduction.verify_product(n)
         for name, side in rep.sides.items():
             bad = [o for o, ok in side.matches_display.items() if not ok]

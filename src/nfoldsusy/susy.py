@@ -213,6 +213,9 @@ PRESETS: dict[int, dict[str, dict[str, Fraction]]] = {
     },
 }
 
+# The numeric presets' names, in order of first appearance.
+PRESET_NAMES = tuple(dict.fromkeys(name for presets in PRESETS.values() for name in presets))
+
 
 def preset_parameters(n: int, preset: str) -> dict[str, Fraction]:
     if preset == "generic":

@@ -6,6 +6,7 @@ import pytest
 
 from nfoldsusy import (
     AmbientMismatchError,
+    DerivOrderError,
     DiffPoly,
     InhomogeneousError,
     Monomial,
@@ -14,6 +15,7 @@ from nfoldsusy import (
     parse,
     replace_constants,
 )
+from nfoldsusy.config import max_deriv_order
 from nfoldsusy.diffring import (
     Family,
     Generator,
@@ -251,3 +253,194 @@ def test_derive_stops_once_the_polynomial_is_zero(monkeypatch):
     monkeypatch.setattr(diffring, "_leibniz_terms", counted)
     assert parse("D^5000(C1)", 2).is_zero()
     assert len(calls) <= 1
+
+
+def test_monomial_refuses_a_repeated_generator():
+    with pytest.raises(ValueError, match="repeated generator w1"):
+        Monomial([(w(1), 1), (w(1), 2)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        Monomial([(w(1), -1)])
+    # a zero exponent is dropped, not counted as a repeat
+    assert Monomial([(w(1), 0), (w(1), 3)]) == Monomial.of(w(1), 3)
+
+
+# -- the kernel against a dict-and-sorted reference --------------------------
+#
+# The reference works on plain factor tuples and insertion-ordered dicts,
+# with no call into ``Monomial`` arithmetic: a product merges the factors
+# in a dict and sorts them, a derivative copies the factors into a dict and
+# moves one unit of exponent one order up.  Sums add into one dict, drop
+# what cancels and re-insert it at the end, as ``DiffPoly`` does.
+
+def _ref_accumulate(out, exps, q):
+    if exps not in out:
+        out[exps] = q
+    elif out[exps] + q:
+        out[exps] = out[exps] + q
+    else:
+        del out[exps]
+
+
+def _ref_monomial_product(a, b):
+    merged = dict(a)
+    for g, e in b:
+        merged[g] = merged.get(g, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _ref_product(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            _ref_accumulate(out, _ref_monomial_product(ma, mb), ca * cb)
+    return out
+
+
+def _ref_power(p, k):
+    out, base = {(): Fraction(1)}, p
+    while k:
+        if k & 1:
+            out = _ref_product(out, base)
+        base = _ref_product(base, base) if k > 1 else base
+        k >>= 1
+    return out
+
+
+def _ref_derive(p, times=1):
+    for _ in range(times):
+        out = {}
+        for mono, coeff in p.items():
+            for gen, e in mono:
+                if gen.is_constant():
+                    continue
+                dgen = Generator(gen.family, gen.index, gen.deriv + 1)
+                bumped = dict(mono)
+                bumped[gen] -= 1
+                if not bumped[gen]:
+                    del bumped[gen]
+                bumped[dgen] = bumped.get(dgen, 0) + 1
+                _ref_accumulate(out, tuple(sorted(bumped.items())), coeff * e)
+        p = out
+    return p
+
+
+def _ref_substitute(p, images):
+    """images maps base generators to reference polynomials."""
+    out = {}
+    for mono, coeff in p.items():
+        acc = {(): coeff}
+        for gen, e in mono:
+            img = images.get(gen.base())
+            img = _ref_derive(img, gen.deriv) if img is not None else {((gen, 1),): Fraction(1)}
+            acc = _ref_product(acc, _ref_power(img, e))
+        for m, q in acc.items():
+            _ref_accumulate(out, m, q)
+    return out
+
+
+def _as_ref(poly):
+    return {m.exps: q for m, q in poly.terms.items()}
+
+
+def _from_ref(n, ref):
+    return DiffPoly(n, {Monomial(exps): q for exps, q in ref.items()})
+
+
+def _assert_matches(poly, ref, n):
+    """Same terms in the same insertion order, and every monomial sound."""
+    assert [(m.exps, q) for m, q in poly.terms.items()] == list(ref.items())
+    for m in poly.terms:
+        gens = [g for g, _ in m.exps]
+        assert all(a < b for a, b in zip(gens, gens[1:])), m.exps
+        assert all(e > 0 for _, e in m.exps)
+        assert hash(m) == hash(m.exps)
+        wn = sum(e * (g.weight(1) - g.weight(0)) for g, e in m.exps)
+        w0 = sum(e * g.weight(0) for g, e in m.exps)
+        assert (m._wn, m._w0) == (wn, w0)
+        assert m.weight(n) == wn * n + w0
+
+
+_ADJACENT = (
+    "w1*w1'", "w1^2*w1'", "w1'*w1''", "w1^3*w1'^2*w1''", "w0*w1'*w1''^2",
+    "C1*w1*w1'", "alpha0*beta1*w0'^2", "C0^2*gamma2", "1", "u0'*V+*V+'",
+)
+
+
+def _kernel_monomials(rng, n, count):
+    fixed = [parse(s, n).leading_monomial() for s in _ADJACENT]
+    return fixed + _random_monomials(rng, n, count)
+
+
+def _random_ref_poly(rng, monos, size):
+    return {m.exps: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for m in rng.sample(monos, size)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monomial_products_match_the_reference(seed):
+    rng = random.Random(200 + seed)
+    n = 4
+    monos = _kernel_monomials(rng, n, 80)
+    pairs = [(a, b) for a in monos[: len(_ADJACENT)] for b in monos[: len(_ADJACENT)]]
+    pairs += [(rng.choice(monos), rng.choice(monos)) for _ in range(400)]
+    for a, b in pairs:
+        got = a * b
+        assert got.exps == _ref_monomial_product(a.exps, b.exps)
+        _assert_matches(DiffPoly.monomial(n, got), {got.exps: Fraction(1)}, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_polynomial_products_and_powers_match_the_reference(seed):
+    rng = random.Random(300 + seed)
+    n = 4
+    monos = _kernel_monomials(rng, n, 60)
+    for _ in range(60):
+        a = _random_ref_poly(rng, monos, rng.randint(1, 5))
+        b = _random_ref_poly(rng, monos, rng.randint(1, 5))
+        pa, pb = _from_ref(n, a), _from_ref(n, b)
+        _assert_matches(pa * pb, _ref_product(a, b), n)
+        _assert_matches(pb * pa, _ref_product(b, a), n)
+        for k in range(5):
+            _assert_matches(pa**k, _ref_power(a, k), n)
+    # a cancelling product re-inserts the cancelled monomial at the end
+    p, q = parse("w1 + w0", n), parse("w1 - w0 + w1'", n)
+    _assert_matches(p * q, _ref_product(_as_ref(p), _as_ref(q)), n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_derive_matches_the_reference(seed):
+    rng = random.Random(400 + seed)
+    n = 5
+    monos = _kernel_monomials(rng, n, 80)
+    for m in monos:
+        _assert_matches(DiffPoly.monomial(n, m).derive(), _ref_derive({m.exps: Fraction(1)}), n)
+    for _ in range(60):
+        a = _random_ref_poly(rng, monos, rng.randint(1, 6))
+        times = rng.randint(1, 3)
+        _assert_matches(_from_ref(n, a).derive(times), _ref_derive(a, times), n)
+
+
+def test_derive_at_the_cap_raises():
+    n, cap = 3, max_deriv_order()
+    at_cap, below = "w1" + "'" * cap, "w1" + "'" * (cap - 1)
+    for text in (at_cap, f"w0*w1'*{at_cap}", f"C1*{at_cap}^2", f"{below}*{at_cap}"):
+        with pytest.raises(DerivOrderError):
+            parse(text, n).derive()
+    # one order below the cap derives, onto the cap
+    _assert_matches(parse(below, n).derive(), {((w(1, cap), 1),): Fraction(1)}, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_substitution_apply_matches_the_reference(seed):
+    rng = random.Random(500 + seed)
+    n = 4
+    monos = [m for m in _kernel_monomials(rng, n, 60) if m.max_deriv() <= 2]
+    sub_images = {
+        w(0): parse("u0 + 1/2*w1' - alpha0*w1^2", n),
+        w(2): parse("w3'' - 3*w3*w1 + C1", n),
+        c(1): parse("alpha1*C0^2 + 2", n),
+    }
+    sub = Substitution(n, sub_images)
+    ref_images = {g: _as_ref(p) for g, p in sub_images.items()}
+    for _ in range(40):
+        a = _random_ref_poly(rng, monos, rng.randint(1, 4))
+        _assert_matches(sub.apply(_from_ref(n, a)), _ref_substitute(a, ref_images), n)
