@@ -28,7 +28,8 @@ monomial keeps ``hash(exps)`` from construction, so dict and set lookups
 hash no tuple twice and orders stay those of ``hash(exps)``.  A derivative
 splices the sorted factors: g^e becomes g^(e-1), and g', the generator
 right after g, is incremented or inserted at the next position; no dict
-and no sort.  A product with the unit or with one factor needs no merge.
+and no sort.  A product merges the two sorted factor tuples in one pass,
+and a power starts from its base rather than from the constant 1.
 Sums of many polynomials (substitutions, parsed sums, operator products)
 add into one terms dict in place, with the insertion order that repeated
 ``+`` gives.
@@ -254,27 +255,33 @@ class Monomial:
         return all(g.is_constant() for g, _ in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        # One merge of the two sorted factor tuples.  A third to a half of
+        # all products have the unit as an operand (constant coefficients
+        # times a term), and those return the other operand unchanged.
         a, b = self.exps, other.exps
         if not b:
             return self
         if not a:
             return other
-        wn, w0 = self._wn + other._wn, self._w0 + other._w0
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # One factor goes in at its place in the sorted factors.
-            ((g, e),) = b
-            for i, (h, f) in enumerate(a):
-                if h >= g:
-                    if h == g:
-                        return Monomial._build(a[:i] + ((h, f + e),) + a[i + 1:], wn, w0)
-                    return Monomial._build(a[:i] + b + a[i:], wn, w0)
-            return Monomial._build(a + b, wn, w0)
-        merged = dict(a)
-        for g, e in b:
-            merged[g] = merged.get(g, 0) + e
-        return Monomial._build(tuple(sorted(merged.items())), wn, w0)
+        la, lb = len(a), len(b)
+        merged = []
+        i = j = 0
+        while i < la and j < lb:
+            g, e = a[i]
+            h, f = b[j]
+            if g == h:
+                merged.append((g, e + f))
+                i += 1
+                j += 1
+            elif g < h:
+                merged.append(a[i])
+                i += 1
+            else:
+                merged.append(b[j])
+                j += 1
+        return Monomial._build(
+            tuple(merged) + a[i:] + b[j:], self._wn + other._wn, self._w0 + other._w0
+        )
 
     def divides(self, other: "Monomial") -> bool:
         it = dict(other.exps)
