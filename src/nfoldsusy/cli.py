@@ -4,14 +4,15 @@ Subcommands: ``derive`` (print a constraint set), ``verify`` (run a named
 acceptance suite), ``search`` (find an integral constant), ``emit`` (print
 a golden by id).  Exit codes: 0 success, 1 verification failure, 2 usage
 error (including an invalid ``NFOLDSUSY_MAX_DERIV`` or
-``NFOLDSUSY_DERIV_BOUND``, or a derivative beyond the cap), 3 search
-exhausted.
+``NFOLDSUSY_DERIV_BOUND``, a derivative beyond the cap, or an output that
+cannot be written, a closed stdout included), 3 search exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import goldens, reduction, suites, susy
@@ -34,6 +35,7 @@ def _write(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
             parser.error(f"cannot write --out {out}: {exc.strerror}")
     else:
         print(text)
+        sys.stdout.flush()
 
 
 def _check_ansatz(parser: argparse.ArgumentParser, n: int, preset: str, suffix: str = "") -> None:
@@ -234,7 +236,15 @@ def main(argv: list[str] | None = None) -> int:
     if payload is not None:
         text = (json.dumps(payload, separators=(",", ":")) if args.format == "json"
                 else "\n".join(payload))
-        _write(text, args.out, parser)
+        try:
+            _write(text, args.out, parser)
+        except BrokenPipeError:
+            # The reader is gone (``| head``).  With stdout on the null
+            # device, the interpreter's final flush cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_USAGE
     return code
 
 

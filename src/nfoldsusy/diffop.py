@@ -110,7 +110,7 @@ class DiffOperator:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, (DiffOperator, DiffPoly)):
             return self.scale(other)
         # Each order's sum builds up in one terms dict; an order that
         # cancels leaves, and comes back at the end, as a fresh key.
@@ -138,14 +138,6 @@ class DiffOperator:
         if rhs is None:
             return NotImplemented
         return rhs * self
-
-    def __pow__(self, k: int) -> "DiffOperator":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("operator power must be a nonnegative integer")
-        out = DiffOperator.identity(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- transpose -----------------------------------------------------------
 

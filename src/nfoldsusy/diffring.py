@@ -7,8 +7,14 @@ the physical quantity it stands for); the weight of w_k and u_k depends on
 the ambient order N, so each polynomial records its ambient N and refuses
 arithmetic across different ambients.
 
-All coefficients are `fractions.Fraction`; there is no floating point in
-this module or anywhere downstream of it.
+A coefficient is an ``int`` when it entered the ring as a whole number,
+else a ``fractions.Fraction``: most are Leibniz binomials, and ``int``
+arithmetic is far cheaper.  Only the entry points normalise; a whole-number
+``Fraction`` that arithmetic returns stays one, equal to the ``int`` and of
+the same hash, so no order or output depends on the type.  A float, or any
+other type, is a ``TypeError``: there is no floating point here or
+downstream, and dividing coefficients takes an explicit ``Fraction``, since
+``int / int`` is a float.
 
 Monomials are ordered by ``monomial_sort_key(n)``: weight first, then the
 factors compared as one flat tuple of ``(-family, -index, -deriv, exp)``
@@ -336,36 +342,37 @@ def monomial_sort_key(n: int):
 Scalar = Union[int, Fraction]
 
 
-_ONE = Fraction(1)
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_coefficient(x) -> Scalar:
+    """x as a coefficient: an ``int`` when x is a whole number (a ``bool``
+    included), else a ``Fraction``; anything else is a ``TypeError``."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 class DiffPoly:
-    """Sparse polynomial: monomial -> nonzero Fraction, plus the ambient N."""
+    """Sparse polynomial: monomial -> nonzero coefficient, plus the ambient N."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
         self.n = n
-        tidy: dict[Monomial, Fraction] = {}
+        tidy: dict[Monomial, Scalar] = {}
         if terms:
             for m, q in terms.items():
-                q = _as_fraction(q)
+                q = _as_coefficient(q)
                 if q:
                     tidy[m] = q
         self.terms = tidy
 
     @classmethod
-    def _tidy(cls, n: int, terms: dict[Monomial, Fraction]) -> "DiffPoly":
+    def _tidy(cls, n: int, terms: dict[Monomial, Scalar]) -> "DiffPoly":
         """Polynomial that takes ownership of terms whose coefficients are
-        already nonzero ``Fraction``s."""
+        already nonzero ``int``s or ``Fraction``s."""
         poly = object.__new__(cls)
         poly.n = n
         poly.terms = terms
@@ -383,11 +390,11 @@ class DiffPoly:
 
     @classmethod
     def generator(cls, n: int, gen: Generator) -> "DiffPoly":
-        return cls._tidy(n, {Monomial.of(gen): _ONE})
+        return cls._tidy(n, {Monomial.of(gen): 1})
 
     @classmethod
     def monomial(cls, n: int, mono: Monomial, coeff: Scalar = 1) -> "DiffPoly":
-        q = _as_fraction(coeff)
+        q = _as_coefficient(coeff)
         return cls._tidy(n, {mono: q} if q else {})
 
     # -- ring structure ----------------------------------------------------
@@ -434,13 +441,15 @@ class DiffPoly:
         return rhs + (-self)
 
     def __mul__(self, other) -> "DiffPoly":
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
+        # The polynomial test first: ``Fraction`` is an ABC, so testing a
+        # polynomial against ``(int, Fraction)`` costs far more.
+        if not isinstance(other, DiffPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            q = _as_coefficient(other)
             if not q:
                 return DiffPoly.zero(self.n)
             return DiffPoly._tidy(self.n, {m: c * q for m, c in self.terms.items()})
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
         self._check_ambient(other)
         # Multiplying by one term is injective on monomials, so the other
         # operand's terms map one to one, in order, with no sums and no
@@ -451,7 +460,7 @@ class DiffPoly:
             if c1 == 1:
                 return DiffPoly._tidy(self.n, {m * m1: q for m, q in many.terms.items()})
             return DiffPoly._tidy(self.n, {m * m1: q * c1 for m, q in many.terms.items()})
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for ma, ca in self.terms.items():
             _accumulate(out, ((ma * mb, ca * cb) for mb, cb in other.terms.items()))
         return DiffPoly._tidy(self.n, out)
@@ -474,10 +483,10 @@ class DiffPoly:
             base = base * base
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = DiffPoly.constant(self.n, other)
         if not isinstance(other, DiffPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = DiffPoly.constant(self.n, other)
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
@@ -491,8 +500,8 @@ class DiffPoly:
 
     # -- structure queries -------------------------------------------------
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> Scalar:
+        return self.terms.get(mono, 0)
 
     def monomials(self) -> list[Monomial]:
         return sorted(self.terms, key=monomial_sort_key(self.n), reverse=True)
@@ -502,7 +511,7 @@ class DiffPoly:
             raise ZeroPolynomialError("zero polynomial has no leading monomial")
         return max(self.terms, key=monomial_sort_key(self.n))
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         return self.terms[self.leading_monomial()]
 
     def base_generators(self) -> set[Generator]:
@@ -540,7 +549,7 @@ class DiffPoly:
         for _ in range(times):
             if not poly.terms:
                 break
-            out: dict[Monomial, Fraction] = {}
+            out: dict[Monomial, Scalar] = {}
             _accumulate(out, _leibniz_terms(poly.terms, cap))
             poly = DiffPoly._tidy(self.n, out)
         return poly
@@ -551,8 +560,8 @@ class DiffPoly:
         return format_poly(self)
 
 
-def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
-    """Add (monomial, nonzero Fraction) pairs into out in place, dropping
+def _accumulate(out: dict[Monomial, Scalar], terms) -> None:
+    """Add (monomial, nonzero coefficient) pairs into out in place, dropping
     sums that cancel; a cancelled monomial that comes back is re-inserted
     at the end, as a fresh key."""
     for m, q in terms:
@@ -571,7 +580,7 @@ def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
 _NEXT_DERIV: dict[Generator, Generator] = {}
 
 
-def _leibniz_terms(terms: Mapping[Monomial, Fraction], cap: int):
+def _leibniz_terms(terms: Mapping[Monomial, Scalar], cap: int):
     """The (monomial, coefficient) terms of the derivative, one for each
     derivable factor of each term, before like terms are summed; a factor
     already at derivative order ``cap`` raises ``DerivOrderError``."""
@@ -623,7 +632,7 @@ def _map_terms(poly: DiffPoly, image: Callable[[Generator], DiffPoly]) -> DiffPo
     """The algebra map sending each generator ``g`` of ``poly`` to
     ``image(g)``, applied term by term; each power is computed once."""
     n = poly.n
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Scalar] = {}
     powers: dict[tuple[Generator, int], DiffPoly] = {}
     for mono, coeff in poly.terms.items():
         acc = DiffPoly.constant(n, coeff)

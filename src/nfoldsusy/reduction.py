@@ -527,7 +527,7 @@ def reduce_by_relations(
         if hit is None:
             return work, quotients
         mono, i, lm, lc = hit
-        factor = DiffPoly.monomial(n, mono / lm, work.terms[mono] / lc)
+        factor = DiffPoly.monomial(n, mono / lm, Fraction(work.terms[mono], lc))
         quotients[i] = quotients[i] + factor
         work = work - factor * relations[i]
 

@@ -343,7 +343,7 @@ def _check_integral(report: SuiteReport, e: goldens.GoldenEntry) -> None:
             op = found.multipliers.get(j, DiffOperator.zero(n))
             got = op.coefficient(0) if set(op.coeffs) == {0} else DiffPoly.zero(n)
             lm = want.leading_monomial()
-            lam = got.coefficient(lm) / want.coefficient(lm)
+            lam = Fraction(got.coefficient(lm), want.coefficient(lm))
             ratios.add(lam if lam and got == want * lam else None)
         report.add(f"integral-multipliers:{e.id}", len(ratios) == 1 and None not in ratios)
 

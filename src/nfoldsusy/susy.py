@@ -318,7 +318,7 @@ def inverse_ansatz(n: int, parameters: Mapping[str, Fraction]) -> Substitution:
             raise SusyError(f"ansatz image of w{k} does not involve u{k}")
         rest = fwd - DiffPoly.generator(n, uk) * lead
         resolved = Substitution(n, images).apply(rest)
-        images[uk] = (DiffPoly.generator(n, w(k)) - resolved) * (1 / lead)
+        images[uk] = (DiffPoly.generator(n, w(k)) - resolved) * Fraction(1, lead)
     return Substitution(n, images)
 
 
@@ -536,7 +536,7 @@ def _pivot(
         for eq in pending:
             ratio = eq.coefficient(lone)
             if ratio and all(m == lone or not m.exponent(gen) for m in eq.terms):
-                return name, (eq - DiffPoly.monomial(eq.n, lone, ratio)) * (-1 / ratio)
+                return name, (eq - DiffPoly.monomial(eq.n, lone, ratio)) * Fraction(-1, ratio)
     return None
 
 

@@ -136,6 +136,21 @@ def test_console_script_entrypoint():
     assert proc.stdout.startswith("I_2")
 
 
+def test_closed_stdout_exits_2_without_a_traceback():
+    """The reader of stdout is gone before the command writes (``| head``,
+    ``| true``): exit 2, as for an unwritable ``--out``, and no traceback."""
+    for argv in (("derive", "--n", "3", "--stage", "raw"), ("emit", "--id", "2fc3pp")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nfoldsusy.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2 and err == "", (argv, err)
+
+
 def test_verify_all_json_is_byte_identical_to_the_recorded_digest():
     code, out = run_cli("verify", "--suite", "all", "--format", "json")
     assert code == 0

@@ -16,6 +16,7 @@ from nfoldsusy import (
     replace_constants,
 )
 from nfoldsusy.config import max_deriv_order
+from nfoldsusy.formatting import format_poly, poly_from_dict, poly_to_dict, poly_to_json
 from nfoldsusy.diffring import (
     Family,
     Generator,
@@ -426,3 +427,121 @@ def test_substitution_apply_matches_the_reference(seed):
     for _ in range(40):
         a = _random_ref_poly(rng, monos, rng.randint(1, 4))
         _assert_matches(sub.apply(_from_ref(n, a)), _ref_substitute(a, ref_images), n)
+
+
+# -- the coefficient domain ----------------------------------------------------
+#
+# A coefficient is an ``int`` when it entered as a whole number, else a
+# ``Fraction``; never a float or a bool.  Values and insertion order are
+# checked against the all-``Fraction`` reference above.
+
+def _assert_domain(poly, whole):
+    """Every coefficient an int or a Fraction (no float, no bool), and an int
+    throughout when whole-number inputs made the polynomial."""
+    for q in poly.terms.values():
+        assert type(q) in ((int,) if whole else (int, Fraction)), (q, type(q))
+
+
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for m, q in b.items():
+        _ref_accumulate(out, m, sign * q)
+    return out
+
+
+def _whole_ref_poly(rng, monos, size):
+    return {m.exps: Fraction(rng.randint(-4, 4) or 1) for m in rng.sample(monos, size)}
+
+
+_WHOLE_IMAGES = {
+    w(0): "u0 + 2*w1' - 3*alpha0*w1^2",
+    w(2): "w3'' - 3*w3*w1 + C1",
+    c(1): "alpha1*C0^2 + 6/3",
+}
+_MIXED_IMAGES = {
+    w(0): "u0 + 1/2*w1' - alpha0*w1^2",
+    w(2): "w3'' - 3*w3*w1 + C1",
+    c(1): "alpha1*C0^2 + 2/3",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("whole", [True, False])
+def test_coefficients_are_ints_for_whole_numbers_and_match_the_fraction_reference(seed, whole):
+    rng = random.Random(600 + seed)
+    n = 4
+    monos = [m for m in _kernel_monomials(rng, n, 60) if m.max_deriv() <= 2]
+    make = _whole_ref_poly if whole else _random_ref_poly
+    images = {g: parse(s, n) for g, s in (_WHOLE_IMAGES if whole else _MIXED_IMAGES).items()}
+    ref_images = {g: {e: Fraction(q) for e, q in _as_ref(p).items()} for g, p in images.items()}
+    sub = Substitution(n, images)
+    constants = {g: p for g, p in images.items() if g.is_constant()}
+    ref_constants = {g: ref_images[g] for g in constants}
+    for _ in range(30):
+        a = make(rng, monos, rng.randint(1, 5))
+        b = make(rng, monos, rng.randint(1, 5))
+        pa, pb = _from_ref(n, a), _from_ref(n, b)
+        _assert_domain(pa, whole)
+        k, times = rng.randint(0, 3), rng.randint(1, 2)
+        for got, ref in (
+            (pa + pb, _ref_sum(a, b)),
+            (pa - pb, _ref_sum(a, b, -1)),
+            (pa * pb, _ref_product(a, b)),
+            (pa**k, _ref_power(a, k)),
+            (pa.derive(times), _ref_derive(a, times)),
+            (sub.apply(pa), _ref_substitute(a, ref_images)),
+            (replace_constants(pa, constants), _ref_substitute(a, ref_constants)),
+        ):
+            _assert_domain(got, whole)
+            _assert_matches(got, ref, n)
+
+
+def test_entry_points_normalise_whole_numbers_to_ints():
+    n = 3
+    p = parse("2*w1 + 6/3*w0 - 1/2*w2 + D(3*w1^2) + 4/2", n)
+    assert {str(m): (type(q), q) for m, q in p.terms.items()} == {
+        "w1": (int, 2), "w0": (int, 2), "w2": (Fraction, Fraction(-1, 2)),
+        "w1*w1'": (int, 6), "1": (int, 2),
+    }
+    q = poly_from_dict({"ambientN": n, "terms": [
+        {"monomial": [["w1", 1]], "coeff": "4/2"},
+        {"monomial": [["w0", 2]], "coeff": -3},
+        {"monomial": [], "coeff": "1/3"},
+    ]})
+    assert [(type(c), c) for c in q.terms.values()] == [
+        (int, 2), (int, -3), (Fraction, Fraction(1, 3))
+    ]
+    m = Monomial.of(w(1))
+    for whole in (True, Fraction(7, 7), Fraction(-8, 4)):
+        for poly in (DiffPoly(n, {m: whole}), DiffPoly.monomial(n, m, whole),
+                     DiffPoly.constant(n, whole), P("w1", n) * whole, whole * P("w1", n)):
+            _assert_domain(poly, True)
+    assert type(DiffPoly.zero(n).coefficient(m)) is int
+
+
+def test_floats_are_refused():
+    n = 2
+    m = Monomial.of(w(1))
+    p = P("w1 + 1/2*w0", n)
+    for make in (lambda: DiffPoly(n, {m: 0.5}), lambda: DiffPoly.monomial(n, m, 2.0),
+                 lambda: p * 0.5, lambda: 0.5 * p, lambda: p + 1.0):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_a_whole_number_fraction_renders_as_the_int():
+    n = 3
+    # Fraction arithmetic gives whole-number Fractions, which stay Fractions
+    via_fractions = P("-1/2*w1^2 + 3/2 - 1/4*w0 + 1/4*w2'", n) * 4
+    assert all(type(q) is Fraction for q in via_fractions.terms.values())
+    as_ints = P("-2*w1^2 + 6 - w0 + w2'", n)
+    assert all(type(q) is int for q in as_ints.terms.values())
+    assert via_fractions == as_ints and hash(via_fractions) == hash(as_ints)
+    for render in (format_poly, lambda p: format_poly(p, "latex"), poly_to_json,
+                   lambda p: repr(poly_to_dict(p))):
+        assert render(via_fractions).encode() == render(as_ints).encode()
+    two = DiffPoly._tidy(n, {Monomial.unit(): 2})
+    four_halves = DiffPoly._tidy(n, {Monomial.unit(): Fraction(4, 2)})
+    for style in ("plain", "latex"):
+        assert format_poly(two, style) == format_poly(four_halves, style) == "2"
+    assert poly_to_dict(two) == poly_to_dict(four_halves)

@@ -426,7 +426,8 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     order, that is, the graded monomial sort.  The digest is of the
     system as one (rows, rhs, ncols) over Q; ``factor`` now gets the
     columns and ``solve`` the rhs as {row: entry}, so the test rebuilds
-    the rows from the columns and spreads the rhs."""
+    the rows from the columns and spreads the rhs, every entry as a
+    ``Fraction``, since the ring keeps whole numbers as ``int``s."""
     import hashlib
     import json
 
@@ -446,7 +447,7 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     for c, column in enumerate(columns):
         for i, v in column.items():
             rows[i][c] = Fraction(v)
-    dense = [rhs.get(i, Fraction(0)) for i in range(len(rows))]
+    dense = [Fraction(rhs.get(i, 0)) for i in range(len(rows))]
     matrix = repr(([sorted(r.items()) for r in rows], dense, ncols))
     assert hashlib.sha256(matrix.encode()).hexdigest() == (
         "427654cb0a07f99a39bbf4022454a6eef51f688f44d0c7e1d1c7ddb8edbf226e"
