@@ -44,10 +44,6 @@ class DiffOperator:
         return cls(n)
 
     @classmethod
-    def identity(cls, n: int) -> "DiffOperator":
-        return cls(n, {0: DiffPoly.constant(n, 1)})
-
-    @classmethod
     def d(cls, n: int, order: int = 1) -> "DiffOperator":
         return cls(n, {order: DiffPoly.constant(n, 1)})
 

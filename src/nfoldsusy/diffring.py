@@ -98,13 +98,8 @@ class Generator(NamedTuple):
     deriv: int = 0
 
     def weight(self, n: int) -> int:
-        if self.family in (Family.W, Family.U):
-            return n - self.index + self.deriv
-        if self.family in (Family.VPLUS, Family.VMINUS):
-            return 2 + self.deriv
-        if self.family is Family.C:
-            return 2 * (self.index + 1)
-        return 0
+        a, b = _weight_parts(self)
+        return a * n + b
 
     def is_constant(self) -> bool:
         return self.family in (Family.C, Family.PARAM)
@@ -189,10 +184,14 @@ def param_by_name(name: str) -> Generator:
 
 
 def _weight_parts(g: Generator) -> tuple[int, int]:
-    """``Generator.weight(n)`` as ``(a, b)`` with weight ``a * n + b``."""
+    """The weight table: ``(a, b)`` with ``g.weight(n) = a * n + b``."""
     if g.family in (Family.W, Family.U):
         return 1, g.deriv - g.index
-    return 0, g.weight(0)
+    if g.family in (Family.VPLUS, Family.VMINUS):
+        return 0, 2 + g.deriv
+    if g.family is Family.C:
+        return 0, 2 * (g.index + 1)
+    return 0, 0
 
 
 class Monomial:

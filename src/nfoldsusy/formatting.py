@@ -10,10 +10,13 @@ bytes).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .config import max_deriv_order
+from .diffop import DiffOperator
 from .diffring import DiffPoly, Generator, Monomial
+from .parsing import MAX_DIGITS, ParseError, _generator_from_token
 
 _PARAM_LATEX = {"alpha": r"\alpha", "beta": r"\beta", "gamma": r"\gamma"}
 
@@ -99,27 +102,39 @@ def poly_to_json(poly: DiffPoly) -> str:
     return json.dumps(poly_to_dict(poly), separators=(",", ":"))
 
 
+# The parser's constant p or p/q, optionally negative; each run is short enough for int().
+_COEFF_RE = re.compile(r"(-?\d{1,%d})(?:/(\d{1,%d}))?" % (MAX_DIGITS, MAX_DIGITS), re.ASCII)
+
+
+def _read_header(data, noun: str, key: str, container: type) -> tuple[int, list | dict]:
+    """The checked ``ambientN`` and ``key`` entries of the object ``noun``
+    names, or a ``ParseError`` at position 0."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{noun} is an object", 0)
+    try:
+        n, entries = data["ambientN"], data[key]
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
+    if type(n) is not int or n < 1:
+        raise ParseError(f"ambientN {n!r} is not a positive int", 0)
+    if not isinstance(entries, container):
+        kind = "a list" if container is list else "an object"
+        raise ParseError(f"{key} is not {kind}", 0)
+    return n, entries
+
+
 def poly_from_dict(data: dict) -> DiffPoly:
     """Inverse of ``poly_to_dict``; malformed input raises ``ParseError``
     whose position is the index of the term (0 for a top-level key).
     The shape is the one ``poly_to_dict`` writes: an object with a positive
     int ``ambientN`` and a list of ``terms``, each an object whose monomial is
     a list of [token, exponent] pairs, tokens strings and exponents ints of
-    at least 1, and whose coefficient is a string or an int."""
-    from .parsing import ParseError, _generator_from_token
-
-    if not isinstance(data, dict):
-        raise ParseError("a polynomial is an object", 0)
-    try:
-        n, entries = data["ambientN"], data["terms"]
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
-    if type(n) is not int or n < 1:
-        raise ParseError(f"ambientN {n!r} is not a positive int", 0)
-    if not isinstance(entries, list):
-        raise ParseError("terms is not a list", 0)
+    at least 1, and whose coefficient is an int or a string ``-p/q``, as the
+    parser reads a constant: ``-`` and ``/q`` optional, p and q runs of at
+    most ``MAX_DIGITS`` ASCII digits, q nonzero."""
+    n, entries = _read_header(data, "a polynomial", "terms", list)
     cap = max_deriv_order()
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int | Fraction] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError("a term is not an object", i)
@@ -144,12 +159,15 @@ def poly_from_dict(data: dict) -> DiffPoly:
         mono = Monomial(factors)
         if mono in terms:
             raise ParseError("a monomial repeated across terms", i)
-        if type(coeff) not in (str, int):
+        if type(coeff) is int:
+            terms[mono] = coeff
+            continue
+        if type(coeff) is not str:
             raise ParseError(f"coefficient {coeff!r} is not a string or an int", i)
-        try:
-            terms[mono] = Fraction(coeff)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"invalid coefficient {coeff!r}", i) from None
+        m = _COEFF_RE.fullmatch(coeff)
+        if m is None or (m[2] is not None and int(m[2]) == 0):
+            raise ParseError(f"invalid coefficient {coeff!r}", i)
+        terms[mono] = int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2]))
     return DiffPoly(n, terms)
 
 
@@ -189,7 +207,7 @@ def operator_to_json(op) -> str:
     return json.dumps(operator_to_dict(op), separators=(",", ":"))
 
 
-def operator_from_dict(data: dict):
+def operator_from_dict(data: dict) -> DiffOperator:
     """Inverse of ``operator_to_dict``; malformed input raises ``ParseError``
     at position 0, or as ``poly_from_dict`` does inside a coefficient.  The
     shape is the one ``operator_to_dict`` writes: an object with a positive
@@ -197,19 +215,7 @@ def operator_from_dict(data: dict):
     ASCII decimals without sign, space or leading zero, of at most
     ``MAX_DIGITS`` digits, and whose values are polynomials of that
     ambient N."""
-    from .diffop import DiffOperator
-    from .parsing import MAX_DIGITS, ParseError
-
-    if not isinstance(data, dict):
-        raise ParseError("an operator is an object", 0)
-    try:
-        n, entries = data["ambientN"], data["coeffs"]
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
-    if type(n) is not int or n < 1:
-        raise ParseError(f"ambientN {n!r} is not a positive int", 0)
-    if not isinstance(entries, dict):
-        raise ParseError("coeffs is not an object", 0)
+    n, entries = _read_header(data, "an operator", "coeffs", dict)
     coeffs = {}
     for order, entry in entries.items():
         if not (type(order) is str and order.isascii() and order.isdigit()

@@ -60,7 +60,7 @@ import heapq
 from array import array
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, MutableSequence, Sequence
+from typing import Iterable, Mapping, MutableSequence
 
 _ZERO = Fraction(0)
 
@@ -126,7 +126,7 @@ class Factor:
     """A matrix A factored by its columns: ``solve`` answers A x = b for any
     b and ``nullspace`` spans A x = 0 (module docstring).  Reads as the
     sequence of its column-echelon vectors, dicts row -> int, by lead, so
-    it can stand where the rows of a system are measured.
+    the traced ``solve`` and ``nullspace`` can size it (ROADMAP item 1).
 
     Everything is flat.  The log: ``_ops`` holds three integers per update
     (the lead of the pivot cleared, scale, rv); ``_ends`` five per column
@@ -265,33 +265,12 @@ def factor(columns: Iterable[Mapping[int, Fraction | int]], nrows: int) -> Facto
         return Factor(columns, nrows, None)
 
 
-def _factored(rows: Sequence[Mapping[int, Fraction | int]] | Factor, ncols: int) -> Factor:
-    """``rows`` itself if it is a factor, else the factor of its columns,
-    explicit zeros dropped."""
-    if isinstance(rows, Factor):
-        return rows
-    columns: list[dict] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        if row and not 0 <= min(row) <= max(row) < ncols:  # -1 would alias column ncols-1
-            bad = min(row) if min(row) < 0 else max(row)
-            raise ValueError(f"column {bad} is outside 0..{ncols - 1}")
-        for c, v in row.items():
-            if v:
-                columns[c][i] = v
-    return factor(columns, len(rows))
+def solve(factor: Factor, rhs: Mapping[int, Fraction], ncols: int) -> list[Fraction] | None:
+    """``factor.solve(rhs)``: a layer name ``perfbench/layers.py`` traces, by
+    positional arguments, until it wraps ``linalg.factor`` (ROADMAP item 1)."""
+    return factor.solve(rhs)
 
 
-def solve(
-    rows: Sequence[Mapping[int, Fraction | int]] | Factor, rhs: Mapping[int, Fraction], ncols: int
-) -> list[Fraction] | None:
-    """One solution of A x = b with free variables set to zero, or None.
-    ``rows`` is A, with ``ncols`` columns, or its ``Factor``."""
-    return _factored(rows, ncols).solve(rhs)
-
-
-def nullspace(
-    rows: Sequence[Mapping[int, Fraction | int]] | Factor, ncols: int
-) -> list[list[Fraction]]:
-    """Deterministic basis of the solution space of A x = 0; ``rows`` is A,
-    with ``ncols`` columns, or its ``Factor``."""
-    return _factored(rows, ncols).nullspace()
+def nullspace(factor: Factor, ncols: int) -> list[list[Fraction]]:
+    """``factor.nullspace()``: a traced layer name, as ``solve`` is."""
+    return factor.nullspace()

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nfoldsusy import ParseError, format_poly, parse, poly_from_json, poly_to_json
-from nfoldsusy.formatting import format_monomial
+from nfoldsusy.formatting import format_monomial, poly_from_dict, poly_to_dict
+from nfoldsusy.parsing import MAX_DIGITS
 
 
 def test_zero():
@@ -159,6 +160,49 @@ def test_malformed_json_raises_parse_error():
 def test_malformed_json_fields_raise_parse_error(data):
     with pytest.raises(ParseError):
         poly_from_json(json.dumps(data))
+
+
+def _with_coeff(coeff):
+    """A two-term polynomial whose second coefficient is ``coeff``."""
+    return {"ambientN": 2, "terms": [{"monomial": [["w1", 1]], "coeff": "1"},
+                                     {"monomial": [["w0", 1]], "coeff": coeff}]}
+
+
+_LONG = "9" * (MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["1.5", "1e3", " 2 ", "+3", "1_0", "1e100000", "٣", _LONG, "1/" + _LONG,
+     "1/0", "1/00", "", "-", "--1", "1/", "/2", "1/-2", "1/+2", "1 / 2"],
+    ids=["decimal-point", "exponent", "spaces", "plus", "underscore", "huge-exponent",
+         "arabic-digit", "long-numerator", "long-denominator", "zero-denominator",
+         "zeros-denominator", "empty", "sign-only", "double-minus", "no-denominator",
+         "no-numerator", "signed-denominator", "plus-denominator", "spaced-slash"],
+)
+def test_json_coefficients_outside_the_parser_grammar_are_refused(coeff):
+    """A coefficient string is the parser's rational constant, with an
+    optional leading ``-``: ``Fraction`` would read a decimal, an exponent,
+    spaces, a plus, underscores or other scripts' digits, and ``1e100000``
+    as an int of 100001 digits that ``poly_to_json`` cannot write back."""
+    with pytest.raises(ParseError) as err:
+        poly_from_json(json.dumps(_with_coeff(coeff)))
+    assert str(err.value) == f"invalid coefficient {coeff!r} at position 1"
+
+
+def test_json_coefficients_in_the_parser_grammar_are_read():
+    """A signed or unreduced fraction, leading zeros, a run of MAX_DIGITS
+    digits and a JSON int are read, and so is every coefficient
+    ``poly_to_dict`` writes."""
+    w1, w0 = parse("w1", 2), parse("w0", 2)
+    for coeff, want in (("-3/4", Fraction(-3, 4)), ("2/4", Fraction(1, 2)), ("-6/3", -2),
+                        ("007", 7), ("9" * MAX_DIGITS, 10**MAX_DIGITS - 1), (-5, -5)):
+        assert poly_from_json(json.dumps(_with_coeff(coeff))) == w1 + w0 * want
+    p = parse("2*w1*w1'' - w1'^2 - 3/7*C1 + 1/2 - 12345678901234567890/3*u1 + 10/5*u0", 2)
+    data = poly_to_dict(p)
+    assert {t["coeff"] for t in data["terms"]} == {
+        "2", "-1", "-3/7", "1/2", "-4115226300411522630"}
+    assert poly_from_dict(data) == p
 
 
 def test_latex_rendering():
