@@ -16,7 +16,7 @@ from fractions import Fraction
 from .config import max_deriv_order
 from .diffop import DiffOperator
 from .diffring import DiffPoly, Generator, Monomial
-from .parsing import MAX_DIGITS, ParseError, _generator_from_token
+from .parsing import MAX_DIGITS, ParseError, _check_digits, _generator_from_token
 
 _PARAM_LATEX = {"alpha": r"\alpha", "beta": r"\beta", "gamma": r"\gamma"}
 
@@ -131,7 +131,7 @@ def poly_from_dict(data: dict) -> DiffPoly:
     a list of [token, exponent] pairs, tokens strings and exponents ints of
     at least 1, and whose coefficient is an int or a string ``-p/q``, as the
     parser reads a constant: ``-`` and ``/q`` optional, p and q runs of at
-    most ``MAX_DIGITS`` ASCII digits, q nonzero."""
+    most ``MAX_DIGITS`` ASCII digits (an int as many digits), q nonzero."""
     n, entries = _read_header(data, "a polynomial", "terms", list)
     cap = max_deriv_order()
     terms: dict[Monomial, int | Fraction] = {}
@@ -160,6 +160,7 @@ def poly_from_dict(data: dict) -> DiffPoly:
         if mono in terms:
             raise ParseError("a monomial repeated across terms", i)
         if type(coeff) is int:
+            _check_digits((coeff,), i)
             terms[mono] = coeff
             continue
         if type(coeff) is not str:

@@ -1,17 +1,19 @@
 """Sparse exact linear solving over Q, by eliminating the columns of A.
 
-Vectors are dicts index -> coefficient.  ``_eliminate`` is fraction-free:
-it scales each vector to integers, reduces it, in input order, against
-the pivots found so far (a dict lead -> pivot, the lead being a pivot's
-lowest index) and installs a nonzero result, content divided out, as the
-pivot of its lead.  That is the echelon a heap of all the vectors keyed
-by (lead, input position) gives: the pivot of lead c is the first vector
-to come to lead with c, and every update divides only by a positive g0,
-so each vector stays a positive multiple of the heap's.  To clear the
-entry rv under the pivot entry pv, an update forms
-r·(pv/g0) − pivot·(rv/g0) with g0 = gcd(pv, rv), and finds the lead
-again from a lazy heap of the vector's indices, so it costs the pivot's
-length.  Certificates are reproducible bit for bit.
+Vectors are dicts index -> coefficient.  A column a comes scaled, as (σ·a
+in primitive integers, den, content) with σ = den / content the ratio
+``_scale_to_int`` gives, so a builder scales columns that share their
+coefficients once (``reduction``).  ``_eliminate`` is fraction-free: it
+reduces each vector, in input order, against the pivots found so far (a
+dict lead -> pivot, the lead being a pivot's lowest index) and installs a
+nonzero result, content divided out, as the pivot of its lead.  That is
+the echelon a heap of all the vectors keyed by (lead, input position)
+gives: the pivot of lead c is the first vector to come to lead with c, and
+every update divides only by a positive g0, so each vector stays a
+positive multiple of the heap's.  To clear the entry rv under the pivot
+entry pv, an update forms r·(pv/g0) − pivot·(rv/g0) with g0 = gcd(pv, rv),
+and finds the lead again from a lazy heap of the vector's indices, so it
+costs the pivot's length.  Certificates are reproducible bit for bit.
 
 Eliminating by columns.  ``factor`` runs ``_eliminate`` over the columns
 a_0, a_1, ... of A, each a vector over the row indices, and ``_eliminate``
@@ -48,10 +50,10 @@ so any method that finds solutions of that shape finds the same Fractions.
   Σ_k (s_{k+1}⋯s_K)·rv_k / (W·σ) · p_{ℓ_k}; the same replay turns minus
   that into x with A x = −a_f, and x + e_f is the basis vector of f.
 - *Storage.*  The log, σ as two ints, the echelon and a lead row -> pivot
-  map are flat 32-bit arrays, so no Fraction reaches one; when an integer
-  outgrows them the factor is redone in lists, from a second pass over
-  the columns.  No column is kept, so a builder can stream them in
-  (``reduction``).
+  map are built in lists, then packed into flat 32-bit arrays, so no
+  Fraction reaches one; a list holding an integer that outgrows 32 bits
+  stays a list.  Each column is read once and none is kept, so a builder
+  can stream them in from a generator (``reduction``).
 """
 
 from __future__ import annotations
@@ -60,12 +62,13 @@ import heapq
 from array import array
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, MutableSequence
+from typing import Any, Iterable, Mapping
 
 _ZERO = Fraction(0)
+Column = tuple[Mapping[int, int], int, int]  # (σ·a in primitive integers, den, content)
 
 
-def _scale_to_int(row: Mapping[int, Fraction | int]) -> tuple[dict[int, int], int, int]:
+def _scale_to_int(row: Mapping[Any, Fraction | int]) -> tuple[dict[Any, int], int, int]:
     """The row times den / g, primitive integers, with den and g."""
     ratios = [q.as_integer_ratio() for q in row.values()]  # one call per Fraction
     den = lcm(*[d for _, d in ratios])
@@ -77,15 +80,15 @@ def _scale_to_int(row: Mapping[int, Fraction | int]) -> tuple[dict[int, int], in
 
 
 def _eliminate(
-    vectors: Iterable[Mapping[int, Fraction | int]], log: tuple[MutableSequence[int], ...]
+    columns: Iterable[Column], log: tuple[list[int], list[int]]
 ) -> list[tuple[int, dict[int, int]]]:
     """Forward elimination; returns the pivots as (lead, vector), by lead,
     and records every operation in ``log``, the (ops, ends) of ``Factor``."""
     pivots: dict[int, dict[int, int]] = {}
     ops, ends = log
     record, end_row = ops.extend, ends.extend
-    for row in vectors:
-        r, den, content = _scale_to_int(row)
+    for vector, den, content in columns:
+        r = dict(vector)
         cols = list(r)  # a heap of r's indices, and of some it has lost
         heapq.heapify(cols)
         end = -1, 1
@@ -138,30 +141,33 @@ class Factor:
 
     __slots__ = ("nrows", "ncols", "_ops", "_ends", "_pivot", "_starts", "_rows", "_vals")
 
-    def __init__(self, columns: Iterable[Mapping[int, Fraction | int]], nrows: int,
-                 typecode: str | None):
-        def new():
-            return [] if typecode is None else array(typecode)
+    def __init__(self, columns: Iterable[Column], nrows: int):
+        def machine(values):  # a 32-bit array, or the list itself if a value outgrows it
+            try:
+                return array("i", values)
+            except OverflowError:
+                return values
 
         self.nrows = nrows
-        self._ops, self._ends = new(), new()
-        echelon = _eliminate(columns, (self._ops, self._ends))
+        ops, ends = [], []
+        echelon = _eliminate(columns, (ops, ends))
         if echelon:  # only a pivot clears an entry, so each row of A is a pivot's,
             # and the lowest is the first lead: no pivot holds a row below its lead
             lo, hi = echelon[0][0], max(map(max, [vec for _, vec in echelon]))
             if not 0 <= lo <= hi < nrows:
                 raise ValueError(f"row {lo if lo < 0 else hi} is outside 0..{nrows - 1}")
-        self.ncols = len(self._ends) // 5
-        self._pivot, self._starts, self._rows, self._vals = new(), new(), new(), new()
-        self._pivot.extend([-1] * nrows)
+        self.ncols = len(ends) // 5
+        pivot, starts, rows, vals = [-1] * nrows, [], [], []
         for t, (lead, vec) in enumerate(echelon):
-            self._pivot[lead] = t
-            self._starts.append(len(self._rows))
-            self._rows.append(lead)
-            self._vals.append(vec.pop(lead))
-            self._rows.extend(vec)
-            self._vals.extend(vec.values())
-        self._starts.append(len(self._rows))
+            pivot[lead] = t
+            starts.append(len(rows))
+            rows.append(lead)
+            vals.append(vec.pop(lead))
+            rows.extend(vec)
+            vals.extend(vec.values())
+        starts.append(len(rows))
+        self._ops, self._ends, self._pivot, self._starts, self._rows, self._vals = map(
+            machine, (ops, ends, pivot, starts, rows, vals))
 
     def __len__(self) -> int:
         return len(self._starts) - 1
@@ -252,17 +258,11 @@ class Factor:
         return w * ends[5 * j + 3] / ends[5 * j + 4]
 
 
-def factor(columns: Iterable[Mapping[int, Fraction | int]], nrows: int) -> Factor:
-    """Eliminate A, given by its columns as {row index: entry} over
-    ``nrows`` rows, once for any number of right-hand sides; a row index
-    outside 0..nrows-1 raises ValueError.  The factor is
-    kept in 32-bit machine arrays, or redone in lists, on a second pass
-    over ``columns``, when an integer outgrows them: pass an iterable that
-    can be walked twice."""
-    try:
-        return Factor(columns, nrows, "i")
-    except OverflowError:
-        return Factor(columns, nrows, None)
+def factor(columns: Iterable[Column], nrows: int) -> Factor:
+    """Eliminate A, given by its scaled columns with vectors {row index:
+    entry} over ``nrows`` rows, in one pass, once for any number of
+    right-hand sides; a row index outside 0..nrows-1 raises ValueError."""
+    return Factor(columns, nrows)
 
 
 def solve(factor: Factor, rhs: Mapping[int, Fraction], ncols: int) -> list[Fraction] | None:

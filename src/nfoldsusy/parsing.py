@@ -14,15 +14,17 @@ written with trailing apostrophes (``w1''``) or via ``D^m(...)`` applied
 to any subexpression.
 Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep, a power or a
 product is refused when its result could exceed ``MAX_TERMS`` terms, and
-a number has at most ``MAX_DIGITS`` digits.  Digits and whitespace are
-ASCII: ``int`` would read other scripts' digits as aliases.
+a number, and each numerator and denominator of a result, has at most
+``MAX_DIGITS`` digits.  Digits and whitespace are ASCII: ``int`` would
+read other scripts' digits as aliases.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from typing import Iterable
 
 from .config import max_deriv_order
 from .diffring import (
@@ -58,9 +60,10 @@ MAX_NESTING = 100
 # needs at most 78 for a power and 11 for a product.
 MAX_TERMS = 500
 
-# CPython's default limit on int() of a decimal string
-# (sys.get_int_max_str_digits); longer runs are refused as tokens.
+# CPython's default limit on int() and str() of a decimal string
+# (sys.get_int_max_str_digits): longer tokens and coefficients are refused.
 MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
 
 
 _TOKEN_RE = re.compile(
@@ -125,6 +128,13 @@ def _generator_from_token(tok: str, pos: int, cap: int, n: int) -> Generator:
         raise ParseError(str(exc), pos, ("generator",)) from None
 
 
+def _check_digits(coeffs: Iterable[int | Fraction], pos: int) -> None:
+    """Refuse a numerator or denominator of more than ``MAX_DIGITS`` digits."""
+    for q in coeffs:
+        if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+            raise ParseError(f"a coefficient longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
+
+
 class _Parser:
     def __init__(self, text: str, n: int):
         self.n = n
@@ -150,6 +160,7 @@ class _Parser:
 
     def parse(self) -> DiffPoly:
         poly = self.expr()
+        _check_digits(poly.terms.values(), 0)
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos, ("end of input",))
@@ -158,11 +169,12 @@ class _Parser:
     def expr(self) -> DiffPoly:
         out = dict(self.term().terms)
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.i += 1
                 rhs = self.term()
                 _accumulate(out, (rhs if val == "+" else -rhs).terms.items())
+                _check_digits((out.get(m, 0) for m in rhs.terms), pos)
             else:
                 return DiffPoly._tidy(self.n, out)
 
@@ -180,6 +192,7 @@ class _Parser:
                         pos,
                     )
                 poly = poly * rhs
+                _check_digits(poly.terms.values(), pos)
             else:
                 return poly
 
@@ -212,6 +225,11 @@ class _Parser:
                     f"budget of MAX_TERMS = {MAX_TERMS} terms",
                     pos,
                 )
+            # numerators <= s^exp, denominators <= d^exp (equal for one term), s/d = sum |q|
+            d = lcm(*(q.denominator for q in poly.terms.values()))
+            s = sum(abs(q.numerator) * (d // q.denominator) for q in poly.terms.values())
+            if exp * (max(s, d).bit_length() - 1) >= _TOO_LONG.bit_length():
+                raise ParseError(f"power {exp} could exceed MAX_DIGITS = {MAX_DIGITS} digits", pos)
             poly = poly**exp
         return poly * sign if sign < 0 else poly
 

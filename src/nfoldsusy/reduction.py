@@ -9,13 +9,13 @@ the bounds used and the reports say so.
 Packed monomial keys.  ``_System`` builds every system, the
 antiderivative's, the integral search's and each membership's, without
 multiplying polynomials or sorting ``Monomial`` objects.  Its columns come
-in blocks ``(p, shifts)``, one column ``s * p`` per shift monomial ``s``:
-in a multiplier system ``p`` is a shifted condition D^m(I_j), derived
-once, and the shifts are the monomial basis of the complementary weight,
-built once per weight.  List the G generators the system holds in
-ascending order g_0 < ... < g_{G-1}, and let B exceed every exponent a row
-can hold (the largest shift exponent plus the largest exponent of a block
-polynomial).  Then
+in blocks ``(c, p, shifts)``, one column ``c * s * p`` per shift monomial
+``s``: in a multiplier system c * p is a shifted condition D^m(I_j) and
+the shifts are the monomial basis of the complementary weight, built once
+per weight.  List the G generators the system holds in ascending order
+g_0 < ... < g_{G-1}, and let B exceed every exponent a row can hold (the
+largest shift exponent plus the largest exponent of a block polynomial).
+Then
 
     key(m) = wt(m) * B^G + sum_i e_i(m) * B^(G-1-i)
 
@@ -27,21 +27,23 @@ they compare as exponent vectors, lexicographically from g_0 with the
 higher exponent winning, and that is how ``monomial_sort_key`` breaks ties
 (see the ``diffring`` module docstring).  So the rows are the keys sorted
 descending, and a column is its block's keys shifted by key(s) and looked
-up.  One pass collects the keys; every later pass over the system streams
-its columns into ``linalg.factor``, which keeps none of them.  A target is
+up.  One pass collects the keys and packs each block once, as primitive
+integers and the σ its columns share (``linalg``); a generator streams the
+columns into ``linalg.factor``, which keeps none of them.  A target is
 packed against the rows and solved against the factor.
 
 Memoized columns.  The columns b * D^m(I_j) of a multiplier system do not
 depend on its target, which enters only as the right-hand side, so they
-are built once per process.  ``_derived`` keeps D^m(I_j), keyed on the
-condition's value, m and the derivative cap (``NFOLDSUSY_MAX_DERIV``),
-and derives D^m from the kept D^(m-1); a cap error is raised, not stored.
-``_basis`` keeps each monomial basis as a tuple, keyed on n, the weight,
-the sorted base generators and the basis bound (``NFOLDSUSY_DERIV_BOUND``
-or the caller's), and ``monomial_basis`` hands each caller a fresh list.
-Both are ``functools.lru_cache``s, bounded at 256 towers and 128 bases.
-The ring interns each generator's next derivative, so kept polynomials
-share their generator objects.
+are built once per process.  Each condition is I_j = c_j * P_j, c_j > 0
+and P_j in primitive integers, and ``_derived`` keeps the integer tower
+D^m(P_j), keyed on the condition's value, m and the derivative cap
+(``NFOLDSUSY_MAX_DERIV``): D^m from the kept D^(m-1), in ints, with a cap
+error raised, not stored.  ``_basis`` keeps each monomial basis as a
+tuple, keyed on n, the weight, the sorted base generators and the basis
+bound (``NFOLDSUSY_DERIV_BOUND`` or the caller's), and ``monomial_basis``
+hands each caller a fresh list.  Both are ``functools.lru_cache``s,
+bounded at 256 towers and 128 bases.  The ring interns each generator's
+next derivative, so kept polynomials share their generator objects.
 
 Memoized factors.  The matrix of a membership system does not depend on
 the target either, so its elimination is done once too.
@@ -86,7 +88,7 @@ from .diffring import (
     c as c_gen,
     monomial_sort_key,
 )
-from .linalg import factor, nullspace, solve
+from .linalg import _scale_to_int, factor, nullspace, solve
 from .susy import (ConditionSet, _split_parameters, apply_combo, build_system, inverse_ansatz,
                    pipeline, preset_parameters)
 
@@ -259,7 +261,7 @@ def antiderivative(p: DiffPoly) -> Decomposition | None:
 # A block whose one column is its polynomial.
 _UNSHIFTED = (Monomial.unit(),)
 
-Block = tuple[DiffPoly, Sequence[Monomial]]
+Block = tuple[Fraction | int, DiffPoly, Sequence[Monomial]]  # (c > 0, p, shifts)
 
 
 def _derivative_columns(
@@ -268,7 +270,7 @@ def _derivative_columns(
     """The non-constant monomials of the given weight, and one block for
     the derivative of each."""
     basis = [b for b in monomial_basis(n, weight, gens, cap) if not b.is_constant()]
-    return basis, [(DiffPoly.monomial(n, b).derive(), _UNSHIFTED) for b in basis]
+    return basis, [(1, DiffPoly.monomial(n, b).derive(), _UNSHIFTED) for b in basis]
 
 
 def _check_ambient(n: int, polys: Iterable[DiffPoly]) -> None:
@@ -312,45 +314,42 @@ class _Packing:
 
 
 class _System:
-    """The sparse system with one column ``s * p`` for each block
-    ``(p, shifts)`` and each ``s`` in ``shifts``, in that order, and one
+    """The sparse system with one column ``c * s * p`` for each block
+    ``(c, p, shifts)`` and each ``s`` in ``shifts``, in that order, and one
     row per monomial of the columns, factored: the packing, the rows'
     packed keys in descending graded order, the shifts of each block and
-    the ``linalg.Factor``.  Iterating streams the columns, {row index:
-    entry}, built anew on each pass from the packed blocks (terms as (key,
-    coefficient), and one list of keys per list of shifts, which the
-    blocks of one weight share); ``factor`` may walk them twice, and the
-    packed blocks are dropped once it is done."""
+    the ``linalg.Factor``.  A generator streams the columns into ``factor``
+    from the packed blocks: each block's primitive integer terms as (key,
+    entry) and σ, both shared by its columns, and one list of keys per
+    list of shifts, which the blocks of one weight share."""
 
-    __slots__ = ("packing", "keys", "shifts", "factor", "_packed")
+    __slots__ = ("packing", "keys", "shifts", "factor")
 
     def __init__(self, n: int, blocks: Sequence[Block]):
         gens: set[Generator] = set()
         top = 0
-        for p, shifts in blocks:
+        for _, p, shifts in blocks:
             top = max(top, _span(shifts, gens) + _span(p.terms, gens))
         self.packing = _Packing(n, top + 1, sorted(gens, reverse=True))
         key = self.packing.key
         keys: set[int] = set()
         shift_keys: dict[int, list[int]] = {}  # by id of the shifts list
-        self._packed = []
-        for p, shifts in blocks:
+        packed_blocks = []
+        for c, p, shifts in blocks:
             if id(shifts) not in shift_keys:
                 shift_keys[id(shifts)] = [key(s) for s in shifts]
-            packed = [(key(m), q) for m, q in p.terms.items()]
-            self._packed.append((packed, shift_keys[id(shifts)]))
+            ints, den, content = _scale_to_int(p.terms)
+            sigma = Fraction(den * c.denominator, content * c.numerator)  # den / (content * c)
+            packed = [(key(m), v) for m, v in ints.items()]
+            packed_blocks.append((packed, shift_keys[id(shifts)], sigma))
             for ks in shift_keys[id(shifts)]:
                 keys.update([ks + k for k, _ in packed])
         self.keys = sorted(keys, reverse=True)
-        self.shifts = [shifts for _, shifts in blocks]
-        self.factor = factor(self, len(self.keys))
-        del self._packed
-
-    def __iter__(self):
+        self.shifts = [shifts for _, _, shifts in blocks]
         row = {k: i for i, k in enumerate(self.keys)}
-        for packed, shift_keys in self._packed:
-            for ks in shift_keys:
-                yield {row[ks + k]: q for k, q in packed}
+        columns = (({row[ks + k]: v for k, v in packed}, sigma.numerator, sigma.denominator)
+                   for packed, shift_keys, sigma in packed_blocks for ks in shift_keys)
+        self.factor = factor(columns, len(self.keys))
 
     def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:
         """The target as {row index: coefficient}; None when one of its
@@ -376,19 +375,21 @@ class _System:
 
 @lru_cache(maxsize=256)
 def _derived(cond: DiffPoly, m: int, cap: int) -> DiffPoly:
-    """D^m(cond) under the derivative cap ``cap``, which must be the
-    configured one: D^m is derived from the memoized D^(m-1)."""
-    return cond if m == 0 else _derived(cond, m - 1, cap).derive()
+    """D^m(P), cond = c * P with c > 0 and P primitive in ints, under the
+    configured derivative cap ``cap``, in ints from the memoized D^(m-1)(P)."""
+    if m:
+        return _derived(cond, m - 1, cap).derive()
+    return DiffPoly._tidy(cond.n, _scale_to_int(cond.terms)[0])
 
 
 def _multiplier_columns(
     n: int, conditions: Iterable[tuple[int, DiffPoly]], weight: int,
     top: Callable[[DiffPoly], int], pool: Sequence[Generator], max_deriv: int | None,
 ) -> tuple[list[tuple[int, int]], list[Block]]:
-    """The labels (j, m) and blocks (D^m(I_j), basis) of the columns
-    b * D^m(I_j) of a multiplier system: conditions in order, zero ones
-    skipped, m from 0 to min(weight - wt(I_j), top(I_j)), b over the
-    monomial basis of the complementary weight, one list per weight."""
+    """The labels (j, m) and blocks (c_j, D^m(P_j), basis), I_j = c_j * P_j,
+    of the columns b * D^m(I_j) of a multiplier system: conditions in order,
+    zero ones skipped, m from 0 to min(weight - wt(I_j), top(I_j)), b over
+    the monomial basis of the complementary weight, one list per weight."""
     cap = max_deriv_order()
     bases: dict[int, list[Monomial]] = {}
     labels: list[tuple[int, int]] = []
@@ -396,13 +397,14 @@ def _multiplier_columns(
     for j, cond in conditions:
         if cond.is_zero():
             continue
-        cw = cond.weight()
+        _, den, content = _scale_to_int(cond.terms)
+        cw, scale = cond.weight(), Fraction(content, den)
         for m in range(min(weight - cw, top(cond)) + 1):
             rest = weight - cw - m
             if rest not in bases:
                 bases[rest] = monomial_basis(n, rest, pool, max_deriv)
             labels.append((j, m))
-            blocks.append((_derived(cond, m, cap), bases[rest]))
+            blocks.append((scale, _derived(cond, m, cap), bases[rest]))
     return labels, blocks
 
 
@@ -584,15 +586,12 @@ def search_integral(
     top = 0 if policy == "multiplicative" else 1
     labels, blocks = _multiplier_columns(n, cs.items(), target_weight, lambda c: top, pool,
                                          max_deriv)
-    shifts = [basis for _, basis in blocks]
+    shifts = [basis for _, _, basis in blocks]
     reduced = []
     if relations:
-        reduced = [
-            reduce_by_relations(DiffPoly.monomial(n, b) * derived, relations)
-            for derived, basis in blocks
-            for b in basis
-        ]
-        blocks = [(nf, _UNSHIFTED) for nf, _ in reduced]
+        reduced = [reduce_by_relations(DiffPoly.monomial(n, b, c) * p, relations)
+                   for c, p, basis in blocks for b in basis]
+        blocks = [(1, nf, _UNSHIFTED) for nf, _ in reduced]
     nmult = sum(map(len, shifts))
     bounds = {
         "k": k,
@@ -608,16 +607,13 @@ def search_integral(
     for rel in relations:
         q_gens |= rel.base_generators()
     # The largest derivative order in a nonzero column s * p.
-    cap = max(
-        (max(p.max_deriv(), max(s.max_deriv() for s in shifts))
-         for p, shifts in blocks if p and shifts),
-        default=0,
-    )
+    cap = max((max(p.max_deriv(), max(s.max_deriv() for s in shifts))
+               for _, p, shifts in blocks if p and shifts), default=0)
     q_cap = min(max(cap - 1, 0), max_deriv)
     q_basis, q_blocks = _derivative_columns(n, target_weight - 1, q_gens, q_cap)
 
     # Homogeneous system: candidate combination minus total derivative = 0.
-    system = _System(n, blocks + [(-dq, shifts) for dq, shifts in q_blocks])
+    system = _System(n, blocks + [(1, -dq, shifts) for _, dq, shifts in q_blocks])
     rays = nullspace(system.factor, system.factor.ncols)
 
     candidates = []

@@ -67,8 +67,16 @@ def _canonical(echelon):
 
 
 def _echelon(vectors):
-    """``_eliminate`` with a throwaway log."""
-    return _eliminate(vectors, ([], []))
+    """``_eliminate`` on the vectors scaled by ``_scale_to_int``, with a
+    throwaway log."""
+    return _eliminate([_scale_to_int(v) for v in vectors], ([], []))
+
+
+def _rebuilt(columns):
+    """Scaled columns (vector, den, content) as the vectors over Q they
+    stand for, each entry ``Fraction(v * content, den)``."""
+    return [{i: Fraction(v * content, den) for i, v in vector.items()}
+            for vector, den, content in columns]
 
 
 def _random_system(rng):
@@ -114,13 +122,13 @@ def _random_rhs(rng, rows, ncols):
 
 def _columns(rows, ncols):
     """The columns of A = rows, as {row index: entry}, explicit zeros
-    dropped."""
+    dropped, each scaled by ``_scale_to_int`` as ``factor`` takes it."""
     columns = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for c, v in row.items():
             if v:
                 columns[c][i] = v
-    return columns
+    return [_scale_to_int(column) for column in columns]
 
 
 def _factor(rows, ncols):
@@ -231,7 +239,7 @@ def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, c
 
     def spy(vectors, log):
         vectors = list(vectors)
-        seen.append([dict(v) for v in vectors])
+        seen.append(_rebuilt(vectors))
         return _eliminate(vectors, log)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
@@ -307,12 +315,22 @@ class _Passes:
         [{0: 2**20 + 1, 1: 3}, {0: 3, 1: 2**20 + 7}, {0: 1, 1: 1}],
     ],
 )
-def test_a_factor_outgrowing_machine_integers_is_redone_in_lists(rows):
-    """On a second pass over the columns, which a streamed system rebuilds."""
+def test_a_factor_outgrowing_machine_integers_keeps_lists_in_one_pass(monkeypatch, rows):
+    """One pass over the columns and one elimination; each array with a
+    value past 32 bits stays a list, and every other one is packed."""
+    eliminated = []
+
+    def spy(vectors, log):
+        eliminated.append(1)
+        return _eliminate(vectors, log)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
     columns = _Passes(_columns(rows, 3))
     f = factor(columns, len(rows))
-    assert columns.passes == 2
-    assert type(f._ops) is list and type(f._vals) is list
+    assert columns.passes == 1 and eliminated == [1]
+    assert type(f._vals) is list
+    for a in (f._ops, f._ends, f._pivot, f._starts, f._rows, f._vals):
+        assert (type(a) is list) == any(not -2**31 <= v < 2**31 for v in a)
     rng = random.Random(5)
     answers = set()
     for _ in range(20):
@@ -340,9 +358,9 @@ def test_indices_outside_a_are_refused():
     left to an IndexError."""
     one = Fraction(1)
     with pytest.raises(ValueError, match="row -1 "):
-        factor([{-1: one}], 2).solve({1: one})
+        factor([_scale_to_int({-1: one})], 2).solve({1: one})
     with pytest.raises(ValueError, match="row 5 "):
-        factor([{5: one}], 2)
+        factor([_scale_to_int({5: one})], 2)
 
 
 def test_nullspace_vectors_satisfy_the_homogeneous_system():
@@ -375,8 +393,9 @@ def test_sixfold_probe_certificate_is_pinned():
 
 class _Seen:
     """What one membership decision hands the linear algebra: the system
-    of the memo's entry, the columns ``factor`` gets (copied) with nrows, the rhs
-    ``solve`` gets, and the vectors that reach elimination."""
+    of the memo's entry, the columns ``factor`` gets with nrows and the
+    vectors that reach elimination, both rebuilt over Q, and the rhs
+    ``solve`` gets."""
 
     def __init__(self):
         self.systems, self.factored, self.rhs, self.eliminated = [], [], [], []
@@ -394,8 +413,8 @@ def _decide_cold(monkeypatch, target, cs):
         return labels, system
 
     def factor_spy(columns, nrows):
-        columns = [dict(c) for c in columns]
-        seen.factored.append((columns, nrows))
+        columns = list(columns)
+        seen.factored.append((_rebuilt(columns), nrows))
         return factor(columns, nrows)
 
     def solve_spy(rows, rhs, ncols):
@@ -404,7 +423,7 @@ def _decide_cold(monkeypatch, target, cs):
 
     def eliminate_spy(vectors, log):
         vectors = list(vectors)
-        seen.eliminated.append([dict(v) for v in vectors])
+        seen.eliminated.append(_rebuilt(vectors))
         return _eliminate(vectors, log)
 
     monkeypatch.setattr(reduction, "_membership_system", system_spy)

@@ -293,3 +293,48 @@ def test_non_ascii_digits_in_json_tokens_are_parse_errors(token):
     with pytest.raises(ParseError, match="unknown generator") as err:
         poly_from_json(json.dumps(data))
     assert err.value.position == 1
+
+
+_TOO_LONG_CALLS = {
+    "one-term-power": 'parse("9" * 100 + "^100000", 2)',
+    "product": "parse('9' * 4300 + '*' + '9' * 4300 + '*w1', 2)",
+    "json-int": 'poly_from_dict({"ambientN": 2, "terms": '
+                '[{"monomial": [["w1", 1]], "coeff": 10**5000}]})',
+}
+
+
+@pytest.mark.parametrize("call", list(_TOO_LONG_CALLS.values()), ids=list(_TOO_LONG_CALLS))
+def test_coefficients_past_max_digits_are_refused_at_once(call):
+    """Each reader refuses a coefficient that ``str()`` could not write, and
+    refuses a power of one in time, before computing it.  Run in a fresh
+    interpreter under a timeout, since no signal interrupts one big
+    integer power."""
+    import os
+    import subprocess
+    import sys
+
+    import nfoldsusy
+
+    code = ("from nfoldsusy import ParseError, parse\n"
+            "from nfoldsusy.formatting import poly_from_dict\n"
+            f"try:\n    {call}\nexcept ParseError as exc:\n    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(nfoldsusy.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert f"MAX_DIGITS = {MAX_DIGITS} digits at position" in proc.stdout, proc.stderr
+
+
+def test_coefficients_up_to_max_digits_are_read():
+    """Results of at most MAX_DIGITS digits are read, however they are made,
+    and one digit more is refused at the product or sum that makes it, or
+    at position 0 when the expression as a whole holds it."""
+    assert len(str(parse("3^9000*w1", 2).leading_coefficient())) == 4295
+    assert parse("(1/3)^9000", 2) == Fraction(1, 3**9000)
+    assert parse("2^14000 - 2^14000", 2).is_zero()
+    sums = "w1 + (" + "9" * MAX_DIGITS + " + 1)"
+    for text, position in (("w1 + 3^9020*w1", 11), ("w1*w0*3^9020", 5), ("3^9020", 0),
+                           (sums, sums.index(" + 1") + 1),
+                           ("D^3(" + "9" * MAX_DIGITS + "*w1^9)", 0)):
+        with pytest.raises(ParseError, match=f"MAX_DIGITS = {MAX_DIGITS}") as err:
+            parse(text, 2)
+        assert err.value.position == position

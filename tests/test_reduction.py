@@ -21,7 +21,7 @@ from nfoldsusy import (
 )
 from nfoldsusy.diffring import monomial_sort_key, u, w
 from nfoldsusy.goldens import search_relations
-from nfoldsusy.linalg import factor
+from nfoldsusy.linalg import _scale_to_int, factor
 from nfoldsusy.reduction import reduce_by_relations
 from nfoldsusy.suites import run_search
 
@@ -80,15 +80,14 @@ def test_antiderivative_factors_once_into_machine_arrays(monkeypatch):
 
     real, built = linalg.Factor.__init__, []
 
-    def spy(self, columns, nrows, typecode):
-        built.append((self, typecode))
-        real(self, columns, nrows, typecode)
+    def spy(self, columns, nrows):
+        built.append(self)
+        real(self, columns, nrows)
 
     monkeypatch.setattr(linalg.Factor, "__init__", spy)
     p = parse("w1^2*u0 + 1/2*w1*w1'' - 1/4*w1'^2", 2)
     assert antiderivative(p.derive()).antiderivative == p
-    [(f, typecode)] = built
-    assert typecode == "i"
+    [f] = built
     assert all(type(a) is array for a in (f._ops, f._ends, f._pivot, f._vals))
 
 
@@ -281,16 +280,19 @@ def _reference_rows(n, columns, target=None):
 
 
 def _expand(n, blocks):
-    return [DiffPoly.monomial(n, s) * p for p, shifts in blocks for s in shifts]
+    return [DiffPoly.monomial(n, s, c) * p for c, p, shifts in blocks for s in shifts]
 
 
 def _streaming(mp):
     """Patch ``reduction.factor`` to record the columns each system streams
-    into it, one list per system, and return the record."""
+    into it, one list per system, each column rebuilt over Q from its
+    scaled form (vector, den, content), and return the record."""
     streamed = []
 
     def spy(columns, nrows):
-        streamed.append([dict(column) for column in columns])
+        columns = list(columns)
+        streamed.append([{i: Fraction(v * content, den) for i, v in vector.items()}
+                         for vector, den, content in columns])
         return factor(columns, nrows)
 
     mp.setattr(reduction, "factor", spy)
@@ -342,7 +344,7 @@ def checked_builder(monkeypatch):
         ref_keys, ref_columns = _reference_multiplier_columns(
             n, conditions, weight, top, pool, max_deriv
         )
-        keys = [(j, m, b) for (j, m), (_, basis) in zip(labels, blocks) for b in basis]
+        keys = [(j, m, b) for (j, m), (_, _, basis) in zip(labels, blocks) for b in basis]
         assert keys == ref_keys
         assert _expand(n, blocks) == ref_columns
         return labels, blocks
@@ -479,20 +481,78 @@ def test_packed_key_order_is_the_graded_order(n):
     rng = random.Random(100 + n)
     monos = _random_monomials(rng, n, 60)
     target = DiffPoly(n, {m: i + 1 for i, m in enumerate(monos)})
-    rows, rhs = _system_rows(n, [(target, reduction._UNSHIFTED)], target)
+    rows, rhs = _system_rows(n, [(1, target, reduction._UNSHIFTED)], target)
     assert rows == [{0: q} for q in rhs]
     by_coeff = {i + 1: m for i, m in enumerate(monos)}
     assert [by_coeff[q] for q in rhs] == sorted(monos, key=monomial_sort_key(n), reverse=True)
 
     blocks = [
-        (DiffPoly(n, {m: rng.randint(1, 5) for m in rng.sample(monos, 5)}), rng.sample(monos, 4))
+        (1, DiffPoly(n, {m: rng.randint(1, 5) for m in rng.sample(monos, 5)}),
+         rng.sample(monos, 4))
         for _ in range(6)
     ]
     target = DiffPoly(n, {m: 1 for m in rng.sample(monos, 10)})
     _assert_same_system(
-        _system_rows(n, blocks + [(target, reduction._UNSHIFTED)], target),
+        _system_rows(n, blocks + [(1, target, reduction._UNSHIFTED)], target),
         _reference_rows(n, _expand(n, blocks) + [target], target),
     )
+
+
+def _reference_factor(n, columns):
+    """The factor of polynomial columns, each expanded as ``Fraction``s
+    over the rows of ``_reference_rows`` and scaled on its own by
+    ``_scale_to_int``."""
+    order = sorted({m for col in columns for m in col.terms}, key=monomial_sort_key(n),
+                   reverse=True)
+    row = {m: i for i, m in enumerate(order)}
+    return factor([_scale_to_int({row[m]: Fraction(q) for m, q in col.terms.items()})
+                   for col in columns], len(order))
+
+
+def _assert_same_factor(got, want):
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    assert list(got._ops) == list(want._ops)
+    assert list(got._ends) == list(want._ends)
+    assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_block_scaled_probe_factors_equal_the_column_scaled_reference(n):
+    """The probe's factor, built from blocks scaled once, has the log and
+    echelon of the columns s * D^m(I_j), derived from the conditions as
+    ``Fraction``s and each scaled on its own."""
+    cs = pipeline(n, "eliminated")
+    _clear_memos()
+    labels, system = _entry_of(_probe(n, cs), cs)
+    columns = [DiffPoly.monomial(n, s) * cs.condition(j).derive(m)
+               for (j, m), shifts in zip(labels, system.shifts) for s in shifts]
+    _assert_same_factor(system.factor, _reference_factor(n, columns))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_scaled_random_factors_equal_the_column_scaled_reference(seed):
+    """Blocks with a scale c and Fraction coefficients with a common
+    content, shared and single shifts, and scaled copies of other blocks,
+    which give dependent columns."""
+    rng = random.Random(400 + seed)
+    n = rng.randint(2, 7)
+    monos = _random_monomials(rng, n, 30)
+    shared = rng.sample(monos, 3)
+    blocks = []
+    for i in range(8):
+        if i == 7 or (blocks and rng.random() < 0.3):
+            c, p, shifts = rng.choice(blocks)
+            k = Fraction(rng.choice((2, 3)), rng.choice((1, 5)))
+            blocks.append((c / k, p * k, shifts))
+            continue
+        content = Fraction(rng.choice((1, 2, 6)), rng.choice((1, 3, 4)))
+        p = DiffPoly(n, {m: content * rng.choice((-3, -2, -1, 1, 2, 5))
+                         for m in rng.sample(monos, rng.randint(1, 4))})
+        c = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+        blocks.append((c, p, rng.choice((shared, reduction._UNSHIFTED, rng.sample(monos, 2)))))
+    system = reduction._System(n, blocks)
+    _assert_same_factor(system.factor, _reference_factor(n, _expand(n, blocks)))
+    assert system.factor.ncols > len(system.factor)  # some column is dependent
 
 
 def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
@@ -634,8 +694,9 @@ def test_memos_under_raised_caps_leave_default_verdicts_alone(monkeypatch):
 
 
 def test_re_expansion_does_not_read_the_memo(monkeypatch):
-    """A wrong memoized D^m(I_j) makes a wrong column; the certificate
-    built on it fails the independent re-expansion instead of coming back."""
+    """A wrong entry D^m(P_j) of the memoized integer tower makes a wrong
+    column; the certificate built on it fails the independent re-expansion
+    instead of coming back."""
     n = 6
     cs = pipeline(n, "eliminated")
     target = _probe(n, cs)
@@ -644,6 +705,7 @@ def test_re_expansion_does_not_read_the_memo(monkeypatch):
     assert (0, 2) in dict(honest.multipliers)
     real = reduction._derived
     wrong = real(cs.condition(0), 2, 12) * 2
+    assert all(type(q) is int for q in wrong.terms.values())
 
     def corrupted(cond, m, cap):
         return wrong if (cond, m) == (cs.condition(0), 2) else real(cond, m, cap)
@@ -683,18 +745,22 @@ def test_search_refuses_mixed_ambients_before_building(monkeypatch, cs_n, rel_n)
 # -- memoized factors -----------------------------------------------------------
 
 
-def _system_of(target, cs):
-    """The system of the memo entry a decision on (target, cs) reads, under
-    the current caps."""
+def _entry_of(target, cs):
+    """The memo entry (labels, system) a decision on (target, cs) reads,
+    under the current caps."""
     from nfoldsusy.config import max_deriv_order, search_deriv_bound
 
     conditions = tuple(cs.items())
     pool = reduction._default_gens([target] + [p for _, p in conditions])
     weight = target.weight()
-    _, system = reduction._membership_system(
+    return reduction._membership_system(
         target.n, conditions, weight, weight, tuple(pool), max_deriv_order(), search_deriv_bound()
     )
-    return system
+
+
+def _system_of(target, cs):
+    """The system of the memo entry a decision on (target, cs) reads."""
+    return _entry_of(target, cs)[1]
 
 
 def test_one_factor_serves_member_and_non_member_targets(monkeypatch):
@@ -843,3 +909,24 @@ def test_each_decision_makes_one_solve_call_the_benchmark_can_trace(monkeypatch)
             rows, _, ncols = args
             assert len(rows) > 0 and sum(map(len, rows)) > 0
             assert ncols == sum(map(len, _system_of(target, cs).shifts))
+
+
+def test_membership_certificates_at_three_seeds_are_pinned():
+    """The probe, a seeded random member and the non-member at N=6 and N=7,
+    for seeds 3, 21 and 31: 18 certificates under one digest, recorded
+    while every column was still scaled on its own."""
+    import hashlib
+    import json
+
+    digest = hashlib.sha256()
+    for seed in (3, 21, 31):
+        for n in (6, 7):
+            cs = pipeline(n, "eliminated")
+            probe = _probe(n, cs)
+            for target in (probe, _random_member(n, cs, random.Random(seed)),
+                           probe + DiffPoly.generator(n, w(n - 1)) ** (n + 6)):
+                cert = _as_dict(ideal_membership(target, cs))
+                digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "cfc79faa8ee13fb8557283c8850bc4d852c0b486f5d18cba02d9f7a75b8c043f"
+    )
