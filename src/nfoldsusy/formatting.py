@@ -16,7 +16,7 @@ from fractions import Fraction
 from .config import max_deriv_order
 from .diffop import DiffOperator
 from .diffring import DiffPoly, Generator, Monomial
-from .parsing import MAX_DIGITS, ParseError, _check_digits, _generator_from_token
+from .parsing import _TOO_LONG, MAX_DIGITS, ParseError, _check_digits, _generator_from_token
 
 _PARAM_LATEX = {"alpha": r"\alpha", "beta": r"\beta", "gamma": r"\gamma"}
 
@@ -129,9 +129,10 @@ def poly_from_dict(data: dict) -> DiffPoly:
     The shape is the one ``poly_to_dict`` writes: an object with a positive
     int ``ambientN`` and a list of ``terms``, each an object whose monomial is
     a list of [token, exponent] pairs, tokens strings and exponents ints of
-    at least 1, and whose coefficient is an int or a string ``-p/q``, as the
-    parser reads a constant: ``-`` and ``/q`` optional, p and q runs of at
-    most ``MAX_DIGITS`` ASCII digits (an int as many digits), q nonzero."""
+    at least 1 and at most ``MAX_DIGITS`` digits, and whose coefficient is
+    an int or a string ``-p/q``, as the parser reads a constant: ``-`` and
+    ``/q`` optional, p and q runs of at most ``MAX_DIGITS`` ASCII digits
+    (an int as many digits), q nonzero."""
     n, entries = _read_header(data, "a polynomial", "terms", list)
     cap = max_deriv_order()
     terms: dict[Monomial, int | Fraction] = {}
@@ -151,6 +152,8 @@ def poly_from_dict(data: dict) -> DiffPoly:
             t, e = factor
             if type(t) is not str:
                 raise ParseError(f"generator token {t!r} is not a string", i)
+            if type(e) is int and abs(e) >= _TOO_LONG:  # before e is written in a message
+                raise ParseError(f"an exponent longer than MAX_DIGITS = {MAX_DIGITS} digits", i)
             if type(e) is not int or e < 1:
                 raise ParseError(f"exponent {e!r} is not a positive int", i)
             factors.append((_generator_from_token(t, i, cap, n), e))

@@ -4,16 +4,17 @@ Vectors are dicts index -> coefficient.  A column a comes scaled, as (σ·a
 in primitive integers, den, content) with σ = den / content the ratio
 ``_scale_to_int`` gives, so a builder scales columns that share their
 coefficients once (``reduction``).  ``_eliminate`` is fraction-free: it
-reduces each vector, in input order, against the pivots found so far (a
-dict lead -> pivot, the lead being a pivot's lowest index) and installs a
-nonzero result, content divided out, as the pivot of its lead.  That is
-the echelon a heap of all the vectors keyed by (lead, input position)
-gives: the pivot of lead c is the first vector to come to lead with c, and
-every update divides only by a positive g0, so each vector stays a
-positive multiple of the heap's.  To clear the entry rv under the pivot
-entry pv, an update forms r·(pv/g0) − pivot·(rv/g0) with g0 = gcd(pv, rv),
-and finds the lead again from a lazy heap of the vector's indices, so it
-costs the pivot's length.  Certificates are reproducible bit for bit.
+reduces each vector (``_reduce``), in input order, against the pivots
+found so far (a dict lead -> pivot, the lead being a pivot's lowest index)
+and installs a nonzero result, content divided out, as the pivot of its
+lead.  That is the echelon a heap of all the vectors keyed by (lead, input
+position) gives: the pivot of lead c is the first vector to come to lead
+with c, and every update divides only by a positive g0, so each vector
+stays a positive multiple of the heap's.  To clear the entry rv under the
+pivot entry pv, an update forms r·(pv/g0) − pivot·(rv/g0) with
+g0 = gcd(pv, rv), and finds the lead again from a lazy heap of the
+vector's indices, so it costs the pivot's length.  Certificates are
+reproducible bit for bit.
 
 Eliminating by columns.  ``factor`` runs ``_eliminate`` over the columns
 a_0, a_1, ... of A, each a vector over the row indices, and ``_eliminate``
@@ -36,11 +37,12 @@ so any method that finds solutions of that shape finds the same Fractions.
 
   and a dependent column the same with 0 on the left.
 - *Forward reduction.*  ``Factor.solve`` takes b as {row index: entry},
-  every index a row of A, and reduces it against the echelon, lowest row
-  first, in integers over one denominator: when that row leads p_ℓ,
-  y_ℓ = b_ℓ / p_ℓ[ℓ] and b −= y_ℓ·p_ℓ.  No pivot has an entry at a row
-  before its lead, so when that row leads no pivot, no combination of the
-  pivots reaches b: infeasible, at once, with no zero row kept.
+  every index a row of A, and reduces it against the echelon with the
+  same ``_reduce``, lowest row first, in integers over one denominator:
+  when that row leads p_ℓ, y_ℓ = b_ℓ / p_ℓ[ℓ] and b −= y_ℓ·p_ℓ.  No pivot
+  has an entry at a row before its lead, so when that row leads no pivot,
+  no combination of the pivots reaches b: infeasible, at once, with no
+  zero row kept.
 - *The adjoint replay.*  Then b = Σ y_ℓ·p_ℓ, and walking the log backwards
   turns that into x.  A pivot column with final coefficient z_ℓ (each
   pivot its log names was installed before it) takes x_j = z_ℓ·W·σ / g and
@@ -49,20 +51,18 @@ so any method that finds solutions of that shape finds the same Fractions.
 - *Nullspace.*  A dependent column's log writes a_f as
   Σ_k (s_{k+1}⋯s_K)·rv_k / (W·σ) · p_{ℓ_k}; the same replay turns minus
   that into x with A x = −a_f, and x + e_f is the basis vector of f.
-- *Storage.*  The log, σ as two ints, the echelon and a lead row -> pivot
-  map are built in lists, then packed into flat 32-bit arrays, so no
-  Fraction reaches one; a list holding an integer that outgrows 32 bits
-  stays a list.  Each column is read once and none is kept, so a builder
-  can stream them in from a generator (``reduction``).
+- *Storage.*  The log, σ as two ints, is two flat lists of ints, and the
+  echelon is the dict of pivots ``_eliminate`` installed, so no Fraction
+  reaches either.  Each column is read once and none is kept, so a
+  builder can stream them in from a generator (``reduction``).
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 _ZERO = Fraction(0)
 Column = tuple[Mapping[int, int], int, int]  # (σ·a in primitive integers, den, content)
@@ -79,6 +79,44 @@ def _scale_to_int(row: Mapping[Any, Fraction | int]) -> tuple[dict[Any, int], in
     return out, den, g
 
 
+def _reduce(
+    r: dict[int, int], pivots: Mapping[int, Mapping[int, int]], record: Callable[[tuple], object]
+) -> int | None:
+    """Reduce the integer vector r in place against ``pivots`` ({lead:
+    {row: int}}), lowest index first, passing ``record`` (lead, scale, rv)
+    for each update r ← scale·r − rv·p_lead; return the first index of r no
+    pivot leads, or None once r is zero."""
+    heap = list(r)  # a heap of r's indices, and of some it has lost
+    heapq.heapify(heap)
+    while r:
+        col = heap[0]
+        while col not in r:
+            heapq.heappop(heap)
+            col = heap[0]
+        pivot = pivots.get(col)
+        if pivot is None:
+            return col
+        pv, rv = pivot[col], r[col]
+        g0 = gcd(pv, rv)
+        scale = pv // g0
+        if scale != 1:
+            for c in r:
+                r[c] *= scale
+        rv //= g0
+        record((col, scale, rv))
+        for c, v in pivot.items():
+            if c in r:
+                val = r[c] - v * rv
+                if val:
+                    r[c] = val
+                else:
+                    del r[c]
+            else:
+                r[c] = -v * rv
+                heapq.heappush(heap, c)
+    return None
+
+
 def _eliminate(
     columns: Iterable[Column], log: tuple[list[int], list[int]]
 ) -> list[tuple[int, dict[int, int]]]:
@@ -86,42 +124,15 @@ def _eliminate(
     and records every operation in ``log``, the (ops, ends) of ``Factor``."""
     pivots: dict[int, dict[int, int]] = {}
     ops, ends = log
-    record, end_row = ops.extend, ends.extend
     for vector, den, content in columns:
         r = dict(vector)
-        cols = list(r)  # a heap of r's indices, and of some it has lost
-        heapq.heapify(cols)
+        col = _reduce(r, pivots, ops.extend)
         end = -1, 1
-        while r:
-            col = cols[0]
-            while col not in r:
-                heapq.heappop(cols)
-                col = cols[0]
-            pivot = pivots.get(col)
-            if pivot is None:
-                g = gcd(*r.values())
-                pivots[col] = {c: v // g for c, v in r.items()} if g > 1 else r
-                end = col, g
-                break
-            pv, rv = pivot[col], r[col]
-            g0 = gcd(pv, rv)
-            scale = pv // g0
-            if scale != 1:
-                for c in r:
-                    r[c] *= scale
-            rv //= g0
-            record((col, scale, rv))
-            for c, v in pivot.items():
-                if c in r:
-                    val = r[c] - v * rv
-                    if val:
-                        r[c] = val
-                    else:
-                        del r[c]
-                else:
-                    r[c] = -v * rv
-                    heapq.heappush(cols, c)
-        end_row((len(ops), *end, den, content))
+        if col is not None:
+            g = gcd(*r.values())
+            pivots[col] = {c: v // g for c, v in r.items()} if g > 1 else r
+            end = col, g
+        ends.extend((len(ops), *end, den, content))
     return sorted(pivots.items())
 
 
@@ -129,52 +140,35 @@ class Factor:
     """A matrix A factored by its columns: ``solve`` answers A x = b for any
     b and ``nullspace`` spans A x = 0 (module docstring).  Reads as the
     sequence of its column-echelon vectors, dicts row -> int, by lead, so
-    the traced ``solve`` and ``nullspace`` can size it (ROADMAP item 1).
+    the traced ``solve`` and ``nullspace`` can size it (ROADMAP item 1);
+    each is a copy.
 
-    Everything is flat.  The log: ``_ops`` holds three integers per update
-    (the lead of the pivot cleared, scale, rv); ``_ends`` five per column
-    (the end of its updates in ``_ops``, the lead it was installed at or -1
-    for a dependent column, its content g, and the numerator and
-    denominator of σ).  The echelon: ``_rows``/``_vals`` from ``_starts``,
-    each vector's lead entry first, and ``_pivot`` the echelon vector each
-    row leads, -1 for none."""
+    The log is flat: ``_ops`` holds three integers per update (the lead of
+    the pivot cleared, scale, rv); ``_ends`` five per column (the end of
+    its updates in ``_ops``, the lead it was installed at or -1 for a
+    dependent column, its content g, and the numerator and denominator of
+    σ).  ``_echelon`` is the pivots ``_eliminate`` installed, {lead: {row:
+    int}} by lead."""
 
-    __slots__ = ("nrows", "ncols", "_ops", "_ends", "_pivot", "_starts", "_rows", "_vals")
+    __slots__ = ("nrows", "ncols", "_ops", "_ends", "_echelon")
 
     def __init__(self, columns: Iterable[Column], nrows: int):
-        def machine(values):  # a 32-bit array, or the list itself if a value outgrows it
-            try:
-                return array("i", values)
-            except OverflowError:
-                return values
-
         self.nrows = nrows
-        ops, ends = [], []
-        echelon = _eliminate(columns, (ops, ends))
+        self._ops, self._ends = [], []
+        echelon = _eliminate(columns, (self._ops, self._ends))
         if echelon:  # only a pivot clears an entry, so each row of A is a pivot's,
             # and the lowest is the first lead: no pivot holds a row below its lead
             lo, hi = echelon[0][0], max(map(max, [vec for _, vec in echelon]))
             if not 0 <= lo <= hi < nrows:
                 raise ValueError(f"row {lo if lo < 0 else hi} is outside 0..{nrows - 1}")
-        self.ncols = len(ends) // 5
-        pivot, starts, rows, vals = [-1] * nrows, [], [], []
-        for t, (lead, vec) in enumerate(echelon):
-            pivot[lead] = t
-            starts.append(len(rows))
-            rows.append(lead)
-            vals.append(vec.pop(lead))
-            rows.extend(vec)
-            vals.extend(vec.values())
-        starts.append(len(rows))
-        self._ops, self._ends, self._pivot, self._starts, self._rows, self._vals = map(
-            machine, (ops, ends, pivot, starts, rows, vals))
+        self.ncols = len(self._ends) // 5
+        self._echelon = dict(echelon)
 
     def __len__(self) -> int:
-        return len(self._starts) - 1
+        return len(self._echelon)
 
     def __iter__(self):
-        rows, vals, starts = self._rows, self._vals, self._starts
-        return (dict(zip(rows[lo:hi], vals[lo:hi])) for lo, hi in zip(starts, starts[1:]))
+        return (dict(vec) for vec in self._echelon.values())
 
     def solve(self, rhs: Mapping[int, Fraction]) -> list[Fraction] | None:
         """The solution of A x = b with free variables at zero, or None; b
@@ -183,40 +177,14 @@ class Factor:
             raise ValueError(f"a right-hand side row outside the {self.nrows} rows")
         # forward reduction, in integers: r = d·(b − Σ y_ℓ·p_ℓ)
         r, den, g = _scale_to_int(rhs)
-        d = Fraction(den, g)
-        heap = list(r)
-        heapq.heapify(heap)
-        pivot, starts, rows, vals = self._pivot, self._starts, self._rows, self._vals
-        y: dict[int, Fraction] = {}
-        while r:
-            i = heap[0]
-            while i not in r:
-                heapq.heappop(heap)
-                i = heap[0]
-            t = pivot[i]
-            if t < 0:
-                return None
-            lo, hi = starts[t], starts[t + 1]
-            pv, rv = vals[lo], r.pop(i)
-            g0 = gcd(pv, rv)
-            scale = pv // g0
+        steps: list[tuple[int, int, int]] = []
+        if _reduce(r, self._echelon, steps.append) is not None:
+            return None
+        d, y = Fraction(den, g), {}
+        for lead, scale, rv in steps:
             if scale != 1:
                 d *= scale
-                for c in r:
-                    r[c] *= scale
-            rv //= g0
-            y[i] = rv / d
-            for u in range(lo + 1, hi):
-                c = rows[u]
-                if c in r:
-                    val = r[c] - vals[u] * rv
-                    if val:
-                        r[c] = val
-                    else:
-                        del r[c]
-                else:
-                    r[c] = -vals[u] * rv
-                    heapq.heappush(heap, c)
+            y[lead] = rv / d
         x = self._replay(y, self.ncols)
         return [x.get(c, _ZERO) for c in range(self.ncols)]
 

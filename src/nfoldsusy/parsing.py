@@ -14,8 +14,8 @@ written with trailing apostrophes (``w1''``) or via ``D^m(...)`` applied
 to any subexpression.
 Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep, a power or a
 product is refused when its result could exceed ``MAX_TERMS`` terms, and
-a number, and each numerator and denominator of a result, has at most
-``MAX_DIGITS`` digits.  Digits and whitespace are ASCII: ``int`` would
+a number, and each numerator, denominator and exponent of a result, has
+at most ``MAX_DIGITS`` digits.  Digits and whitespace are ASCII: ``int`` would
 read other scripts' digits as aliases.
 """
 
@@ -32,6 +32,7 @@ from .diffring import (
     DiffPoly,
     Family,
     Generator,
+    Monomial,
     _accumulate,
     is_index,
     param_by_name,
@@ -128,11 +129,18 @@ def _generator_from_token(tok: str, pos: int, cap: int, n: int) -> Generator:
         raise ParseError(str(exc), pos, ("generator",)) from None
 
 
-def _check_digits(coeffs: Iterable[int | Fraction], pos: int) -> None:
-    """Refuse a numerator or denominator of more than ``MAX_DIGITS`` digits."""
+def _check_digits(
+    coeffs: Iterable[int | Fraction], pos: int, monomials: Iterable[Monomial] = ()
+) -> None:
+    """Refuse a numerator or denominator, or an exponent in ``monomials``,
+    of more than ``MAX_DIGITS`` digits."""
     for q in coeffs:
         if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
             raise ParseError(f"a coefficient longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
+    for m in monomials:
+        for _, e in m.exps:
+            if e >= _TOO_LONG:
+                raise ParseError(f"an exponent longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
 
 
 class _Parser:
@@ -160,7 +168,7 @@ class _Parser:
 
     def parse(self) -> DiffPoly:
         poly = self.expr()
-        _check_digits(poly.terms.values(), 0)
+        _check_digits(poly.terms.values(), 0, poly.terms)
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos, ("end of input",))
@@ -192,7 +200,7 @@ class _Parser:
                         pos,
                     )
                 poly = poly * rhs
-                _check_digits(poly.terms.values(), pos)
+                _check_digits(poly.terms.values(), pos, poly.terms)
             else:
                 return poly
 
@@ -231,6 +239,7 @@ class _Parser:
             if exp * (max(s, d).bit_length() - 1) >= _TOO_LONG.bit_length():
                 raise ParseError(f"power {exp} could exceed MAX_DIGITS = {MAX_DIGITS} digits", pos)
             poly = poly**exp
+            _check_digits((), pos, poly.terms)
         return poly * sign if sign < 0 else poly
 
     def atom(self) -> DiffPoly:

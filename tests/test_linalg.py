@@ -2,7 +2,6 @@
 
 import heapq
 import random
-from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -250,7 +249,7 @@ def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, c
 
 def _kinds(f):
     """The rows that lead a pivot of a factor, and those no pivot leads."""
-    led = {i for i, t in enumerate(f._pivot) if t >= 0}
+    led = {min(vector) for vector in f}
     return led, set(range(f.nrows)) - led
 
 
@@ -266,8 +265,7 @@ def test_one_factor_answers_many_right_hand_sides(seed, ints):
     """Each factor takes right-hand sides of every kind, given on every row
     or on the nonzero rows only, and each answer equals the oracle's on
     [A | b].  A right-hand side is perturbed on a row that leads a pivot
-    or on one that no pivot leads.  A system of Fractions, like one of
-    ints, is factored into machine arrays."""
+    or on one that no pivot leads."""
     rng = random.Random(3000 + seed)
     seen = dict.fromkeys(("feasible", "infeasible", "leading", "unled"), 0)
     for _ in range(60):
@@ -277,7 +275,6 @@ def test_one_factor_answers_many_right_hand_sides(seed, ints):
         if ints:
             rows = _integral(rows)
         f = _factor(rows, ncols)
-        assert all(type(a) is array for a in (f._ops, f._ends, f._pivot, f._vals))
         leading, unled = _kinds(f)
         for _ in range(8):
             rhs = _random_rhs(rng, rows, ncols)
@@ -315,9 +312,9 @@ class _Passes:
         [{0: 2**20 + 1, 1: 3}, {0: 3, 1: 2**20 + 7}, {0: 1, 1: 1}],
     ],
 )
-def test_a_factor_outgrowing_machine_integers_keeps_lists_in_one_pass(monkeypatch, rows):
-    """One pass over the columns and one elimination; each array with a
-    value past 32 bits stays a list, and every other one is packed."""
+def test_a_factor_of_entries_past_32_bits_in_one_pass(monkeypatch, rows):
+    """One pass over the columns and one elimination, and the solutions
+    and the kernel are the oracle's."""
     eliminated = []
 
     def spy(vectors, log):
@@ -328,9 +325,7 @@ def test_a_factor_outgrowing_machine_integers_keeps_lists_in_one_pass(monkeypatc
     columns = _Passes(_columns(rows, 3))
     f = factor(columns, len(rows))
     assert columns.passes == 1 and eliminated == [1]
-    assert type(f._vals) is list
-    for a in (f._ops, f._ends, f._pivot, f._starts, f._rows, f._vals):
-        assert (type(a) is list) == any(not -2**31 <= v < 2**31 for v in a)
+    assert nullspace(f, 3) == _reference_nullspace(rows, 3)
     rng = random.Random(5)
     answers = set()
     for _ in range(20):
@@ -339,6 +334,20 @@ def test_a_factor_outgrowing_machine_integers_keeps_lists_in_one_pass(monkeypatc
         answers.add(want is None)
         assert f.solve(dict(enumerate(rhs))) == want
     assert answers == {True, False}
+
+
+def test_iterating_a_factor_hands_out_copies():
+    """The vectors a factor reads as are copies: changing one changes no
+    later answer of the factor."""
+    rows = [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}, {1: Fraction(1)}]
+    rhs = [Fraction(3), Fraction(4), Fraction(1)]
+    f = _factor(rows, 2)
+    for vector in f:
+        for i in vector:
+            vector[i] += 7
+        vector[len(rows)] = 1
+    assert f.solve(dict(enumerate(rhs))) == _oracle_solve(rows, rhs, 2) == [1, 1]
+    assert list(f) == [vector for _, vector in _eliminate(_columns(rows, 2), ([], []))]
 
 
 def test_solve_rejects_a_rhs_row_outside_the_system():
@@ -486,7 +495,6 @@ def test_probe_factors_are_eliminated_by_columns(monkeypatch, n, counts):
     f = seen.systems[0].factor
     assert (f.nrows, f.ncols, len(f), f.ncols - len(f), len(f._ops) // 3,
             sum(map(len, f))) == counts
-    assert sum(1 for t in f._pivot if t >= 0) == len(f)
 
 
 # -- row-at-a-time elimination against the all-rows heap reference -------------

@@ -300,15 +300,21 @@ _TOO_LONG_CALLS = {
     "product": "parse('9' * 4300 + '*' + '9' * 4300 + '*w1', 2)",
     "json-int": 'poly_from_dict({"ambientN": 2, "terms": '
                 '[{"monomial": [["w1", 1]], "coeff": 10**5000}]})',
+    "power-of-power-exponent": "parse('(w1^' + '9' * 3000 + ')^' + '9' * 3000, 2)",
+    "product-exponent": "parse('w1^' + '9' * 4300 + ' * w1^' + '9' * 4300, 2)",
+    "json-exponent": 'poly_from_dict({"ambientN": 2, "terms": '
+                     '[{"monomial": [["w1", 10**5000]], "coeff": 1}]})',
+    "json-negative-exponent": 'poly_from_dict({"ambientN": 2, "terms": '
+                              '[{"monomial": [["w1", -10**5000]], "coeff": 1}]})',
 }
 
 
 @pytest.mark.parametrize("call", list(_TOO_LONG_CALLS.values()), ids=list(_TOO_LONG_CALLS))
 def test_coefficients_past_max_digits_are_refused_at_once(call):
-    """Each reader refuses a coefficient that ``str()`` could not write, and
-    refuses a power of one in time, before computing it.  Run in a fresh
-    interpreter under a timeout, since no signal interrupts one big
-    integer power."""
+    """Each reader refuses a coefficient or an exponent that ``str()`` could
+    not write, and refuses a power of such a coefficient in time, before
+    computing it.  Run in a fresh interpreter under a timeout, since no
+    signal interrupts one big integer power."""
     import os
     import subprocess
     import sys
@@ -331,6 +337,8 @@ def test_coefficients_up_to_max_digits_are_read():
     assert len(str(parse("3^9000*w1", 2).leading_coefficient())) == 4295
     assert parse("(1/3)^9000", 2) == Fraction(1, 3**9000)
     assert parse("2^14000 - 2^14000", 2).is_zero()
+    widest = parse("w1^" + "9" * MAX_DIGITS, 2)
+    assert poly_from_json(poly_to_json(widest)) == widest
     sums = "w1 + (" + "9" * MAX_DIGITS + " + 1)"
     for text, position in (("w1 + 3^9020*w1", 11), ("w1*w0*3^9020", 5), ("3^9020", 0),
                            (sums, sums.index(" + 1") + 1),

@@ -73,9 +73,7 @@ def test_antiderivative_of_sixteen_j1_integrand():
     assert dec.antiderivative == parse("2*w1*w1'' - w1'^2 + 4*w1^2*u0", 2)
 
 
-def test_antiderivative_factors_once_into_machine_arrays(monkeypatch):
-    from array import array
-
+def test_antiderivative_factors_once(monkeypatch):
     from nfoldsusy import linalg
 
     real, built = linalg.Factor.__init__, []
@@ -87,8 +85,7 @@ def test_antiderivative_factors_once_into_machine_arrays(monkeypatch):
     monkeypatch.setattr(linalg.Factor, "__init__", spy)
     p = parse("w1^2*u0 + 1/2*w1*w1'' - 1/4*w1'^2", 2)
     assert antiderivative(p.derive()).antiderivative == p
-    [f] = built
-    assert all(type(a) is array for a in (f._ops, f._ends, f._pivot, f._vals))
+    assert len(built) == 1
 
 
 def test_not_a_total_derivative():
