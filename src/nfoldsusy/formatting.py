@@ -82,17 +82,13 @@ def format_poly(poly: DiffPoly, style: str = "plain") -> str:
     return " ".join(parts)
 
 
-def _fraction_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def poly_to_dict(poly: DiffPoly) -> dict:
     terms = []
     for mono in poly.monomials():
         terms.append(
             {
                 "monomial": [[g.token(), e] for g, e in mono.exps],
-                "coeff": _fraction_str(poly.terms[mono]),
+                "coeff": str(poly.terms[mono]),
             }
         )
     return {"ambientN": poly.n, "terms": terms}

@@ -50,7 +50,7 @@ the target either, so its elimination is done once too.
 ``_membership_system`` keeps, per n, conditions, weight, shift, generator
 pool, derivative cap and basis bound (an ``lru_cache`` of 32 systems),
 what every target of the system shares: per block its label (j, m) and
-its shifts, the rows' packed keys and their packing, and the
+its shifts, the row of each packed key and the packing, and the
 ``linalg.Factor`` of the matrix, eliminated by columns, so its pivot
 columns are the greedy ones and the solution the one with the free
 multipliers at zero.  A decision packs the target's monomials against
@@ -68,12 +68,10 @@ against the memos.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import neg
 from typing import Callable, Iterable, Sequence
 
 from . import goldens
@@ -85,12 +83,13 @@ from .diffring import (
     Family,
     Generator,
     Monomial,
+    Substitution,
     c as c_gen,
     monomial_sort_key,
 )
 from .linalg import _scale_to_int, factor, nullspace, solve
 from .susy import (ConditionSet, _split_parameters, apply_combo, build_system, inverse_ansatz,
-                   pipeline, preset_parameters)
+                   parameter_substitution, pipeline, preset_parameters)
 
 
 class ReductionError(Exception):
@@ -316,14 +315,15 @@ class _Packing:
 class _System:
     """The sparse system with one column ``c * s * p`` for each block
     ``(c, p, shifts)`` and each ``s`` in ``shifts``, in that order, and one
-    row per monomial of the columns, factored: the packing, the rows'
-    packed keys in descending graded order, the shifts of each block and
-    the ``linalg.Factor``.  A generator streams the columns into ``factor``
-    from the packed blocks: each block's primitive integer terms as (key,
-    entry) and σ, both shared by its columns, and one list of keys per
-    list of shifts, which the blocks of one weight share."""
+    row per monomial of the columns, factored: the packing, ``row``
+    mapping the rows' packed keys, in descending graded order, to their
+    indices, the shifts of each block and the ``linalg.Factor``.  A
+    generator streams the columns into ``factor`` from the packed blocks:
+    each block's primitive integer terms as (key, entry) and σ, both shared
+    by its columns, and one list of keys per list of shifts, which the
+    blocks of one weight share."""
 
-    __slots__ = ("packing", "keys", "shifts", "factor")
+    __slots__ = ("packing", "row", "shifts", "factor")
 
     def __init__(self, n: int, blocks: Sequence[Block]):
         gens: set[Generator] = set()
@@ -344,24 +344,20 @@ class _System:
             packed_blocks.append((packed, shift_keys[id(shifts)], sigma))
             for ks in shift_keys[id(shifts)]:
                 keys.update([ks + k for k, _ in packed])
-        self.keys = sorted(keys, reverse=True)
         self.shifts = [shifts for _, _, shifts in blocks]
-        row = {k: i for i, k in enumerate(self.keys)}
+        row = self.row = {k: i for i, k in enumerate(sorted(keys, reverse=True))}
         columns = (({row[ks + k]: v for k, v in packed}, sigma.numerator, sigma.denominator)
                    for packed, shift_keys, sigma in packed_blocks for ks in shift_keys)
-        self.factor = factor(columns, len(self.keys))
+        self.factor = factor(columns, len(row))
 
     def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:
         """The target as {row index: coefficient}; None when one of its
         monomials is no row, since no combination of the columns has it."""
-        packing, keys = self.packing, self.keys
+        packing, row = self.packing, self.row
         out = {}
         for m, q in target.terms.items():
-            if not packing.fits(m):
-                return None
-            k = packing.key(m)
-            i = bisect_left(keys, -k, key=neg)
-            if i == len(keys) or keys[i] != k:
+            i = row.get(packing.key(m)) if packing.fits(m) else None
+            if i is None:
                 return None
             out[i] = q
         return out
@@ -703,7 +699,11 @@ def verify_product(n: int) -> ProductReport:
     """
     system = build_system(n, symbolic_potentials=False)
     cs = pipeline(n, "eliminated")
-    inv = inverse_ansatz(n, preset_parameters(n, "paper"))
+    # The paper values composed into the inverse's images first: applying
+    # one map to the constants is cheaper than applying two in turn.
+    pm = parameter_substitution(n, preset_parameters(n, "paper"))
+    inv = Substitution(n, {**pm.images,
+                           **{g: pm.apply(p) for g, p in inverse_ansatz(n).images.items()}})
     js = goldens.constants(n, "paper")
     j_w = {k: inv.apply(js[c_gen(k)]) for k in range(1, n)}
     # The displayed residuals correspond to specific polynomial

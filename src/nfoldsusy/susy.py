@@ -8,7 +8,8 @@ The pipeline mirrors the structure of the underlying identities:
   conditions for the potential pair and substitute it away.
 * ``ansatz_substitution`` is the dimension-preserving change of variables
   w_k -> u_k with free parameters; ``transformed_conditions`` applies it
-  at a preset and forms the recombined constraints Ibar_k.
+  and forms the recombined constraints Ibar_k, which
+  ``parameter_substitution`` sets at a preset.
 * ``pipeline`` is the memoized entry point running this chain.
 * ``solve_parameters`` pins the parameters by making chosen monomials
   vanish; ``check_J0`` verifies the closed-form first integral.
@@ -30,7 +31,10 @@ from .diffring import (
     Generator,
     Monomial,
     Substitution,
+    alpha,
+    beta,
     c,
+    gamma,
     param_by_name,
     u,
     vminus,
@@ -227,63 +231,48 @@ def preset_parameters(n: int, preset: str) -> dict[str, Fraction]:
 
 
 def parameter_substitution(n: int, values: Mapping[str, Fraction]) -> Substitution:
-    """Each named parameter replaced by its value."""
+    """Each named parameter of the n-fold ansatz replaced by its value; a
+    name the ansatz lacks raises.  The one way a preset enters the engine."""
+    for name in values:
+        if name not in PRESETS.get(n, {}).get("paper", {}):
+            raise UnknownParameterError(f"unknown parameter {name!r} for n={n}")
     return Substitution(
         n, {param_by_name(name): DiffPoly.constant(n, q) for name, q in values.items()}
     )
 
 
-def _param_poly(n: int, name: str, values: Mapping[str, Fraction]) -> DiffPoly:
-    if name in values:
-        return DiffPoly.constant(n, values[name])
-    return DiffPoly.generator(n, param_by_name(name))
-
-
-def ansatz_substitution(n: int, parameters: Mapping[str, Fraction] | None = None) -> Substitution:
-    """The polynomial change of variables w_k -> u_k, w_{n-1}, parameters.
-
-    Parameters omitted from the map stay symbolic; unknown names raise.
-    """
-    values = dict(parameters or {})
+def ansatz_substitution(n: int) -> Substitution:
+    """The polynomial change of variables w_k -> u_k, w_{n-1} and the
+    symbolic parameters, which ``parameter_substitution`` sets."""
     if n not in PRESETS:
         raise ValueError(f"no polynomial ansatz is defined for a {n}-fold system")
-    for name in values:
-        if name not in PRESETS[n]["paper"]:
-            raise UnknownParameterError(f"unknown parameter {name!r} for n={n}")
-
-    def P(name: str) -> DiffPoly:
-        return _param_poly(n, name, values)
 
     def gen(g: Generator) -> DiffPoly:
         return DiffPoly.generator(n, g)
 
     if n == 2:
-        w0_img = gen(u(0)) + gen(w(1, 1)) * Half - P("alpha0") * gen(w(1)) ** 2
+        w0_img = gen(u(0)) + gen(w(1, 1)) * Half - gen(alpha(0)) * gen(w(1)) ** 2
         return Substitution(2, {w(0): w0_img})
     if n == 3:
-        w1_img = gen(u(1)) * 6 + gen(w(2, 1)) - P("alpha1") * gen(w(2)) ** 2
+        w1_img = gen(u(1)) * 6 + gen(w(2, 1)) - gen(alpha(1)) * gen(w(2)) ** 2
         w0_img = (
             gen(u(0))
             + gen(u(1, 1)) * 3
-            - P("beta1") * gen(w(2, 2))
-            - P("alpha1") * gen(w(2)) * gen(w(2, 1))
-            - P("beta2") * gen(w(2)) * gen(u(1)) * 6
-            - P("beta3") * gen(w(2)) ** 3
+            - gen(beta(1)) * gen(w(2, 2))
+            - gen(alpha(1)) * gen(w(2)) * gen(w(2, 1))
+            - gen(beta(2)) * gen(w(2)) * gen(u(1)) * 6
+            - gen(beta(3)) * gen(w(2)) ** 3
         )
         return Substitution(3, {w(1): w1_img, w(0): w0_img})
     if n == 4:
-        w2_img = (
-            gen(u(2))
-            + gen(w(3, 1)) * Fraction(3, 2)
-            - P("alpha1") * gen(w(3)) ** 2
-        )
+        w2_img = gen(u(2)) + gen(w(3, 1)) * Fraction(3, 2) - gen(alpha(1)) * gen(w(3)) ** 2
         w1_img = (
             gen(u(1))
             + gen(u(2, 1))
-            - P("beta1") * gen(w(3, 2))
-            - P("alpha1") * gen(w(3)) * gen(w(3, 1)) * 2
-            - P("beta2") * gen(w(3)) * gen(u(2))
-            - P("beta3") * gen(w(3)) ** 3
+            - gen(beta(1)) * gen(w(3, 2))
+            - gen(alpha(1)) * gen(w(3)) * gen(w(3, 1)) * 2
+            - gen(beta(2)) * gen(w(3)) * gen(u(2))
+            - gen(beta(3)) * gen(w(3)) ** 3
         )
         # The quartic parameter enters with a minus sign: that is the
         # orientation consistent with the recombined constraints and the
@@ -291,24 +280,25 @@ def ansatz_substitution(n: int, parameters: Mapping[str, Fraction] | None = None
         w0_img = (
             gen(u(0))
             + gen(u(1, 1)) * Half
-            - P("gamma1") * gen(u(2, 2))
-            - (P("beta1") * Half + Fraction(1, 4)) * gen(w(3, 3))
-            - P("gamma2") * gen(w(3)) * gen(w(3, 2))
-            - P("gamma3") * gen(w(3, 1)) ** 2
-            - P("beta2") * Half * (gen(w(3)) * gen(u(2))).derive()
-            - P("gamma4") * gen(w(3)) * gen(u(1))
-            - P("gamma5") * gen(u(2)) ** 2
-            - P("beta3") * Fraction(3, 2) * gen(w(3)) ** 2 * gen(w(3, 1))
-            - P("gamma6") * gen(w(3)) ** 2 * gen(u(2))
-            - P("gamma7") * gen(w(3)) ** 4
+            - gen(gamma(1)) * gen(u(2, 2))
+            - (gen(beta(1)) * Half + Fraction(1, 4)) * gen(w(3, 3))
+            - gen(gamma(2)) * gen(w(3)) * gen(w(3, 2))
+            - gen(gamma(3)) * gen(w(3, 1)) ** 2
+            - gen(beta(2)) * Half * (gen(w(3)) * gen(u(2))).derive()
+            - gen(gamma(4)) * gen(w(3)) * gen(u(1))
+            - gen(gamma(5)) * gen(u(2)) ** 2
+            - gen(beta(3)) * Fraction(3, 2) * gen(w(3)) ** 2 * gen(w(3, 1))
+            - gen(gamma(6)) * gen(w(3)) ** 2 * gen(u(2))
+            - gen(gamma(7)) * gen(w(3)) ** 4
         )
         return Substitution(4, {w(2): w2_img, w(1): w1_img, w(0): w0_img})
     raise AssertionError
 
 
-def inverse_ansatz(n: int, parameters: Mapping[str, Fraction]) -> Substitution:
-    """Express u_k back in terms of the w's by triangular back-substitution."""
-    forward = ansatz_substitution(n, parameters)
+def inverse_ansatz(n: int) -> Substitution:
+    """Express u_k back in terms of the w's by triangular back-substitution,
+    the parameters symbolic."""
+    forward = ansatz_substitution(n)
     images: dict[Generator, DiffPoly] = {}
     for k in range(n - 2, -1, -1):
         uk = u(k)
@@ -346,8 +336,9 @@ def apply_combo(
 
 
 def transformed_conditions(n: int, preset: str = "generic") -> ConditionSet:
-    """The eliminated conditions under the ansatz at a preset, recombined
-    into Ibar_{n-2}..Ibar_0.
+    """The eliminated conditions under the ansatz, recombined into
+    Ibar_{n-2}..Ibar_0; at a numeric preset, the generic ones with the
+    parameters set.
 
     Row i of the recombination is ``{j: {p: coeff}}``, giving
     Ibar_i = sum_j sum_p coeff * d^p(I_j substituted).  These are the
@@ -356,15 +347,19 @@ def transformed_conditions(n: int, preset: str = "generic") -> ConditionSet:
     4-fold row needs a parameter-dependent multiple of the top constraint
     to absorb the u_1' terms the ansatz drags in."""
     values = preset_parameters(n, preset)
+    if values:
+        generic, sub = pipeline(n, "transformed"), parameter_substitution(n, values)
+        out = tuple(sub.apply(p) for p in generic.conditions)
+        return ConditionSet(n, "transformed", generic.ks, out, preset=preset)
     cs = pipeline(n, "eliminated")
-    sub = ansatz_substitution(n, values)
+    sub = ansatz_substitution(n)
     substituted = [(k, sub.apply(p)) for k, p in cs.items()]
     if n == 2:
         rows = [{0: {0: 1}}]
     elif n == 3:
         rows = [{1: {0: 1}}, {1: {1: 1}, 0: {0: -2}}]
     else:  # n == 4: ansatz_substitution has refused every other n
-        g4w3 = _param_poly(4, "gamma4", values) * DiffPoly.generator(4, w(3))
+        g4w3 = DiffPoly.generator(4, gamma(4)) * DiffPoly.generator(4, w(3))
         rows = [
             {2: {0: 4}},
             {2: {1: -1, 0: g4w3}, 1: {0: 1}},
@@ -408,8 +403,8 @@ def _pipeline(n: int, stage: str, preset: str | None) -> ConditionSet:
 
 def transformed_system(n: int, preset: str = "generic") -> SusySystem:
     """Charge and potentials rewritten in the u variables at a preset."""
-    values = preset_parameters(n, preset)
-    sub = ansatz_substitution(n, values)
+    pm = parameter_substitution(n, preset_parameters(n, preset))
+    sub = Substitution(n, {g: pm.apply(p) for g, p in ansatz_substitution(n).images.items()})
     base = build_system(n, symbolic_potentials=False)
     charge = DiffOperator(
         n, {i: sub.apply(p) for i, p in base.charge_minus.coeffs.items()}
@@ -561,10 +556,8 @@ def solve_parameters(
         grouped = _split_parameters(cs.condition(k))
         eq = grouped.get(mono, DiffPoly.zero(n))
         equations.append(eq)
-    for name, value in (fixed or {}).items():
-        equations.append(
-            DiffPoly.generator(n, param_by_name(name)) - DiffPoly.constant(n, value)
-        )
+    for gen, value in parameter_substitution(n, fixed or {}).images.items():
+        equations.append(DiffPoly.generator(n, gen) - value)
 
     unknowns = _param_unknowns(equations)
     assignments: dict[str, DiffPoly] = {}

@@ -308,7 +308,7 @@ def _system_rows(n, blocks, target=None):
 def _as_rows(system, columns, target=None):
     """The columns laid out as rows filled in column order, and the target
     packed by the system's ``rhs``, spread densely."""
-    rows = [{} for _ in system.keys]
+    rows = [{} for _ in system.row]
     for c, column in enumerate(columns):
         for i, q in column.items():
             rows[i][c] = q
@@ -352,14 +352,14 @@ def checked_builder(monkeypatch):
         _assert_same_system(_as_rows(built, streamed[-1]), _reference_rows(n, expanded))
         order = sorted({m for p in expanded for m in p.terms}, key=monomial_sort_key(n),
                        reverse=True)
-        assert built.keys == [built.packing.key(m) for m in order]
-        monomials[id(built.keys)] = order
+        assert list(built.row) == [built.packing.key(m) for m in order]
+        monomials[id(built.row)] = order
         seen.append({g.family for p in expanded for m in p.terms for g in m.generators()})
         return built
 
     def rhs(system, target):
         got = real_rhs(system, target)
-        row_of = {m: i for i, m in enumerate(monomials[id(system.keys)])}
+        row_of = {m: i for i, m in enumerate(monomials[id(system.row)])}
         want = None
         if all(m in row_of for m in target.terms):
             want = {row_of[m]: q for m, q in target.terms.items()}

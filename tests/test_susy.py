@@ -21,7 +21,7 @@ from nfoldsusy import (
     transformed_conditions,
     transformed_system,
 )
-from nfoldsusy.diffring import DerivOrderError, Family, u, w
+from nfoldsusy.diffring import DerivOrderError, Family, Substitution, u, w
 from nfoldsusy.reduction import IntegralConstant
 from nfoldsusy.susy import (
     PRESETS,
@@ -34,6 +34,7 @@ from nfoldsusy.susy import (
     general_second_condition,
     general_top_condition,
     is_parameter_solution,
+    parameter_substitution,
 )
 
 
@@ -109,13 +110,26 @@ def test_eliminate_potentials_matches_general_formulas_n6():
 def test_ansatz_images():
     sub = ansatz_substitution(3)
     assert sub.images[w(1)] == parse("6*u1 + w2' - alpha1*w2^2", 3)
-    sub4 = ansatz_substitution(4, preset_parameters(4, "paper"))
-    assert sub4.images[w(2)] == parse("u2 + 3/2*w3' - 3/2*w3^2", 4)
+    sub4 = ansatz_substitution(4)
+    paper = parameter_substitution(4, preset_parameters(4, "paper"))
+    assert paper.apply(sub4.images[w(2)]) == parse("u2 + 3/2*w3' - 3/2*w3^2", 4)
     assert sub4.is_weight_preserving()
     with pytest.raises(UnknownParameterError):
-        ansatz_substitution(2, {"beta1": Fraction(1)})
+        parameter_substitution(2, {"beta1": Fraction(1)})
     with pytest.raises(ValueError):
         ansatz_substitution(5)
+
+
+def test_parameter_names_the_ansatz_lacks_are_refused():
+    """Solving and checking parameters go through the one name check of
+    ``parameter_substitution``: a name that N's ansatz lacks raises."""
+    targets = target_monomials(2, "paper")
+    with pytest.raises(UnknownParameterError, match="beta1"):
+        solve_parameters(2, targets, fixed={"beta1": Fraction(0)})
+    with pytest.raises(UnknownParameterError, match="gamma9"):
+        is_parameter_solution(2, targets, {"alpha0": Fraction(-1, 4), "gamma9": Fraction(1)})
+    with pytest.raises(UnknownParameterError, match="alpha0"):
+        parameter_substitution(5, {"alpha0": Fraction(1)})
 
 
 def test_every_preset_assigns_every_parameter():
@@ -139,10 +153,13 @@ def test_apply_combo_with_no_conditions_raises_value_error():
 
 
 def test_inverse_ansatz_round_trip():
-    for n, preset in ((2, "paper"), (3, "paper"), (4, "paper"), (4, "footnote-alt")):
-        values = preset_parameters(n, preset)
-        fwd = ansatz_substitution(n, values)
-        inv = inverse_ansatz(n, values)
+    """At the generic preset the parameters stay symbolic, so the inverse
+    holds for every parameter value."""
+    for n, preset in ((2, "generic"), (3, "generic"), (4, "generic"), (2, "paper"),
+                      (3, "paper"), (4, "paper"), (4, "footnote-alt")):
+        pm = parameter_substitution(n, preset_parameters(n, preset))
+        fwd, inv = (Substitution(n, {g: pm.apply(p) for g, p in s.images.items()})
+                    for s in (ansatz_substitution(n), inverse_ansatz(n)))
         for k in range(n - 1):
             assert inv.apply(fwd.images[w(k)]) == DiffPoly.generator(n, w(k))
             assert fwd.apply(inv.images[u(k)]) == DiffPoly.generator(n, u(k))
