@@ -60,6 +60,22 @@ another's), or a key no row has: no combination of the columns reaches
 it; a system with no column refuses every nonzero target so.  Then it
 solves against the factor.
 
+The factor reduces no column the Koszul criterion proves dependent (F5,
+Faugère 2002, on a Macaulay matrix, Lazard 1983).  Let LM(f) be the term
+of largest key of a block f = D^m(P_j).  If a shift s of a later block g
+is u * LM(f), the syzygy u * (f * g - g * f) = 0 writes s * g through the
+columns u * t * g (t another term of f), earlier in g's block since
+shifts ascend in key order, and u * r * f (r a term of g).  They exist
+when f and g are within the basis: generators in the pool (no parameter),
+derivative orders within the bound.  Then u * LM(f) is a shift of g, with
+exponents below the base, so key(u) + key(LM(f)) is its key: no carry.
+``_System`` flags these sums, u over the basis of weight wt(s) - wt(f),
+and streams a flagged column as None, with no row key (its monomials are
+earlier columns').  A dependent column installs no pivot and is zero in
+every solution, so the rows, echelon, other logs and certificates are
+unchanged.  Only membership systems skip: ``search_integral`` reads
+``nullspace``, which needs every log.
+
 A certificate's re-expansion (``Decomposition.expansion``) derives the
 conditions itself, through ``apply_combo``, and never reads these memos,
 so every certificate returned is checked against the conditions, not
@@ -321,33 +337,50 @@ class _System:
     generator streams the columns into ``factor`` from the packed blocks:
     each block's primitive integer terms as (key, entry) and σ, both shared
     by its columns, and one list of keys per list of shifts, which the
-    blocks of one weight share."""
+    blocks of one weight share.  With ``koszul``, a membership system's
+    (pool, bound), each column the Koszul criterion proves dependent
+    streams as None (module docstring)."""
 
     __slots__ = ("packing", "row", "shifts", "factor")
 
-    def __init__(self, n: int, blocks: Sequence[Block]):
-        gens: set[Generator] = set()
+    def __init__(self, n: int, blocks: Sequence[Block],
+                 koszul: tuple[set[Generator], int] | None = None):
+        gens: list[set[Generator]] = []  # per block, its polynomial's generators
+        shift_gens: set[Generator] = set()
         top = 0
         for _, p, shifts in blocks:
-            top = max(top, _span(shifts, gens) + _span(p.terms, gens))
-        self.packing = _Packing(n, top + 1, sorted(gens, reverse=True))
+            gens.append(set())
+            top = max(top, _span(shifts, shift_gens) + _span(p.terms, gens[-1]))
+        self.packing = _Packing(n, top + 1, sorted(shift_gens.union(*gens), reverse=True))
         key = self.packing.key
-        keys: set[int] = set()
+        pool, bound = koszul or ((), 0)
         shift_keys: dict[int, list[int]] = {}  # by id of the shifts list
-        packed_blocks = []
-        for c, p, shifts in blocks:
+        packed_blocks, sources, bases = [], [], {}  # sources: (wt(f), key(LM(f)))
+        for (c, p, shifts), own in zip(blocks, gens):
             if id(shifts) not in shift_keys:
                 shift_keys[id(shifts)] = [key(s) for s in shifts]
             ints, den, content = _scale_to_int(p.terms)
             sigma = Fraction(den * c.denominator, content * c.numerator)  # den / (content * c)
             packed = [(key(m), v) for m, v in ints.items()]
-            packed_blocks.append((packed, shift_keys[id(shifts)], sigma))
-            for ks in shift_keys[id(shifts)]:
-                keys.update([ks + k for k, _ in packed])
+            skip: set[int] = set()  # the keys of the shifts u * LM(f) (module docstring)
+            if koszul and p and all(g.deriv <= bound and g.base() in pool for g in own):
+                for wf, lead in sources if shifts else ():
+                    w = shifts[0].weight(n) - wf
+                    if w not in bases:
+                        bases[w] = [key(u) for u in monomial_basis(n, w, pool, bound)]
+                    skip.update([k + lead for k in bases[w]])
+                sources.append((p.weight(), max(packed)[0]))
+            packed_blocks.append((packed, shift_keys[id(shifts)], sigma, skip))
+        keys: set[int] = set()
+        for packed, block_keys, _, skip in packed_blocks:
+            for ks in block_keys:
+                if ks not in skip:  # a skipped column's monomials are earlier columns'
+                    keys.update([ks + k for k, _ in packed])
         self.shifts = [shifts for _, _, shifts in blocks]
         row = self.row = {k: i for i, k in enumerate(sorted(keys, reverse=True))}
-        columns = (({row[ks + k]: v for k, v in packed}, sigma.numerator, sigma.denominator)
-                   for packed, shift_keys, sigma in packed_blocks for ks in shift_keys)
+        columns = ((None if ks in skip else {row[ks + k]: v for k, v in packed},
+                    sigma.numerator, sigma.denominator)
+                   for packed, block_keys, sigma, skip in packed_blocks for ks in block_keys)
         self.factor = factor(columns, len(row))
 
     def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:
@@ -430,7 +463,7 @@ def _membership_system(
     labels, blocks = _multiplier_columns(
         n, conditions, weight, lambda c: min(shift, cap - c.max_deriv()), pool, None
     )
-    return labels, _System(n, blocks)
+    return labels, _System(n, blocks, koszul=(set(pool), bound))
 
 
 def ideal_membership(

@@ -73,8 +73,9 @@ def _echelon(vectors):
 
 def _rebuilt(columns):
     """Scaled columns (vector, den, content) as the vectors over Q they
-    stand for, each entry ``Fraction(v * content, den)``."""
-    return [{i: Fraction(v * content, den) for i, v in vector.items()}
+    stand for, each entry ``Fraction(v * content, den)``; a column skipped
+    as dependent, whose vector is None, stays None."""
+    return [None if vector is None else {i: Fraction(v * content, den) for i, v in vector.items()}
             for vector, den, content in columns]
 
 
@@ -386,6 +387,37 @@ def test_nullspace_vectors_satisfy_the_homogeneous_system():
     assert deficient > 50
 
 
+def test_a_skipped_column_keeps_the_echelon_and_the_solutions_but_no_nullspace(monkeypatch):
+    """A dependent column handed as None is recorded as dependent with its
+    σ and an empty log: the echelon, the other columns' logs and every
+    solution are the full factor's, but its kernel vector would need the
+    log, so ``nullspace`` refuses the factor, and a membership system's
+    factor, which skips the columns the Koszul criterion proves dependent."""
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(1, 2)},
+            {1: Fraction(1), 2: Fraction(4)}, {2: Fraction(-1)}]
+    for row in rows:
+        row[3] = row.get(0, 0) + 5 * row.get(1, 0)  # column 3 is a_0 + 5 a_1
+    columns = _columns(rows, 4)
+    full = factor(columns, len(rows))
+    skipped = factor(columns[:3] + [(None, *columns[3][1:])], len(rows))
+    assert list(skipped) == list(full) and skipped.ncols == full.ncols == 4
+    assert skipped._ops == full._ops[:len(skipped._ops)] and skipped._ends[:15] == full._ends[:15]
+    assert skipped._ends[16:] == [-2, *full._ends[17:]] and full._ends[16] == -1
+    rng = random.Random(9)
+    for _ in range(20):
+        rhs = dict(enumerate(_random_rhs(rng, rows, 4)))
+        assert skipped.solve(rhs) == full.solve(rhs)
+    assert nullspace(full, 4) == _reference_nullspace(rows, 4)
+    with pytest.raises(ValueError, match="skipped"):
+        nullspace(skipped, 4)
+
+    target, cs = _probe(6)
+    _, seen = _decide_cold(monkeypatch, target, cs)
+    [system] = seen.systems
+    with pytest.raises(ValueError, match="skipped"):
+        nullspace(system.factor, system.factor.ncols)
+
+
 def test_sixfold_probe_certificate_is_pinned():
     n = 6
     cs = pipeline(n, "eliminated", "paper")
@@ -401,13 +433,13 @@ def test_sixfold_probe_certificate_is_pinned():
 
 
 class _Seen:
-    """What one membership decision hands the linear algebra: the system
-    of the memo's entry, the columns ``factor`` gets with nrows and the
-    vectors that reach elimination, both rebuilt over Q, and the rhs
-    ``solve`` gets."""
+    """What one membership decision hands the linear algebra: the labels
+    and the system of the memo's entry, the columns ``factor`` gets with
+    nrows and the vectors that reach elimination, both rebuilt over Q, and
+    the rhs ``solve`` gets."""
 
     def __init__(self):
-        self.systems, self.factored, self.rhs, self.eliminated = [], [], [], []
+        self.labels, self.systems, self.factored, self.rhs, self.eliminated = [], [], [], [], []
 
 
 def _decide_cold(monkeypatch, target, cs):
@@ -418,6 +450,7 @@ def _decide_cold(monkeypatch, target, cs):
 
     def system_spy(*args):
         labels, system = real_system(*args)
+        seen.labels.append(labels)
         seen.systems.append(system)
         return labels, system
 
@@ -443,6 +476,23 @@ def _decide_cold(monkeypatch, target, cs):
     return ideal_membership(target, cs), seen
 
 
+def _full_columns(seen, cs):
+    """The columns ``factor`` got in one cold decision on cs, over Q, with
+    each column skipped as dependent, which streams as None, rebuilt from
+    its block as s * D^m(I_j) packed against the system's rows.  Each
+    streamed column is checked against its rebuilt one."""
+    [(columns, _)], [labels], [system] = seen.factored, seen.labels, seen.systems
+    products = [DiffPoly.monomial(cs.n, s) * cs.condition(j).derive(m)
+                for (j, m), shifts in zip(labels, system.shifts) for s in shifts]
+    assert len(products) == len(columns)
+    full = []
+    for column, product in zip(columns, products):
+        rebuilt = {i: Fraction(q) for i, q in system.rhs(product).items()}
+        assert column is None or column == rebuilt
+        full.append(rebuilt)
+    return full
+
+
 def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     """Digests recorded before the ring kept its monomials pre-keyed.  The
     certificate depends only on the column order (the pivot columns are
@@ -451,11 +501,14 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     system as one (rows, rhs, ncols) over Q; ``factor`` now gets the
     columns and ``solve`` the rhs as {row: entry}, so the test rebuilds
     the rows from the columns and spreads the rhs, every entry as a
-    ``Fraction``, since the ring keeps whole numbers as ``int``s."""
+    ``Fraction``, since the ring keeps whole numbers as ``int``s.  A column
+    the Koszul criterion skips reaches ``factor`` as None, so it is
+    rebuilt from its block (``_full_columns``)."""
     import hashlib
     import json
 
-    dec, seen = _decide_cold(monkeypatch, *_probe(7))
+    target, cs = _probe(7)
+    dec, seen = _decide_cold(monkeypatch, target, cs)
     assert dec is not None
     assert [(key, format_poly(p)) for key, p in dec.multipliers] == [
         ((0, 2), "w6^2"),
@@ -465,7 +518,8 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     assert hashlib.sha256(cert.encode()).hexdigest() == (
         "21712b1fe9160414a3a608e7e3f0df74b0c1fa1e34b3d1a7696bab9d9720bce6"
     )
-    [(columns, nrows)], [rhs] = seen.factored, seen.rhs
+    [(_, nrows)], [rhs] = seen.factored, seen.rhs
+    columns = _full_columns(seen, cs)
     ncols = len(columns)
     rows = [{} for _ in range(nrows)]
     for c, column in enumerate(columns):
@@ -481,15 +535,17 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
 @pytest.mark.parametrize(
     "n, counts",
     [
-        (6, (1330, 687, 637, 50, 1720, 12338)),
-        (7, (2312, 1311, 1187, 124, 5691, 24672)),
+        (6, (1330, 687, 637, 50, 9, 12338)),
+        (7, (2312, 1311, 1187, 124, 9, 24672)),
     ],
 )
 def test_probe_factors_are_eliminated_by_columns(monkeypatch, n, counts):
     """The probe's factor, pinned: rows, columns, pivots, dependent columns,
     updates in the log and nonzeros of the echelon.  A factor that
     eliminated the rows would pivot on as many rows as columns here and
-    reduce every dependent row to zero."""
+    reduce every dependent row to zero.  Every dependent column is one the
+    Koszul criterion skips, so the updates are the installed columns' (they
+    were 1720 and 5691 when the dependent columns were reduced too)."""
     dec, seen = _decide_cold(monkeypatch, *_probe(n))
     assert dec is not None
     f = seen.systems[0].factor
@@ -593,11 +649,14 @@ def _probe(n):
 @pytest.mark.parametrize("n", [6, 7])
 def test_probe_echelons_equal_the_heap_reference(monkeypatch, n):
     """On the columns ``factor`` is handed, which are what reaches
-    elimination, in one pass; the factor keeps their echelon."""
-    dec, seen = _decide_cold(monkeypatch, *_probe(n))
+    elimination, in one pass, with the columns skipped as dependent
+    rebuilt; the factor keeps their echelon."""
+    target, cs = _probe(n)
+    dec, seen = _decide_cold(monkeypatch, target, cs)
     assert dec is not None
     [(columns, _)] = seen.factored
     assert seen.eliminated == [columns]
+    columns = _full_columns(seen, cs)
     echelon = _heap_eliminate(columns)
     assert _echelon(columns) == echelon
     kept = seen.systems[0].factor

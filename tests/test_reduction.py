@@ -283,12 +283,14 @@ def _expand(n, blocks):
 def _streaming(mp):
     """Patch ``reduction.factor`` to record the columns each system streams
     into it, one list per system, each column rebuilt over Q from its
-    scaled form (vector, den, content), and return the record."""
+    scaled form (vector, den, content), or None for a column skipped as
+    dependent, and return the record."""
     streamed = []
 
     def spy(columns, nrows):
         columns = list(columns)
-        streamed.append([{i: Fraction(v * content, den) for i, v in vector.items()}
+        streamed.append([None if vector is None
+                         else {i: Fraction(v * content, den) for i, v in vector.items()}
                          for vector, den, content in columns])
         return factor(columns, nrows)
 
@@ -306,11 +308,12 @@ def _system_rows(n, blocks, target=None):
 
 
 def _as_rows(system, columns, target=None):
-    """The columns laid out as rows filled in column order, and the target
-    packed by the system's ``rhs``, spread densely."""
+    """The columns laid out as rows filled in column order, a skipped
+    column (None) left out, and the target packed by the system's ``rhs``,
+    spread densely."""
     rows = [{} for _ in system.row]
     for c, column in enumerate(columns):
-        for i, q in column.items():
+        for i, q in (column or {}).items():
             rows[i][c] = q
     at = {} if target is None else system.rhs(target)
     return rows, [at.get(i, Fraction(0)) for i in range(len(rows))]
@@ -327,8 +330,10 @@ def checked_builder(monkeypatch):
     the column keys, the columns, the rows (the streamed columns laid out
     as rows) with the column order inside each, and the rows' keys; and
     every target packed against one: as {row: entry} against its rows, or
-    None when one of its monomials is no row.  Returns, per system built,
-    the set of generator families it holds."""
+    None when one of its monomials is no row.  A column skipped as
+    dependent streams as None: it must reduce to zero in the reference's
+    factor, and the rows are compared without it.  Returns, per system
+    built, the set of generator families it holds."""
     real_columns, real_system, real_rhs = (
         reduction._multiplier_columns, reduction._System, reduction._System.rhs,
     )
@@ -346,10 +351,15 @@ def checked_builder(monkeypatch):
         assert _expand(n, blocks) == ref_columns
         return labels, blocks
 
-    def builder(n, blocks):
-        built = real_system(n, blocks)
+    def builder(n, blocks, **koszul):
+        built = real_system(n, blocks, **koszul)
         expanded = _expand(n, blocks)
-        _assert_same_system(_as_rows(built, streamed[-1]), _reference_rows(n, expanded))
+        skipped = {c for c, column in enumerate(streamed[-1]) if column is None}
+        if skipped:
+            assert skipped <= _dependent(_reference_factor(n, expanded))
+        rows, rhs = _reference_rows(n, expanded)
+        rows = [{c: q for c, q in r.items() if c not in skipped} for r in rows]
+        _assert_same_system(_as_rows(built, streamed[-1]), (rows, rhs))
         order = sorted({m for p in expanded for m in p.terms}, key=monomial_sort_key(n),
                        reverse=True)
         assert list(built.row) == [built.packing.key(m) for m in order]
@@ -506,11 +516,33 @@ def _reference_factor(n, columns):
                    for col in columns], len(order))
 
 
+def _dependent(f):
+    """The columns of a factor that install no pivot."""
+    return {c for c in range(f.ncols) if f._ends[5 * c + 1] < 0}
+
+
+def _column_logs(f):
+    """Per column of a factor, its updates in the log and the rest of its
+    entry in ``_ends``: lead, content and σ."""
+    logs, start = [], 0
+    for c in range(f.ncols):
+        stop = f._ends[5 * c]
+        logs.append((f._ops[start:stop], f._ends[5 * c + 1:5 * c + 5]))
+        start = stop
+    return logs
+
+
 def _assert_same_factor(got, want):
+    """The same echelon, and the same log and end for every column but a
+    skipped one (lead -2), which has no updates and the reference's σ, and
+    which the reference reduces to zero."""
     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-    assert list(got._ops) == list(want._ops)
-    assert list(got._ends) == list(want._ends)
     assert list(got) == list(want)
+    for (ops, end), (want_ops, want_end) in zip(_column_logs(got), _column_logs(want)):
+        if end[0] == -2:
+            assert ops == [] and want_end[0] == -1 and end[1:] == want_end[1:]
+        else:
+            assert (ops, end) == (want_ops, want_end)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -524,6 +556,7 @@ def test_block_scaled_probe_factors_equal_the_column_scaled_reference(n):
     columns = [DiffPoly.monomial(n, s) * cs.condition(j).derive(m)
                for (j, m), shifts in zip(labels, system.shifts) for s in shifts]
     _assert_same_factor(system.factor, _reference_factor(n, columns))
+    assert -2 in system.factor._ends[1::5]  # the Koszul criterion skipped columns
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -553,12 +586,16 @@ def test_block_scaled_random_factors_equal_the_column_scaled_reference(seed):
 
 
 def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
-    sizes = []
+    """Rows and columns, and the factor's dependent columns and updates:
+    every dependent column is skipped by the Koszul criterion, so only the
+    installed columns are reduced (15,232 updates when all were)."""
+    sizes, factors = [], []
 
     def spy(columns, nrows):
         columns = list(columns)
         sizes.append((nrows, len(columns)))
-        return factor(columns, nrows)
+        factors.append(factor(columns, nrows))
+        return factors[-1]
 
     monkeypatch.setattr(reduction, "factor", spy)
     reduction._membership_system.cache_clear()
@@ -566,6 +603,97 @@ def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
     cs = pipeline(n, "eliminated")
     assert ideal_membership(_probe(n, cs), cs) is not None
     assert sizes == [(3952, 2428)]
+    [f] = factors
+    assert (len(_dependent(f)), len(f._ops) // 3) == (275, 9)
+
+
+# -- columns the Koszul criterion skips ------------------------------------------
+
+
+def _koszul_columns(monkeypatch, target, cs):
+    """For the system of a cold decision on (target, cs) under the current
+    caps: the columns its factor skipped; the columns s * g whose shift s
+    the leading monomial of an earlier block f divides, f and g over the
+    pool within the basis bound, found by ``leading_monomial`` and
+    ``Monomial.divides``; and the dependent columns of a full factor of
+    the same blocks."""
+    real, built = reduction._System, []
+
+    def spy(n, blocks, **koszul):
+        built.append((n, blocks, koszul, real(n, blocks, **koszul)))
+        return built[-1][-1]
+
+    monkeypatch.setattr(reduction, "_System", spy)
+    reduction._membership_system.cache_clear()
+    ideal_membership(target, cs)
+    monkeypatch.setattr(reduction, "_System", real)
+    [(n, blocks, koszul, system)] = built
+    pool, bound = koszul["koszul"]
+    f = system.factor
+    skipped = {c for c in range(f.ncols) if f._ends[5 * c + 1] == -2}
+    divided, leads, col = set(), [], 0
+    for _, p, shifts in blocks:
+        within = p and p.max_deriv() <= bound and p.base_generators() <= set(pool)
+        for s in shifts:
+            if within and any(lm.divides(s) for lm in leads):
+                divided.add(col)
+            col += 1
+        if within:
+            leads.append(p.leading_monomial())
+    return skipped, divided, _dependent(real(n, blocks).factor)
+
+
+@pytest.mark.parametrize("n, weight", [(4, None), (5, None), (6, None), (7, None), (4, 13),
+                                       (6, 10), ("goldens", None), ("goldens", 10)])
+def test_koszul_criterion_skips_only_dependent_columns(monkeypatch, n, weight):
+    """Probe systems (weight N+6), two other weights, the first goldens
+    membership whose conditions hold C generators, and its conditions
+    against w2^10.  The packed keys flag the columns the leading monomials
+    do, so no key collides, and every flagged column is dependent.  In the
+    eliminated systems no syzygy goes beyond Koszul's, so the flagged
+    columns are the dependent ones; the goldens conditions hold integrals
+    of each other, such as D(I_101) = I_0 + 2 * w2 * I_1, which it misses."""
+    if n == "goldens":
+        target, cs = _goldens_membership_with_constants(monkeypatch)
+        if weight is not None:
+            target = DiffPoly.generator(target.n, w(target.n - 1)) ** weight
+    else:
+        cs = pipeline(n, "eliminated")
+        target = _probe(n, cs) if weight is None else DiffPoly.generator(n, w(n - 1)) ** weight
+    skipped, divided, dependent = _koszul_columns(monkeypatch, target, cs)
+    assert skipped == divided and skipped <= dependent
+    if n != "goldens":
+        assert skipped == dependent and skipped
+    elif weight is None:
+        assert not skipped and dependent == {4}
+    else:
+        assert (len(skipped), len(dependent)) == (17, 71)
+
+
+def test_koszul_criterion_skips_only_dependent_columns_under_a_lower_bound(monkeypatch):
+    """With the basis bound below the derivative cap, the blocks derived past
+    the bound take no part in the criterion, so it flags a strict subset of
+    the dependent columns."""
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "14")
+    monkeypatch.setenv("NFOLDSUSY_DERIV_BOUND", "5")
+    n = 6
+    cs = pipeline(n, "eliminated")
+    skipped, divided, dependent = _koszul_columns(monkeypatch, _probe(n, cs), cs)
+    assert skipped == divided
+    assert skipped < dependent and skipped
+
+
+def test_koszul_criterion_leaves_out_blocks_that_hold_a_parameter(monkeypatch):
+    """No shift holds a parameter, so the Koszul syzygy of I_0 with a block
+    that holds one needs columns the system does not have: the column
+    w1^4 * I_1 = w1^4 * w1' + alpha0 * w1^6 is independent, though w1^2
+    divides w1^4, and must not be skipped."""
+    conditions = [(0, parse("w1^2", 2)), (1, parse("w1' + alpha0*w1^2", 2))]
+    target = parse("w1^4*w1' + alpha0*w1^6", 2)
+    skipped, divided, dependent = _koszul_columns(monkeypatch, target, conditions)
+    assert skipped == divided and skipped < dependent and skipped
+    dec = ideal_membership(target, conditions)
+    assert [(key, str(p)) for key, p in dec.multipliers] == [((1, 0), "w1^4")]
 
 
 # -- memoized columns -----------------------------------------------------------
