@@ -34,9 +34,6 @@ from .diffring import (
 from .formatting import (
     format_operator,
     format_poly,
-    operator_from_dict,
-    operator_to_dict,
-    operator_to_json,
     poly_from_dict,
     poly_from_json,
     poly_to_dict,

@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         parser.error(str(exc))
     except DerivOrderError as exc:
-        parser.error(f"{exc} NFOLDSUSY_MAX_DERIV={max_deriv_order()}")
+        parser.error(f"{exc} (NFOLDSUSY_MAX_DERIV={max_deriv_order()})")
     if payload is not None:
         text = (json.dumps(payload, separators=(",", ":")) if args.format == "json"
                 else "\n".join(payload))

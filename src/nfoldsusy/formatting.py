@@ -14,7 +14,6 @@ import re
 from fractions import Fraction
 
 from .config import max_deriv_order
-from .diffop import DiffOperator
 from .diffring import DiffPoly, Generator, Monomial
 from .parsing import _TOO_LONG, MAX_DIGITS, ParseError, _check_digits, _generator_from_token
 
@@ -102,23 +101,6 @@ def poly_to_json(poly: DiffPoly) -> str:
 _COEFF_RE = re.compile(r"(-?\d{1,%d})(?:/(\d{1,%d}))?" % (MAX_DIGITS, MAX_DIGITS), re.ASCII)
 
 
-def _read_header(data, noun: str, key: str, container: type) -> tuple[int, list | dict]:
-    """The checked ``ambientN`` and ``key`` entries of the object ``noun``
-    names, or a ``ParseError`` at position 0."""
-    if not isinstance(data, dict):
-        raise ParseError(f"{noun} is an object", 0)
-    try:
-        n, entries = data["ambientN"], data[key]
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
-    if type(n) is not int or n < 1:
-        raise ParseError(f"ambientN {n!r} is not a positive int", 0)
-    if not isinstance(entries, container):
-        kind = "a list" if container is list else "an object"
-        raise ParseError(f"{key} is not {kind}", 0)
-    return n, entries
-
-
 def poly_from_dict(data: dict) -> DiffPoly:
     """Inverse of ``poly_to_dict``; malformed input raises ``ParseError``
     whose position is the index of the term (0 for a top-level key).
@@ -129,7 +111,16 @@ def poly_from_dict(data: dict) -> DiffPoly:
     an int or a string ``-p/q``, as the parser reads a constant: ``-`` and
     ``/q`` optional, p and q runs of at most ``MAX_DIGITS`` ASCII digits
     (an int as many digits), q nonzero."""
-    n, entries = _read_header(data, "a polynomial", "terms", list)
+    if not isinstance(data, dict):
+        raise ParseError("a polynomial is an object", 0)
+    try:
+        n, entries = data["ambientN"], data["terms"]
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc.args[0]!r}", 0) from None
+    if type(n) is not int or n < 1:
+        raise ParseError(f"ambientN {n!r} is not a positive int", 0)
+    if not isinstance(entries, list):
+        raise ParseError("terms is not a list", 0)
     cap = max_deriv_order()
     terms: dict[Monomial, int | Fraction] = {}
     for i, entry in enumerate(entries):
@@ -194,35 +185,3 @@ def format_operator(op) -> str:
             wrap = f"({body})" if (" " in body or "*" in body) else body
             parts.append(f"{wrap}*{dsym}")
     return " + ".join(parts)
-
-
-def operator_to_dict(op) -> dict:
-    return {
-        "ambientN": op.n,
-        "coeffs": {str(i): poly_to_dict(op.coeffs[i]) for i in sorted(op.coeffs)},
-    }
-
-
-def operator_to_json(op) -> str:
-    return json.dumps(operator_to_dict(op), separators=(",", ":"))
-
-
-def operator_from_dict(data: dict) -> DiffOperator:
-    """Inverse of ``operator_to_dict``; malformed input raises ``ParseError``
-    at position 0, or as ``poly_from_dict`` does inside a coefficient.  The
-    shape is the one ``operator_to_dict`` writes: an object with a positive
-    int ``ambientN`` and an object ``coeffs`` whose keys are orders written as
-    ASCII decimals without sign, space or leading zero, of at most
-    ``MAX_DIGITS`` digits, and whose values are polynomials of that
-    ambient N."""
-    n, entries = _read_header(data, "an operator", "coeffs", dict)
-    coeffs = {}
-    for order, entry in entries.items():
-        if not (type(order) is str and order.isascii() and order.isdigit()
-                and len(order) <= MAX_DIGITS and str(int(order)) == order):
-            raise ParseError(f"order {order!r} is not a non-negative decimal int", 0)
-        poly = poly_from_dict(entry)
-        if poly.n != n:
-            raise ParseError(f"order {order} has ambientN {poly.n}, not {n}", 0)
-        coeffs[int(order)] = poly
-    return DiffOperator(n, coeffs)

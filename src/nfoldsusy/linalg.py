@@ -36,11 +36,6 @@ so any method that finds solutions of that shape finds the same Fractions.
       g·p_ℓ = W·σ·a_j − Σ_k (s_{k+1}⋯s_K)·rv_k·p_{ℓ_k},
 
   and a dependent column the same with 0 on the left.
-- *Skipped columns.*  A column handed with None for its vector, which
-  its builder knows to be dependent, is recorded as dependent (lead -2)
-  with its σ and no log, and is not reduced.  It installs no pivot, so the
-  echelon, the other logs and ``solve`` are unchanged; ``nullspace``,
-  which needs its log, refuses the factor.
 - *Forward reduction.*  ``Factor.solve`` takes b as {row index: entry},
   every index a row of A, and reduces it against the echelon with the
   same ``_reduce``, lowest row first, in integers over one denominator:
@@ -130,9 +125,9 @@ def _eliminate(
     pivots: dict[int, dict[int, int]] = {}
     ops, ends = log
     for vector, den, content in columns:
-        r = dict(vector or {})  # None: a column known to be dependent, not reduced
+        r = dict(vector)
         col = _reduce(r, pivots, ops.extend)
-        end = (-1 if vector is not None else -2), 1
+        end = -1, 1
         if col is not None:
             g = gcd(*r.values())
             pivots[col] = {c: v // g for c, v in r.items()} if g > 1 else r
@@ -150,10 +145,10 @@ class Factor:
 
     The log is flat: ``_ops`` holds three integers per update (the lead of
     the pivot cleared, scale, rv); ``_ends`` five per column (the end of
-    its updates in ``_ops``, the lead it was installed at, or -1 for a
-    dependent column and -2 for a skipped one, its content g, and the
-    numerator and denominator of σ).  ``_echelon`` is the pivots
-    ``_eliminate`` installed, {lead: {row: int}} by lead."""
+    its updates in ``_ops``, the lead it was installed at or -1 for a
+    dependent column, its content g, and the numerator and denominator of
+    σ).  ``_echelon`` is the pivots ``_eliminate`` installed, {lead: {row:
+    int}} by lead."""
 
     __slots__ = ("nrows", "ncols", "_ops", "_ends", "_echelon")
 
@@ -197,8 +192,6 @@ class Factor:
         """One basis vector of A x = 0 per dependent column f, with x_f = 1
         and every other dependent column at zero, in column order."""
         ops, ends, basis = self._ops, self._ends, []
-        if -2 in ends[1::5]:
-            raise ValueError("a factor that skipped columns has no nullspace")
         for f in range(self.ncols):
             if ends[5 * f + 1] < 0:
                 scales = prod(ops[(ends[5 * f - 5] if f else 0) + 1:ends[5 * f]:3])
@@ -215,7 +208,7 @@ class Factor:
         ends, x, j = self._ends, {}, stop
         while z:
             j -= 1
-            w = z.pop(ends[5 * j + 1], None)  # a dependent column's -1 or -2 is no lead
+            w = z.pop(ends[5 * j + 1], None)  # a dependent column's -1 is no lead
             if w:
                 x[j] = self._unwind(j, w / ends[5 * j + 2], z)
         return x

@@ -70,11 +70,13 @@ when f and g are within the basis: generators in the pool (no parameter),
 derivative orders within the bound.  Then u * LM(f) is a shift of g, with
 exponents below the base, so key(u) + key(LM(f)) is its key: no carry.
 ``_System`` flags these sums, u over the basis of weight wt(s) - wt(f),
-and streams a flagged column as None, with no row key (its monomials are
-earlier columns').  A dependent column installs no pivot and is zero in
-every solution, so the rows, echelon, other logs and certificates are
-unchanged.  Only membership systems skip: ``search_integral`` reads
-``nullspace``, which needs every log.
+and streams only the unflagged columns into ``linalg.factor``, with no
+row key of a flagged one (its monomials are earlier columns').  A
+dependent column installs no pivot and is zero in every solution with the
+free variables at zero, so the rows, echelon, other logs and certificates
+are unchanged.  Only membership systems skip: with the criterion forced
+on, every search system the CLI builds flags no column, so there it would
+cost build time and skip nothing.
 
 A certificate's re-expansion (``Decomposition.expansion``) derives the
 conditions itself, through ``apply_combo``, and never reads these memos,
@@ -338,8 +340,9 @@ class _System:
     each block's primitive integer terms as (key, entry) and σ, both shared
     by its columns, and one list of keys per list of shifts, which the
     blocks of one weight share.  With ``koszul``, a membership system's
-    (pool, bound), each column the Koszul criterion proves dependent
-    streams as None (module docstring)."""
+    (pool, bound), the columns the Koszul criterion proves dependent are
+    left out, and ``shifts`` holds each block's kept shifts: the block's own
+    list when it loses none (module docstring)."""
 
     __slots__ = ("packing", "row", "shifts", "factor")
 
@@ -356,9 +359,11 @@ class _System:
         pool, bound = koszul or ((), 0)
         shift_keys: dict[int, list[int]] = {}  # by id of the shifts list
         packed_blocks, sources, bases = [], [], {}  # sources: (wt(f), key(LM(f)))
+        self.shifts = []
         for (c, p, shifts), own in zip(blocks, gens):
             if id(shifts) not in shift_keys:
                 shift_keys[id(shifts)] = [key(s) for s in shifts]
+            block_keys = shift_keys[id(shifts)]
             ints, den, content = _scale_to_int(p.terms)
             sigma = Fraction(den * c.denominator, content * c.numerator)  # den / (content * c)
             packed = [(key(m), v) for m, v in ints.items()]
@@ -370,17 +375,18 @@ class _System:
                         bases[w] = [key(u) for u in monomial_basis(n, w, pool, bound)]
                     skip.update([k + lead for k in bases[w]])
                 sources.append((p.weight(), max(packed)[0]))
-            packed_blocks.append((packed, shift_keys[id(shifts)], sigma, skip))
+            if skip:
+                kept = [i for i, ks in enumerate(block_keys) if ks not in skip]
+                shifts, block_keys = [shifts[i] for i in kept], [block_keys[i] for i in kept]
+            self.shifts.append(shifts)
+            packed_blocks.append((packed, block_keys, sigma))
         keys: set[int] = set()
-        for packed, block_keys, _, skip in packed_blocks:
+        for packed, block_keys, _ in packed_blocks:
             for ks in block_keys:
-                if ks not in skip:  # a skipped column's monomials are earlier columns'
-                    keys.update([ks + k for k, _ in packed])
-        self.shifts = [shifts for _, _, shifts in blocks]
+                keys.update([ks + k for k, _ in packed])
         row = self.row = {k: i for i, k in enumerate(sorted(keys, reverse=True))}
-        columns = ((None if ks in skip else {row[ks + k]: v for k, v in packed},
-                    sigma.numerator, sigma.denominator)
-                   for packed, block_keys, sigma, skip in packed_blocks for ks in block_keys)
+        columns = (({row[ks + k]: v for k, v in packed}, sigma.numerator, sigma.denominator)
+                   for packed, block_keys, sigma in packed_blocks for ks in block_keys)
         self.factor = factor(columns, len(row))
 
     def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:

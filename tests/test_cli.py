@@ -184,7 +184,7 @@ def test_invalid_environment_caps_exit_2():
 def test_derivative_beyond_the_cap_exits_2():
     code, err = run_cli_env({"NFOLDSUSY_MAX_DERIV": "0"}, "derive", "--n", "2")
     assert code == 2
-    assert "NFOLDSUSY_MAX_DERIV=0" in err and "Traceback" not in err
+    assert " (NFOLDSUSY_MAX_DERIV=0)" in err and "Traceback" not in err
     code, err = run_cli_env({"NFOLDSUSY_MAX_DERIV": "3"}, "search", "--n", "3", "--k", "1")
     assert code == 2
     assert "NFOLDSUSY_MAX_DERIV=3" in err and "Traceback" not in err

@@ -1,5 +1,4 @@
 import ast
-import json
 import re
 import sys
 from pathlib import Path
@@ -9,54 +8,11 @@ import pytest
 import nfoldsusy
 from nfoldsusy import (
     DerivOrderError,
-    DiffOperator,
     ideal_membership,
-    operator_from_dict,
-    operator_to_dict,
-    operator_to_json,
     parse,
     transformed_conditions,
 )
 from nfoldsusy.config import ConfigError, max_deriv_order, search_deriv_bound
-
-
-def test_operator_json_round_trip():
-    op = DiffOperator(2, {2: parse("1", 2), 0: parse("w0 - 1/3*w1'", 2)})
-    data = operator_to_dict(op)
-    assert data["ambientN"] == 2
-    assert operator_from_dict(json.loads(operator_to_json(op))) == op
-
-
-def _w1(n):
-    return {"ambientN": n, "terms": [{"monomial": [["w1", 1]], "coeff": "1"}]}
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {},
-        None,
-        {"ambientN": 2, "coeffs": {"x": _w1(2)}},
-        {"ambientN": 2, "coeffs": []},
-        {"ambientN": "a", "coeffs": {}},
-        {"ambientN": 2, "coeffs": {"\u0663": _w1(2)}},
-        {"ambientN": 2, "coeffs": {"1": _w1(2), " 1": _w1(2)}},
-        {"ambientN": 2, "coeffs": {"-1": _w1(2)}},
-        {"ambientN": 3, "coeffs": {"1": _w1(2)}},
-        {"ambientN": 2, "coeffs": {"9" * 5000: _w1(2)}},
-        {"ambientN": 0, "coeffs": {}},
-        {"ambientN": -3, "coeffs": {}},
-    ],
-    ids=["empty", "null", "order-x", "coeffs-list", "ambient-string", "arabic-digit",
-         "spaced-order", "negative-order", "coefficient-ambient", "long-order",
-         "ambient-zero", "ambient-negative"],
-)
-def test_malformed_operator_json_raises_parse_error(data):
-    from nfoldsusy import ParseError
-
-    with pytest.raises(ParseError) as err:
-        operator_from_dict(data)
-    assert err.value.position == 0
 
 
 def test_decomposition_serializes():

@@ -73,9 +73,8 @@ def _echelon(vectors):
 
 def _rebuilt(columns):
     """Scaled columns (vector, den, content) as the vectors over Q they
-    stand for, each entry ``Fraction(v * content, den)``; a column skipped
-    as dependent, whose vector is None, stays None."""
-    return [None if vector is None else {i: Fraction(v * content, den) for i, v in vector.items()}
+    stand for, each entry ``Fraction(v * content, den)``."""
+    return [{i: Fraction(v * content, den) for i, v in vector.items()}
             for vector, den, content in columns]
 
 
@@ -387,35 +386,49 @@ def test_nullspace_vectors_satisfy_the_homogeneous_system():
     assert deficient > 50
 
 
-def test_a_skipped_column_keeps_the_echelon_and_the_solutions_but_no_nullspace(monkeypatch):
-    """A dependent column handed as None is recorded as dependent with its
-    σ and an empty log: the echelon, the other columns' logs and every
-    solution are the full factor's, but its kernel vector would need the
-    log, so ``nullspace`` refuses the factor, and a membership system's
-    factor, which skips the columns the Koszul criterion proves dependent."""
-    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(1, 2)},
-            {1: Fraction(1), 2: Fraction(4)}, {2: Fraction(-1)}]
-    for row in rows:
-        row[3] = row.get(0, 0) + 5 * row.get(1, 0)  # column 3 is a_0 + 5 a_1
-    columns = _columns(rows, 4)
-    full = factor(columns, len(rows))
-    skipped = factor(columns[:3] + [(None, *columns[3][1:])], len(rows))
-    assert list(skipped) == list(full) and skipped.ncols == full.ncols == 4
-    assert skipped._ops == full._ops[:len(skipped._ops)] and skipped._ends[:15] == full._ends[:15]
-    assert skipped._ends[16:] == [-2, *full._ends[17:]] and full._ends[16] == -1
-    rng = random.Random(9)
-    for _ in range(20):
-        rhs = dict(enumerate(_random_rhs(rng, rows, 4)))
-        assert skipped.solve(rhs) == full.solve(rhs)
-    assert nullspace(full, 4) == _reference_nullspace(rows, 4)
-    with pytest.raises(ValueError, match="skipped"):
-        nullspace(skipped, 4)
+def _logs(f):
+    """Per column of a factor, its updates in the log and the rest of its
+    entry in ``_ends``: lead (-1 when dependent), content and σ."""
+    logs, start = [], 0
+    for c in range(f.ncols):
+        stop = f._ends[5 * c]
+        logs.append((f._ops[start:stop], f._ends[5 * c + 1:5 * c + 5]))
+        start = stop
+    return logs
 
-    target, cs = _probe(6)
-    _, seen = _decide_cold(monkeypatch, target, cs)
-    [system] = seen.systems
-    with pytest.raises(ValueError, match="skipped"):
-        nullspace(system.factor, system.factor.ncols)
+
+@pytest.mark.parametrize("seed", range(5))
+def test_leaving_out_dependent_columns_keeps_the_echelon_logs_and_solutions(seed):
+    """A dependent column installs no pivot, so a factor of the columns
+    without any subset of the dependent ones has the same echelon, the same
+    log for every column it keeps, and, wherever b is reachable, the
+    solution of the full factor on the kept columns, which is zero on the
+    dropped ones.  Both factors agree with the rescanning oracle."""
+    rng = random.Random(4000 + seed)
+    dropped_any = feasible = 0
+    for _ in range(60):
+        rows, ncols = _random_system(rng)
+        columns = _columns(rows, ncols)
+        full = factor(columns, len(rows))
+        logs = _logs(full)
+        dependent = [c for c, (_, end) in enumerate(logs) if end[0] == -1]
+        drop = set(rng.sample(dependent, rng.randint(min(1, len(dependent)), len(dependent))))
+        kept = [c for c in range(ncols) if c not in drop]
+        part = factor([columns[c] for c in kept], len(rows))
+        dropped_any += bool(drop)
+        assert list(part) == list(full) == [vec for _, vec in _oracle_eliminate(_rebuilt(columns))]
+        assert _logs(part) == [logs[c] for c in kept]
+        part_rows = [{i: r[c] for i, c in enumerate(kept) if c in r} for r in rows]
+        for _ in range(4):
+            rhs = _random_rhs(rng, rows, ncols)
+            x, y = full.solve(dict(enumerate(rhs))), part.solve(dict(enumerate(rhs)))
+            assert x == _oracle_solve(rows, rhs, ncols)
+            assert y == _oracle_solve(part_rows, rhs, len(kept))
+            assert (x is None) == (y is None)
+            if x is not None:
+                feasible += 1
+                assert y == [x[c] for c in kept] and not any(x[c] for c in drop)
+    assert dropped_any > 25 and feasible > 100
 
 
 def test_sixfold_probe_certificate_is_pinned():
@@ -433,20 +446,26 @@ def test_sixfold_probe_certificate_is_pinned():
 
 
 class _Seen:
-    """What one membership decision hands the linear algebra: the labels
-    and the system of the memo's entry, the columns ``factor`` gets with
-    nrows and the vectors that reach elimination, both rebuilt over Q, and
-    the rhs ``solve`` gets."""
+    """What one membership decision hands the linear algebra: the blocks
+    of every column, kept or not, the labels and the system of the memo's
+    entry, the columns ``factor`` gets with nrows and the vectors that
+    reach elimination, both rebuilt over Q, and the rhs ``solve`` gets."""
 
     def __init__(self):
-        self.labels, self.systems, self.factored, self.rhs, self.eliminated = [], [], [], [], []
+        self.blocks, self.labels, self.systems, self.factored, self.rhs, self.eliminated = (
+            [], [], [], [], [], [])
 
 
 def _decide_cold(monkeypatch, target, cs):
     from nfoldsusy import reduction
 
     seen = _Seen()
-    real_system = reduction._membership_system
+    real_system, real_columns = reduction._membership_system, reduction._multiplier_columns
+
+    def columns_spy(*args):
+        labels, blocks = real_columns(*args)
+        seen.blocks.append(blocks)
+        return labels, blocks
 
     def system_spy(*args):
         labels, system = real_system(*args)
@@ -468,6 +487,7 @@ def _decide_cold(monkeypatch, target, cs):
         seen.eliminated.append(_rebuilt(vectors))
         return _eliminate(vectors, log)
 
+    monkeypatch.setattr(reduction, "_multiplier_columns", columns_spy)
     monkeypatch.setattr(reduction, "_membership_system", system_spy)
     monkeypatch.setattr(reduction, "factor", factor_spy)
     monkeypatch.setattr(reduction, "solve", solve_spy)
@@ -477,19 +497,21 @@ def _decide_cold(monkeypatch, target, cs):
 
 
 def _full_columns(seen, cs):
-    """The columns ``factor`` got in one cold decision on cs, over Q, with
-    each column skipped as dependent, which streams as None, rebuilt from
-    its block as s * D^m(I_j) packed against the system's rows.  Each
-    streamed column is checked against its rebuilt one."""
-    [(columns, _)], [labels], [system] = seen.factored, seen.labels, seen.systems
-    products = [DiffPoly.monomial(cs.n, s) * cs.condition(j).derive(m)
-                for (j, m), shifts in zip(labels, system.shifts) for s in shifts]
-    assert len(products) == len(columns)
-    full = []
-    for column, product in zip(columns, products):
-        rebuilt = {i: Fraction(q) for i, q in system.rhs(product).items()}
-        assert column is None or column == rebuilt
-        full.append(rebuilt)
+    """Every column of the blocks of one cold decision on cs, over Q, the
+    ones the Koszul criterion left out of ``factor`` too: s * D^m(I_j),
+    for each shift s of the full block, packed against the system's rows.
+    The columns ``factor`` got are checked to be the kept ones, in order."""
+    [blocks], [(columns, _)], [labels], [system] = (
+        seen.blocks, seen.factored, seen.labels, seen.systems)
+    full, streamed = [], iter(columns)
+    for (j, m), (_, _, shifts), kept in zip(labels, blocks, system.shifts, strict=True):
+        kept = set(kept)
+        for s in shifts:
+            rhs = system.rhs(DiffPoly.monomial(cs.n, s) * cs.condition(j).derive(m))
+            full.append({i: Fraction(q) for i, q in rhs.items()})
+            if s in kept:
+                assert next(streamed) == full[-1]
+    assert next(streamed, None) is None
     return full
 
 
@@ -501,9 +523,9 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     system as one (rows, rhs, ncols) over Q; ``factor`` now gets the
     columns and ``solve`` the rhs as {row: entry}, so the test rebuilds
     the rows from the columns and spreads the rhs, every entry as a
-    ``Fraction``, since the ring keeps whole numbers as ``int``s.  A column
-    the Koszul criterion skips reaches ``factor`` as None, so it is
-    rebuilt from its block (``_full_columns``)."""
+    ``Fraction``, since the ring keeps whole numbers as ``int``s.  The
+    columns the Koszul criterion leaves out never reach ``factor``, so the
+    matrix is rebuilt from the full blocks (``_full_columns``)."""
     import hashlib
     import json
 
@@ -535,22 +557,27 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
 @pytest.mark.parametrize(
     "n, counts",
     [
-        (6, (1330, 687, 637, 50, 9, 12338)),
-        (7, (2312, 1311, 1187, 124, 9, 24672)),
+        (6, ((1330, 687, 50), (1330, 637, 637, 0, 9, 12338))),
+        (7, ((2312, 1311, 124), (2312, 1187, 1187, 0, 9, 24672))),
     ],
 )
 def test_probe_factors_are_eliminated_by_columns(monkeypatch, n, counts):
-    """The probe's factor, pinned: rows, columns, pivots, dependent columns,
-    updates in the log and nonzeros of the echelon.  A factor that
-    eliminated the rows would pivot on as many rows as columns here and
-    reduce every dependent row to zero.  Every dependent column is one the
-    Koszul criterion skips, so the updates are the installed columns' (they
-    were 1720 and 5691 when the dependent columns were reduced too)."""
+    """The probe's system, pinned: rows, the columns of its blocks and
+    those the Koszul criterion flags; and its factor: rows, columns,
+    pivots, dependent columns, updates in the log and nonzeros of the
+    echelon.  A factor that eliminated the rows would pivot on as many rows
+    as columns here and reduce every dependent row to zero.  Every
+    dependent column is flagged and left out, so the factor has none and
+    the updates are the installed columns' (they were 1720 and 5691 when
+    the dependent columns were reduced too)."""
     dec, seen = _decide_cold(monkeypatch, *_probe(n))
     assert dec is not None
-    f = seen.systems[0].factor
+    [blocks], [system] = seen.blocks, seen.systems
+    ncols = sum(len(shifts) for _, _, shifts in blocks)
+    f = system.factor
+    assert (len(system.row), ncols, ncols - f.ncols) == counts[0]
     assert (f.nrows, f.ncols, len(f), f.ncols - len(f), len(f._ops) // 3,
-            sum(map(len, f))) == counts
+            sum(map(len, f))) == counts[1]
 
 
 # -- row-at-a-time elimination against the all-rows heap reference -------------
@@ -649,8 +676,8 @@ def _probe(n):
 @pytest.mark.parametrize("n", [6, 7])
 def test_probe_echelons_equal_the_heap_reference(monkeypatch, n):
     """On the columns ``factor`` is handed, which are what reaches
-    elimination, in one pass, with the columns skipped as dependent
-    rebuilt; the factor keeps their echelon."""
+    elimination, in one pass, and the columns the Koszul criterion left
+    out, rebuilt: the factor keeps their echelon."""
     target, cs = _probe(n)
     dec, seen = _decide_cold(monkeypatch, target, cs)
     assert dec is not None

@@ -149,17 +149,20 @@ def test_malformed_json_raises_parse_error():
         {"ambientN": 2, "terms": [{"monomial": [["u2", 1]], "coeff": "1"}]},
         {"ambientN": -3, "terms": []},
         {"ambientN": 0, "terms": []},
+        None,
     ],
     ids=["negative-exponent", "string-exponent", "no-terms", "no-ambientN", "no-coeff",
          "float-coefficient", "zero-exponent", "bool-exponent", "string-ambientN",
          "string-ambientN-no-terms", "int-token", "one-element-factor",
          "three-element-factor", "string-monomial", "object-terms", "empty-object-terms",
          "string-term", "top-level-list", "w-index-above-ambientN", "u-index-at-ambientN",
-         "negative-ambientN", "zero-ambientN"],
+         "negative-ambientN", "zero-ambientN", "null"],
 )
 def test_malformed_json_fields_raise_parse_error(data):
-    with pytest.raises(ParseError):
+    """Each input is refused at position 0: in its header or its first term."""
+    with pytest.raises(ParseError) as err:
         poly_from_json(json.dumps(data))
+    assert err.value.position == 0
 
 
 def _with_coeff(coeff):

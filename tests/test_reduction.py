@@ -283,14 +283,12 @@ def _expand(n, blocks):
 def _streaming(mp):
     """Patch ``reduction.factor`` to record the columns each system streams
     into it, one list per system, each column rebuilt over Q from its
-    scaled form (vector, den, content), or None for a column skipped as
-    dependent, and return the record."""
+    scaled form (vector, den, content), and return the record."""
     streamed = []
 
     def spy(columns, nrows):
         columns = list(columns)
-        streamed.append([None if vector is None
-                         else {i: Fraction(v * content, den) for i, v in vector.items()}
+        streamed.append([{i: Fraction(v * content, den) for i, v in vector.items()}
                          for vector, den, content in columns])
         return factor(columns, nrows)
 
@@ -308,12 +306,11 @@ def _system_rows(n, blocks, target=None):
 
 
 def _as_rows(system, columns, target=None):
-    """The columns laid out as rows filled in column order, a skipped
-    column (None) left out, and the target packed by the system's ``rhs``,
-    spread densely."""
+    """The columns laid out as rows filled in column order, and the target
+    packed by the system's ``rhs``, spread densely."""
     rows = [{} for _ in system.row]
     for c, column in enumerate(columns):
-        for i, q in (column or {}).items():
+        for i, q in column.items():
             rows[i][c] = q
     at = {} if target is None else system.rhs(target)
     return rows, [at.get(i, Fraction(0)) for i in range(len(rows))]
@@ -330,10 +327,10 @@ def checked_builder(monkeypatch):
     the column keys, the columns, the rows (the streamed columns laid out
     as rows) with the column order inside each, and the rows' keys; and
     every target packed against one: as {row: entry} against its rows, or
-    None when one of its monomials is no row.  A column skipped as
-    dependent streams as None: it must reduce to zero in the reference's
-    factor, and the rows are compared without it.  Returns, per system
-    built, the set of generator families it holds."""
+    None when one of its monomials is no row.  A column the Koszul
+    criterion leaves out must reduce to zero in the reference's factor, and
+    the rows are compared without it; its monomials must still be rows.
+    Returns, per system built, the set of generator families it holds."""
     real_columns, real_system, real_rhs = (
         reduction._multiplier_columns, reduction._System, reduction._System.rhs,
     )
@@ -354,11 +351,12 @@ def checked_builder(monkeypatch):
     def builder(n, blocks, **koszul):
         built = real_system(n, blocks, **koszul)
         expanded = _expand(n, blocks)
-        skipped = {c for c, column in enumerate(streamed[-1]) if column is None}
-        if skipped:
-            assert skipped <= _dependent(_reference_factor(n, expanded))
+        flagged = _flagged(blocks, built)
+        if flagged:
+            assert flagged <= _dependent(_reference_factor(n, expanded))
+        kept = [c for c in range(len(expanded)) if c not in flagged]
         rows, rhs = _reference_rows(n, expanded)
-        rows = [{c: q for c, q in r.items() if c not in skipped} for r in rows]
+        rows = [{new: r[c] for new, c in enumerate(kept) if c in r} for r in rows]
         _assert_same_system(_as_rows(built, streamed[-1]), (rows, rhs))
         order = sorted({m for p in expanded for m in p.terms}, key=monomial_sort_key(n),
                        reverse=True)
@@ -521,6 +519,17 @@ def _dependent(f):
     return {c for c in range(f.ncols) if f._ends[5 * c + 1] < 0}
 
 
+def _flagged(blocks, system):
+    """The columns of the blocks, numbered over all their shifts, that the
+    system left out of its factor: the shifts missing from its kept ones."""
+    flagged, col = set(), 0
+    for (_, _, shifts), kept in zip(blocks, system.shifts, strict=True):
+        kept = set(kept)
+        flagged.update(col + i for i, s in enumerate(shifts) if s not in kept)
+        col += len(shifts)
+    return flagged
+
+
 def _column_logs(f):
     """Per column of a factor, its updates in the log and the rest of its
     entry in ``_ends``: lead, content and σ."""
@@ -532,31 +541,33 @@ def _column_logs(f):
     return logs
 
 
-def _assert_same_factor(got, want):
-    """The same echelon, and the same log and end for every column but a
-    skipped one (lead -2), which has no updates and the reference's σ, and
-    which the reference reduces to zero."""
-    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+def _assert_same_factor(got, want, flagged=frozenset()):
+    """The same rows and echelon, and the log and end of each column of
+    ``want`` but the flagged ones, which ``got`` left out and ``want``
+    reduces to zero."""
+    assert flagged <= _dependent(want)
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols - len(flagged))
     assert list(got) == list(want)
-    for (ops, end), (want_ops, want_end) in zip(_column_logs(got), _column_logs(want)):
-        if end[0] == -2:
-            assert ops == [] and want_end[0] == -1 and end[1:] == want_end[1:]
-        else:
-            assert (ops, end) == (want_ops, want_end)
+    logs = _column_logs(want)
+    assert _column_logs(got) == [logs[c] for c in range(want.ncols) if c not in flagged]
 
 
 @pytest.mark.parametrize("n", [6, 7])
-def test_block_scaled_probe_factors_equal_the_column_scaled_reference(n):
+def test_block_scaled_probe_factors_equal_the_column_scaled_reference(monkeypatch, n):
     """The probe's factor, built from blocks scaled once, has the log and
     echelon of the columns s * D^m(I_j), derived from the conditions as
-    ``Fraction``s and each scaled on its own."""
+    ``Fraction``s and each scaled on its own, less the columns the Koszul
+    criterion flags."""
     cs = pipeline(n, "eliminated")
     _clear_memos()
-    labels, system = _entry_of(_probe(n, cs), cs)
+    _, blocks, _, system = _built(monkeypatch, _probe(n, cs), cs)
+    labels, memo = _entry_of(_probe(n, cs), cs)
+    assert memo is system
     columns = [DiffPoly.monomial(n, s) * cs.condition(j).derive(m)
-               for (j, m), shifts in zip(labels, system.shifts) for s in shifts]
-    _assert_same_factor(system.factor, _reference_factor(n, columns))
-    assert -2 in system.factor._ends[1::5]  # the Koszul criterion skipped columns
+               for (j, m), (_, _, shifts) in zip(labels, blocks) for s in shifts]
+    flagged = _flagged(blocks, system)
+    assert flagged  # the Koszul criterion left columns out
+    _assert_same_factor(system.factor, _reference_factor(n, columns), flagged)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -586,37 +597,26 @@ def test_block_scaled_random_factors_equal_the_column_scaled_reference(seed):
 
 
 def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
-    """Rows and columns, and the factor's dependent columns and updates:
-    every dependent column is skipped by the Koszul criterion, so only the
-    installed columns are reduced (15,232 updates when all were)."""
-    sizes, factors = [], []
-
-    def spy(columns, nrows):
-        columns = list(columns)
-        sizes.append((nrows, len(columns)))
-        factors.append(factor(columns, nrows))
-        return factors[-1]
-
-    monkeypatch.setattr(reduction, "factor", spy)
-    reduction._membership_system.cache_clear()
+    """The system's rows, the columns of its blocks and those the Koszul
+    criterion flags; the factor's columns, dependent columns and updates:
+    every dependent column is flagged and left out, so only the installed
+    columns are reduced (15,232 updates when all were)."""
     n = 8
     cs = pipeline(n, "eliminated")
+    _, blocks, _, system = _built(monkeypatch, _probe(n, cs), cs)
     assert ideal_membership(_probe(n, cs), cs) is not None
-    assert sizes == [(3952, 2428)]
-    [f] = factors
-    assert (len(_dependent(f)), len(f._ops) // 3) == (275, 9)
+    f = system.factor
+    assert (len(system.row), sum(len(shifts) for _, _, shifts in blocks)) == (3952, 2428)
+    assert len(_flagged(blocks, system)) == 275
+    assert (f.ncols, len(_dependent(f)), len(f._ops) // 3) == (2153, 0, 9)
 
 
-# -- columns the Koszul criterion skips ------------------------------------------
+# -- columns the Koszul criterion leaves out -------------------------------------
 
 
-def _koszul_columns(monkeypatch, target, cs):
-    """For the system of a cold decision on (target, cs) under the current
-    caps: the columns its factor skipped; the columns s * g whose shift s
-    the leading monomial of an earlier block f divides, f and g over the
-    pool within the basis bound, found by ``leading_monomial`` and
-    ``Monomial.divides``; and the dependent columns of a full factor of
-    the same blocks."""
+def _built(monkeypatch, target, cs):
+    """(n, blocks, keywords, system) of the one system a cold decision on
+    (target, cs) builds under the current caps."""
     real, built = reduction._System, []
 
     def spy(n, blocks, **koszul):
@@ -627,10 +627,22 @@ def _koszul_columns(monkeypatch, target, cs):
     reduction._membership_system.cache_clear()
     ideal_membership(target, cs)
     monkeypatch.setattr(reduction, "_System", real)
-    [(n, blocks, koszul, system)] = built
+    [entry] = built
+    return entry
+
+
+def _koszul_columns(monkeypatch, target, cs):
+    """For the system of a cold decision on (target, cs) under the current
+    caps, numbering the columns over all shifts of its blocks: the columns
+    it left out of its factor; the columns s * g whose shift s the leading
+    monomial of an earlier block f divides, f and g over the pool within
+    the basis bound, found by ``leading_monomial`` and ``Monomial.divides``;
+    and the dependent columns of a full factor of the same blocks.  The
+    system's factor is checked to have as nullity, columns less pivots,
+    the dependent columns left unflagged: the syzygies beyond Koszul's."""
+    n, blocks, koszul, system = _built(monkeypatch, target, cs)
     pool, bound = koszul["koszul"]
-    f = system.factor
-    skipped = {c for c in range(f.ncols) if f._ends[5 * c + 1] == -2}
+    skipped = _flagged(blocks, system)
     divided, leads, col = set(), [], 0
     for _, p, shifts in blocks:
         within = p and p.max_deriv() <= bound and p.base_generators() <= set(pool)
@@ -640,19 +652,23 @@ def _koszul_columns(monkeypatch, target, cs):
             col += 1
         if within:
             leads.append(p.leading_monomial())
-    return skipped, divided, _dependent(real(n, blocks).factor)
+    dependent = _dependent(reduction._System(n, blocks).factor)
+    assert system.factor.ncols - len(system.factor) == len(dependent - skipped)
+    return skipped, divided, dependent
 
 
-@pytest.mark.parametrize("n, weight", [(4, None), (5, None), (6, None), (7, None), (4, 13),
-                                       (6, 10), ("goldens", None), ("goldens", 10)])
+@pytest.mark.parametrize("n, weight", [(4, None), (5, None), (6, None), (7, None), (8, None),
+                                       (4, 13), (6, 10), ("goldens", None), ("goldens", 10)])
 def test_koszul_criterion_skips_only_dependent_columns(monkeypatch, n, weight):
     """Probe systems (weight N+6), two other weights, the first goldens
     membership whose conditions hold C generators, and its conditions
     against w2^10.  The packed keys flag the columns the leading monomials
     do, so no key collides, and every flagged column is dependent.  In the
     eliminated systems no syzygy goes beyond Koszul's, so the flagged
-    columns are the dependent ones; the goldens conditions hold integrals
-    of each other, such as D(I_101) = I_0 + 2 * w2 * I_1, which it misses."""
+    columns are the dependent ones and the factor's nullity is 0.  The
+    goldens conditions hold integrals of each other, such as
+    D(I_101) = I_0 + 2 * w2 * I_1, which the criterion misses: nullity 1,
+    and 54 = 71 - 17 against w2^10."""
     if n == "goldens":
         target, cs = _goldens_membership_with_constants(monkeypatch)
         if weight is not None:
@@ -694,6 +710,7 @@ def test_koszul_criterion_leaves_out_blocks_that_hold_a_parameter(monkeypatch):
     assert skipped == divided and skipped < dependent and skipped
     dec = ideal_membership(target, conditions)
     assert [(key, str(p)) for key, p in dec.multipliers] == [((1, 0), "w1^4")]
+
 
 
 # -- memoized columns -----------------------------------------------------------
