@@ -1,7 +1,9 @@
 """Sparse exact linear solving over Q, by eliminating the columns of A.
 
-Vectors are dicts index -> coefficient.  A column a comes scaled, as (σ·a
-in primitive integers, den, content) with σ = den / content the ratio
+Vectors are dicts index -> coefficient, each index in 0..nrows-1 (an index
+no column holds is a zero row).  A column a comes unread, as (lead, build,
+den, content): its lowest index, None when a is zero; a builder returning
+a new dict σ·a in primitive integers; and σ = den / content, the ratio
 ``_scale_to_int`` gives, so a builder scales columns that share their
 coefficients once (``reduction``).  ``_eliminate`` is fraction-free: it
 reduces each vector (``_reduce``), in input order, against the pivots
@@ -36,8 +38,13 @@ so any method that finds solutions of that shape finds the same Fractions.
       g·p_ℓ = W·σ·a_j − Σ_k (s_{k+1}⋯s_K)·rv_k·p_{ℓ_k},
 
   and a dependent column the same with 0 on the left.
+- *Install unread.*  A column whose lead no pivot holds would be installed
+  as it is, with no update and content 1; its builder stands in, unread.
+  A vector is built for a zero column or a taken lead, or when ``_reduce``
+  (in elimination or ``solve``) reaches an unread pivot, then kept.  A lead
+  is checked in 0..nrows-1 as its column comes, a vector as it is built.
 - *Forward reduction.*  ``Factor.solve`` takes b as {row index: entry},
-  every index a row of A, and reduces it against the echelon with the
+  every index in 0..nrows-1, and reduces it against the echelon with the
   same ``_reduce``, lowest row first, in integers over one denominator:
   when that row leads p_ℓ, y_ℓ = b_ℓ / p_ℓ[ℓ] and b −= y_ℓ·p_ℓ.  No pivot
   has an entry at a row before its lead, so when that row leads no pivot,
@@ -52,9 +59,9 @@ so any method that finds solutions of that shape finds the same Fractions.
   Σ_k (s_{k+1}⋯s_K)·rv_k / (W·σ) · p_{ℓ_k}; the same replay turns minus
   that into x with A x = −a_f, and x + e_f is the basis vector of f.
 - *Storage.*  The log, σ as two ints, is two flat lists of ints, and the
-  echelon is the dict of pivots ``_eliminate`` installed, so no Fraction
-  reaches either.  Each column is read once and none is kept, so a
-  builder can stream them in from a generator (``reduction``).
+  echelon is the dict of pivots ``_eliminate`` installed, each a vector or
+  an unread builder, so no Fraction reaches either.  The columns are
+  iterated once, so a builder can stream them from a generator (``reduction``).
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from math import gcd, lcm, prod
 from typing import Any, Callable, Iterable, Mapping
 
 _ZERO = Fraction(0)
-Column = tuple[Mapping[int, int], int, int]  # (σ·a in primitive integers, den, content)
+Column = tuple[int | None, Callable[[], dict[int, int]], int, int]  # (lead, build, den, content)
 
 
 def _scale_to_int(row: Mapping[Any, Fraction | int]) -> tuple[dict[Any, int], int, int]:
@@ -79,13 +86,22 @@ def _scale_to_int(row: Mapping[Any, Fraction | int]) -> tuple[dict[Any, int], in
     return out, den, g
 
 
+def _built(build: Callable[[], dict[int, int]], nrows: int) -> dict[int, int]:
+    """The built vector; an index outside 0..nrows-1 raises ValueError."""
+    vector = build()
+    if vector and not 0 <= min(vector) <= max(vector) < nrows:
+        bad = min(vector) if min(vector) < 0 else max(vector)
+        raise ValueError(f"row {bad} is outside 0..{nrows - 1}")
+    return vector
+
+
 def _reduce(
-    r: dict[int, int], pivots: Mapping[int, Mapping[int, int]], record: Callable[[tuple], object]
+    r: dict[int, int], pivots: dict[int, Any], record: Callable[[tuple], object], nrows: int
 ) -> int | None:
     """Reduce the integer vector r in place against ``pivots`` ({lead:
-    {row: int}}), lowest index first, passing ``record`` (lead, scale, rv)
-    for each update r ← scale·r − rv·p_lead; return the first index of r no
-    pivot leads, or None once r is zero."""
+    {row: int} or its builder}), lowest index first, passing ``record``
+    (lead, scale, rv) for each update r ← scale·r − rv·p_lead; return the
+    first index of r no pivot leads, or None once r is zero."""
     heap = list(r)  # a heap of r's indices, and of some it has lost
     heapq.heapify(heap)
     while r:
@@ -96,6 +112,8 @@ def _reduce(
         pivot = pivots.get(col)
         if pivot is None:
             return col
+        if callable(pivot):  # installed unread: build it, and keep it
+            pivot = pivots[col] = _built(pivot, nrows)
         pv, rv = pivot[col], r[col]
         g0 = gcd(pv, rv)
         scale = pv // g0
@@ -118,22 +136,26 @@ def _reduce(
 
 
 def _eliminate(
-    columns: Iterable[Column], log: tuple[list[int], list[int]]
-) -> list[tuple[int, dict[int, int]]]:
-    """Forward elimination; returns the pivots as (lead, vector), by lead,
-    and records every operation in ``log``, the (ops, ends) of ``Factor``."""
-    pivots: dict[int, dict[int, int]] = {}
+    columns: Iterable[Column], log: tuple[list[int], list[int]], nrows: int
+) -> dict[int, Any]:
+    """Forward elimination; returns the pivots, {lead: vector or builder} by
+    lead, and records every operation in ``log``, the (ops, ends) of ``Factor``."""
+    pivots: dict[int, Any] = {}
     ops, ends = log
-    for vector, den, content in columns:
-        r = dict(vector)
-        col = _reduce(r, pivots, ops.extend)
-        end = -1, 1
-        if col is not None:
-            g = gcd(*r.values())
-            pivots[col] = {c: v // g for c, v in r.items()} if g > 1 else r
-            end = col, g
-        ends.extend((len(ops), *end, den, content))
-    return sorted(pivots.items())
+    for lead, build, den, content in columns:
+        g = 1
+        if lead is None or lead in pivots:
+            r = _built(build, nrows)
+            lead = _reduce(r, pivots, ops.extend, nrows)
+            if lead is not None:
+                g = gcd(*r.values())
+                pivots[lead] = {c: v // g for c, v in r.items()} if g > 1 else r
+        elif 0 <= lead < nrows:
+            pivots[lead] = build  # no pivot holds its lead: installed unread
+        else:
+            raise ValueError(f"row {lead} is outside 0..{nrows - 1}")
+        ends.extend((len(ops), -1 if lead is None else lead, g, den, content))
+    return dict(sorted(pivots.items()))
 
 
 class Factor:
@@ -141,44 +163,38 @@ class Factor:
     b and ``nullspace`` spans A x = 0 (module docstring).  Reads as the
     sequence of its column-echelon vectors, dicts row -> int, by lead, so
     the traced ``solve`` and ``nullspace`` can size it (ROADMAP item 1);
-    each is a copy.
+    each is a copy, and an unread pivot is built for it and not kept.
 
     The log is flat: ``_ops`` holds three integers per update (the lead of
     the pivot cleared, scale, rv); ``_ends`` five per column (the end of
     its updates in ``_ops``, the lead it was installed at or -1 for a
     dependent column, its content g, and the numerator and denominator of
     σ).  ``_echelon`` is the pivots ``_eliminate`` installed, {lead: {row:
-    int}} by lead."""
+    int} or an unread builder} by lead."""
 
     __slots__ = ("nrows", "ncols", "_ops", "_ends", "_echelon")
 
     def __init__(self, columns: Iterable[Column], nrows: int):
         self.nrows = nrows
         self._ops, self._ends = [], []
-        echelon = _eliminate(columns, (self._ops, self._ends))
-        if echelon:  # only a pivot clears an entry, so each row of A is a pivot's,
-            # and the lowest is the first lead: no pivot holds a row below its lead
-            lo, hi = echelon[0][0], max(map(max, [vec for _, vec in echelon]))
-            if not 0 <= lo <= hi < nrows:
-                raise ValueError(f"row {lo if lo < 0 else hi} is outside 0..{nrows - 1}")
+        self._echelon = _eliminate(columns, (self._ops, self._ends), nrows)
         self.ncols = len(self._ends) // 5
-        self._echelon = dict(echelon)
 
     def __len__(self) -> int:
         return len(self._echelon)
 
     def __iter__(self):
-        return (dict(vec) for vec in self._echelon.values())
+        return (_built(v, self.nrows) if callable(v) else dict(v) for v in self._echelon.values())
 
     def solve(self, rhs: Mapping[int, Fraction]) -> list[Fraction] | None:
         """The solution of A x = b with free variables at zero, or None; b
-        is given as {row index: entry}, each index a row of A."""
+        is given as {row index: entry}, each index in 0..nrows-1."""
         if any(not 0 <= i < self.nrows for i in rhs):
             raise ValueError(f"a right-hand side row outside the {self.nrows} rows")
         # forward reduction, in integers: r = d·(b − Σ y_ℓ·p_ℓ)
         r, den, g = _scale_to_int(rhs)
         steps: list[tuple[int, int, int]] = []
-        if _reduce(r, self._echelon, steps.append) is not None:
+        if _reduce(r, self._echelon, steps.append, self.nrows) is not None:
             return None
         d, y = Fraction(den, g), {}
         for lead, scale, rv in steps:
@@ -227,7 +243,7 @@ class Factor:
 
 
 def factor(columns: Iterable[Column], nrows: int) -> Factor:
-    """Eliminate A, given by its scaled columns with vectors {row index:
+    """Eliminate A, given by its unread columns with vectors {row index:
     entry} over ``nrows`` rows, in one pass, once for any number of
     right-hand sides; a row index outside 0..nrows-1 raises ValueError."""
     return Factor(columns, nrows)

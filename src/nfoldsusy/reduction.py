@@ -25,12 +25,11 @@ descending ``monomial_sort_key`` order.  The lower digits sum to less than
 B^G, so keys compare by weight first, whatever its sign.  At equal weight
 they compare as exponent vectors, lexicographically from g_0 with the
 higher exponent winning, and that is how ``monomial_sort_key`` breaks ties
-(see the ``diffring`` module docstring).  So the rows are the keys sorted
-descending, and a column is its block's keys shifted by key(s) and looked
-up.  One pass collects the keys and packs each block once, as primitive
-integers and the σ its columns share (``linalg``); a generator streams the
-columns into ``linalg.factor``, which keeps none of them.  A target is
-packed against the rows and solved against the factor.
+(see the ``diffring`` module docstring).  So a row index is top - key,
+top the largest key a column holds: no row map, no sort.  Each block is
+packed once, as (key, primitive integer) and the σ its columns share; a
+generator streams each column into ``linalg.factor`` unread, as its lead
+and a builder over its block and key(s).  A target packs the same way.
 
 Memoized columns.  The columns b * D^m(I_j) of a multiplier system do not
 depend on its target, which enters only as the right-hand side, so they
@@ -50,15 +49,13 @@ the target either, so its elimination is done once too.
 ``_membership_system`` keeps, per n, conditions, weight, shift, generator
 pool, derivative cap and basis bound (an ``lru_cache`` of 32 systems),
 what every target of the system shares: per block its label (j, m) and
-its shifts, the row of each packed key and the packing, and the
-``linalg.Factor`` of the matrix, eliminated by columns, so its pivot
-columns are the greedy ones and the solution the one with the free
-multipliers at zero.  A decision packs the target's monomials against
-the kept keys, and refuses at once a monomial with a generator no row
-holds, an exponent at or above the base (its key could carry into
-another's), or a key no row has: no combination of the columns reaches
-it; a system with no column refuses every nonzero target so.  Then it
-solves against the factor.
+its shifts, the packing and top, and the ``linalg.Factor`` of the matrix,
+eliminated by columns, so its pivot columns are the greedy ones and the
+solution the one with the free multipliers at zero.  A decision packs the
+target's monomials, refuses at once one with a generator not packed, an
+exponent at or above the base (its key could carry into another's), or a
+row index top - key outside the rows (all, when no column holds a row),
+and solves against the factor, which refuses a row that no column holds.
 
 The factor reduces no column the Koszul criterion proves dependent (F5,
 Faugère 2002, on a Macaulay matrix, Lazard 1983).  Let LM(f) be the term
@@ -70,8 +67,9 @@ when f and g are within the basis: generators in the pool (no parameter),
 derivative orders within the bound.  Then u * LM(f) is a shift of g, with
 exponents below the base, so key(u) + key(LM(f)) is its key: no carry.
 ``_System`` flags these sums, u over the basis of weight wt(s) - wt(f),
-and streams only the unflagged columns into ``linalg.factor``, with no
-row key of a flagged one (its monomials are earlier columns').  A
+and streams only the unflagged columns into ``linalg.factor``, which
+give the same top and rows (a flagged column's monomials are earlier
+columns').  A
 dependent column installs no pivot and is zero in every solution with the
 free variables at zero, so the rows, echelon, other logs and certificates
 are unchanged.  Only membership systems skip: with the criterion forced
@@ -332,11 +330,10 @@ class _Packing:
 
 class _System:
     """The sparse system with one column ``c * s * p`` for each block
-    ``(c, p, shifts)`` and each ``s`` in ``shifts``, in that order, and one
-    row per monomial of the columns, factored: the packing, ``row``
-    mapping the rows' packed keys, in descending graded order, to their
-    indices, the shifts of each block and the ``linalg.Factor``.  A
-    generator streams the columns into ``factor`` from the packed blocks:
+    ``(c, p, shifts)`` and each ``s`` in ``shifts``, in that order, and the
+    row of key k at top - k, factored: the packing, ``top``, the shifts of
+    each block and the ``linalg.Factor``.  A generator streams the columns
+    into ``factor`` unread, from the packed blocks:
     each block's primitive integer terms as (key, entry) and σ, both shared
     by its columns, and one list of keys per list of shifts, which the
     blocks of one weight share.  With ``koszul``, a membership system's
@@ -344,17 +341,17 @@ class _System:
     left out, and ``shifts`` holds each block's kept shifts: the block's own
     list when it loses none (module docstring)."""
 
-    __slots__ = ("packing", "row", "shifts", "factor")
+    __slots__ = ("packing", "top", "shifts", "factor")
 
     def __init__(self, n: int, blocks: Sequence[Block],
                  koszul: tuple[set[Generator], int] | None = None):
         gens: list[set[Generator]] = []  # per block, its polynomial's generators
         shift_gens: set[Generator] = set()
-        top = 0
+        high = 0  # the largest exponent a row can hold
         for _, p, shifts in blocks:
             gens.append(set())
-            top = max(top, _span(shifts, shift_gens) + _span(p.terms, gens[-1]))
-        self.packing = _Packing(n, top + 1, sorted(shift_gens.union(*gens), reverse=True))
+            high = max(high, _span(shifts, shift_gens) + _span(p.terms, gens[-1]))
+        self.packing = _Packing(n, high + 1, sorted(shift_gens.union(*gens), reverse=True))
         key = self.packing.key
         pool, bound = koszul or ((), 0)
         shift_keys: dict[int, list[int]] = {}  # by id of the shifts list
@@ -368,35 +365,37 @@ class _System:
             sigma = Fraction(den * c.denominator, content * c.numerator)  # den / (content * c)
             packed = [(key(m), v) for m, v in ints.items()]
             skip: set[int] = set()  # the keys of the shifts u * LM(f) (module docstring)
+            lm = max(packed)[0] if packed else None  # key(LM(p))
             if koszul and p and all(g.deriv <= bound and g.base() in pool for g in own):
                 for wf, lead in sources if shifts else ():
                     w = shifts[0].weight(n) - wf
                     if w not in bases:
                         bases[w] = [key(u) for u in monomial_basis(n, w, pool, bound)]
                     skip.update([k + lead for k in bases[w]])
-                sources.append((p.weight(), max(packed)[0]))
+                sources.append((p.weight(), lm))
             if skip:
                 kept = [i for i, ks in enumerate(block_keys) if ks not in skip]
                 shifts, block_keys = [shifts[i] for i in kept], [block_keys[i] for i in kept]
             self.shifts.append(shifts)
-            packed_blocks.append((packed, block_keys, sigma))
-        keys: set[int] = set()
-        for packed, block_keys, _ in packed_blocks:
-            for ks in block_keys:
-                keys.update([ks + k for k, _ in packed])
-        row = self.row = {k: i for i, k in enumerate(sorted(keys, reverse=True))}
-        columns = (({row[ks + k]: v for k, v in packed}, sigma.numerator, sigma.denominator)
-                   for packed, block_keys, sigma in packed_blocks for ks in block_keys)
-        self.factor = factor(columns, len(row))
+            packed_blocks.append((packed, lm, block_keys, sigma))
+        spans = [(min(ks) + min(packed)[0], max(ks) + lm)  # a zero block has no rows
+                 for packed, lm, ks, _ in packed_blocks if packed and ks]
+        top = self.top = max([hi for _, hi in spans], default=0)
+        bottom = min([lo for lo, _ in spans], default=top + 1)
+        columns = ((None if lm is None else top - ks - lm,
+                    lambda packed=packed, at=top - ks: {at - k: v for k, v in packed},
+                    sigma.numerator, sigma.denominator)
+                   for packed, lm, block_keys, sigma in packed_blocks for ks in block_keys)
+        self.factor = factor(columns, top - bottom + 1)
 
     def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:
-        """The target as {row index: coefficient}; None when one of its
-        monomials is no row, since no combination of the columns has it."""
-        packing, row = self.packing, self.row
+        """The target as {top - key: coefficient}; None when a monomial of it
+        does not pack or falls outside the rows, since no column reaches it."""
+        packing, top, nrows = self.packing, self.top, self.factor.nrows
         out = {}
         for m, q in target.terms.items():
-            i = row.get(packing.key(m)) if packing.fits(m) else None
-            if i is None:
+            i = top - packing.key(m) if packing.fits(m) else -1
+            if not 0 <= i < nrows:
                 return None
             out[i] = q
         return out

@@ -9,7 +9,7 @@ import pytest
 
 from nfoldsusy import DiffPoly, format_poly, ideal_membership, linalg, pipeline
 from nfoldsusy.diffring import Family, Generator
-from nfoldsusy.linalg import _eliminate, _scale_to_int, factor, nullspace, solve
+from nfoldsusy.linalg import _eliminate, _reduce, _scale_to_int, factor, nullspace, solve
 
 
 def _oracle_scale_to_int(row):
@@ -65,17 +65,30 @@ def _canonical(echelon):
     return [(col, sorted(row.items())) for col, row in echelon]
 
 
+def _lazy(scaled):
+    """Scaled vectors (vector, den, content) as the columns ``factor``
+    takes: (lead, builder, den, content), the lead None for a zero vector."""
+    return [(min(vector) if vector else None, lambda vector=vector: dict(vector), den, content)
+            for vector, den, content in scaled]
+
+
+def _read(echelon):
+    """Pivots {lead: vector or unread builder} as a list (lead, vector)."""
+    return [(lead, p() if callable(p) else p) for lead, p in echelon.items()]
+
+
 def _echelon(vectors):
     """``_eliminate`` on the vectors scaled by ``_scale_to_int``, with a
-    throwaway log."""
-    return _eliminate([_scale_to_int(v) for v in vectors], ([], []))
+    throwaway log, each pivot read out."""
+    nrows = 1 + max((i for v in vectors for i in v), default=0)
+    return _read(_eliminate(_lazy([_scale_to_int(v) for v in vectors]), ([], []), nrows))
 
 
 def _rebuilt(columns):
-    """Scaled columns (vector, den, content) as the vectors over Q they
+    """Columns (lead, builder, den, content) as the vectors over Q they
     stand for, each entry ``Fraction(v * content, den)``."""
-    return [{i: Fraction(v * content, den) for i, v in vector.items()}
-            for vector, den, content in columns]
+    return [{i: Fraction(v * content, den) for i, v in build().items()}
+            for _, build, den, content in columns]
 
 
 def _random_system(rng):
@@ -127,7 +140,7 @@ def _columns(rows, ncols):
         for c, v in row.items():
             if v:
                 columns[c][i] = v
-    return [_scale_to_int(column) for column in columns]
+    return _lazy([_scale_to_int(column) for column in columns])
 
 
 def _factor(rows, ncols):
@@ -236,10 +249,10 @@ def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, c
     rhs = [Fraction(b) for b in rhs]
     seen = []
 
-    def spy(vectors, log):
+    def spy(vectors, log, nrows):
         vectors = list(vectors)
         seen.append(_rebuilt(vectors))
-        return _eliminate(vectors, log)
+        return _eliminate(vectors, log, nrows)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     want = _oracle_solve(rows, rhs, ncols)
@@ -317,9 +330,9 @@ def test_a_factor_of_entries_past_32_bits_in_one_pass(monkeypatch, rows):
     and the kernel are the oracle's."""
     eliminated = []
 
-    def spy(vectors, log):
+    def spy(vectors, log, nrows):
         eliminated.append(1)
-        return _eliminate(vectors, log)
+        return _eliminate(vectors, log, nrows)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     columns = _Passes(_columns(rows, 3))
@@ -347,7 +360,8 @@ def test_iterating_a_factor_hands_out_copies():
             vector[i] += 7
         vector[len(rows)] = 1
     assert f.solve(dict(enumerate(rhs))) == _oracle_solve(rows, rhs, 2) == [1, 1]
-    assert list(f) == [vector for _, vector in _eliminate(_columns(rows, 2), ([], []))]
+    assert list(f) == [vector for _, vector in _read(_eliminate(_columns(rows, 2), ([], []),
+                                                                 len(rows)))]
 
 
 def test_solve_rejects_a_rhs_row_outside_the_system():
@@ -364,12 +378,21 @@ def test_solve_rejects_a_rhs_row_outside_the_system():
 def test_indices_outside_a_are_refused():
     """A row outside 0..nrows-1 in a column handed to ``factor`` is refused
     with the index named, not installed as a lead, read as another row or
-    left to an IndexError."""
+    left to an IndexError: a lead as its column comes, any other index as
+    its vector is built, by the elimination, a solve or the iteration."""
     one = Fraction(1)
-    with pytest.raises(ValueError, match="row -1 "):
-        factor([_scale_to_int({-1: one})], 2).solve({1: one})
+    for bad in (-1, 5):  # a bad lead
+        with pytest.raises(ValueError, match=f"row {bad} "):
+            factor(_lazy([_scale_to_int({bad: one})]), 2)
+    with pytest.raises(ValueError, match="row 5 "):  # built: its lead is taken
+        factor(_lazy([_scale_to_int({0: one}), _scale_to_int({0: one, 5: one})]), 2)
+    with pytest.raises(ValueError, match="row -1 "):  # a builder below its lead
+        factor([*_lazy([_scale_to_int({0: one})]), (0, lambda: {-1: 1, 0: 1}, 1, 1)], 2)
+    f = factor(_lazy([_scale_to_int({0: one, 5: one})]), 2)  # installed unread
     with pytest.raises(ValueError, match="row 5 "):
-        factor([_scale_to_int({5: one})], 2)
+        f.solve({0: one})
+    with pytest.raises(ValueError, match="row 5 "):
+        list(f)
 
 
 def test_nullspace_vectors_satisfy_the_homogeneous_system():
@@ -431,6 +454,80 @@ def test_leaving_out_dependent_columns_keeps_the_echelon_logs_and_solutions(seed
     assert dropped_any > 25 and feasible > 100
 
 
+def _counted(columns, calls):
+    """The columns with each builder counting its calls in ``calls``."""
+    def counting(j, build):
+        def run():
+            calls[j] += 1
+            return build()
+        return run
+    return [(lead, counting(j, build), den, content)
+            for j, (lead, build, den, content) in enumerate(columns)]
+
+
+def _eager(columns, nrows):
+    """The reference elimination for the laziness: every column built and
+    reduced (``_reduce``), each nonzero result installed with its content
+    divided out.  Returns the pivots by lead and the log (ops, ends)."""
+    pivots, ops, ends = {}, [], []
+    for _, build, den, content in columns:
+        r = build()
+        col = _reduce(r, pivots, ops.extend, nrows)
+        end = -1, 1
+        if col is not None:
+            g = gcd(*r.values())
+            pivots[col] = {c: v // g for c, v in r.items()}
+            end = col, g
+        ends.extend((len(ops), *end, den, content))
+    return dict(sorted(pivots.items())), ops, ends
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lazy_columns_factor_as_the_eager_elimination(seed):
+    """Columns handed unread give the log, the echelon, the solutions and
+    the kernel of building and reducing every column, with dependent and
+    zero columns among them.  Each builder runs at most once: in the
+    elimination when its column is zero or its lead is taken, or when a
+    reduction, there or in a solve, reaches its unread pivot; iterating
+    builds an unread pivot without keeping it, and ``nullspace`` builds
+    nothing."""
+    rng = random.Random(5000 + seed)
+    seen = dict.fromkeys(("zero", "taken", "reached", "solved", "unread"), 0)
+    for _ in range(60):
+        rows, ncols = _random_system(rng)
+        columns = _columns(rows, ncols)
+        pivots, ops, ends = _eager(columns, len(rows))
+        calls = [0] * ncols
+        f = factor(_counted(columns, calls), len(rows))
+        assert (f._ops, f._ends) == (ops, ends)
+        held, want = set(), []
+        for j, (lead, _, _, _) in enumerate(columns):
+            if lead is None or lead in held:
+                want.append(1)
+                seen["zero" if lead is None else "taken"] += 1
+            else:  # installed unread: built once a reduction reaches it
+                want.append(int(lead in ops[::3]))
+                seen["reached"] += want[-1]
+            held.add(ends[5 * j + 1])
+        assert calls == want
+        seen["unread"] += want.count(0)
+        for _ in range(4):
+            rhs = _random_rhs(rng, rows, ncols)
+            assert f.solve(dict(enumerate(rhs))) == _oracle_solve(rows, rhs, ncols)
+            steps = []
+            _reduce(_scale_to_int(dict(enumerate(rhs)))[0], pivots, steps.append, len(rows))
+            reached = {lead for lead, _, _ in steps}
+            seen["solved"] += sum(not w and columns[j][0] in reached for j, w in enumerate(want))
+            want = [int(w or columns[j][0] in reached) for j, w in enumerate(want)]
+            assert calls == want
+        assert sum(map(callable, f._echelon.values())) == want.count(0)
+        assert list(f) == list(pivots.values())
+        assert sum(map(callable, f._echelon.values())) == want.count(0)
+        calls[:] = [0] * ncols
+        assert f.nullspace() == _reference_nullspace(rows, ncols) and not any(calls)
+    assert min(seen.values()) > 40, seen
+
+
 def test_sixfold_probe_certificate_is_pinned():
     n = 6
     cs = pipeline(n, "eliminated", "paper")
@@ -482,10 +579,10 @@ def _decide_cold(monkeypatch, target, cs):
         seen.rhs.append(dict(rhs))
         return solve(rows, rhs, ncols)
 
-    def eliminate_spy(vectors, log):
+    def eliminate_spy(vectors, log, nrows):
         vectors = list(vectors)
         seen.eliminated.append(_rebuilt(vectors))
-        return _eliminate(vectors, log)
+        return _eliminate(vectors, log, nrows)
 
     monkeypatch.setattr(reduction, "_multiplier_columns", columns_spy)
     monkeypatch.setattr(reduction, "_membership_system", system_spy)
@@ -515,6 +612,12 @@ def _full_columns(seen, cs):
     return full
 
 
+def _ranks(vectors):
+    """Each index the vectors hold, ascending, to its rank: the row it was
+    when the rows were numbered densely."""
+    return {i: r for r, i in enumerate(sorted(set().union(*vectors)))}
+
+
 def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     """Digests recorded before the ring kept its monomials pre-keyed.  The
     certificate depends only on the column order (the pivot columns are
@@ -525,7 +628,9 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     the rows from the columns and spreads the rhs, every entry as a
     ``Fraction``, since the ring keeps whole numbers as ``int``s.  The
     columns the Koszul criterion leaves out never reach ``factor``, so the
-    matrix is rebuilt from the full blocks (``_full_columns``)."""
+    matrix is rebuilt from the full blocks (``_full_columns``).  A row index
+    is top - key, with gaps where no monomial is a row, so the rows are the
+    ranks of the indices the columns hold (``_ranks``)."""
     import hashlib
     import json
 
@@ -540,14 +645,15 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     assert hashlib.sha256(cert.encode()).hexdigest() == (
         "21712b1fe9160414a3a608e7e3f0df74b0c1fa1e34b3d1a7696bab9d9720bce6"
     )
-    [(_, nrows)], [rhs] = seen.factored, seen.rhs
+    [rhs] = seen.rhs
     columns = _full_columns(seen, cs)
     ncols = len(columns)
-    rows = [{} for _ in range(nrows)]
+    rank = _ranks(columns)
+    rows = [{} for _ in rank]
     for c, column in enumerate(columns):
         for i, v in column.items():
-            rows[i][c] = Fraction(v)
-    dense = [Fraction(rhs.get(i, 0)) for i in range(len(rows))]
+            rows[rank[i]][c] = Fraction(v)
+    dense = [Fraction(rhs.get(i, 0)) for i in rank]
     matrix = repr(([sorted(r.items()) for r in rows], dense, ncols))
     assert hashlib.sha256(matrix.encode()).hexdigest() == (
         "427654cb0a07f99a39bbf4022454a6eef51f688f44d0c7e1d1c7ddb8edbf226e"
@@ -565,7 +671,8 @@ def test_probe_factors_are_eliminated_by_columns(monkeypatch, n, counts):
     """The probe's system, pinned: rows, the columns of its blocks and
     those the Koszul criterion flags; and its factor: rows, columns,
     pivots, dependent columns, updates in the log and nonzeros of the
-    echelon.  A factor that eliminated the rows would pivot on as many rows
+    echelon.  The rows are counted: the indices the echelon holds, which
+    are every index a column holds.  A factor that eliminated the rows would pivot on as many rows
     as columns here and reduce every dependent row to zero.  Every
     dependent column is flagged and left out, so the factor has none and
     the updates are the installed columns' (they were 1720 and 5691 when
@@ -575,8 +682,10 @@ def test_probe_factors_are_eliminated_by_columns(monkeypatch, n, counts):
     [blocks], [system] = seen.blocks, seen.systems
     ncols = sum(len(shifts) for _, _, shifts in blocks)
     f = system.factor
-    assert (len(system.row), ncols, ncols - f.ncols) == counts[0]
-    assert (f.nrows, f.ncols, len(f), f.ncols - len(f), len(f._ops) // 3,
+    [(columns, _)] = seen.factored
+    rows = len(_ranks(columns))
+    assert (rows, ncols, ncols - f.ncols) == counts[0]
+    assert (len(_ranks(f)), f.ncols, len(f), f.ncols - len(f), len(f._ops) // 3,
             sum(map(len, f))) == counts[1]
 
 

@@ -283,13 +283,13 @@ def _expand(n, blocks):
 def _streaming(mp):
     """Patch ``reduction.factor`` to record the columns each system streams
     into it, one list per system, each column rebuilt over Q from its
-    scaled form (vector, den, content), and return the record."""
+    scaled form (lead, builder, den, content), and return the record."""
     streamed = []
 
     def spy(columns, nrows):
         columns = list(columns)
-        streamed.append([{i: Fraction(v * content, den) for i, v in vector.items()}
-                         for vector, den, content in columns])
+        streamed.append([{i: Fraction(v * content, den) for i, v in build().items()}
+                         for _, build, den, content in columns])
         return factor(columns, nrows)
 
     mp.setattr(reduction, "factor", spy)
@@ -305,15 +305,23 @@ def _system_rows(n, blocks, target=None):
     return _as_rows(system, streamed[0], target)
 
 
+def _ranks(vectors):
+    """Each index the vectors hold, ascending, to its rank: a row index is
+    top - key, so the ranks number the rows in descending key order."""
+    return {i: r for r, i in enumerate(sorted(set().union(*vectors)))}
+
+
 def _as_rows(system, columns, target=None):
-    """The columns laid out as rows filled in column order, and the target
-    packed by the system's ``rhs``, spread densely."""
-    rows = [{} for _ in system.row]
+    """The columns laid out as rows filled in column order, one row per
+    index they hold, and the target packed by the system's ``rhs``, spread
+    densely."""
+    rank = _ranks(columns)
+    rows = [{} for _ in rank]
     for c, column in enumerate(columns):
         for i, q in column.items():
-            rows[i][c] = q
+            rows[rank[i]][c] = q
     at = {} if target is None else system.rhs(target)
-    return rows, [at.get(i, Fraction(0)) for i in range(len(rows))]
+    return rows, [at.get(i, Fraction(0)) for i in rank]
 
 
 def _assert_same_system(got, want):
@@ -325,9 +333,10 @@ def _assert_same_system(got, want):
 def checked_builder(monkeypatch):
     """Check every system the reduction layer builds against the reference:
     the column keys, the columns, the rows (the streamed columns laid out
-    as rows) with the column order inside each, and the rows' keys; and
-    every target packed against one: as {row: entry} against its rows, or
-    None when one of its monomials is no row.  A column the Koszul
+    as rows) with the column order inside each, and the rows' keys, top
+    minus each row index; and every target packed against one: as {row:
+    entry} against its rows, and when one of its monomials is no row,
+    None or an index no column holds, which the reduction refuses.  A column the Koszul
     criterion leaves out must reduce to zero in the reference's factor, and
     the rows are compared without it; its monomials must still be rows.
     Returns, per system built, the set of generator families it holds."""
@@ -360,18 +369,19 @@ def checked_builder(monkeypatch):
         _assert_same_system(_as_rows(built, streamed[-1]), (rows, rhs))
         order = sorted({m for p in expanded for m in p.terms}, key=monomial_sort_key(n),
                        reverse=True)
-        assert list(built.row) == [built.packing.key(m) for m in order]
-        monomials[id(built.row)] = order
+        keys = [built.top - i for i in _ranks(streamed[-1])]
+        assert keys == [built.packing.key(m) for m in order]
+        monomials[id(built)] = order
         seen.append({g.family for p in expanded for m in p.terms for g in m.generators()})
         return built
 
     def rhs(system, target):
         got = real_rhs(system, target)
-        row_of = {m: i for i, m in enumerate(monomials[id(system.row)])}
-        want = None
+        row_of = {m: system.top - system.packing.key(m) for m in monomials[id(system)]}
         if all(m in row_of for m in target.terms):
-            want = {row_of[m]: q for m, q in target.terms.items()}
-        assert got == want
+            assert got == {row_of[m]: q for m, q in target.terms.items()}
+        else:
+            assert got is None or not got.keys() <= set(row_of.values())
         return got
 
     monkeypatch.setattr(reduction, "_multiplier_columns", columns)
@@ -510,8 +520,10 @@ def _reference_factor(n, columns):
     order = sorted({m for col in columns for m in col.terms}, key=monomial_sort_key(n),
                    reverse=True)
     row = {m: i for i, m in enumerate(order)}
-    return factor([_scale_to_int({row[m]: Fraction(q) for m, q in col.terms.items()})
-                   for col in columns], len(order))
+    scaled = [_scale_to_int({row[m]: Fraction(q) for m, q in col.terms.items()})
+              for col in columns]
+    return factor([(min(v) if v else None, lambda v=v: dict(v), den, content)
+                   for v, den, content in scaled], len(order))
 
 
 def _dependent(f):
@@ -530,13 +542,18 @@ def _flagged(blocks, system):
     return flagged
 
 
-def _column_logs(f):
+def _column_logs(f, rank=None):
     """Per column of a factor, its updates in the log and the rest of its
-    entry in ``_ends``: lead, content and σ."""
+    entry in ``_ends``: lead, content and σ; each lead renamed by ``rank``
+    when given."""
     logs, start = [], 0
+    ops, ends = list(f._ops), list(f._ends)
+    if rank is not None:
+        ops[::3] = [rank[lead] for lead in ops[::3]]
+        ends[1::5] = [rank.get(lead, lead) for lead in ends[1::5]]  # -1 stays
     for c in range(f.ncols):
-        stop = f._ends[5 * c]
-        logs.append((f._ops[start:stop], f._ends[5 * c + 1:5 * c + 5]))
+        stop = ends[5 * c]
+        logs.append((ops[start:stop], ends[5 * c + 1:5 * c + 5]))
         start = stop
     return logs
 
@@ -544,12 +561,15 @@ def _column_logs(f):
 def _assert_same_factor(got, want, flagged=frozenset()):
     """The same rows and echelon, and the log and end of each column of
     ``want`` but the flagged ones, which ``got`` left out and ``want``
-    reduces to zero."""
+    reduces to zero.  ``got`` indexes its rows top - key and ``want``
+    densely, so ``got``'s indices are ranked: the echelon holds every index
+    a column holds."""
     assert flagged <= _dependent(want)
-    assert (got.nrows, got.ncols) == (want.nrows, want.ncols - len(flagged))
-    assert list(got) == list(want)
+    rank = _ranks(got)
+    assert (len(rank), got.ncols) == (want.nrows, want.ncols - len(flagged))
+    assert [{rank[i]: v for i, v in vec.items()} for vec in got] == list(want)
     logs = _column_logs(want)
-    assert _column_logs(got) == [logs[c] for c in range(want.ncols) if c not in flagged]
+    assert _column_logs(got, rank) == [logs[c] for c in range(want.ncols) if c not in flagged]
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -606,7 +626,7 @@ def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
     _, blocks, _, system = _built(monkeypatch, _probe(n, cs), cs)
     assert ideal_membership(_probe(n, cs), cs) is not None
     f = system.factor
-    assert (len(system.row), sum(len(shifts) for _, _, shifts in blocks)) == (3952, 2428)
+    assert (len(_ranks(f)), sum(len(shifts) for _, _, shifts in blocks)) == (3952, 2428)
     assert len(_flagged(blocks, system)) == 275
     assert (f.ncols, len(_dependent(f)), len(f._ops) // 3) == (2153, 0, 9)
 
@@ -1071,4 +1091,69 @@ def test_membership_certificates_at_three_seeds_are_pinned():
                 digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == (
         "cfc79faa8ee13fb8557283c8850bc4d852c0b486f5d18cba02d9f7a75b8c043f"
+    )
+
+
+def test_zero_blocks_keep_their_answers():
+    """A condition whose derivatives vanish, a constant or a parameter,
+    gives blocks of zero columns, which hold no row and are all dependent.
+    The answers are those recorded while every column was read and the
+    rows were numbered densely."""
+    n = 3
+    _clear_memos()
+    conditions = [(0, parse("2", n)), (1, parse("w1*w2", n))]
+    for target in ("w1*w2^2", "w1", "w1'*w2"):
+        dec = ideal_membership(parse(target, n), conditions)
+        assert dict(dec.multipliers) == {(0, 0): parse(target, n) * Fraction(1, 2)}
+    conditions = [(0, parse("alpha1", n)), (1, parse("w2", n))]
+    dec = ideal_membership(parse("w2^2*alpha1", n), conditions)
+    assert dict(dec.multipliers) == {(0, 0): parse("w2^2", n)}
+    assert ideal_membership(parse("w1", n), conditions) is None
+
+
+@pytest.mark.parametrize("n, ncols", [(6, 637), (7, 1187)])
+def test_a_cold_probe_decision_builds_only_the_columns_it_reaches(monkeypatch, n, ncols):
+    """The columns reach ``linalg.factor`` unread, and a vector is built
+    only when the elimination or the solve needs it: 13 of the probe's
+    columns.  Reading every column would build all of them."""
+    built, handed = [], []
+
+    def counted(build):
+        def run():
+            built.append(1)
+            return build()
+        return run
+
+    def spy(columns, nrows):
+        columns = [(lead, counted(build), den, content) for lead, build, den, content in columns]
+        handed.append(len(columns))
+        return factor(columns, nrows)
+
+    cs = pipeline(n, "eliminated")
+    monkeypatch.setattr(reduction, "factor", spy)
+    _clear_memos()
+    assert ideal_membership(_probe(n, cs), cs) is not None
+    assert (handed, len(built)) == ([ncols], 13)
+
+
+def test_probe_certificates_at_eight_and_ten_under_raised_caps_are_pinned(monkeypatch):
+    """The probe at N=8 and N=10 under derivative cap 17 and basis bound
+    13, where no bound cuts either system: one digest, recorded while
+    every column was read and the rows were numbered densely (the N=10
+    cold decision took 0.29 s then)."""
+    import hashlib
+    import json
+
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "17")
+    monkeypatch.setenv("NFOLDSUSY_DERIV_BOUND", "13")
+    digest = hashlib.sha256()
+    try:
+        for n in (8, 10):
+            cs = pipeline(n, "eliminated")
+            cert = _as_dict(ideal_membership(_probe(n, cs), cs))
+            digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
+    finally:
+        _clear_memos()
+    assert digest.hexdigest() == (
+        "f9499bfa3e0fde116195a309f10d4b8a917619eed4d398f583961456a924cab1"
     )
