@@ -37,12 +37,19 @@ are built once per process.  Each condition is I_j = c_j * P_j, c_j > 0
 and P_j in primitive integers, and ``_derived`` keeps the integer tower
 D^m(P_j), keyed on the condition's value, m and the derivative cap
 (``NFOLDSUSY_MAX_DERIV``): D^m from the kept D^(m-1), in ints, with a cap
-error raised, not stored.  ``_basis`` keeps each monomial basis as a
-tuple, keyed on n, the weight, the sorted base generators and the basis
-bound (``NFOLDSUSY_DERIV_BOUND`` or the caller's), and ``monomial_basis``
-hands each caller a fresh list.  Both are ``functools.lru_cache``s,
-bounded at 256 towers and 128 bases.  The ring interns each generator's
-next derivative, so kept polynomials share their generator objects.
+error raised, not stored.  The towers of one system share most monomials
+(443 distinct of 1234 derived at N=6), so ``_derivative`` keeps the terms
+of each monomial's derivative, keyed on the monomial and the cap, since a
+factor at order 12 derives under a raised cap and raises under the
+default; ``_derived`` sums them in the order ``DiffPoly.derive`` does, so
+each tower keeps the ring's term order.  ``_basis`` keeps each monomial
+basis as a tuple, keyed on n, the weight, the sorted base generators and
+the basis bound (``NFOLDSUSY_DERIV_BOUND`` or the caller's), and
+``monomial_basis`` hands each caller a fresh list.  All three are
+``functools.lru_cache``s, bounded at 256 towers, 4096 monomial
+derivatives (a cold N=12 probe under caps 17/13 makes 2537) and 128
+bases.  The ring interns each generator's next derivative, so kept
+polynomials share their generator objects.
 
 Memoized factors.  The matrix of a membership system does not depend on
 the target either, so its elimination is done once too.
@@ -100,6 +107,9 @@ from .diffring import (
     Generator,
     Monomial,
     Substitution,
+    _accumulate,
+    _leibniz_terms,
+    _weight_parts,
     c as c_gen,
     monomial_sort_key,
 )
@@ -145,46 +155,48 @@ def _basis(
     n: int, weight: int, base_gens: tuple[Generator, ...], cap: int
 ) -> tuple[Monomial, ...]:
     """``monomial_basis`` over the sorted ``base_gens`` with derivative
-    orders up to ``cap``, for a positive weight."""
-    concrete: list[tuple[Generator, int]] = []
+    orders up to ``cap``, for a nonnegative weight.  The enumeration visits
+    only prefixes that complete: from each it jumps to a later generator
+    with a positive exponent, pruned by ``fill[i][r]``, whether generators
+    i.. can make weight r, so each call ends in at least one monomial."""
+    # per generator g: its weight, its weight parts and the factors (g, e),
+    # which every monomial that holds g^e shares
+    concrete: list[tuple[int, int, int, list[tuple[Generator, int]]]] = []
     for base in base_gens:
-        if base.is_constant():
-            wt = base.weight(n)
-            if wt <= 0:
-                raise ValueError(
-                    f"generator {base} has nonpositive weight; basis would be infinite"
-                )
-            if wt <= weight:
-                concrete.append((base, wt))
-            continue
-        for m in range(cap + 1):
+        for m in range(1 if base.is_constant() else cap + 1):
             g = Generator(base.family, base.index, m)
-            wt = g.weight(n)
+            a, b = _weight_parts(g)
+            wt = a * n + b
             if wt <= 0:
                 raise ValueError(
                     f"generator {g} has nonpositive weight; basis would be infinite"
                 )
             if wt > weight:
                 break
-            concrete.append((g, wt))
-
+            concrete.append((wt, a, b, [(g, e) for e in range(weight // wt + 1)]))
+    fill = [[r == 0 for r in range(weight + 1)]]  # past the last generator
+    for wt, *_ in reversed(concrete):
+        row: list[bool] = []
+        for r, after in enumerate(fill[-1]):
+            row.append(after or (r >= wt and row[r - wt]))
+        fill.append(row)
+    fill.reverse()
     out: list[Monomial] = []
 
-    def extend(idx: int, remaining: int, picked: list[tuple[Generator, int]]):
-        if remaining == 0:
-            out.append(Monomial(picked))
+    def extend(i: int, remaining: int, picked: tuple, wn: int, w0: int):
+        if not remaining:
+            out.append(Monomial._build(picked, wn, w0))
             return
-        if idx == len(concrete):
-            return
-        g, wt = concrete[idx]
-        top = remaining // wt
-        for e in range(top, -1, -1):
-            if e:
-                extend(idx + 1, remaining - e * wt, picked + [(g, e)])
-            else:
-                extend(idx + 1, remaining, picked)
+        for j in range(i, len(concrete)):
+            if not fill[j][remaining]:
+                return
+            wt, a, b, factors = concrete[j]
+            for e in range(1, remaining // wt + 1):
+                rest = remaining - e * wt
+                if fill[j + 1][rest]:
+                    extend(j + 1, rest, picked + (factors[e],), wn + e * a, w0 + e * b)
 
-    extend(0, weight, [])
+    extend(0, weight, (), 0, 0)
     out.sort(key=monomial_sort_key(n))
     return tuple(out)
 
@@ -336,7 +348,8 @@ class _System:
     into ``factor`` unread, from the packed blocks:
     each block's primitive integer terms as (key, entry) and σ, both shared
     by its columns, and one list of keys per list of shifts, which the
-    blocks of one weight share.  With ``koszul``, a membership system's
+    blocks of one weight share; each shift list is spanned, and each
+    monomial keyed, once per build.  With ``koszul``, a membership system's
     (pool, bound), the columns the Koszul criterion proves dependent are
     left out, and ``shifts`` holds each block's kept shifts: the block's own
     list when it loses none (module docstring)."""
@@ -348,11 +361,14 @@ class _System:
         gens: list[set[Generator]] = []  # per block, its polynomial's generators
         shift_gens: set[Generator] = set()
         high = 0  # the largest exponent a row can hold
+        spans: dict[int, int] = {}  # by id of the shifts list
         for _, p, shifts in blocks:
             gens.append(set())
-            high = max(high, _span(shifts, shift_gens) + _span(p.terms, gens[-1]))
+            if id(shifts) not in spans:
+                spans[id(shifts)] = _span(shifts, shift_gens)
+            high = max(high, spans[id(shifts)] + _span(p.terms, gens[-1]))
         self.packing = _Packing(n, high + 1, sorted(shift_gens.union(*gens), reverse=True))
-        key = self.packing.key
+        key = lru_cache(maxsize=None)(self.packing.key)  # blocks and bases share monomials
         pool, bound = koszul or ((), 0)
         shift_keys: dict[int, list[int]] = {}  # by id of the shifts list
         packed_blocks, sources, bases = [], [], {}  # sources: (wt(f), key(LM(f)))
@@ -410,10 +426,22 @@ class _System:
 @lru_cache(maxsize=256)
 def _derived(cond: DiffPoly, m: int, cap: int) -> DiffPoly:
     """D^m(P), cond = c * P with c > 0 and P primitive in ints, under the
-    configured derivative cap ``cap``, in ints from the memoized D^(m-1)(P)."""
+    configured derivative cap ``cap``, in ints from the memoized D^(m-1)(P),
+    summed as ``DiffPoly.derive`` sums, from the memoized monomial terms."""
     if m:
-        return _derived(cond, m - 1, cap).derive()
+        out: dict[Monomial, int] = {}
+        _accumulate(out, ((d, q * e) for mono, q in _derived(cond, m - 1, cap).terms.items()
+                          for d, e in _derivative(mono, cap)))
+        return DiffPoly._tidy(cond.n, out)
     return DiffPoly._tidy(cond.n, _scale_to_int(cond.terms)[0])
+
+
+@lru_cache(maxsize=4096)
+def _derivative(mono: Monomial, cap: int) -> tuple[tuple[Monomial, int], ...]:
+    """The terms (monomial, multiplier) of D(mono) under the derivative cap
+    ``cap``, in ``DiffPoly.derive``'s order; a cap error is raised, not
+    stored."""
+    return tuple(_leibniz_terms({mono: 1}, cap))
 
 
 def _multiplier_columns(

@@ -59,6 +59,70 @@ def test_monomial_basis_deterministic_order():
     assert a == b
 
 
+def _reference_basis(n, weight, base_gens, cap):
+    """The basis enumerator that recursed once per generator and exponent,
+    0 included, before the enumeration was pruned."""
+    from nfoldsusy.diffring import Generator
+
+    concrete = []
+    for base in base_gens:
+        if base.is_constant():
+            wt = base.weight(n)
+            if wt <= 0:
+                raise ValueError(f"generator {base} has nonpositive weight")
+            if wt <= weight:
+                concrete.append((base, wt))
+            continue
+        for m in range(cap + 1):
+            g = Generator(base.family, base.index, m)
+            wt = g.weight(n)
+            if wt <= 0:
+                raise ValueError(f"generator {g} has nonpositive weight")
+            if wt > weight:
+                break
+            concrete.append((g, wt))
+    out = []
+
+    def extend(idx, remaining, picked):
+        if remaining == 0:
+            out.append(Monomial(picked))
+            return
+        if idx == len(concrete):
+            return
+        g, wt = concrete[idx]
+        for e in range(remaining // wt, -1, -1):
+            if e:
+                extend(idx + 1, remaining - e * wt, picked + [(g, e)])
+            else:
+                extend(idx + 1, remaining, picked)
+
+    extend(0, weight, [])
+    out.sort(key=monomial_sort_key(n))
+    return out
+
+
+def test_pruned_basis_equals_the_recursive_reference():
+    """Exponents, weight parts and order of every monomial, for generator
+    sets with and without a generator of weight one: with none, the C
+    constants (even weights) meet remainders no later generator can make."""
+    from nfoldsusy.diffring import alpha, c
+
+    def fields(basis):
+        return [(m.exps, m._wn, m._w0) for m in basis]
+
+    for n in range(2, 9):
+        for gens in ({w(n - 1), w(0), c(0), c(1)}, {w(n - 2), u(max(n - 3, 1)), c(0), c(1)}):
+            gens = tuple(sorted(gens))
+            for cap in (0, 3, 12):
+                for weight in range(n + 9):
+                    got = reduction._basis.__wrapped__(n, weight, gens, cap)
+                    assert fields(got) == fields(_reference_basis(n, weight, gens, cap))
+        for gens in ((w(n),), (w(n - 1), alpha(0)), (w(n + 1), c(0))):
+            for basis in (reduction._basis.__wrapped__, _reference_basis):
+                with pytest.raises(ValueError, match="nonpositive weight"):
+                    basis(n, 3, gens, 3)
+
+
 def test_antiderivative_left_inverse():
     p = parse("w1^2*u0 + 1/2*w1*w1'' - 1/4*w1'^2", 2)
     dec = antiderivative(p.derive())
@@ -738,6 +802,7 @@ def test_koszul_criterion_leaves_out_blocks_that_hold_a_parameter(monkeypatch):
 
 def _clear_memos():
     reduction._derived.cache_clear()
+    reduction._derivative.cache_clear()
     reduction._basis.cache_clear()
     reduction._membership_system.cache_clear()
 
@@ -781,12 +846,38 @@ def test_warm_and_cold_memos_give_the_same_certificates(monkeypatch):
         cold.append(_as_dict(ideal_membership(target, cs)))
     for target, cs in cases:
         ideal_membership(target, cs)
-    misses = reduction._derived.cache_info().misses, reduction._basis.cache_info().misses
+    memos = (reduction._derived, reduction._derivative, reduction._basis)
+    misses = [memo.cache_info().misses for memo in memos]
     warm = [_as_dict(ideal_membership(target, cs)) for target, cs in cases]
     # every column of the second pass comes from the memos
-    assert (reduction._derived.cache_info().misses, reduction._basis.cache_info().misses) == misses
+    assert [memo.cache_info().misses for memo in memos] == misses
     assert warm == cold
     assert [c is None for c in cold] == [False, False, True] * 2 + [False]
+
+
+def test_towers_equal_the_ring_derivation_term_for_term():
+    """D^m(P_j) from the memoized monomial derivatives is the tower that
+    ``DiffPoly.derive`` makes, coefficients, types and insertion order
+    alike, up to the derivative cap, where both raise the same error."""
+    from nfoldsusy import DerivOrderError
+
+    def terms(p):
+        return [(m, q, type(q)) for m, q in p.terms.items()]
+
+    _clear_memos()
+    for n in range(3, 9):
+        for _, cond in pipeline(n, "eliminated").items():
+            p = DiffPoly(n, _scale_to_int(cond.terms)[0])
+            for m in range(13):
+                assert terms(reduction._derived(cond, m, 12)) == terms(p)
+                if p.max_deriv() == 12:
+                    break
+                p = p.derive()
+            with pytest.raises(DerivOrderError) as ring:
+                p.derive()
+            with pytest.raises(DerivOrderError) as memo:
+                reduction._derived(cond, m + 1, 12)
+            assert str(memo.value) == str(ring.value)
 
 
 def test_a_second_decision_on_an_equal_condition_set_derives_no_column(monkeypatch):
@@ -838,9 +929,19 @@ def test_memos_under_raised_caps_leave_default_verdicts_alone(monkeypatch):
     monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "20")
     with pytest.raises(SearchExhausted):
         search_integral(top, 6, policy="first-order", max_deriv=5)
+    # The derivative table now holds D(w1^(12)) under cap 20, an entry the
+    # default cap never reads: there the derivation still stops at 12.
+    order12 = Monomial.of(w(1, 12))
+    hits = reduction._derivative.cache_info().hits
+    assert reduction._derivative(order12, 20) == ((Monomial.of(w(1, 13)), 1),)
+    assert reduction._derivative.cache_info().hits == hits + 1
     monkeypatch.delenv("NFOLDSUSY_MAX_DERIV")
     with pytest.raises(DerivOrderError):
         search_integral(top, 6, policy="first-order", max_deriv=5)
+    for derive in (lambda: reduction._derivative(order12, 12),
+                   lambda: reduction._derived(top.condition(0), 1, 12)):
+        with pytest.raises(DerivOrderError, match="order 13 exceeds"):
+            derive()
 
     n = 6
     cs = pipeline(n, "eliminated")
@@ -1156,4 +1257,26 @@ def test_probe_certificates_at_eight_and_ten_under_raised_caps_are_pinned(monkey
         _clear_memos()
     assert digest.hexdigest() == (
         "f9499bfa3e0fde116195a309f10d4b8a917619eed4d398f583961456a924cab1"
+    )
+
+
+def test_probe_certificate_at_twelve_under_raised_caps_is_pinned(monkeypatch):
+    """The probe at N=12 under derivative cap 17 and basis bound 13,
+    decided cold: its digest was recorded while every tower went through
+    ``DiffPoly.derive`` and every basis through the recursive enumerator
+    (the cold decision took 0.43-0.61 s then)."""
+    import hashlib
+    import json
+
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "17")
+    monkeypatch.setenv("NFOLDSUSY_DERIV_BOUND", "13")
+    cs = pipeline(12, "eliminated")
+    _clear_memos()
+    try:
+        cert = _as_dict(ideal_membership(_probe(12, cs), cs))
+    finally:
+        _clear_memos()
+    digest = hashlib.sha256(json.dumps(cert, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "4b96945c733fa44592db51e63f36429f867c10bb5f1f77f9d83b8c480128bd36"
     )
