@@ -52,14 +52,10 @@ class DiffOperator:
         return cls(poly.n, {0: poly})
 
     def _lift(self, other: Liftable) -> "DiffOperator | None":
-        if isinstance(other, DiffOperator):
+        if isinstance(other, (DiffOperator, DiffPoly)):
             if other.n != self.n:
                 raise AmbientMismatchError("operator ambient N mismatch")
-            return other
-        if isinstance(other, DiffPoly):
-            if other.n != self.n:
-                raise AmbientMismatchError("operator ambient N mismatch")
-            return DiffOperator.multiplication(other)
+            return other if isinstance(other, DiffOperator) else DiffOperator.multiplication(other)
         if isinstance(other, (int, Fraction)):
             return DiffOperator(self.n, {0: DiffPoly.constant(self.n, other)})
         return None

@@ -118,15 +118,14 @@ def constants(n: int, preset: str = "paper") -> dict[Generator, DiffPoly]:
     expanded.  Built in one pass from the lowest k, never memoized."""
     out: dict[Generator, DiffPoly] = {}
     for k, e in sorted(integral_entries(n, preset).items()):
-        out[c(k)] = replace_constants(e.poly() * (1 / Fraction(e.data["prefactor"])), out)
+        out[c(k)] = replace_constants(e.poly() * (1 / e.scale("prefactor")), out)
     return out
 
 
 def integral_relation(n: int, k: int, preset: str = "paper") -> DiffPoly:
     """display - prefactor*C_k: a polynomial vanishing on shell."""
     e = integral_entries(n, preset)[k]
-    pref = Fraction(e.data["prefactor"])
-    return e.poly() - DiffPoly.generator(n, c(k)) * pref
+    return e.poly() - DiffPoly.generator(n, c(k)) * e.scale("prefactor")
 
 
 def search_relations(n: int, k: int, preset: str = "paper") -> list[DiffPoly]:

@@ -2,25 +2,25 @@
 
 Vectors are dicts index -> coefficient, each index in 0..nrows-1 (an index
 no column holds is a zero row).  A column a comes unread, as (lead, build,
-den, content): its lowest index, None when a is zero; a builder returning
-a new dict σ·a in primitive integers; and σ = den / content, the ratio
-``_scale_to_int`` gives, so a builder scales columns that share their
-coefficients once (``reduction``).  ``_eliminate`` is fraction-free: it
-reduces each vector (``_reduce``), in input order, against the pivots
-found so far (a dict lead -> pivot, the lead being a pivot's lowest index)
-and installs a nonzero result, content divided out, as the pivot of its
-lead.  That is the echelon a heap of all the vectors keyed by (lead, input
-position) gives: the pivot of lead c is the first vector to come to lead
-with c, and every update divides only by a positive g0, so each vector
-stays a positive multiple of the heap's.  To clear the entry rv under the
-pivot entry pv, an update forms r·(pv/g0) − pivot·(rv/g0) with
-g0 = gcd(pv, rv), and finds the lead again from a lazy heap of the
-vector's indices, so it costs the pivot's length.  Certificates are
-reproducible bit for bit.
+σ): its lowest index, None when a is zero; a builder returning a new dict
+σ·a in primitive integers; and the ``Fraction`` σ = den / content, the
+ratio ``_scale_to_int`` gives, so columns that share their coefficients
+share one σ and a builder scales them once (``reduction``).
+``_eliminate`` is fraction-free: it reduces each vector (``_reduce``), in
+input order, against the pivots found so far (a dict lead -> pivot, the
+lead being a pivot's lowest index) and installs a nonzero result, content
+divided out, as the pivot of its lead.  That is the echelon a heap of all
+the vectors keyed by (lead, input position) gives: the pivot of lead c is
+the first vector to come to lead with c, and every update divides only by
+a positive g0, so each vector stays a positive multiple of the heap's.  To
+clear the entry rv under the pivot entry pv, an update forms
+r·(pv/g0) − pivot·(rv/g0) with g0 = gcd(pv, rv), and finds the lead again
+from a lazy heap of the vector's indices, so it costs the pivot's length.
+Certificates are reproducible bit for bit.
 
 Eliminating by columns.  ``factor`` runs ``_eliminate`` over the columns
 a_0, a_1, ... of A, each a vector over the row indices, and ``_eliminate``
-records every operation in the log it is handed.
+returns the pivots and the log of every operation.
 A column that reduces to zero lies in the span of the columns before it:
 a dependent column.  Every other column is installed, so the pivot
 columns are A's greedy pivot columns by definition, and the row order
@@ -30,9 +30,10 @@ A x = b supported on them (the free variables at zero) and
 x_f = 1 and the other dependent columns at zero.  Both depend on A alone,
 so any method that finds solutions of that shape finds the same Fractions.
 
-- *The log.*  Per column its integer scaling σ; per update the lead ℓ of
-  the pivot p_ℓ it cleared and the s and rv of r ← s·r − rv·p_ℓ; and the
-  content g the column was installed with.  With updates k = 1..K and
+- *The log.*  One record per column, (updates, lead, g, σ): per update
+  (ℓ, s, rv), the lead ℓ of the pivot p_ℓ it cleared and the s and rv of
+  r ← s·r − rv·p_ℓ; the lead ℓ the column was installed at, None for a
+  dependent column; its content g; and its σ.  With updates k = 1..K and
   W = s_1⋯s_K, a column a_j installed as p_ℓ is
 
       g·p_ℓ = W·σ·a_j − Σ_k (s_{k+1}⋯s_K)·rv_k·p_{ℓ_k},
@@ -58,10 +59,12 @@ so any method that finds solutions of that shape finds the same Fractions.
 - *Nullspace.*  A dependent column's log writes a_f as
   Σ_k (s_{k+1}⋯s_K)·rv_k / (W·σ) · p_{ℓ_k}; the same replay turns minus
   that into x with A x = −a_f, and x + e_f is the basis vector of f.
-- *Storage.*  The log, σ as two ints, is two flat lists of ints, and the
-  echelon is the dict of pivots ``_eliminate`` installed, each a vector or
-  an unread builder, so no Fraction reaches either.  The columns are
-  iterated once, so a builder can stream them from a generator (``reduction``).
+- *Storage.*  A record holds its column's updates as a list of int
+  triples, or the one empty tuple when there are none, and the σ object
+  the column came with, which the columns of a block share; the echelon is
+  the dict of pivots ``_eliminate`` installed, each a vector or an unread
+  builder.  The columns are iterated once, so a builder can stream them
+  from a generator (``reduction``).
 """
 
 from __future__ import annotations
@@ -69,10 +72,11 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
-Column = tuple[int | None, Callable[[], dict[int, int]], int, int]  # (lead, build, den, content)
+Column = tuple[int | None, Callable[[], dict[int, int]], Fraction]  # (lead, build, σ)
+Update = tuple[int, int, int]  # (lead, scale, rv)
 
 
 def _scale_to_int(row: Mapping[Any, Fraction | int]) -> tuple[dict[Any, int], int, int]:
@@ -96,12 +100,12 @@ def _built(build: Callable[[], dict[int, int]], nrows: int) -> dict[int, int]:
 
 
 def _reduce(
-    r: dict[int, int], pivots: dict[int, Any], record: Callable[[tuple], object], nrows: int
+    r: dict[int, int], pivots: dict[int, Any], updates: list[Update], nrows: int
 ) -> int | None:
     """Reduce the integer vector r in place against ``pivots`` ({lead:
-    {row: int} or its builder}), lowest index first, passing ``record``
-    (lead, scale, rv) for each update r ← scale·r − rv·p_lead; return the
-    first index of r no pivot leads, or None once r is zero."""
+    {row: int} or its builder}), lowest index first, appending (lead,
+    scale, rv) to ``updates`` for each update r ← scale·r − rv·p_lead;
+    return the first index of r no pivot leads, or None once r is zero."""
     heap = list(r)  # a heap of r's indices, and of some it has lost
     heapq.heapify(heap)
     while r:
@@ -121,7 +125,7 @@ def _reduce(
             for c in r:
                 r[c] *= scale
         rv //= g0
-        record((col, scale, rv))
+        updates.append((col, scale, rv))
         for c, v in pivot.items():
             if c in r:
                 val = r[c] - v * rv
@@ -135,18 +139,16 @@ def _reduce(
     return None
 
 
-def _eliminate(
-    columns: Iterable[Column], log: tuple[list[int], list[int]], nrows: int
-) -> dict[int, Any]:
+def _eliminate(columns: Iterable[Column], nrows: int) -> tuple[dict[int, Any], list[tuple]]:
     """Forward elimination; returns the pivots, {lead: vector or builder} by
-    lead, and records every operation in ``log``, the (ops, ends) of ``Factor``."""
+    lead, and the log, one record (updates, lead, g, σ) per column."""
     pivots: dict[int, Any] = {}
-    ops, ends = log
-    for lead, build, den, content in columns:
-        g = 1
+    log = []
+    for lead, build, sigma in columns:
+        updates, g = [], 1
         if lead is None or lead in pivots:
             r = _built(build, nrows)
-            lead = _reduce(r, pivots, ops.extend, nrows)
+            lead = _reduce(r, pivots, updates, nrows)
             if lead is not None:
                 g = gcd(*r.values())
                 pivots[lead] = {c: v // g for c, v in r.items()} if g > 1 else r
@@ -154,8 +156,19 @@ def _eliminate(
             pivots[lead] = build  # no pivot holds its lead: installed unread
         else:
             raise ValueError(f"row {lead} is outside 0..{nrows - 1}")
-        ends.extend((len(ops), -1 if lead is None else lead, g, den, content))
-    return dict(sorted(pivots.items()))
+        log.append((updates or (), lead, g, sigma))
+    return dict(sorted(pivots.items())), log
+
+
+def _unwind(updates: Sequence[Update], w: Fraction, z: dict[int, Fraction]) -> Fraction:
+    """Walk a column's updates backwards with weight w on its end: hand
+    −w·(the later scales)·rv to each pivot it cleared, in z, and return the
+    weight w·W."""
+    for lead, scale, rv in reversed(updates):
+        z[lead] = z.get(lead, _ZERO) - w * rv
+        if scale != 1:
+            w *= scale
+    return w
 
 
 class Factor:
@@ -165,20 +178,16 @@ class Factor:
     the traced ``solve`` and ``nullspace`` can size it (ROADMAP item 1);
     each is a copy, and an unread pivot is built for it and not kept.
 
-    The log is flat: ``_ops`` holds three integers per update (the lead of
-    the pivot cleared, scale, rv); ``_ends`` five per column (the end of
-    its updates in ``_ops``, the lead it was installed at or -1 for a
-    dependent column, its content g, and the numerator and denominator of
-    σ).  ``_echelon`` is the pivots ``_eliminate`` installed, {lead: {row:
-    int} or an unread builder} by lead."""
+    ``_log`` holds one record (updates, lead, g, σ) per column (module
+    docstring), and ``_echelon`` the pivots ``_eliminate`` installed,
+    {lead: {row: int} or an unread builder} by lead."""
 
-    __slots__ = ("nrows", "ncols", "_ops", "_ends", "_echelon")
+    __slots__ = ("nrows", "ncols", "_log", "_echelon")
 
     def __init__(self, columns: Iterable[Column], nrows: int):
         self.nrows = nrows
-        self._ops, self._ends = [], []
-        self._echelon = _eliminate(columns, (self._ops, self._ends), nrows)
-        self.ncols = len(self._ends) // 5
+        self._echelon, self._log = _eliminate(columns, nrows)
+        self.ncols = len(self._log)
 
     def __len__(self) -> int:
         return len(self._echelon)
@@ -193,8 +202,8 @@ class Factor:
             raise ValueError(f"a right-hand side row outside the {self.nrows} rows")
         # forward reduction, in integers: r = d·(b − Σ y_ℓ·p_ℓ)
         r, den, g = _scale_to_int(rhs)
-        steps: list[tuple[int, int, int]] = []
-        if _reduce(r, self._echelon, steps.append, self.nrows) is not None:
+        steps: list[Update] = []
+        if _reduce(r, self._echelon, steps, self.nrows) is not None:
             return None
         d, y = Fraction(den, g), {}
         for lead, scale, rv in steps:
@@ -207,39 +216,27 @@ class Factor:
     def nullspace(self) -> list[list[Fraction]]:
         """One basis vector of A x = 0 per dependent column f, with x_f = 1
         and every other dependent column at zero, in column order."""
-        ops, ends, basis = self._ops, self._ends, []
-        for f in range(self.ncols):
-            if ends[5 * f + 1] < 0:
-                scales = prod(ops[(ends[5 * f - 5] if f else 0) + 1:ends[5 * f]:3])
+        basis = []
+        for f, (updates, lead, _, sigma) in enumerate(self._log):
+            if lead is None:
                 z: dict[int, Fraction] = {}
-                one = self._unwind(f, Fraction(ends[5 * f + 4], ends[5 * f + 3] * scales), z)
+                _unwind(updates, 1 / (prod(scale for _, scale, _ in updates) * sigma), z)
                 x = self._replay(z, f)
-                x[f] = one
+                x[f] = Fraction(1)
                 basis.append([x.get(c, _ZERO) for c in range(self.ncols)])
         return basis
 
     def _replay(self, z: dict[int, Fraction], stop: int) -> dict[int, Fraction]:
         """The x on the pivot columns before ``stop`` with A x = Σ z[ℓ]·p_ℓ,
         by the adjoint replay of the log (module docstring); empties z."""
-        ends, x, j = self._ends, {}, stop
+        log, x, j = self._log, {}, stop
         while z:
             j -= 1
-            w = z.pop(ends[5 * j + 1], None)  # a dependent column's -1 is no lead
+            updates, lead, g, sigma = log[j]
+            w = z.pop(lead, None)  # z holds no None: a dependent column takes nothing
             if w:
-                x[j] = self._unwind(j, w / ends[5 * j + 2], z)
+                x[j] = _unwind(updates, w / g, z) * sigma
         return x
-
-    def _unwind(self, j: int, w: Fraction, z: dict[int, Fraction]) -> Fraction:
-        """Walk column j's log backwards with weight w on its end: hand
-        −w·(the later scales)·rv to each pivot it cleared, in z, and return
-        the weight on a_j, w·W·σ."""
-        ops, ends = self._ops, self._ends
-        for u in range(ends[5 * j] - 3, (ends[5 * j - 5] if j else 0) - 1, -3):
-            c = ops[u]
-            z[c] = z.get(c, _ZERO) - w * ops[u + 2]
-            if ops[u + 1] != 1:
-                w *= ops[u + 1]
-        return w * ends[5 * j + 3] / ends[5 * j + 4]
 
 
 def factor(columns: Iterable[Column], nrows: int) -> Factor:

@@ -394,13 +394,12 @@ class _System:
                 shifts, block_keys = [shifts[i] for i in kept], [block_keys[i] for i in kept]
             self.shifts.append(shifts)
             packed_blocks.append((packed, lm, block_keys, sigma))
-        spans = [(min(ks) + min(packed)[0], max(ks) + lm)  # a zero block has no rows
-                 for packed, lm, ks, _ in packed_blocks if packed and ks]
-        top = self.top = max([hi for _, hi in spans], default=0)
-        bottom = min([lo for lo, _ in spans], default=top + 1)
+        extents = [(min(ks) + min(packed)[0], max(ks) + lm)  # a zero block has no rows
+                   for packed, lm, ks, _ in packed_blocks if packed and ks]
+        top = self.top = max([hi for _, hi in extents], default=0)
+        bottom = min([lo for lo, _ in extents], default=top + 1)
         columns = ((None if lm is None else top - ks - lm,
-                    lambda packed=packed, at=top - ks: {at - k: v for k, v in packed},
-                    sigma.numerator, sigma.denominator)
+                    lambda packed=packed, at=top - ks: {at - k: v for k, v in packed}, sigma)
                    for packed, lm, block_keys, sigma in packed_blocks for ks in block_keys)
         self.factor = factor(columns, top - bottom + 1)
 

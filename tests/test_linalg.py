@@ -67,9 +67,10 @@ def _canonical(echelon):
 
 def _lazy(scaled):
     """Scaled vectors (vector, den, content) as the columns ``factor``
-    takes: (lead, builder, den, content), the lead None for a zero vector."""
-    return [(min(vector) if vector else None, lambda vector=vector: dict(vector), den, content)
-            for vector, den, content in scaled]
+    takes: (lead, builder, σ = den / content), the lead None for a zero
+    vector."""
+    return [(min(vector) if vector else None, lambda vector=vector: dict(vector),
+             Fraction(den, content)) for vector, den, content in scaled]
 
 
 def _read(echelon):
@@ -78,17 +79,16 @@ def _read(echelon):
 
 
 def _echelon(vectors):
-    """``_eliminate`` on the vectors scaled by ``_scale_to_int``, with a
-    throwaway log, each pivot read out."""
+    """``_eliminate`` on the vectors scaled by ``_scale_to_int``, its log
+    thrown away, each pivot read out."""
     nrows = 1 + max((i for v in vectors for i in v), default=0)
-    return _read(_eliminate(_lazy([_scale_to_int(v) for v in vectors]), ([], []), nrows))
+    return _read(_eliminate(_lazy([_scale_to_int(v) for v in vectors]), nrows)[0])
 
 
 def _rebuilt(columns):
-    """Columns (lead, builder, den, content) as the vectors over Q they
-    stand for, each entry ``Fraction(v * content, den)``."""
-    return [{i: Fraction(v * content, den) for i, v in build().items()}
-            for _, build, den, content in columns]
+    """Columns (lead, builder, σ) as the vectors over Q they stand for,
+    each entry v / σ."""
+    return [{i: v / sigma for i, v in build().items()} for _, build, sigma in columns]
 
 
 def _random_system(rng):
@@ -249,10 +249,10 @@ def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, c
     rhs = [Fraction(b) for b in rhs]
     seen = []
 
-    def spy(vectors, log, nrows):
+    def spy(vectors, nrows):
         vectors = list(vectors)
         seen.append(_rebuilt(vectors))
-        return _eliminate(vectors, log, nrows)
+        return _eliminate(vectors, nrows)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     want = _oracle_solve(rows, rhs, ncols)
@@ -330,9 +330,9 @@ def test_a_factor_of_entries_past_32_bits_in_one_pass(monkeypatch, rows):
     and the kernel are the oracle's."""
     eliminated = []
 
-    def spy(vectors, log, nrows):
+    def spy(vectors, nrows):
         eliminated.append(1)
-        return _eliminate(vectors, log, nrows)
+        return _eliminate(vectors, nrows)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     columns = _Passes(_columns(rows, 3))
@@ -360,8 +360,7 @@ def test_iterating_a_factor_hands_out_copies():
             vector[i] += 7
         vector[len(rows)] = 1
     assert f.solve(dict(enumerate(rhs))) == _oracle_solve(rows, rhs, 2) == [1, 1]
-    assert list(f) == [vector for _, vector in _read(_eliminate(_columns(rows, 2), ([], []),
-                                                                 len(rows)))]
+    assert list(f) == [vector for _, vector in _read(_eliminate(_columns(rows, 2), len(rows))[0])]
 
 
 def test_solve_rejects_a_rhs_row_outside_the_system():
@@ -387,7 +386,7 @@ def test_indices_outside_a_are_refused():
     with pytest.raises(ValueError, match="row 5 "):  # built: its lead is taken
         factor(_lazy([_scale_to_int({0: one}), _scale_to_int({0: one, 5: one})]), 2)
     with pytest.raises(ValueError, match="row -1 "):  # a builder below its lead
-        factor([*_lazy([_scale_to_int({0: one})]), (0, lambda: {-1: 1, 0: 1}, 1, 1)], 2)
+        factor([*_lazy([_scale_to_int({0: one})]), (0, lambda: {-1: 1, 0: 1}, one)], 2)
     f = factor(_lazy([_scale_to_int({0: one, 5: one})]), 2)  # installed unread
     with pytest.raises(ValueError, match="row 5 "):
         f.solve({0: one})
@@ -410,14 +409,9 @@ def test_nullspace_vectors_satisfy_the_homogeneous_system():
 
 
 def _logs(f):
-    """Per column of a factor, its updates in the log and the rest of its
-    entry in ``_ends``: lead (-1 when dependent), content and σ."""
-    logs, start = [], 0
-    for c in range(f.ncols):
-        stop = f._ends[5 * c]
-        logs.append((f._ops[start:stop], f._ends[5 * c + 1:5 * c + 5]))
-        start = stop
-    return logs
+    """The log of a factor, one record (updates, lead, g, σ) per column,
+    the lead None when dependent, each column's updates as a list."""
+    return [(list(updates), *end) for updates, *end in f._log]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -434,7 +428,7 @@ def test_leaving_out_dependent_columns_keeps_the_echelon_logs_and_solutions(seed
         columns = _columns(rows, ncols)
         full = factor(columns, len(rows))
         logs = _logs(full)
-        dependent = [c for c, (_, end) in enumerate(logs) if end[0] == -1]
+        dependent = [c for c, (_, lead, _, _) in enumerate(logs) if lead is None]
         drop = set(rng.sample(dependent, rng.randint(min(1, len(dependent)), len(dependent))))
         kept = [c for c in range(ncols) if c not in drop]
         part = factor([columns[c] for c in kept], len(rows))
@@ -461,25 +455,22 @@ def _counted(columns, calls):
             calls[j] += 1
             return build()
         return run
-    return [(lead, counting(j, build), den, content)
-            for j, (lead, build, den, content) in enumerate(columns)]
+    return [(lead, counting(j, build), sigma) for j, (lead, build, sigma) in enumerate(columns)]
 
 
 def _eager(columns, nrows):
     """The reference elimination for the laziness: every column built and
     reduced (``_reduce``), each nonzero result installed with its content
-    divided out.  Returns the pivots by lead and the log (ops, ends)."""
-    pivots, ops, ends = {}, [], []
-    for _, build, den, content in columns:
-        r = build()
-        col = _reduce(r, pivots, ops.extend, nrows)
-        end = -1, 1
+    divided out.  Returns the pivots by lead and the log, as ``_logs``."""
+    pivots, log = {}, []
+    for _, build, sigma in columns:
+        r, updates, g = build(), [], 1
+        col = _reduce(r, pivots, updates, nrows)
         if col is not None:
             g = gcd(*r.values())
             pivots[col] = {c: v // g for c, v in r.items()}
-            end = col, g
-        ends.extend((len(ops), *end, den, content))
-    return dict(sorted(pivots.items())), ops, ends
+        log.append((updates, col, g, sigma))
+    return dict(sorted(pivots.items())), log
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -496,26 +487,27 @@ def test_lazy_columns_factor_as_the_eager_elimination(seed):
     for _ in range(60):
         rows, ncols = _random_system(rng)
         columns = _columns(rows, ncols)
-        pivots, ops, ends = _eager(columns, len(rows))
+        pivots, log = _eager(columns, len(rows))
         calls = [0] * ncols
         f = factor(_counted(columns, calls), len(rows))
-        assert (f._ops, f._ends) == (ops, ends)
+        assert _logs(f) == log
+        cleared = {lead for updates, *_ in log for lead, _, _ in updates}
         held, want = set(), []
-        for j, (lead, _, _, _) in enumerate(columns):
+        for j, (lead, _, _) in enumerate(columns):
             if lead is None or lead in held:
                 want.append(1)
                 seen["zero" if lead is None else "taken"] += 1
             else:  # installed unread: built once a reduction reaches it
-                want.append(int(lead in ops[::3]))
+                want.append(int(lead in cleared))
                 seen["reached"] += want[-1]
-            held.add(ends[5 * j + 1])
+            held.add(log[j][1])
         assert calls == want
         seen["unread"] += want.count(0)
         for _ in range(4):
             rhs = _random_rhs(rng, rows, ncols)
             assert f.solve(dict(enumerate(rhs))) == _oracle_solve(rows, rhs, ncols)
             steps = []
-            _reduce(_scale_to_int(dict(enumerate(rhs)))[0], pivots, steps.append, len(rows))
+            _reduce(_scale_to_int(dict(enumerate(rhs)))[0], pivots, steps, len(rows))
             reached = {lead for lead, _, _ in steps}
             seen["solved"] += sum(not w and columns[j][0] in reached for j, w in enumerate(want))
             want = [int(w or columns[j][0] in reached) for j, w in enumerate(want)]
@@ -528,6 +520,7 @@ def test_lazy_columns_factor_as_the_eager_elimination(seed):
     assert min(seen.values()) > 40, seen
 
 
+@pytest.mark.pin
 def test_sixfold_probe_certificate_is_pinned():
     n = 6
     cs = pipeline(n, "eliminated", "paper")
@@ -579,10 +572,10 @@ def _decide_cold(monkeypatch, target, cs):
         seen.rhs.append(dict(rhs))
         return solve(rows, rhs, ncols)
 
-    def eliminate_spy(vectors, log, nrows):
+    def eliminate_spy(vectors, nrows):
         vectors = list(vectors)
         seen.eliminated.append(_rebuilt(vectors))
-        return _eliminate(vectors, log, nrows)
+        return _eliminate(vectors, nrows)
 
     monkeypatch.setattr(reduction, "_multiplier_columns", columns_spy)
     monkeypatch.setattr(reduction, "_membership_system", system_spy)
@@ -618,6 +611,7 @@ def _ranks(vectors):
     return {i: r for r, i in enumerate(sorted(set().union(*vectors)))}
 
 
+@pytest.mark.pin
 def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     """Digests recorded before the ring kept its monomials pre-keyed.  The
     certificate depends only on the column order (the pivot columns are
@@ -685,8 +679,25 @@ def test_probe_factors_are_eliminated_by_columns(monkeypatch, n, counts):
     [(columns, _)] = seen.factored
     rows = len(_ranks(columns))
     assert (rows, ncols, ncols - f.ncols) == counts[0]
-    assert (len(_ranks(f)), f.ncols, len(f), f.ncols - len(f), len(f._ops) // 3,
+    updates = sum(len(updates) for updates, *_ in f._log)
+    assert (len(_ranks(f)), f.ncols, len(f), f.ncols - len(f), updates,
             sum(map(len, f))) == counts[1]
+
+
+def test_the_cold_sevenfold_probe_log_shares_its_sigmas_and_empty_updates(monkeypatch):
+    """The log allocates nothing per column but its record: each column
+    holds the σ object its block shares, one per block with kept columns,
+    and every column with no update holds the one empty tuple."""
+    dec, seen = _decide_cold(monkeypatch, *_probe(7))
+    assert dec is not None
+    [system] = seen.systems
+    log = iter(system.factor._log)
+    per_block = [{id(next(log)[3]) for _ in kept} for kept in system.shifts if kept]
+    assert next(log, None) is None
+    assert all(len(ids) == 1 for ids in per_block)
+    assert len(set().union(*per_block)) == len(per_block)
+    empty = [updates for updates, *_ in system.factor._log if not updates]
+    assert len(empty) > 1000 and {id(updates) for updates in empty} == {id(())}
 
 
 # -- row-at-a-time elimination against the all-rows heap reference -------------

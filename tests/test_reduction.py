@@ -101,6 +101,7 @@ def _reference_basis(n, weight, base_gens, cap):
     return out
 
 
+@pytest.mark.pin
 def test_pruned_basis_equals_the_recursive_reference():
     """Exponents, weight parts and order of every monomial, for generator
     sets with and without a generator of weight one: with none, the C
@@ -347,13 +348,13 @@ def _expand(n, blocks):
 def _streaming(mp):
     """Patch ``reduction.factor`` to record the columns each system streams
     into it, one list per system, each column rebuilt over Q from its
-    scaled form (lead, builder, den, content), and return the record."""
+    scaled form (lead, builder, σ), and return the record."""
     streamed = []
 
     def spy(columns, nrows):
         columns = list(columns)
-        streamed.append([{i: Fraction(v * content, den) for i, v in build().items()}
-                         for _, build, den, content in columns])
+        streamed.append([{i: v / sigma for i, v in build().items()}
+                         for _, build, sigma in columns])
         return factor(columns, nrows)
 
     mp.setattr(reduction, "factor", spy)
@@ -586,13 +587,13 @@ def _reference_factor(n, columns):
     row = {m: i for i, m in enumerate(order)}
     scaled = [_scale_to_int({row[m]: Fraction(q) for m, q in col.terms.items()})
               for col in columns]
-    return factor([(min(v) if v else None, lambda v=v: dict(v), den, content)
+    return factor([(min(v) if v else None, lambda v=v: dict(v), Fraction(den, content))
                    for v, den, content in scaled], len(order))
 
 
 def _dependent(f):
     """The columns of a factor that install no pivot."""
-    return {c for c in range(f.ncols) if f._ends[5 * c + 1] < 0}
+    return {c for c, (_, lead, _, _) in enumerate(f._log) if lead is None}
 
 
 def _flagged(blocks, system):
@@ -607,19 +608,14 @@ def _flagged(blocks, system):
 
 
 def _column_logs(f, rank=None):
-    """Per column of a factor, its updates in the log and the rest of its
-    entry in ``_ends``: lead, content and σ; each lead renamed by ``rank``
-    when given."""
-    logs, start = [], 0
-    ops, ends = list(f._ops), list(f._ends)
-    if rank is not None:
-        ops[::3] = [rank[lead] for lead in ops[::3]]
-        ends[1::5] = [rank.get(lead, lead) for lead in ends[1::5]]  # -1 stays
-    for c in range(f.ncols):
-        stop = ends[5 * c]
-        logs.append((ops[start:stop], ends[5 * c + 1:5 * c + 5]))
-        start = stop
-    return logs
+    """The log of a factor, one record (updates, lead, g, σ) per column,
+    each column's updates as a list; each lead renamed by ``rank`` when
+    given (a dependent column's None stays)."""
+    def name(i):
+        return i if rank is None or i is None else rank[i]
+
+    return [([(name(u), scale, rv) for u, scale, rv in updates], name(lead), g, sigma)
+            for updates, lead, g, sigma in f._log]
 
 
 def _assert_same_factor(got, want, flagged=frozenset()):
@@ -692,7 +688,7 @@ def test_eightfold_probe_is_a_member_of_the_pinned_size(monkeypatch):
     f = system.factor
     assert (len(_ranks(f)), sum(len(shifts) for _, _, shifts in blocks)) == (3952, 2428)
     assert len(_flagged(blocks, system)) == 275
-    assert (f.ncols, len(_dependent(f)), len(f._ops) // 3) == (2153, 0, 9)
+    assert (f.ncols, len(_dependent(f)), sum(len(u) for u, *_ in f._log)) == (2153, 0, 9)
 
 
 # -- columns the Koszul criterion leaves out -------------------------------------
@@ -741,6 +737,7 @@ def _koszul_columns(monkeypatch, target, cs):
     return skipped, divided, dependent
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("n, weight", [(4, None), (5, None), (6, None), (7, None), (8, None),
                                        (4, 13), (6, 10), ("goldens", None), ("goldens", 10)])
 def test_koszul_criterion_skips_only_dependent_columns(monkeypatch, n, weight):
@@ -770,6 +767,7 @@ def test_koszul_criterion_skips_only_dependent_columns(monkeypatch, n, weight):
         assert (len(skipped), len(dependent)) == (17, 71)
 
 
+@pytest.mark.pin
 def test_koszul_criterion_skips_only_dependent_columns_under_a_lower_bound(monkeypatch):
     """With the basis bound below the derivative cap, the blocks derived past
     the bound take no part in the criterion, so it flags a strict subset of
@@ -783,6 +781,7 @@ def test_koszul_criterion_skips_only_dependent_columns_under_a_lower_bound(monke
     assert skipped < dependent and skipped
 
 
+@pytest.mark.pin
 def test_koszul_criterion_leaves_out_blocks_that_hold_a_parameter(monkeypatch):
     """No shift holds a parameter, so the Koszul syzygy of I_0 with a block
     that holds one needs columns the system does not have: the column
@@ -855,6 +854,7 @@ def test_warm_and_cold_memos_give_the_same_certificates(monkeypatch):
     assert [c is None for c in cold] == [False, False, True] * 2 + [False]
 
 
+@pytest.mark.pin
 def test_towers_equal_the_ring_derivation_term_for_term():
     """D^m(P_j) from the memoized monomial derivatives is the tower that
     ``DiffPoly.derive`` makes, coefficients, types and insertion order
@@ -1129,7 +1129,8 @@ def test_a_corrupted_factor_fails_the_re_expansion():
     x = f.solve(system.rhs(target))
     col = next(c for c, v in enumerate(x) if v)
     try:
-        f._ends[5 * col + 3] *= 2  # the numerator of the column's σ
+        updates, lead, g, sigma = f._log[col]
+        f._log[col] = updates, lead, g, 2 * sigma
         got = f.solve(system.rhs(target))
         assert got[col] == 2 * x[col]
         assert got[:col] + got[col + 1:] == x[:col] + x[col + 1:]
@@ -1174,6 +1175,7 @@ def test_each_decision_makes_one_solve_call_the_benchmark_can_trace(monkeypatch)
             assert ncols == sum(map(len, _system_of(target, cs).shifts))
 
 
+@pytest.mark.pin
 def test_membership_certificates_at_three_seeds_are_pinned():
     """The probe, a seeded random member and the non-member at N=6 and N=7,
     for seeds 3, 21 and 31: 18 certificates under one digest, recorded
@@ -1212,6 +1214,7 @@ def test_zero_blocks_keep_their_answers():
     assert ideal_membership(parse("w1", n), conditions) is None
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("n, ncols", [(6, 637), (7, 1187)])
 def test_a_cold_probe_decision_builds_only_the_columns_it_reaches(monkeypatch, n, ncols):
     """The columns reach ``linalg.factor`` unread, and a vector is built
@@ -1226,7 +1229,7 @@ def test_a_cold_probe_decision_builds_only_the_columns_it_reaches(monkeypatch, n
         return run
 
     def spy(columns, nrows):
-        columns = [(lead, counted(build), den, content) for lead, build, den, content in columns]
+        columns = [(lead, counted(build), sigma) for lead, build, sigma in columns]
         handed.append(len(columns))
         return factor(columns, nrows)
 
@@ -1237,6 +1240,7 @@ def test_a_cold_probe_decision_builds_only_the_columns_it_reaches(monkeypatch, n
     assert (handed, len(built)) == ([ncols], 13)
 
 
+@pytest.mark.pin
 def test_probe_certificates_at_eight_and_ten_under_raised_caps_are_pinned(monkeypatch):
     """The probe at N=8 and N=10 under derivative cap 17 and basis bound
     13, where no bound cuts either system: one digest, recorded while
@@ -1260,6 +1264,7 @@ def test_probe_certificates_at_eight_and_ten_under_raised_caps_are_pinned(monkey
     )
 
 
+@pytest.mark.pin
 def test_probe_certificate_at_twelve_under_raised_caps_is_pinned(monkeypatch):
     """The probe at N=12 under derivative cap 17 and basis bound 13,
     decided cold: its digest was recorded while every tower went through
