@@ -1,25 +1,25 @@
 """Sparse exact linear solving over Q, by eliminating the columns of A.
 
-Vectors are dicts index -> coefficient, each index in 0..nrows-1 (an index
-no column holds is a zero row).  A column a comes unread, as (lead, build,
-σ): its lowest index, None when a is zero; a builder returning a new dict
-σ·a in primitive integers; and the ``Fraction`` σ = den / content, the
-ratio ``_scale_to_int`` gives, so columns that share their coefficients
-share one σ and a builder scales them once (``reduction``).
+Vectors are dicts row -> coefficient, a row any int, rows in int order (a
+row no column holds is a zero row).  A column a comes unread, as (lead,
+build, σ): its lowest row, None when a is zero; a builder returning a new
+dict σ·a in primitive integers; and the ``Fraction`` σ = den / content,
+the ratio ``_scale_to_int`` gives, so columns that share their
+coefficients share one σ and a builder scales them once (``reduction``).
 ``_eliminate`` is fraction-free: it reduces each vector (``_reduce``), in
 input order, against the pivots found so far (a dict lead -> pivot, the
-lead being a pivot's lowest index) and installs a nonzero result, content
+lead being a pivot's lowest row) and installs a nonzero result, content
 divided out, as the pivot of its lead.  That is the echelon a heap of all
 the vectors keyed by (lead, input position) gives: the pivot of lead c is
 the first vector to come to lead with c, and every update divides only by
 a positive g0, so each vector stays a positive multiple of the heap's.  To
 clear the entry rv under the pivot entry pv, an update forms
 r·(pv/g0) − pivot·(rv/g0) with g0 = gcd(pv, rv), and finds the lead again
-from a lazy heap of the vector's indices, so it costs the pivot's length.
+from a lazy heap of the vector's rows, so it costs the pivot's length.
 Certificates are reproducible bit for bit.
 
 Eliminating by columns.  ``factor`` runs ``_eliminate`` over the columns
-a_0, a_1, ... of A, each a vector over the row indices, and ``_eliminate``
+a_0, a_1, ... of A, each a vector over the rows, and ``_eliminate``
 returns the pivots and the log of every operation.
 A column that reduces to zero lies in the span of the columns before it:
 a dependent column.  Every other column is installed, so the pivot
@@ -42,15 +42,14 @@ so any method that finds solutions of that shape finds the same Fractions.
 - *Install unread.*  A column whose lead no pivot holds would be installed
   as it is, with no update and content 1; its builder stands in, unread.
   A vector is built for a zero column or a taken lead, or when ``_reduce``
-  (in elimination or ``solve``) reaches an unread pivot, then kept.  A lead
-  is checked in 0..nrows-1 as its column comes, a vector as it is built.
-- *Forward reduction.*  ``Factor.solve`` takes b as {row index: entry},
-  every index in 0..nrows-1, and reduces it against the echelon with the
-  same ``_reduce``, lowest row first, in integers over one denominator:
-  when that row leads p_ℓ, y_ℓ = b_ℓ / p_ℓ[ℓ] and b −= y_ℓ·p_ℓ.  No pivot
-  has an entry at a row before its lead, so when that row leads no pivot,
-  no combination of the pivots reaches b: infeasible, at once, with no
-  zero row kept.
+  (in elimination or ``solve``) reaches an unread pivot, then kept.
+- *Forward reduction.*  ``Factor.solve`` takes b as {row: entry} and
+  reduces it against the echelon with the same ``_reduce``, lowest row
+  first, in integers over one denominator: when that row leads p_ℓ,
+  y_ℓ = b_ℓ / p_ℓ[ℓ] and b −= y_ℓ·p_ℓ.  No pivot has an entry at a row
+  before its lead, so when that row leads no pivot (a row no column holds
+  among them), no combination of the pivots reaches b: infeasible, at
+  once, with no zero row kept.
 - *The adjoint replay.*  Then b = Σ y_ℓ·p_ℓ, and walking the log backwards
   turns that into x.  A pivot column with final coefficient z_ℓ (each
   pivot its log names was installed before it) takes x_j = z_ℓ·W·σ / g and
@@ -90,23 +89,12 @@ def _scale_to_int(row: Mapping[Any, Fraction | int]) -> tuple[dict[Any, int], in
     return out, den, g
 
 
-def _built(build: Callable[[], dict[int, int]], nrows: int) -> dict[int, int]:
-    """The built vector; an index outside 0..nrows-1 raises ValueError."""
-    vector = build()
-    if vector and not 0 <= min(vector) <= max(vector) < nrows:
-        bad = min(vector) if min(vector) < 0 else max(vector)
-        raise ValueError(f"row {bad} is outside 0..{nrows - 1}")
-    return vector
-
-
-def _reduce(
-    r: dict[int, int], pivots: dict[int, Any], updates: list[Update], nrows: int
-) -> int | None:
+def _reduce(r: dict[int, int], pivots: dict[int, Any], updates: list[Update]) -> int | None:
     """Reduce the integer vector r in place against ``pivots`` ({lead:
-    {row: int} or its builder}), lowest index first, appending (lead,
-    scale, rv) to ``updates`` for each update r ← scale·r − rv·p_lead;
-    return the first index of r no pivot leads, or None once r is zero."""
-    heap = list(r)  # a heap of r's indices, and of some it has lost
+    {row: int} or its builder}), lowest row first, appending (lead, scale,
+    rv) to ``updates`` for each update r ← scale·r − rv·p_lead; return the
+    first row of r no pivot leads, or None once r is zero."""
+    heap = list(r)  # a heap of r's rows, and of some it has lost
     heapq.heapify(heap)
     while r:
         col = heap[0]
@@ -117,7 +105,7 @@ def _reduce(
         if pivot is None:
             return col
         if callable(pivot):  # installed unread: build it, and keep it
-            pivot = pivots[col] = _built(pivot, nrows)
+            pivot = pivots[col] = pivot()
         pv, rv = pivot[col], r[col]
         g0 = gcd(pv, rv)
         scale = pv // g0
@@ -139,7 +127,7 @@ def _reduce(
     return None
 
 
-def _eliminate(columns: Iterable[Column], nrows: int) -> tuple[dict[int, Any], list[tuple]]:
+def _eliminate(columns: Iterable[Column]) -> tuple[dict[int, Any], list[tuple]]:
     """Forward elimination; returns the pivots, {lead: vector or builder} by
     lead, and the log, one record (updates, lead, g, σ) per column."""
     pivots: dict[int, Any] = {}
@@ -147,15 +135,13 @@ def _eliminate(columns: Iterable[Column], nrows: int) -> tuple[dict[int, Any], l
     for lead, build, sigma in columns:
         updates, g = [], 1
         if lead is None or lead in pivots:
-            r = _built(build, nrows)
-            lead = _reduce(r, pivots, updates, nrows)
+            r = build()
+            lead = _reduce(r, pivots, updates)
             if lead is not None:
                 g = gcd(*r.values())
                 pivots[lead] = {c: v // g for c, v in r.items()} if g > 1 else r
-        elif 0 <= lead < nrows:
-            pivots[lead] = build  # no pivot holds its lead: installed unread
         else:
-            raise ValueError(f"row {lead} is outside 0..{nrows - 1}")
+            pivots[lead] = build  # no pivot holds its lead: installed unread
         log.append((updates or (), lead, g, sigma))
     return dict(sorted(pivots.items())), log
 
@@ -182,28 +168,25 @@ class Factor:
     docstring), and ``_echelon`` the pivots ``_eliminate`` installed,
     {lead: {row: int} or an unread builder} by lead."""
 
-    __slots__ = ("nrows", "ncols", "_log", "_echelon")
+    __slots__ = ("ncols", "_log", "_echelon")
 
-    def __init__(self, columns: Iterable[Column], nrows: int):
-        self.nrows = nrows
-        self._echelon, self._log = _eliminate(columns, nrows)
+    def __init__(self, columns: Iterable[Column]):
+        self._echelon, self._log = _eliminate(columns)
         self.ncols = len(self._log)
 
     def __len__(self) -> int:
         return len(self._echelon)
 
     def __iter__(self):
-        return (_built(v, self.nrows) if callable(v) else dict(v) for v in self._echelon.values())
+        return (v() if callable(v) else dict(v) for v in self._echelon.values())
 
     def solve(self, rhs: Mapping[int, Fraction]) -> list[Fraction] | None:
         """The solution of A x = b with free variables at zero, or None; b
-        is given as {row index: entry}, each index in 0..nrows-1."""
-        if any(not 0 <= i < self.nrows for i in rhs):
-            raise ValueError(f"a right-hand side row outside the {self.nrows} rows")
+        is given as {row: entry}."""
         # forward reduction, in integers: r = d·(b − Σ y_ℓ·p_ℓ)
         r, den, g = _scale_to_int(rhs)
         steps: list[Update] = []
-        if _reduce(r, self._echelon, steps, self.nrows) is not None:
+        if _reduce(r, self._echelon, steps) is not None:
             return None
         d, y = Fraction(den, g), {}
         for lead, scale, rv in steps:
@@ -239,11 +222,10 @@ class Factor:
         return x
 
 
-def factor(columns: Iterable[Column], nrows: int) -> Factor:
-    """Eliminate A, given by its unread columns with vectors {row index:
-    entry} over ``nrows`` rows, in one pass, once for any number of
-    right-hand sides; a row index outside 0..nrows-1 raises ValueError."""
-    return Factor(columns, nrows)
+def factor(columns: Iterable[Column]) -> Factor:
+    """Eliminate A, given by its unread columns with vectors {row: entry},
+    in one pass, once for any number of right-hand sides."""
+    return Factor(columns)
 
 
 def solve(factor: Factor, rhs: Mapping[int, Fraction], ncols: int) -> list[Fraction] | None:

@@ -25,11 +25,12 @@ descending ``monomial_sort_key`` order.  The lower digits sum to less than
 B^G, so keys compare by weight first, whatever its sign.  At equal weight
 they compare as exponent vectors, lexicographically from g_0 with the
 higher exponent winning, and that is how ``monomial_sort_key`` breaks ties
-(see the ``diffring`` module docstring).  So a row index is top - key,
-top the largest key a column holds: no row map, no sort.  Each block is
-packed once, as (key, primitive integer) and the σ its columns share; a
-generator streams each column into ``linalg.factor`` unread, as its lead
-and a builder over its block and key(s).  A target packs the same way.
+(see the ``diffring`` module docstring).  So the row of m is labelled
+-key(m), ascending labels in descending ``monomial_sort_key`` order: no
+row map, no sort.  Each block is packed once, as (key, primitive integer)
+and the σ its columns share; a generator streams each column into
+``linalg.factor`` unread, as its lead and a builder over its block and
+key(s).  A target packs the same way.
 
 Memoized columns.  The columns b * D^m(I_j) of a multiplier system do not
 depend on its target, which enters only as the right-hand side, so they
@@ -37,31 +38,29 @@ are built once per process.  Each condition is I_j = c_j * P_j, c_j > 0
 and P_j in primitive integers, and ``_derived`` keeps the integer tower
 D^m(P_j), keyed on the condition's value, m and the derivative cap
 (``NFOLDSUSY_MAX_DERIV``): D^m from the kept D^(m-1), in ints, with a cap
-error raised, not stored.  The towers of one system share most monomials
-(443 distinct of 1234 derived at N=6), so ``_derivative`` keeps the terms
-of each monomial's derivative, keyed on the monomial and the cap, since a
-factor at order 12 derives under a raised cap and raises under the
-default; ``_derived`` sums them in the order ``DiffPoly.derive`` does, so
-each tower keeps the ring's term order.  ``_basis`` keeps each monomial
+error raised, not stored.  The towers of one system share most
+monomials, so ``_derivative`` keeps the terms of each monomial's
+derivative, keyed on the monomial and the cap, since a factor at order 12
+derives under a raised cap and raises under the default; ``_derived``
+sums them in the order ``DiffPoly.derive`` does, so each tower keeps the
+ring's term order.  ``_basis`` keeps each monomial
 basis as a tuple, keyed on n, the weight, the sorted base generators and
 the basis bound (``NFOLDSUSY_DERIV_BOUND`` or the caller's), and
 ``monomial_basis`` hands each caller a fresh list.  All three are
 ``functools.lru_cache``s, bounded at 256 towers, 4096 monomial
-derivatives (a cold N=12 probe under caps 17/13 makes 2537) and 128
-bases.  The ring interns each generator's next derivative, so kept
-polynomials share their generator objects.
+derivatives and 128 bases.  The ring interns each generator's next
+derivative, so kept polynomials share their generator objects.
 
 Memoized factors.  The matrix of a membership system does not depend on
 the target either, so its elimination is done once too.
 ``_membership_system`` keeps, per n, conditions, weight, shift, generator
 pool, derivative cap and basis bound (an ``lru_cache`` of 32 systems),
 what every target of the system shares: per block its label (j, m) and
-its shifts, the packing and top, and the ``linalg.Factor`` of the matrix,
+its shifts, the packing, and the ``linalg.Factor`` of the matrix,
 eliminated by columns, so its pivot columns are the greedy ones and the
 solution the one with the free multipliers at zero.  A decision packs the
-target's monomials, refuses at once one with a generator not packed, an
-exponent at or above the base (its key could carry into another's), or a
-row index top - key outside the rows (all, when no column holds a row),
+target's monomials, refuses at once one with a generator not packed or
+an exponent at or above the base (its key could carry into another's),
 and solves against the factor, which refuses a row that no column holds.
 
 The factor reduces no column the Koszul criterion proves dependent (F5,
@@ -75,13 +74,12 @@ derivative orders within the bound.  Then u * LM(f) is a shift of g, with
 exponents below the base, so key(u) + key(LM(f)) is its key: no carry.
 ``_System`` flags these sums, u over the basis of weight wt(s) - wt(f),
 and streams only the unflagged columns into ``linalg.factor``, which
-give the same top and rows (a flagged column's monomials are earlier
-columns').  A
-dependent column installs no pivot and is zero in every solution with the
-free variables at zero, so the rows, echelon, other logs and certificates
-are unchanged.  Only membership systems skip: with the criterion forced
-on, every search system the CLI builds flags no column, so there it would
-cost build time and skip nothing.
+give the same rows (a flagged column's monomials are earlier columns').
+A dependent column installs no pivot and is zero in every solution with
+the free variables at zero, so the rows, echelon, other logs and
+certificates are unchanged.  Only membership systems skip: with the
+criterion forced on, every search system the CLI builds flags no column,
+so there it would cost build time and skip nothing.
 
 A certificate's re-expansion (``Decomposition.expansion``) derives the
 conditions itself, through ``apply_combo``, and never reads these memos,
@@ -343,8 +341,8 @@ class _Packing:
 class _System:
     """The sparse system with one column ``c * s * p`` for each block
     ``(c, p, shifts)`` and each ``s`` in ``shifts``, in that order, and the
-    row of key k at top - k, factored: the packing, ``top``, the shifts of
-    each block and the ``linalg.Factor``.  A generator streams the columns
+    row of key k labelled -k, factored: the packing, the shifts of each
+    block and the ``linalg.Factor``.  A generator streams the columns
     into ``factor`` unread, from the packed blocks:
     each block's primitive integer terms as (key, entry) and σ, both shared
     by its columns, and one list of keys per list of shifts, which the
@@ -354,7 +352,7 @@ class _System:
     left out, and ``shifts`` holds each block's kept shifts: the block's own
     list when it loses none (module docstring)."""
 
-    __slots__ = ("packing", "top", "shifts", "factor")
+    __slots__ = ("packing", "shifts", "factor")
 
     def __init__(self, n: int, blocks: Sequence[Block],
                  koszul: tuple[set[Generator], int] | None = None):
@@ -394,25 +392,20 @@ class _System:
                 shifts, block_keys = [shifts[i] for i in kept], [block_keys[i] for i in kept]
             self.shifts.append(shifts)
             packed_blocks.append((packed, lm, block_keys, sigma))
-        extents = [(min(ks) + min(packed)[0], max(ks) + lm)  # a zero block has no rows
-                   for packed, lm, ks, _ in packed_blocks if packed and ks]
-        top = self.top = max([hi for _, hi in extents], default=0)
-        bottom = min([lo for lo, _ in extents], default=top + 1)
-        columns = ((None if lm is None else top - ks - lm,
-                    lambda packed=packed, at=top - ks: {at - k: v for k, v in packed}, sigma)
+        columns = ((None if lm is None else -ks - lm,
+                    lambda packed=packed, at=-ks: {at - k: v for k, v in packed}, sigma)
                    for packed, lm, block_keys, sigma in packed_blocks for ks in block_keys)
-        self.factor = factor(columns, top - bottom + 1)
+        self.factor = factor(columns)
 
     def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:
-        """The target as {top - key: coefficient}; None when a monomial of it
-        does not pack or falls outside the rows, since no column reaches it."""
-        packing, top, nrows = self.packing, self.top, self.factor.nrows
+        """The target as {-key: coefficient}; None when a monomial of it
+        does not pack, since no column reaches it."""
+        packing = self.packing
         out = {}
         for m, q in target.terms.items():
-            i = top - packing.key(m) if packing.fits(m) else -1
-            if not 0 <= i < nrows:
+            if not packing.fits(m):
                 return None
-            out[i] = q
+            out[-packing.key(m)] = q
         return out
 
     def solution(self, target: DiffPoly) -> list[Fraction] | None:
@@ -445,13 +438,14 @@ def _derivative(mono: Monomial, cap: int) -> tuple[tuple[Monomial, int], ...]:
 
 def _multiplier_columns(
     n: int, conditions: Iterable[tuple[int, DiffPoly]], weight: int,
-    top: Callable[[DiffPoly], int], pool: Sequence[Generator], max_deriv: int | None,
+    top: Callable[[DiffPoly], int], pool: Sequence[Generator], cap: int, bound: int,
 ) -> tuple[list[tuple[int, int]], list[Block]]:
     """The labels (j, m) and blocks (c_j, D^m(P_j), basis), I_j = c_j * P_j,
     of the columns b * D^m(I_j) of a multiplier system: conditions in order,
-    zero ones skipped, m from 0 to min(weight - wt(I_j), top(I_j)), b over
-    the monomial basis of the complementary weight, one list per weight."""
-    cap = max_deriv_order()
+    zero ones skipped, m from 0 to min(weight - wt(I_j), top(I_j)), D^m
+    under the derivative cap ``cap``, b over the monomial basis of the
+    complementary weight within the basis bound ``bound``, one list per
+    weight."""
     bases: dict[int, list[Monomial]] = {}
     labels: list[tuple[int, int]] = []
     blocks: list[Block] = []
@@ -463,7 +457,7 @@ def _multiplier_columns(
         for m in range(min(weight - cw, top(cond)) + 1):
             rest = weight - cw - m
             if rest not in bases:
-                bases[rest] = monomial_basis(n, rest, pool, max_deriv)
+                bases[rest] = monomial_basis(n, rest, pool, bound)
             labels.append((j, m))
             blocks.append((scale, _derived(cond, m, cap), bases[rest]))
     return labels, blocks
@@ -489,11 +483,10 @@ def _membership_system(
     n: int, conditions: tuple[tuple[int, DiffPoly], ...], weight: int, shift: int,
     pool: tuple[Generator, ...], cap: int, bound: int,
 ) -> tuple[list[tuple[int, int]], _System]:
-    """The block labels (j, m) and the system of ``ideal_membership``.
-    ``cap`` and ``bound`` key the memo and must be the configured
-    derivative cap and basis bound, which the column build reads itself."""
+    """The block labels (j, m) and the system of ``ideal_membership``,
+    under the derivative cap ``cap`` and the basis bound ``bound``."""
     labels, blocks = _multiplier_columns(
-        n, conditions, weight, lambda c: min(shift, cap - c.max_deriv()), pool, None
+        n, conditions, weight, lambda c: min(shift, cap - c.max_deriv()), pool, cap, bound
     )
     return labels, _System(n, blocks, koszul=(set(pool), bound))
 
@@ -646,7 +639,7 @@ def search_integral(
     pool = _default_gens([p for _, p in cs.items()])
     top = 0 if policy == "multiplicative" else 1
     labels, blocks = _multiplier_columns(n, cs.items(), target_weight, lambda c: top, pool,
-                                         max_deriv)
+                                         max_deriv_order(), max_deriv)
     shifts = [basis for _, _, basis in blocks]
     reduced = []
     if relations:

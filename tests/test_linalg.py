@@ -81,8 +81,7 @@ def _read(echelon):
 def _echelon(vectors):
     """``_eliminate`` on the vectors scaled by ``_scale_to_int``, its log
     thrown away, each pivot read out."""
-    nrows = 1 + max((i for v in vectors for i in v), default=0)
-    return _read(_eliminate(_lazy([_scale_to_int(v) for v in vectors]), nrows)[0])
+    return _read(_eliminate(_lazy([_scale_to_int(v) for v in vectors]))[0])
 
 
 def _rebuilt(columns):
@@ -132,11 +131,12 @@ def _random_rhs(rng, rows, ncols):
     return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows]
 
 
-def _columns(rows, ncols):
-    """The columns of A = rows, as {row index: entry}, explicit zeros
-    dropped, each scaled by ``_scale_to_int`` as ``factor`` takes it."""
+def _columns(rows, ncols, labels=None):
+    """The columns of A = rows, as {row: entry}, row i labelled labels[i]
+    (i by default), explicit zeros dropped, each scaled by
+    ``_scale_to_int`` as ``factor`` takes it."""
     columns = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
+    for i, row in zip(labels or range(len(rows)), rows):
         for c, v in row.items():
             if v:
                 columns[c][i] = v
@@ -144,7 +144,7 @@ def _columns(rows, ncols):
 
 
 def _factor(rows, ncols):
-    return factor(_columns(rows, ncols), len(rows))
+    return factor(_columns(rows, ncols))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -249,10 +249,10 @@ def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, c
     rhs = [Fraction(b) for b in rhs]
     seen = []
 
-    def spy(vectors, nrows):
+    def spy(vectors):
         vectors = list(vectors)
         seen.append(_rebuilt(vectors))
-        return _eliminate(vectors, nrows)
+        return _eliminate(vectors)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     want = _oracle_solve(rows, rhs, ncols)
@@ -260,10 +260,11 @@ def test_singleton_pruning_on_hand_made_systems(monkeypatch, rows, rhs, ncols, c
     assert seen == [[_q(c) for c in columns]]
 
 
-def _kinds(f):
-    """The rows that lead a pivot of a factor, and those no pivot leads."""
+def _kinds(f, rows):
+    """The rows that lead a pivot of a factor of ``rows``, and those no
+    pivot leads."""
     led = {min(vector) for vector in f}
-    return led, set(range(f.nrows)) - led
+    return led, set(range(len(rows))) - led
 
 
 def _integral(rows):
@@ -288,7 +289,7 @@ def test_one_factor_answers_many_right_hand_sides(seed, ints):
         if ints:
             rows = _integral(rows)
         f = _factor(rows, ncols)
-        leading, unled = _kinds(f)
+        leading, unled = _kinds(f, rows)
         for _ in range(8):
             rhs = _random_rhs(rng, rows, ncols)
             kind = rng.choice(("leading", "unled", "as is"))
@@ -330,13 +331,13 @@ def test_a_factor_of_entries_past_32_bits_in_one_pass(monkeypatch, rows):
     and the kernel are the oracle's."""
     eliminated = []
 
-    def spy(vectors, nrows):
+    def spy(vectors):
         eliminated.append(1)
-        return _eliminate(vectors, nrows)
+        return _eliminate(vectors)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     columns = _Passes(_columns(rows, 3))
-    f = factor(columns, len(rows))
+    f = factor(columns)
     assert columns.passes == 1 and eliminated == [1]
     assert nullspace(f, 3) == _reference_nullspace(rows, 3)
     rng = random.Random(5)
@@ -360,38 +361,53 @@ def test_iterating_a_factor_hands_out_copies():
             vector[i] += 7
         vector[len(rows)] = 1
     assert f.solve(dict(enumerate(rhs))) == _oracle_solve(rows, rhs, 2) == [1, 1]
-    assert list(f) == [vector for _, vector in _read(_eliminate(_columns(rows, 2), len(rows))[0])]
+    assert list(f) == [vector for _, vector in _read(_eliminate(_columns(rows, 2))[0])]
 
 
-def test_solve_rejects_a_rhs_row_outside_the_system():
-    """A row index below 0 or at or past the row count is refused, not
-    read as another row or as no row at all."""
-    with pytest.raises(ValueError):
-        solve(_factor([{0: Fraction(1), 1: Fraction(1)}], 2), {-1: Fraction(5)}, 2)
-    identity = [{0: Fraction(1)}, {1: Fraction(1)}]
-    for row in (2, -1):
-        with pytest.raises(ValueError):
-            solve(_factor(identity, 2), {row: Fraction(1)}, 2)
-
-
-def test_indices_outside_a_are_refused():
-    """A row outside 0..nrows-1 in a column handed to ``factor`` is refused
-    with the index named, not installed as a lead, read as another row or
-    left to an IndexError: a lead as its column comes, any other index as
-    its vector is built, by the elimination, a solve or the iteration."""
+def test_a_rhs_row_no_column_holds_is_infeasible():
+    """A right-hand side entry at a row no column holds, below or past every
+    row, is reached by no combination of the columns: the forward reduction
+    comes to a row no pivot leads, and the answer is None."""
     one = Fraction(1)
-    for bad in (-1, 5):  # a bad lead
-        with pytest.raises(ValueError, match=f"row {bad} "):
-            factor(_lazy([_scale_to_int({bad: one})]), 2)
-    with pytest.raises(ValueError, match="row 5 "):  # built: its lead is taken
-        factor(_lazy([_scale_to_int({0: one}), _scale_to_int({0: one, 5: one})]), 2)
-    with pytest.raises(ValueError, match="row -1 "):  # a builder below its lead
-        factor([*_lazy([_scale_to_int({0: one})]), (0, lambda: {-1: 1, 0: 1}, one)], 2)
-    f = factor(_lazy([_scale_to_int({0: one, 5: one})]), 2)  # installed unread
-    with pytest.raises(ValueError, match="row 5 "):
-        f.solve({0: one})
-    with pytest.raises(ValueError, match="row 5 "):
-        list(f)
+    assert solve(_factor([{0: one, 1: one}], 2), {-1: Fraction(5)}, 2) is None
+    identity = _factor([{0: one}, {1: one}], 2)
+    for row in (2, -1):
+        assert solve(identity, {row: one}, 2) is None
+        assert solve(identity, {0: one, row: one}, 2) is None
+    assert solve(identity, {0: one, 1: one}, 2) == [1, 1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rows_are_labels_ordered_as_ints(seed):
+    """Relabelling the rows by an order-preserving map onto negative labels
+    wider than 600 bits, with gaps, changes nothing: the log and the
+    echelon, mapped back, and every solution and kernel vector are the
+    dense system's.  A right-hand side entry at a label no row has, below,
+    between or past the rows, is infeasible."""
+    rng = random.Random(6000 + seed)
+    feasible = 0
+    for _ in range(60):
+        rows, ncols = _random_system(rng)
+        label, labels = -(2**700), []
+        for _ in rows:
+            label += rng.randrange(1, 2**640)
+            labels.append(label)
+        back = {v: i for i, v in enumerate(labels)}
+        dense, wide = _factor(rows, ncols), factor(_columns(rows, ncols, labels))
+        assert [([(back[u], scale, rv) for u, scale, rv in updates],
+                 None if lead is None else back[lead], g, sigma)
+                for updates, lead, g, sigma in _logs(wide)] == _logs(dense)
+        assert [{back[i]: v for i, v in vector.items()} for vector in wide] == list(dense)
+        assert list(wide._echelon) == sorted(wide._echelon) == [labels[i] for i in dense._echelon]
+        for _ in range(4):
+            rhs = _random_rhs(rng, rows, ncols)
+            want = dense.solve(dict(enumerate(rhs)))
+            assert wide.solve(dict(zip(labels, rhs))) == want
+            feasible += want is not None
+            gap = rng.choice([-(2**700), 0] + [v + 1 for v in labels if v + 1 not in back])
+            assert wide.solve({**dict(zip(labels, rhs)), gap: Fraction(1)}) is None
+        assert wide.nullspace() == dense.nullspace()
+    assert feasible > 30
 
 
 def test_nullspace_vectors_satisfy_the_homogeneous_system():
@@ -426,12 +442,12 @@ def test_leaving_out_dependent_columns_keeps_the_echelon_logs_and_solutions(seed
     for _ in range(60):
         rows, ncols = _random_system(rng)
         columns = _columns(rows, ncols)
-        full = factor(columns, len(rows))
+        full = factor(columns)
         logs = _logs(full)
         dependent = [c for c, (_, lead, _, _) in enumerate(logs) if lead is None]
         drop = set(rng.sample(dependent, rng.randint(min(1, len(dependent)), len(dependent))))
         kept = [c for c in range(ncols) if c not in drop]
-        part = factor([columns[c] for c in kept], len(rows))
+        part = factor([columns[c] for c in kept])
         dropped_any += bool(drop)
         assert list(part) == list(full) == [vec for _, vec in _oracle_eliminate(_rebuilt(columns))]
         assert _logs(part) == [logs[c] for c in kept]
@@ -458,14 +474,14 @@ def _counted(columns, calls):
     return [(lead, counting(j, build), sigma) for j, (lead, build, sigma) in enumerate(columns)]
 
 
-def _eager(columns, nrows):
+def _eager(columns):
     """The reference elimination for the laziness: every column built and
     reduced (``_reduce``), each nonzero result installed with its content
     divided out.  Returns the pivots by lead and the log, as ``_logs``."""
     pivots, log = {}, []
     for _, build, sigma in columns:
         r, updates, g = build(), [], 1
-        col = _reduce(r, pivots, updates, nrows)
+        col = _reduce(r, pivots, updates)
         if col is not None:
             g = gcd(*r.values())
             pivots[col] = {c: v // g for c, v in r.items()}
@@ -487,9 +503,9 @@ def test_lazy_columns_factor_as_the_eager_elimination(seed):
     for _ in range(60):
         rows, ncols = _random_system(rng)
         columns = _columns(rows, ncols)
-        pivots, log = _eager(columns, len(rows))
+        pivots, log = _eager(columns)
         calls = [0] * ncols
-        f = factor(_counted(columns, calls), len(rows))
+        f = factor(_counted(columns, calls))
         assert _logs(f) == log
         cleared = {lead for updates, *_ in log for lead, _, _ in updates}
         held, want = set(), []
@@ -507,7 +523,7 @@ def test_lazy_columns_factor_as_the_eager_elimination(seed):
             rhs = _random_rhs(rng, rows, ncols)
             assert f.solve(dict(enumerate(rhs))) == _oracle_solve(rows, rhs, ncols)
             steps = []
-            _reduce(_scale_to_int(dict(enumerate(rhs)))[0], pivots, steps, len(rows))
+            _reduce(_scale_to_int(dict(enumerate(rhs)))[0], pivots, steps)
             reached = {lead for lead, _, _ in steps}
             seen["solved"] += sum(not w and columns[j][0] in reached for j, w in enumerate(want))
             want = [int(w or columns[j][0] in reached) for j, w in enumerate(want)]
@@ -538,8 +554,8 @@ def test_sixfold_probe_certificate_is_pinned():
 class _Seen:
     """What one membership decision hands the linear algebra: the blocks
     of every column, kept or not, the labels and the system of the memo's
-    entry, the columns ``factor`` gets with nrows and the vectors that
-    reach elimination, both rebuilt over Q, and the rhs ``solve`` gets."""
+    entry, the columns ``factor`` gets and the vectors that reach
+    elimination, both rebuilt over Q, and the rhs ``solve`` gets."""
 
     def __init__(self):
         self.blocks, self.labels, self.systems, self.factored, self.rhs, self.eliminated = (
@@ -563,19 +579,19 @@ def _decide_cold(monkeypatch, target, cs):
         seen.systems.append(system)
         return labels, system
 
-    def factor_spy(columns, nrows):
+    def factor_spy(columns):
         columns = list(columns)
-        seen.factored.append((_rebuilt(columns), nrows))
-        return factor(columns, nrows)
+        seen.factored.append(_rebuilt(columns))
+        return factor(columns)
 
     def solve_spy(rows, rhs, ncols):
         seen.rhs.append(dict(rhs))
         return solve(rows, rhs, ncols)
 
-    def eliminate_spy(vectors, nrows):
+    def eliminate_spy(vectors):
         vectors = list(vectors)
         seen.eliminated.append(_rebuilt(vectors))
-        return _eliminate(vectors, nrows)
+        return _eliminate(vectors)
 
     monkeypatch.setattr(reduction, "_multiplier_columns", columns_spy)
     monkeypatch.setattr(reduction, "_membership_system", system_spy)
@@ -591,7 +607,7 @@ def _full_columns(seen, cs):
     ones the Koszul criterion left out of ``factor`` too: s * D^m(I_j),
     for each shift s of the full block, packed against the system's rows.
     The columns ``factor`` got are checked to be the kept ones, in order."""
-    [blocks], [(columns, _)], [labels], [system] = (
+    [blocks], [columns], [labels], [system] = (
         seen.blocks, seen.factored, seen.labels, seen.systems)
     full, streamed = [], iter(columns)
     for (j, m), (_, _, shifts), kept in zip(labels, blocks, system.shifts, strict=True):
@@ -622,9 +638,9 @@ def test_sevenfold_probe_matrix_and_certificate_are_pinned(monkeypatch):
     the rows from the columns and spreads the rhs, every entry as a
     ``Fraction``, since the ring keeps whole numbers as ``int``s.  The
     columns the Koszul criterion leaves out never reach ``factor``, so the
-    matrix is rebuilt from the full blocks (``_full_columns``).  A row index
-    is top - key, with gaps where no monomial is a row, so the rows are the
-    ranks of the indices the columns hold (``_ranks``)."""
+    matrix is rebuilt from the full blocks (``_full_columns``).  A row is
+    labelled -key, with gaps where no monomial is a row, so the rows are
+    the ranks of the labels the columns hold (``_ranks``)."""
     import hashlib
     import json
 
@@ -665,9 +681,9 @@ def test_probe_factors_are_eliminated_by_columns(monkeypatch, n, counts):
     """The probe's system, pinned: rows, the columns of its blocks and
     those the Koszul criterion flags; and its factor: rows, columns,
     pivots, dependent columns, updates in the log and nonzeros of the
-    echelon.  The rows are counted: the indices the echelon holds, which
-    are every index a column holds.  A factor that eliminated the rows would pivot on as many rows
-    as columns here and reduce every dependent row to zero.  Every
+    echelon.  The rows are counted: the rows the echelon holds, which are
+    every row a column holds.  A factor that eliminated the rows would
+    pivot on as many rows as columns here and reduce every dependent row to zero.  Every
     dependent column is flagged and left out, so the factor has none and
     the updates are the installed columns' (they were 1720 and 5691 when
     the dependent columns were reduced too)."""
@@ -676,7 +692,7 @@ def test_probe_factors_are_eliminated_by_columns(monkeypatch, n, counts):
     [blocks], [system] = seen.blocks, seen.systems
     ncols = sum(len(shifts) for _, _, shifts in blocks)
     f = system.factor
-    [(columns, _)] = seen.factored
+    [columns] = seen.factored
     rows = len(_ranks(columns))
     assert (rows, ncols, ncols - f.ncols) == counts[0]
     updates = sum(len(updates) for updates, *_ in f._log)
@@ -801,7 +817,7 @@ def test_probe_echelons_equal_the_heap_reference(monkeypatch, n):
     target, cs = _probe(n)
     dec, seen = _decide_cold(monkeypatch, target, cs)
     assert dec is not None
-    [(columns, _)] = seen.factored
+    [columns] = seen.factored
     assert seen.eliminated == [columns]
     columns = _full_columns(seen, cs)
     echelon = _heap_eliminate(columns)

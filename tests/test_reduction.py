@@ -143,9 +143,9 @@ def test_antiderivative_factors_once(monkeypatch):
 
     real, built = linalg.Factor.__init__, []
 
-    def spy(self, columns, nrows):
+    def spy(self, columns):
         built.append(self)
-        real(self, columns, nrows)
+        real(self, columns)
 
     monkeypatch.setattr(linalg.Factor, "__init__", spy)
     p = parse("w1^2*u0 + 1/2*w1*w1'' - 1/4*w1'^2", 2)
@@ -158,6 +158,14 @@ def test_not_a_total_derivative():
     assert antiderivative(cs.condition(0)) is None
     # a bare generator with no derivative below it
     assert antiderivative(parse("w1", 2)) is None
+
+
+def test_antiderivative_of_zero_and_of_a_weight_zero_constant():
+    """Zero integrates to zero; a nonzero constant has weight 0, one below
+    which no basis reaches, so it gets None."""
+    dec = antiderivative(DiffPoly.zero(2))
+    assert dec is not None and dec.antiderivative.is_zero()
+    assert antiderivative(DiffPoly.constant(2, 3)) is None
 
 
 def test_ideal_membership_trivial_and_weight_obstruction():
@@ -301,10 +309,23 @@ def test_membership_shifts_stop_at_the_derivative_cap(monkeypatch):
     assert ideal_membership(target, cs) is None
 
 
+def test_a_zero_condition_adds_no_column():
+    """A zero condition is skipped, so the certificate is the one the
+    other conditions give."""
+    cs = pipeline(3, "eliminated")
+    target = (cs.condition(0).derive(2) + cs.condition(1) * parse("w0", 3)) * parse(
+        "w2^2", 3
+    )
+    plain = ideal_membership(target, cs)
+    with_zero = ideal_membership(target, [(9, DiffPoly.zero(3)), *cs.items()])
+    assert plain is not None and with_zero is not None
+    assert with_zero.to_dict() == plain.to_dict()
+
+
 # -- the packed system builder against the product-and-sort reference ------------
 
 
-def _reference_multiplier_columns(n, conditions, weight, top, pool, max_deriv):
+def _reference_multiplier_columns(n, conditions, weight, top, pool, bound):
     """Reference multiplier system: every column b * D^m(I_j) multiplied out
     as a polynomial, the basis rebuilt for each (j, m)."""
     keys, columns = [], []
@@ -316,7 +337,7 @@ def _reference_multiplier_columns(n, conditions, weight, top, pool, max_deriv):
         for m in range(min(weight - cw, top(cond)) + 1):
             if m:
                 derived = derived.derive()
-            for b in monomial_basis(n, weight - cw - m, pool, max_deriv):
+            for b in monomial_basis(n, weight - cw - m, pool, bound):
                 columns.append(DiffPoly.monomial(n, b) * derived)
                 keys.append((j, m, b))
     return keys, columns
@@ -351,11 +372,11 @@ def _streaming(mp):
     scaled form (lead, builder, σ), and return the record."""
     streamed = []
 
-    def spy(columns, nrows):
+    def spy(columns):
         columns = list(columns)
         streamed.append([{i: v / sigma for i, v in build().items()}
                          for _, build, sigma in columns])
-        return factor(columns, nrows)
+        return factor(columns)
 
     mp.setattr(reduction, "factor", spy)
     return streamed
@@ -371,8 +392,8 @@ def _system_rows(n, blocks, target=None):
 
 
 def _ranks(vectors):
-    """Each index the vectors hold, ascending, to its rank: a row index is
-    top - key, so the ranks number the rows in descending key order."""
+    """Each row the vectors hold, ascending, to its rank: a row is
+    labelled -key, so the ranks number the rows in descending key order."""
     return {i: r for r, i in enumerate(sorted(set().union(*vectors)))}
 
 
@@ -398,12 +419,13 @@ def _assert_same_system(got, want):
 def checked_builder(monkeypatch):
     """Check every system the reduction layer builds against the reference:
     the column keys, the columns, the rows (the streamed columns laid out
-    as rows) with the column order inside each, and the rows' keys, top
-    minus each row index; and every target packed against one: as {row:
+    as rows) with the column order inside each, and the rows' keys, minus
+    each row's label; and every target packed against one: as {row:
     entry} against its rows, and when one of its monomials is no row,
-    None or an index no column holds, which the reduction refuses.  A column the Koszul
-    criterion leaves out must reduce to zero in the reference's factor, and
-    the rows are compared without it; its monomials must still be rows.
+    None or a row no column holds, which the reduction refuses.  A column
+    the Koszul criterion leaves out must reduce to zero in the reference's
+    factor, and the rows are compared without it; its monomials must still
+    be rows.
     Returns, per system built, the set of generator families it holds."""
     real_columns, real_system, real_rhs = (
         reduction._multiplier_columns, reduction._System, reduction._System.rhs,
@@ -411,11 +433,11 @@ def checked_builder(monkeypatch):
     seen, monomials = [], {}
     streamed = _streaming(monkeypatch)
 
-    def columns(n, conditions, weight, top, pool, max_deriv):
+    def columns(n, conditions, weight, top, pool, cap, bound):
         conditions = list(conditions)
-        labels, blocks = real_columns(n, conditions, weight, top, pool, max_deriv)
+        labels, blocks = real_columns(n, conditions, weight, top, pool, cap, bound)
         ref_keys, ref_columns = _reference_multiplier_columns(
-            n, conditions, weight, top, pool, max_deriv
+            n, conditions, weight, top, pool, bound
         )
         keys = [(j, m, b) for (j, m), (_, _, basis) in zip(labels, blocks) for b in basis]
         assert keys == ref_keys
@@ -427,14 +449,14 @@ def checked_builder(monkeypatch):
         expanded = _expand(n, blocks)
         flagged = _flagged(blocks, built)
         if flagged:
-            assert flagged <= _dependent(_reference_factor(n, expanded))
+            assert flagged <= _dependent(_reference_factor(n, expanded)[0])
         kept = [c for c in range(len(expanded)) if c not in flagged]
         rows, rhs = _reference_rows(n, expanded)
         rows = [{new: r[c] for new, c in enumerate(kept) if c in r} for r in rows]
         _assert_same_system(_as_rows(built, streamed[-1]), (rows, rhs))
         order = sorted({m for p in expanded for m in p.terms}, key=monomial_sort_key(n),
                        reverse=True)
-        keys = [built.top - i for i in _ranks(streamed[-1])]
+        keys = [-i for i in _ranks(streamed[-1])]
         assert keys == [built.packing.key(m) for m in order]
         monomials[id(built)] = order
         seen.append({g.family for p in expanded for m in p.terms for g in m.generators()})
@@ -442,7 +464,7 @@ def checked_builder(monkeypatch):
 
     def rhs(system, target):
         got = real_rhs(system, target)
-        row_of = {m: system.top - system.packing.key(m) for m in monomials[id(system)]}
+        row_of = {m: -system.packing.key(m) for m in monomials[id(system)]}
         if all(m in row_of for m in target.terms):
             assert got == {row_of[m]: q for m, q in target.terms.items()}
         else:
@@ -581,14 +603,14 @@ def test_packed_key_order_is_the_graded_order(n):
 def _reference_factor(n, columns):
     """The factor of polynomial columns, each expanded as ``Fraction``s
     over the rows of ``_reference_rows`` and scaled on its own by
-    ``_scale_to_int``."""
+    ``_scale_to_int``, and the number of those rows."""
     order = sorted({m for col in columns for m in col.terms}, key=monomial_sort_key(n),
                    reverse=True)
     row = {m: i for i, m in enumerate(order)}
     scaled = [_scale_to_int({row[m]: Fraction(q) for m, q in col.terms.items()})
               for col in columns]
     return factor([(min(v) if v else None, lambda v=v: dict(v), Fraction(den, content))
-                   for v, den, content in scaled], len(order))
+                   for v, den, content in scaled]), len(order)
 
 
 def _dependent(f):
@@ -618,15 +640,16 @@ def _column_logs(f, rank=None):
             for updates, lead, g, sigma in f._log]
 
 
-def _assert_same_factor(got, want, flagged=frozenset()):
-    """The same rows and echelon, and the log and end of each column of
-    ``want`` but the flagged ones, which ``got`` left out and ``want``
-    reduces to zero.  ``got`` indexes its rows top - key and ``want``
-    densely, so ``got``'s indices are ranked: the echelon holds every index
-    a column holds."""
+def _assert_same_factor(got, reference, flagged=frozenset()):
+    """The same rows and echelon as the reference (factor, row count), and
+    the log and end of each column of its factor ``want`` but the flagged
+    ones, which ``got`` left out and ``want`` reduces to zero.  ``got``
+    labels its rows -key and ``want`` numbers them densely, so ``got``'s
+    labels are ranked: the echelon holds every row a column holds."""
+    want, nrows = reference
     assert flagged <= _dependent(want)
     rank = _ranks(got)
-    assert (len(rank), got.ncols) == (want.nrows, want.ncols - len(flagged))
+    assert (len(rank), got.ncols) == (nrows, want.ncols - len(flagged))
     assert [{rank[i]: v for i, v in vec.items()} for vec in got] == list(want)
     logs = _column_logs(want)
     assert _column_logs(got, rank) == [logs[c] for c in range(want.ncols) if c not in flagged]
@@ -1037,8 +1060,8 @@ def test_one_factor_serves_member_and_non_member_targets(monkeypatch):
         _clear_memos()
         cold.append(_as_dict(ideal_membership(target, cs)))
     factored = []
-    monkeypatch.setattr(reduction, "factor", lambda columns, nrows: factored.append(nrows)
-                        or factor(columns, nrows))
+    monkeypatch.setattr(reduction, "factor",
+                        lambda columns: factored.append(1) or factor(columns))
     _clear_memos()
     warm = [_as_dict(ideal_membership(target, cs)) for target in targets]
     assert len(factored) == 1
@@ -1047,9 +1070,11 @@ def test_one_factor_serves_member_and_non_member_targets(monkeypatch):
 
 
 def test_a_target_monomial_outside_the_rows_is_refused_without_a_replay(monkeypatch):
-    """The probe plus one monomial that no column holds: an exponent above
-    every row's, a generator no row holds, or a monomial that packs but is
-    no row."""
+    """The probe plus one monomial that no column holds.  An exponent above
+    every row's, or a generator no row holds, is refused while packing,
+    with no solve.  A monomial that packs but is no row reaches the solve,
+    whose forward reduction comes to a row no pivot leads: None, with no
+    adjoint replay either."""
     from nfoldsusy import linalg
     from nfoldsusy.diffring import c
 
@@ -1058,21 +1083,24 @@ def test_a_target_monomial_outside_the_rows_is_refused_without_a_replay(monkeypa
     probe = _probe(n, cs)
     system = _system_of(probe, cs)
     assert system.rhs(probe) is not None
+    rows = set().union(*system.factor)  # every row a column holds
     packs = next(
         m for m in monomial_basis(n, probe.weight(), _default_pool(probe, cs))
-        if system.packing.fits(m) and system.rhs(DiffPoly.monomial(n, m)) is None
+        if system.packing.fits(m) and -system.packing.key(m) not in rows
     )
     outside = [DiffPoly.generator(n, w(n - 1)) ** (system.packing.base + 1),
                DiffPoly.generator(n, c(5)), DiffPoly.monomial(n, packs)]
-    replays = []
-    real_solve = linalg.Factor.solve
+    solves, replays = [], []
+    real_solve, real_replay = linalg.Factor.solve, linalg.Factor._replay
     monkeypatch.setattr(linalg.Factor, "solve",
-                        lambda self, rhs: replays.append(rhs) or real_solve(self, rhs))
+                        lambda self, rhs: solves.append(rhs) or real_solve(self, rhs))
+    monkeypatch.setattr(linalg.Factor, "_replay",
+                        lambda self, z, stop: replays.append(z) or real_replay(self, z, stop))
     for extra in outside:
         assert extra.weight() == probe.weight()
         assert ideal_membership(probe + extra, cs) is None
-    assert replays == []
-    assert ideal_membership(probe, cs) is not None and len(replays) == 1
+    assert [-system.packing.key(packs) in rhs for rhs in solves] == [True] and replays == []
+    assert ideal_membership(probe, cs) is not None and (len(solves), len(replays)) == (2, 1)
 
 
 def test_packing_refuses_an_exponent_that_would_carry():
@@ -1228,10 +1256,10 @@ def test_a_cold_probe_decision_builds_only_the_columns_it_reaches(monkeypatch, n
             return build()
         return run
 
-    def spy(columns, nrows):
+    def spy(columns):
         columns = [(lead, counted(build), sigma) for lead, build, sigma in columns]
         handed.append(len(columns))
-        return factor(columns, nrows)
+        return factor(columns)
 
     cs = pipeline(n, "eliminated")
     monkeypatch.setattr(reduction, "factor", spy)
