@@ -514,7 +514,7 @@ class DiffPoly:
         return self.terms[self.leading_monomial()]
 
     def base_generators(self) -> set[Generator]:
-        return {g.base() for m in self.terms for g in m.generators()}
+        return {g.base() for g in {g for m in self.terms for g, _ in m.exps}}
 
     def max_deriv(self) -> int:
         return max((m.max_deriv() for m in self.terms), default=0)

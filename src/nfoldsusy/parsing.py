@@ -12,6 +12,10 @@ Generators: ``w<k>`` and ``u<k>`` for k < N, ``V+``, ``V-``, ``C<k>``,
 ``alpha<k>``, ``beta<k>``, ``gamma<k>`` for k < 100; a derivative is
 written with trailing apostrophes (``w1''``) or via ``D^m(...)`` applied
 to any subexpression.
+A term folds its numbers and generators into one coefficient and exponent
+map; ring arithmetic starts at its first parenthesised or ``D(...)`` factor.
+Generator tokens go through one bounded memo, ``_known_generator``, which
+``formatting.poly_from_dict`` shares.
 Parentheses and ``D(...)`` nest at most ``MAX_NESTING`` deep, a power or a
 product is refused when its result could exceed ``MAX_TERMS`` terms, and
 a number, and each numerator, denominator and exponent of a result, has
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from typing import Iterable
 
@@ -33,7 +38,9 @@ from .diffring import (
     Family,
     Generator,
     Monomial,
+    Scalar,
     _accumulate,
+    _as_coefficient,
     is_index,
     param_by_name,
 )
@@ -75,30 +82,24 @@ _TOKEN_RE = re.compile(
   | (?P<name>(?:w|u|C|alpha|beta|gamma)\d+'*)
   | (?P<int>\d+)
   | (?P<op>[-+*/^()])
+  | (?P<bad>.)
     """,
-    re.VERBOSE | re.ASCII,
+    re.VERBOSE | re.ASCII | re.DOTALL,
 )
 _LONG_DIGITS = re.compile(r"\d{%d}" % (MAX_DIGITS + 1), re.ASCII)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if m.end() - pos > MAX_DIGITS and _LONG_DIGITS.search(m.group()):
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, tok, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        if len(tok) > MAX_DIGITS and _LONG_DIGITS.search(tok):
             raise ParseError(f"a number longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    return [t for t in tokens if t[0] != "ws"] + [("end", "", len(text))]
 
 
-def _generator_from_token(tok: str, pos: int, cap: int, n: int) -> Generator:
+def _lookup_generator(tok: str, pos: int, cap: int, n: int) -> Generator:
     """The generator a token names in ambient N = ``n``.  ``w<k>`` and
     ``u<k>`` exist for k < n only: w_k has weight n - k, so a larger k
     would give a generator of nonpositive weight.  ``C<k>`` has weight
@@ -129,9 +130,18 @@ def _generator_from_token(tok: str, pos: int, cap: int, n: int) -> Generator:
         raise ParseError(str(exc), pos, ("generator",)) from None
 
 
-def _check_digits(
-    coeffs: Iterable[int | Fraction], pos: int, monomials: Iterable[Monomial] = ()
-) -> None:
+_known_generator = lru_cache(maxsize=2048)(lambda tok, n, cap: _lookup_generator(tok, 0, cap, n))
+
+
+def _generator_from_token(tok: str, pos: int, cap: int, n: int) -> Generator:
+    """``_lookup_generator`` memoized on (token, N, cap); a refusal is not kept."""
+    try:
+        return _known_generator(tok, n, cap)
+    except ParseError:
+        return _lookup_generator(tok, pos, cap, n)
+
+
+def _check_digits(coeffs: Iterable[Scalar], pos: int, monomials: Iterable[Monomial] = ()) -> None:
     """Refuse a numerator or denominator, or an exponent in ``monomials``,
     of more than ``MAX_DIGITS`` digits."""
     for q in coeffs:
@@ -151,16 +161,8 @@ class _Parser:
         self.depth = 0
         self.cap = max_deriv_order()
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def expect_op(self, op: str) -> None:
-        kind, val, pos = self.peek()
+        kind, val, pos = self.tokens[self.i]
         if kind == "op" and val == op:
             self.i += 1
             return
@@ -169,7 +171,7 @@ class _Parser:
     def parse(self) -> DiffPoly:
         poly = self.expr()
         _check_digits(poly.terms.values(), 0, poly.terms)
-        kind, val, pos = self.peek()
+        kind, val, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos, ("end of input",))
         return poly
@@ -177,7 +179,7 @@ class _Parser:
     def expr(self) -> DiffPoly:
         out = dict(self.term().terms)
         while True:
-            kind, val, pos = self.peek()
+            kind, val, pos = self.tokens[self.i]
             if kind == "op" and val in "+-":
                 self.i += 1
                 rhs = self.term()
@@ -187,44 +189,64 @@ class _Parser:
                 return DiffPoly._tidy(self.n, out)
 
     def term(self) -> DiffPoly:
-        poly = self.factor()
+        """Numbers and generators fold into ``coef`` and ``exps`` until a
+        polynomial factor; from there each factor multiplies the polynomial."""
+        coef, exps, poly, pos = 1, {}, None, None
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.i += 1
-                rhs = self.factor()
-                if len(poly.terms) * len(rhs.terms) > MAX_TERMS:
-                    raise ParseError(
-                        f"product of a {len(poly.terms)}-term and a {len(rhs.terms)}-term "
-                        f"expression could exceed the budget of MAX_TERMS = {MAX_TERMS} terms",
-                        pos,
-                    )
-                poly = poly * rhs
-                _check_digits(poly.terms.values(), pos, poly.terms)
+            f = self.factor()
+            if poly is None and type(f) is tuple:
+                c, gen, e = f
+                coef *= c
+                if gen is not None:
+                    e = exps[gen] = exps.get(gen, 0) + e
+                if pos is not None and coef:  # the other exponents passed at their own factors
+                    _check_digits((coef,), pos, (Monomial.of(gen, e),) if e >= _TOO_LONG else ())
             else:
-                return poly
+                rhs = f if type(f) is DiffPoly else self.single(f[0], {f[1]: f[2]} if f[1] else {})
+                if pos is not None:
+                    poly = self.single(coef, exps) if poly is None else poly
+                    if len(poly.terms) * len(rhs.terms) > MAX_TERMS:
+                        raise ParseError(
+                            f"product of a {len(poly.terms)}-term and a {len(rhs.terms)}-term "
+                            f"expression could exceed the budget of MAX_TERMS = {MAX_TERMS} terms",
+                            pos,
+                        )
+                    rhs = poly * rhs
+                    _check_digits(rhs.terms.values(), pos, rhs.terms)
+                poly = rhs
+            kind, val, pos = self.tokens[self.i]
+            if kind != "op" or val != "*":
+                return self.single(coef, exps) if poly is None else poly
+            self.i += 1
 
-    def factor(self) -> DiffPoly:
+    def single(self, coef: Scalar, exps: dict[Generator, int]) -> DiffPoly:
+        """The one term ``coef * prod(g^e for g, e in exps)``, or zero."""
+        return DiffPoly._tidy(self.n, {Monomial(exps.items()): coef} if coef else {})
+
+    def factor(self) -> DiffPoly | tuple[Scalar, Generator | None, int]:
+        """A polynomial, or (coefficient, generator or None, exponent) for a number or generator."""
         sign = 1
         while True:
-            kind, val, _ = self.peek()
+            kind, val, _ = self.tokens[self.i]
             if kind == "op" and val in "+-":
                 self.i += 1
                 if val == "-":
                     sign = -sign
             else:
                 break
-        poly = self.atom()
-        kind, val, pos = self.peek()
+        f = self.atom()
+        kind, val, pos = self.tokens[self.i]
         if kind == "op" and val == "^":
-            self.i += 1
-            kind, val, pos = self.next()
+            kind, val, pos = self.tokens[self.i + 1]
+            self.i += 2
             if kind != "int":
                 raise ParseError("power must be a positive integer", pos, ("integer",))
             exp = int(val)
             if exp < 1:
                 raise ParseError("power must be a positive integer", pos)
-            t = len(poly.terms)
+            ring = type(f) is DiffPoly
+            coeffs = f.terms.values() if ring else (f[0],)
+            t = len(coeffs)
             # For t >= 2 the bound is at least e + 1, so a larger e is out
             # before the binomial is computed.
             if t > 1 and (exp >= MAX_TERMS or comb(t + exp - 1, exp) > MAX_TERMS):
@@ -234,36 +256,35 @@ class _Parser:
                     pos,
                 )
             # numerators <= s^exp, denominators <= d^exp (equal for one term), s/d = sum |q|
-            d = lcm(*(q.denominator for q in poly.terms.values()))
-            s = sum(abs(q.numerator) * (d // q.denominator) for q in poly.terms.values())
+            d = lcm(*(q.denominator for q in coeffs))
+            s = sum(abs(q.numerator) * (d // q.denominator) for q in coeffs)
             if exp * (max(s, d).bit_length() - 1) >= _TOO_LONG.bit_length():
                 raise ParseError(f"power {exp} could exceed MAX_DIGITS = {MAX_DIGITS} digits", pos)
-            poly = poly**exp
-            _check_digits((), pos, poly.terms)
-        return poly * sign if sign < 0 else poly
+            # A generator's exponent is one token, of at most MAX_DIGITS digits.
+            f = f**exp if ring else (f[0] ** exp, f[1], exp)
+            _check_digits((), pos, f.terms if ring else ())
+        return f if sign > 0 else -f if type(f) is DiffPoly else (-f[0], *f[1:])
 
-    def atom(self) -> DiffPoly:
-        kind, val, pos = self.next()
+    def atom(self) -> DiffPoly | tuple[Scalar, Generator | None, int]:
+        kind, val, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "int":
             num = int(val)
-            kind2, val2, _ = self.peek()
+            kind2, val2, _ = self.tokens[self.i]
             if kind2 == "op" and val2 == "/":
-                self.i += 1
-                kind3, val3, pos3 = self.next()
+                kind3, val3, pos3 = self.tokens[self.i + 1]
+                self.i += 2
                 if kind3 != "int":
                     raise ParseError("denominator must be an integer", pos3, ("integer",))
                 den = int(val3)
                 if den == 0:
                     raise ParseError("zero denominator", pos3)
-                return DiffPoly.constant(self.n, Fraction(num, den))
-            return DiffPoly.constant(self.n, num)
+                return _as_coefficient(Fraction(num, den)), None, 1
+            return num, None, 1
         if kind in ("name", "vgen"):
-            return DiffPoly.generator(self.n, _generator_from_token(val, pos, self.cap, self.n))
+            return 1, _generator_from_token(val, pos, self.cap, self.n), 1
         if kind == "dfunc":
-            times = 1
-            if "^" in val:
-                times = int(val[2:-1])
-            return self.nested(pos).derive(times)
+            return self.nested(pos).derive(int(val[2:-1]) if "^" in val else 1)
         if kind == "op" and val == "(":
             return self.nested(pos)
         raise ParseError(

@@ -31,6 +31,7 @@ from .diffring import (
     Generator,
     Monomial,
     Substitution,
+    _accumulate,
     alpha,
     beta,
     c,
@@ -324,15 +325,21 @@ def apply_combo(
     combo: Mapping[int, Mapping[int, Fraction | DiffPoly]],
     cs: ConditionSet | Sequence[tuple[int, DiffPoly]],
 ) -> DiffPoly:
-    """Expand sum_j sum_p coeff * d^p(condition_j)."""
+    """Expand sum_j sum_p coeff * d^p(condition_j) into one sum, deriving each
+    condition along one tower d^0, d^1, ... that stops once it vanishes."""
     conds = dict(cs.items() if isinstance(cs, ConditionSet) else cs)
     if not conds:
         raise ValueError("apply_combo needs at least one condition")
-    acc = DiffPoly.zero(next(iter(conds.values())).n)
+    out: dict[Monomial, Fraction | int] = {}
     for j, powers in combo.items():
+        tower = [conds[j]]
         for power, coeff in powers.items():
-            acc = acc + coeff * conds[j].derive(power)
-    return acc
+            if power < 0:
+                raise ValueError("cannot integrate by deriving a negative number of times")
+            while len(tower) <= power and tower[-1]:
+                tower.append(tower[-1].derive())
+            _accumulate(out, (coeff * tower[min(power, len(tower) - 1)]).terms.items())
+    return DiffPoly._tidy(next(iter(conds.values())).n, out)
 
 
 def transformed_conditions(n: int, preset: str = "generic") -> ConditionSet:

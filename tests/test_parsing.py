@@ -1,11 +1,17 @@
+import hashlib
 import json
+import re
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nfoldsusy import ParseError, format_poly, parse, poly_from_json, poly_to_json
+from nfoldsusy import (DiffPoly, ParseError, format_poly, goldens, parse, parsing, poly_from_json,
+                       poly_to_json)
+from nfoldsusy.diffring import _accumulate
 from nfoldsusy.formatting import format_monomial, poly_from_dict, poly_to_dict
-from nfoldsusy.parsing import MAX_DIGITS
+from nfoldsusy.parsing import _TOO_LONG, MAX_DIGITS, MAX_NESTING, MAX_TERMS, DerivCapError
 
 
 def test_zero():
@@ -349,3 +355,295 @@ def test_coefficients_up_to_max_digits_are_read():
         with pytest.raises(ParseError, match=f"MAX_DIGITS = {MAX_DIGITS}") as err:
             parse(text, 2)
         assert err.value.position == position
+
+
+# -- the term reader against the factor-by-factor ring product -------------------
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<vgen>V[+-]'*)
+  | (?P<dfunc>D(?:\^\d+)?\()
+  | (?P<name>(?:w|u|C|alpha|beta|gamma)\d+'*)
+  | (?P<int>\d+)
+  | (?P<op>[-+*/^()])
+    """,
+    re.VERBOSE | re.ASCII,
+)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if m.end() - pos > MAX_DIGITS and parsing._LONG_DIGITS.search(m.group()):
+            raise ParseError(f"a number longer than MAX_DIGITS = {MAX_DIGITS} digits", pos)
+        if kind != "ws":
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """The parser that made every factor a one-term polynomial and built
+    each term by ``DiffPoly.__mul__``, factor by factor, before terms read
+    their monomial factors into one coefficient and exponent map."""
+
+    def __init__(self, text, n):
+        from nfoldsusy.config import max_deriv_order
+
+        self.n = n
+        self.tokens = _reference_tokenize(text)
+        self.i = 0
+        self.depth = 0
+        self.cap = max_deriv_order()
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val, pos = self.peek()
+        if kind == "op" and val == op:
+            self.i += 1
+            return
+        raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", pos, (op,))
+
+    def parse(self):
+        poly = self.expr()
+        parsing._check_digits(poly.terms.values(), 0, poly.terms)
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {val!r}", pos, ("end of input",))
+        return poly
+
+    def expr(self):
+        out = dict(self.term().terms)
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val in "+-":
+                self.i += 1
+                rhs = self.term()
+                _accumulate(out, (rhs if val == "+" else -rhs).terms.items())
+                parsing._check_digits((out.get(m, 0) for m in rhs.terms), pos)
+            else:
+                return DiffPoly._tidy(self.n, out)
+
+    def term(self):
+        poly = self.factor()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.i += 1
+                rhs = self.factor()
+                if len(poly.terms) * len(rhs.terms) > MAX_TERMS:
+                    raise ParseError(
+                        f"product of a {len(poly.terms)}-term and a {len(rhs.terms)}-term "
+                        f"expression could exceed the budget of MAX_TERMS = {MAX_TERMS} terms",
+                        pos,
+                    )
+                poly = poly * rhs
+                parsing._check_digits(poly.terms.values(), pos, poly.terms)
+            else:
+                return poly
+
+    def factor(self):
+        sign = 1
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.i += 1
+                if val == "-":
+                    sign = -sign
+            else:
+                break
+        poly = self.atom()
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "^":
+            self.i += 1
+            kind, val, pos = self.next()
+            if kind != "int":
+                raise ParseError("power must be a positive integer", pos, ("integer",))
+            exp = int(val)
+            if exp < 1:
+                raise ParseError("power must be a positive integer", pos)
+            t = len(poly.terms)
+            if t > 1 and (exp >= MAX_TERMS or comb(t + exp - 1, exp) > MAX_TERMS):
+                raise ParseError(
+                    f"power {exp} of a {t}-term expression could exceed the "
+                    f"budget of MAX_TERMS = {MAX_TERMS} terms",
+                    pos,
+                )
+            d = lcm(*(q.denominator for q in poly.terms.values()))
+            s = sum(abs(q.numerator) * (d // q.denominator) for q in poly.terms.values())
+            if exp * (max(s, d).bit_length() - 1) >= _TOO_LONG.bit_length():
+                raise ParseError(f"power {exp} could exceed MAX_DIGITS = {MAX_DIGITS} digits", pos)
+            poly = poly**exp
+            parsing._check_digits((), pos, poly.terms)
+        return poly * sign if sign < 0 else poly
+
+    def atom(self):
+        kind, val, pos = self.next()
+        if kind == "int":
+            num = int(val)
+            kind2, val2, _ = self.peek()
+            if kind2 == "op" and val2 == "/":
+                self.i += 1
+                kind3, val3, pos3 = self.next()
+                if kind3 != "int":
+                    raise ParseError("denominator must be an integer", pos3, ("integer",))
+                den = int(val3)
+                if den == 0:
+                    raise ParseError("zero denominator", pos3)
+                return DiffPoly.constant(self.n, Fraction(num, den))
+            return DiffPoly.constant(self.n, num)
+        if kind in ("name", "vgen"):
+            gen = parsing._lookup_generator(val, pos, self.cap, self.n)
+            return DiffPoly.generator(self.n, gen)
+        if kind == "dfunc":
+            times = 1
+            if "^" in val:
+                times = int(val[2:-1])
+            return self.nested(pos).derive(times)
+        if kind == "op" and val == "(":
+            return self.nested(pos)
+        raise ParseError(
+            f"unexpected {val or 'end of input'!r}",
+            pos,
+            ("number", "generator", "("),
+        )
+
+    def nested(self, pos):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested more than {MAX_NESTING} deep", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
+
+
+def _outcome(read, text, n):
+    """The terms in order with their coefficient types, or the refusal's
+    type, message and position."""
+    try:
+        poly = read(text, n)
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return [(m, q, type(q)) for m, q in poly.terms.items()]
+
+
+def _assert_reads_as_reference(text, n=2):
+    got = _outcome(parse, text, n)
+    assert got == _outcome(lambda t, m: _ReferenceParser(t, m).parse(), text, n), text
+    return got
+
+
+# Refused atoms are rare, so that most strings with a dozen atoms are read.
+_ATOMS = st.sampled_from(
+    ["w0", "w1", "u0", "u1", "w1'", "w1''", "u0'", "V+", "V-'", "C0", "C1", "alpha0",
+     "beta1", "0", "1", "2", "3", "12", "1/2", "2/4", "4/2", "0/3", "-1/3", "10/6", "1/1"] * 8
+    + ["w2", "C1'", "alpha0'", "3/0", "%"]
+)
+
+
+def _wrap(inner):
+    return st.one_of(
+        st.tuples(st.sampled_from(["(", "D(", "D^2(", "-(", "D^0("]), inner).map(
+            lambda p: f"{p[0]}{p[1]})"),
+        st.lists(inner, min_size=2, max_size=4).map("*".join),
+        st.tuples(inner, st.sampled_from([" + ", " - ", "-", "+-"]), inner).map("".join),
+        st.tuples(inner, st.integers(0, 4)).map(lambda p: f"{p[0]}^{p[1]}"),
+        st.tuples(st.sampled_from(["-", "--", "+", "-+"]), inner).map("".join),
+    )
+
+
+_GRAMMAR = st.recursive(_ATOMS, _wrap, max_leaves=12)
+# Monomial factors before and after multi-term ones, the shape the term reader folds.
+_SUM = st.lists(_ATOMS, min_size=2, max_size=3).map(lambda xs: "(" + " - ".join(xs) + ")")
+_MIXED = st.lists(st.one_of(_ATOMS, _SUM, _SUM.map(lambda s: s + "^2")), min_size=2,
+                  max_size=6).map("*".join)
+
+
+@given(st.one_of(_GRAMMAR, _MIXED))
+@settings(max_examples=400, deadline=None)
+@example("1/2*(w0+u0)*2")
+@example("1/2*2*(w0+u0)")
+@example("(w0+u0)*(1/2*w1*2)")
+@example("1/2*2")
+@example("(w0+u0)*1/2*2")
+@example("(1/2*w1*2)*w0")
+@example("(w1 - w1)*w0^3*3")
+@example("-2/3*w1*(w0 - w1)^2*-w1*D(w1*w0)*3/2*w1'")
+def test_terms_read_as_the_factor_by_factor_ring_product(text):
+    """Terms, their order and coefficient types, and every refusal's type,
+    message and position, are those of the reference parser."""
+    _assert_reads_as_reference(text)
+
+
+_WIDE = "(" + " + ".join(f"w1^{k}" for k in range(1, MAX_TERMS + 2)) + ")"
+
+
+def test_a_product_with_a_term_past_the_budget_is_refused_unless_zero():
+    for text in ("w1*" + _WIDE, _WIDE + "*w1", "-3*w0*" + _WIDE, _WIDE + "*2/3"):
+        got = _assert_reads_as_reference(text)
+        assert got[0] is ParseError and f"MAX_TERMS = {MAX_TERMS}" in got[1], text
+    for text in ("0*" + _WIDE, _WIDE + "*0", "w1*0*" + _WIDE, _WIDE + "*0/5*w1"):
+        assert _assert_reads_as_reference(text) == [], text
+    assert len(_assert_reads_as_reference(_WIDE)) == MAX_TERMS + 1
+
+
+def test_digit_limits_inside_monomial_products_are_those_of_the_ring_product():
+    nines = "9^4000*9^4000"
+    half, below = "5" + "0" * (MAX_DIGITS - 1), "4" + "9" * (MAX_DIGITS - 1)
+    for text, message, position in (
+        (nines, "coefficient", nines.index("*")),
+        (f"w0*w1^{half}*w1^{half}", "exponent", len(f"w0*w1^{half}")),
+        (f"(w0 + u0)*w1^{half}*w1^{half}", "exponent", len(f"(w0 + u0)*w1^{half}")),
+        (f"(w1 + u0)*w1^{half}*u1*w1^{half}", "exponent", len(f"(w1 + u0)*w1^{half}*u1")),
+        ("(w0 + u0)*" + nines, "coefficient", len("(w0 + u0)*9^4000")),
+    ):
+        got = _assert_reads_as_reference(text)
+        assert got[0] is ParseError and f"{message} longer than MAX_DIGITS" in got[1], text
+        assert got[2] == position, text
+    for text in (f"w1^{below}*w1^{below}", f"(w0 + u0)*w1^{below}*w1^{below}",
+                 "0*" + nines, "9^4000*0*9^4000", f"(w1 - w1)*w1^{half}*w1^{half}"):
+        assert isinstance(_assert_reads_as_reference(text), list), text
+
+
+def test_a_lower_cap_still_refuses_primes_read_under_a_higher_one(monkeypatch):
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "4")
+    assert parse("w1''''", 2) == DiffPoly.generator(2, parsing._lookup_generator("w1''''", 0, 4, 2))
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "2")
+    for text, position in (("w1''''", 0), ("w0 + w1''''", 5)):
+        with pytest.raises(DerivCapError) as err:
+            parse(text, 2)
+        assert err.value.position == position
+    for text, position in (("w5", 0), ("w1*w5", 3), ("w5", 0)):
+        with pytest.raises(ParseError) as err:
+            parse(text, 2)
+        assert err.value.position == position
+
+
+def test_the_generator_memo_is_bounded():
+    maxsize = parsing._known_generator.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+
+
+@pytest.mark.pin
+def test_the_corpus_parses_to_the_pinned_terms():
+    """Every corpus expression's terms, in order, with coefficient types."""
+    rows = [(text, e.n, list(parse(text, e.n).terms.items()))
+            for e in goldens.corpus().values() for text in e.expressions()]
+    assert len(rows) == 242
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "2679a15861bc6c60236cd386877e273e5411e4cdf2d9cd9fa933fdf9ab373963")

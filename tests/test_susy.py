@@ -152,6 +152,44 @@ def test_apply_combo_with_no_conditions_raises_value_error():
         IntegralConstant(2, 1, parse("w1", 2), {}).residual([])
 
 
+def test_apply_combo_sums_as_the_running_sum_of_derivatives(monkeypatch):
+    """On every combination ``verify --suite all`` expands, the tower gives
+    the terms, their order and coefficient types of the running sum
+    ``acc + coeff * d^p(condition)``; a power far past the point where a
+    condition vanishes builds no long tower."""
+    import io
+    from contextlib import redirect_stdout
+
+    from nfoldsusy import cli, reduction
+
+    def running_sum(combo, cs):
+        conds = dict(cs.items() if hasattr(cs, "items") else cs)
+        acc = DiffPoly.zero(next(iter(conds.values())).n)
+        for j, powers in combo.items():
+            for power, coeff in powers.items():
+                acc = acc + coeff * conds[j].derive(power)
+        return acc
+
+    seen = []
+
+    def recording(combo, cs):
+        got = apply_combo(combo, cs)
+        seen.append((got, running_sum(combo, cs)))
+        return got
+
+    monkeypatch.setattr(reduction, "apply_combo", recording)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--suite", "all"]) == 0
+    assert len(seen) > 50
+    for got, want in seen:
+        assert [(m, q, type(q)) for m, q in got.terms.items()] == \
+            [(m, q, type(q)) for m, q in want.terms.items()]
+    constant = parse("3*C1", 2)
+    assert apply_combo({0: {10**9: Fraction(1, 2), 0: 2}}, [(0, constant)]) == constant * 2
+    with pytest.raises(ValueError, match="negative"):
+        apply_combo({0: {-1: 1}}, [(0, constant)])
+
+
 def test_inverse_ansatz_round_trip():
     """At the generic preset the parameters stay symbolic, so the inverse
     holds for every parameter value."""
