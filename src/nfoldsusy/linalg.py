@@ -9,22 +9,19 @@ coefficients share one σ and a builder scales them once (``reduction``).
 ``_eliminate`` is fraction-free: it reduces each vector (``_reduce``), in
 input order, against the pivots found so far (a dict lead -> pivot, the
 lead being a pivot's lowest row) and installs a nonzero result, content
-divided out, as the pivot of its lead.  That is the echelon a heap of all
-the vectors keyed by (lead, input position) gives: the pivot of lead c is
-the first vector to come to lead with c, and every update divides only by
-a positive g0, so each vector stays a positive multiple of the heap's.  To
-clear the entry rv under the pivot entry pv, an update forms
-r·(pv/g0) − pivot·(rv/g0) with g0 = gcd(pv, rv), and finds the lead again
-from a lazy heap of the vector's rows, so it costs the pivot's length.
-Certificates are reproducible bit for bit.
+divided out, as the pivot of its lead: the pivot of lead c is the first
+vector to come to lead with c, and every update divides only by a
+positive g0.  To clear the entry rv under the pivot entry pv, an update
+forms r·(pv/g0) − pivot·(rv/g0) with g0 = gcd(pv, rv), and finds the lead
+again from a lazy heap of the vector's rows, so it costs the pivot's
+length.  Certificates are reproducible bit for bit.
 
 Eliminating by columns.  ``factor`` runs ``_eliminate`` over the columns
-a_0, a_1, ... of A, each a vector over the rows, and ``_eliminate``
-returns the pivots and the log of every operation.
-A column that reduces to zero lies in the span of the columns before it:
-a dependent column.  Every other column is installed, so the pivot
-columns are A's greedy pivot columns by definition, and the row order
-decides only the fill.  ``Factor.solve`` returns the one solution of
+a_0, a_1, ... of A, and ``_eliminate`` returns the pivots and the log of
+every operation.  A column that reduces to zero lies in the span of the
+columns before it: a dependent column.  Every other column is installed,
+so the pivot columns are A's greedy pivot columns by definition, and the
+row order decides only the fill.  ``Factor.solve`` returns the one solution of
 A x = b supported on them (the free variables at zero) and
 ``Factor.nullspace`` the one kernel vector per dependent column f with
 x_f = 1 and the other dependent columns at zero.  Both depend on A alone,
@@ -58,12 +55,9 @@ so any method that finds solutions of that shape finds the same Fractions.
 - *Nullspace.*  A dependent column's log writes a_f as
   Σ_k (s_{k+1}⋯s_K)·rv_k / (W·σ) · p_{ℓ_k}; the same replay turns minus
   that into x with A x = −a_f, and x + e_f is the basis vector of f.
-- *Storage.*  A record holds its column's updates as a list of int
-  triples, or the one empty tuple when there are none, and the σ object
-  the column came with, which the columns of a block share; the echelon is
-  the dict of pivots ``_eliminate`` installed, each a vector or an unread
-  builder.  The columns are iterated once, so a builder can stream them
-  from a generator (``reduction``).
+- *Storage.*  The columns are iterated once, so they can stream from a
+  generator (``reduction``), and a record keeps the σ object its column
+  came with, which the columns of a block share.
 """
 
 from __future__ import annotations

@@ -7,12 +7,11 @@ their targets by construction; a negative verdict is always relative to
 the bounds used and the reports say so.
 
 Packed monomial keys.  ``_System`` builds every system, the
-antiderivative's, the integral search's and each membership's, without
-multiplying polynomials or sorting ``Monomial`` objects.  Its columns come
-in blocks ``(c, p, shifts)``, one column ``c * s * p`` per shift monomial
-``s``: in a multiplier system c * p is a shifted condition D^m(I_j) and
-the shifts are the monomial basis of the complementary weight, built once
-per weight.  List the G generators the system holds in ascending order
+antiderivative's, the integral search's and each membership's.  Its
+columns come in blocks ``(c, p, shifts)``, one column ``c * s * p`` per
+shift monomial ``s``: in a multiplier system c * p is a shifted condition
+D^m(I_j) and the shifts are the monomial basis of the complementary
+weight.  List the G generators the system holds in ascending order
 g_0 < ... < g_{G-1}, and let B exceed every exponent a row can hold (the
 largest shift exponent plus the largest exponent of a block polynomial).
 Then
@@ -20,48 +19,40 @@ Then
     key(m) = wt(m) * B^G + sum_i e_i(m) * B^(G-1-i)
 
 is injective, and key(s * m) = key(s) + key(m): weights and exponents add,
-and no digit reaches B, so nothing carries.  Descending key order is
-descending ``monomial_sort_key`` order.  The lower digits sum to less than
-B^G, so keys compare by weight first, whatever its sign.  At equal weight
-they compare as exponent vectors, lexicographically from g_0 with the
-higher exponent winning, and that is how ``monomial_sort_key`` breaks ties
-(see the ``diffring`` module docstring).  So the row of m is labelled
--key(m), ascending labels in descending ``monomial_sort_key`` order: no
-row map, no sort.  Each block is packed once, as (key, primitive integer)
-and the σ its columns share; a generator streams each column into
-``linalg.factor`` unread, as its lead and a builder over its block and
-key(s).  A target packs the same way.
+and no digit reaches B, so nothing carries.  The lower digits sum to less
+than B^G, so keys compare by weight first, whatever its sign.  At equal
+weight they compare as exponent vectors, lexicographically from g_0 with
+the higher exponent winning, and that is how ``monomial_sort_key`` breaks
+ties (see the ``diffring`` module docstring).  So the row of m is labelled
+-key(m), ascending labels in descending ``monomial_sort_key`` order.  Each
+block is packed once, as (key, primitive integer) and the σ its columns
+share; a generator streams each column into ``linalg.factor`` unread, as
+its lead and a builder over its block and key(s).  A target packs the
+same way.
 
-Memoized columns.  The columns b * D^m(I_j) of a multiplier system do not
-depend on its target, which enters only as the right-hand side, so they
-are built once per process.  Each condition is I_j = c_j * P_j, c_j > 0
-and P_j in primitive integers, and ``_derived`` keeps the integer tower
-D^m(P_j), keyed on the condition's value, m and the derivative cap
-(``NFOLDSUSY_MAX_DERIV``): D^m from the kept D^(m-1), in ints, with a cap
-error raised, not stored.  The towers of one system share most
-monomials, so ``_derivative`` keeps the terms of each monomial's
-derivative, keyed on the monomial and the cap, since a factor at order 12
-derives under a raised cap and raises under the default; ``_derived``
-sums them in the order ``DiffPoly.derive`` does, so each tower keeps the
-ring's term order.  ``_basis`` keeps each monomial
-basis as a tuple, keyed on n, the weight, the sorted base generators and
-the basis bound (``NFOLDSUSY_DERIV_BOUND`` or the caller's), and
-``monomial_basis`` hands each caller a fresh list.  All three are
-``functools.lru_cache``s, bounded at 256 towers, 4096 monomial
-derivatives and 128 bases.  The ring interns each generator's next
-derivative, so kept polynomials share their generator objects.
+Towers and bases.  Each condition is I_j = c_j * P_j, c_j > 0 and P_j in
+primitive integers.  A build derives the integer tower D^0(P_j), D^1(P_j),
+... of each condition under the derivative cap (``NFOLDSUSY_MAX_DERIV``),
+each step summed in the order ``DiffPoly.derive`` sums, so each tower has
+the ring's term order and raises the ring's cap error.  The towers of one
+build share one table of monomial derivatives, which goes with the build.
+``_basis`` keeps each monomial basis as a tuple, across builds, keyed on
+n, the weight, the sorted base generators and the basis bound
+(``NFOLDSUSY_DERIV_BOUND`` or the caller's), and ``monomial_basis`` hands
+each caller a fresh list.
 
-Memoized factors.  The matrix of a membership system does not depend on
-the target either, so its elimination is done once too.
-``_membership_system`` keeps, per n, conditions, weight, shift, generator
-pool, derivative cap and basis bound (an ``lru_cache`` of 32 systems),
-what every target of the system shares: per block its label (j, m) and
-its shifts, the packing, and the ``linalg.Factor`` of the matrix,
-eliminated by columns, so its pivot columns are the greedy ones and the
-solution the one with the free multipliers at zero.  A decision packs the
-target's monomials, refuses at once one with a generator not packed or
-an exponent at or above the base (its key could carry into another's),
-and solves against the factor, which refuses a row that no column holds.
+Memoized factors.  The columns of a membership system do not depend on
+its target, which enters only as the right-hand side, so the system is
+built and eliminated once.  ``_membership_system`` keeps, per n,
+conditions, weight, shift, generator pool, derivative cap and basis bound
+(an ``lru_cache`` of 32 systems), what every target of the system shares:
+per block its label (j, m) and its shifts, the packing, and the
+``linalg.Factor`` of the matrix, eliminated by columns, so its pivot
+columns are the greedy ones and the solution the one with the free
+multipliers at zero.  A decision packs the target's monomials, refuses at
+once one with a generator not packed or an exponent at or above the base
+(its key could carry into another's), and solves against the factor,
+which refuses a row that no column holds.
 
 The factor reduces no column the Koszul criterion proves dependent (F5,
 Faugère 2002, on a Macaulay matrix, Lazard 1983).  Let LM(f) be the term
@@ -77,14 +68,12 @@ and streams only the unflagged columns into ``linalg.factor``, which
 give the same rows (a flagged column's monomials are earlier columns').
 A dependent column installs no pivot and is zero in every solution with
 the free variables at zero, so the rows, echelon, other logs and
-certificates are unchanged.  Only membership systems skip: with the
-criterion forced on, every search system the CLI builds flags no column,
-so there it would cost build time and skip nothing.
+certificates are unchanged.  Only membership systems skip.
 
 A certificate's re-expansion (``Decomposition.expansion``) derives the
-conditions itself, through ``apply_combo``, and never reads these memos,
-so every certificate returned is checked against the conditions, not
-against the memos.
+conditions itself, through ``apply_combo``, and never reads a build's
+towers or the memoized factor, so every certificate returned is checked
+against the conditions.
 """
 
 from __future__ import annotations
@@ -415,25 +404,24 @@ class _System:
         return None if rhs is None else solve(self.factor, rhs, self.factor.ncols)
 
 
-@lru_cache(maxsize=256)
-def _derived(cond: DiffPoly, m: int, cap: int) -> DiffPoly:
-    """D^m(P), cond = c * P with c > 0 and P primitive in ints, under the
-    configured derivative cap ``cap``, in ints from the memoized D^(m-1)(P),
-    summed as ``DiffPoly.derive`` sums, from the memoized monomial terms."""
-    if m:
+def _tower(
+    n: int, ints: dict[Monomial, int], top: int, cap: int,
+    derivs: dict[Monomial, tuple[tuple[Monomial, int], ...]],
+) -> list[DiffPoly]:
+    """D^0(P) .. D^top(P) of the polynomial P with the integer terms
+    ``ints``, under the derivative cap ``cap``, each step summed as
+    ``DiffPoly.derive`` sums; ``derivs`` holds the terms (monomial,
+    multiplier) of each monomial's derivative, filled as they are needed."""
+    tower = [DiffPoly._tidy(n, ints)] if top >= 0 else []
+    for _ in range(top):
+        last = tower[-1].terms
+        for mono in last:
+            if mono not in derivs:
+                derivs[mono] = tuple(_leibniz_terms({mono: 1}, cap))
         out: dict[Monomial, int] = {}
-        _accumulate(out, ((d, q * e) for mono, q in _derived(cond, m - 1, cap).terms.items()
-                          for d, e in _derivative(mono, cap)))
-        return DiffPoly._tidy(cond.n, out)
-    return DiffPoly._tidy(cond.n, _scale_to_int(cond.terms)[0])
-
-
-@lru_cache(maxsize=4096)
-def _derivative(mono: Monomial, cap: int) -> tuple[tuple[Monomial, int], ...]:
-    """The terms (monomial, multiplier) of D(mono) under the derivative cap
-    ``cap``, in ``DiffPoly.derive``'s order; a cap error is raised, not
-    stored."""
-    return tuple(_leibniz_terms({mono: 1}, cap))
+        _accumulate(out, ((d, q * e) for mono, q in last.items() for d, e in derivs[mono]))
+        tower.append(DiffPoly._tidy(n, out))
+    return tower
 
 
 def _multiplier_columns(
@@ -445,21 +433,23 @@ def _multiplier_columns(
     zero ones skipped, m from 0 to min(weight - wt(I_j), top(I_j)), D^m
     under the derivative cap ``cap``, b over the monomial basis of the
     complementary weight within the basis bound ``bound``, one list per
-    weight."""
+    weight.  The towers of one call share their monomials' derivatives."""
     bases: dict[int, list[Monomial]] = {}
+    derivs: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
     labels: list[tuple[int, int]] = []
     blocks: list[Block] = []
     for j, cond in conditions:
         if cond.is_zero():
             continue
-        _, den, content = _scale_to_int(cond.terms)
+        ints, den, content = _scale_to_int(cond.terms)
         cw, scale = cond.weight(), Fraction(content, den)
-        for m in range(min(weight - cw, top(cond)) + 1):
-            rest = weight - cw - m
+        rests = [weight - cw - m for m in range(min(weight - cw, top(cond)) + 1)]
+        for rest in rests:  # a basis error comes before the tower's cap error
             if rest not in bases:
                 bases[rest] = monomial_basis(n, rest, pool, bound)
+        for m, derived in enumerate(_tower(n, ints, len(rests) - 1, cap, derivs)):
             labels.append((j, m))
-            blocks.append((scale, _derived(cond, m, cap), bases[rest]))
+            blocks.append((scale, derived, bases[rests[m]]))
     return labels, blocks
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import max_deriv_order
 from .diffop import DiffOperator
@@ -519,6 +519,17 @@ def _split_parameters(poly: DiffPoly) -> dict[Monomial, DiffPoly]:
     return {geo: DiffPoly(poly.n, terms) for geo, terms in buckets.items()}
 
 
+def _target_equations(cs: ConditionSet, targets: TargetList) -> Iterator[DiffPoly]:
+    """Per target (k, monomial), the monomial's coefficient in condition k as
+    a polynomial in the parameters, zero where the monomial is absent; each
+    condition is split once."""
+    split: dict[int, dict[Monomial, DiffPoly]] = {}
+    for k, mono in targets:
+        if k not in split:
+            split[k] = _split_parameters(cs.condition(k))
+        yield split[k].get(mono, DiffPoly.zero(cs.n))
+
+
 def _param_unknowns(polys: Iterable[DiffPoly]) -> list[str]:
     """The parameters the polynomials hold, in ``Generator`` order, which
     is alpha < beta < gamma, then by index."""
@@ -557,12 +568,7 @@ def solve_parameters(
     parameters are reported as free, with the other assignments given as
     polynomials in them.
     """
-    cs = pipeline(n, "transformed")
-    equations: list[DiffPoly] = []
-    for k, mono in targets:
-        grouped = _split_parameters(cs.condition(k))
-        eq = grouped.get(mono, DiffPoly.zero(n))
-        equations.append(eq)
+    equations = list(_target_equations(pipeline(n, "transformed"), targets))
     for gen, value in parameter_substitution(n, fixed or {}).images.items():
         equations.append(DiffPoly.generator(n, gen) - value)
 
@@ -594,14 +600,7 @@ def is_parameter_solution(
     """Check a concrete assignment against a target set directly."""
     cs = pipeline(n, "transformed")
     sub = parameter_substitution(n, values)
-    for k, mono in targets:
-        grouped = _split_parameters(cs.condition(k))
-        eq = grouped.get(mono)
-        if eq is None:
-            continue
-        if sub.apply(eq):
-            return False
-    return True
+    return not any(sub.apply(eq) for eq in _target_equations(cs, targets))
 
 
 # -- the J0 integral -----------------------------------------------------------

@@ -823,8 +823,6 @@ def test_koszul_criterion_leaves_out_blocks_that_hold_a_parameter(monkeypatch):
 
 
 def _clear_memos():
-    reduction._derived.cache_clear()
-    reduction._derivative.cache_clear()
     reduction._basis.cache_clear()
     reduction._membership_system.cache_clear()
 
@@ -868,10 +866,10 @@ def test_warm_and_cold_memos_give_the_same_certificates(monkeypatch):
         cold.append(_as_dict(ideal_membership(target, cs)))
     for target, cs in cases:
         ideal_membership(target, cs)
-    memos = (reduction._derived, reduction._derivative, reduction._basis)
+    memos = (reduction._basis, reduction._membership_system)
     misses = [memo.cache_info().misses for memo in memos]
     warm = [_as_dict(ideal_membership(target, cs)) for target, cs in cases]
-    # every column of the second pass comes from the memos
+    # every system of the second pass comes from the memos
     assert [memo.cache_info().misses for memo in memos] == misses
     assert warm == cold
     assert [c is None for c in cold] == [False, False, True] * 2 + [False]
@@ -879,28 +877,31 @@ def test_warm_and_cold_memos_give_the_same_certificates(monkeypatch):
 
 @pytest.mark.pin
 def test_towers_equal_the_ring_derivation_term_for_term():
-    """D^m(P_j) from the memoized monomial derivatives is the tower that
-    ``DiffPoly.derive`` makes, coefficients, types and insertion order
-    alike, up to the derivative cap, where both raise the same error."""
+    """D^m(P_j), from monomial derivatives the towers of one N share, is
+    the tower that ``DiffPoly.derive`` makes, coefficients, types and
+    insertion order alike, up to the derivative cap, where both raise the
+    same error; a negative top gives no tower."""
     from nfoldsusy import DerivOrderError
 
     def terms(p):
         return [(m, q, type(q)) for m, q in p.terms.items()]
 
-    _clear_memos()
     for n in range(3, 9):
+        derivs = {}
         for _, cond in pipeline(n, "eliminated").items():
-            p = DiffPoly(n, _scale_to_int(cond.terms)[0])
-            for m in range(13):
-                assert terms(reduction._derived(cond, m, 12)) == terms(p)
-                if p.max_deriv() == 12:
-                    break
-                p = p.derive()
-            with pytest.raises(DerivOrderError) as ring:
-                p.derive()
-            with pytest.raises(DerivOrderError) as memo:
-                reduction._derived(cond, m + 1, 12)
-            assert str(memo.value) == str(ring.value)
+            ints = _scale_to_int(cond.terms)[0]
+            ring = [DiffPoly(n, ints)]
+            while ring[-1].max_deriv() < 12:
+                ring.append(ring[-1].derive())
+            m = len(ring) - 1
+            tower = reduction._tower(n, dict(ints), m, 12, derivs)
+            assert [terms(p) for p in tower] == [terms(p) for p in ring]
+            with pytest.raises(DerivOrderError) as ring_error:
+                ring[m].derive()
+            with pytest.raises(DerivOrderError) as tower_error:
+                reduction._tower(n, dict(ints), m + 1, 12, derivs)
+            assert str(tower_error.value) == str(ring_error.value)
+            assert reduction._tower(n, dict(ints), -1, 12, derivs) == []
 
 
 def test_a_second_decision_on_an_equal_condition_set_derives_no_column(monkeypatch):
@@ -914,22 +915,21 @@ def test_a_second_decision_on_an_equal_condition_set_derives_no_column(monkeypat
     target = _probe(n, cs)
     _clear_memos()
     first = ideal_membership(target, cs)
-    misses = reduction._derived.cache_info().misses
     steps = []
     real = diffring._leibniz_terms
-    monkeypatch.setattr(
-        diffring, "_leibniz_terms", lambda terms, cap: steps.append(1) or real(terms, cap)
-    )
+    for module in (diffring, reduction):  # the ring's derivation and the towers
+        monkeypatch.setattr(
+            module, "_leibniz_terms", lambda terms, cap: steps.append(1) or real(terms, cap)
+        )
     second = ideal_membership(target, equal)
     assert second.to_dict() == first.to_dict()
-    assert reduction._derived.cache_info().misses == misses
     # What is left is the re-expansion, one derivation step per order.
     assert len(steps) == sum(m for (_, m), _ in second.multipliers) > 0
 
 
 def test_memos_under_raised_caps_leave_default_verdicts_alone(monkeypatch):
-    """A basis or tower memoized under a raised cap is not reused under the
-    default: the verdict, and the cap error, stay those of a cold memo."""
+    """A basis or system memoized under a raised cap is not reused under
+    the default: the verdict, and the cap error, stay those of a cold memo."""
     from nfoldsusy import ConditionSet, DerivOrderError
 
     cs = pipeline(2, "eliminated")
@@ -952,19 +952,14 @@ def test_memos_under_raised_caps_leave_default_verdicts_alone(monkeypatch):
     monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "20")
     with pytest.raises(SearchExhausted):
         search_integral(top, 6, policy="first-order", max_deriv=5)
-    # The derivative table now holds D(w1^(12)) under cap 20, an entry the
-    # default cap never reads: there the derivation still stops at 12.
-    order12 = Monomial.of(w(1, 12))
-    hits = reduction._derivative.cache_info().hits
-    assert reduction._derivative(order12, 20) == ((Monomial.of(w(1, 13)), 1),)
-    assert reduction._derivative.cache_info().hits == hits + 1
+    # Under cap 20 the tower derives w1^(12); under the default it stops.
+    order12 = {Monomial.of(w(1, 12)): 1}
+    assert reduction._tower(2, dict(order12), 1, 20, {})[1].terms == {Monomial.of(w(1, 13)): 1}
     monkeypatch.delenv("NFOLDSUSY_MAX_DERIV")
     with pytest.raises(DerivOrderError):
         search_integral(top, 6, policy="first-order", max_deriv=5)
-    for derive in (lambda: reduction._derivative(order12, 12),
-                   lambda: reduction._derived(top.condition(0), 1, 12)):
-        with pytest.raises(DerivOrderError, match="order 13 exceeds"):
-            derive()
+    with pytest.raises(DerivOrderError, match="order 13 exceeds"):
+        reduction._tower(2, dict(order12), 1, 12, {})
 
     n = 6
     cs = pipeline(n, "eliminated")
@@ -980,26 +975,50 @@ def test_memos_under_raised_caps_leave_default_verdicts_alone(monkeypatch):
 
 
 def test_re_expansion_does_not_read_the_memo(monkeypatch):
-    """A wrong entry D^m(P_j) of the memoized integer tower makes a wrong
-    column; the certificate built on it fails the independent re-expansion
-    instead of coming back."""
+    """A wrong entry D^m(P_j) of an integer tower makes a wrong column; the
+    certificate built on it fails the independent re-expansion instead of
+    coming back."""
     n = 6
     cs = pipeline(n, "eliminated")
     target = _probe(n, cs)
     _clear_memos()
     honest = ideal_membership(target, cs)
     assert (0, 2) in dict(honest.multipliers)
-    real = reduction._derived
-    wrong = real(cs.condition(0), 2, 12) * 2
-    assert all(type(q) is int for q in wrong.terms.values())
+    real, p0, corrupted = reduction._tower, _scale_to_int(cs.condition(0).terms)[0], []
 
-    def corrupted(cond, m, cap):
-        return wrong if (cond, m) == (cs.condition(0), 2) else real(cond, m, cap)
+    def corrupting(n, ints, top, cap, derivs):
+        tower = real(n, ints, top, cap, derivs)
+        if ints == p0:
+            tower[2] = tower[2] * 2
+            assert all(type(q) is int for q in tower[2].terms.values())
+            corrupted.append(2)
+        return tower
 
-    monkeypatch.setattr(reduction, "_derived", corrupted)
+    monkeypatch.setattr(reduction, "_tower", corrupting)
     reduction._membership_system.cache_clear()  # so that the system is built anew
     with pytest.raises(reduction.ReductionError, match="does not re-expand"):
         ideal_membership(target, cs)
+    assert corrupted == [2]
+
+
+@pytest.mark.pin
+@pytest.mark.parametrize("n, nblocks, expansions", [(6, 35, 443), (7, 45, 637)])
+def test_each_build_derives_its_own_towers(monkeypatch, n, nblocks, expansions):
+    """A cold probe build expands each monomial of its towers once, through
+    ``_leibniz_terms``, for all its blocks; a second build of the same
+    system, its factor memo cleared, expands them all again: no tower state
+    outlives a build."""
+    cs = pipeline(n, "eliminated")
+    probe = _probe(n, cs)
+    real, expanded, counts = reduction._leibniz_terms, [], []
+    monkeypatch.setattr(reduction, "_leibniz_terms",
+                        lambda terms, cap: expanded.append(1) or real(terms, cap))
+    for _ in range(2):
+        reduction._membership_system.cache_clear()
+        expanded.clear()
+        labels, _ = _entry_of(probe, cs)
+        counts.append((len(labels), len(expanded)))
+    assert counts == [(nblocks, expansions)] * 2
 
 
 # -- mixed ambients -------------------------------------------------------------
