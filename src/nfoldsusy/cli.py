@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import goldens, reduction, suites, susy
 from .config import ConfigError, max_deriv_order, search_deriv_bound
@@ -188,6 +189,7 @@ def cmd_emit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Outpu
     return EXIT_OK, lines
 
 
+@cache  # built on the first main call; argparse keeps no per-call state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nfoldsusy",

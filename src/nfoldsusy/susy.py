@@ -471,18 +471,22 @@ TARGET_SETS: dict[int, dict[str, tuple[tuple[int, str], ...]]] = {
 
 
 def target_monomials(n: int, preset: str) -> TargetList:
+    if preset not in TARGET_SETS.get(n, ()):
+        raise UnknownParameterError(f"no target set {preset!r} for n={n}")
+    return list(_targets(n, preset, max_deriv_order()))
+
+
+@lru_cache(maxsize=None)
+def _targets(n: int, preset: str, cap: int) -> tuple[tuple[int, Monomial], ...]:
+    """One target set, parsed once per derivative cap; keying on the cap keeps
+    a lower cap raising ``DerivCapError`` as ``parse`` does."""
     from .parsing import parse
 
-    try:
-        raw = TARGET_SETS[n][preset]
-    except KeyError:
-        raise UnknownParameterError(f"no target set {preset!r} for n={n}") from None
     out = []
-    for k, expr in raw:
-        poly = parse(expr, n)
-        (mono,) = poly.terms
+    for k, expr in TARGET_SETS[n][preset]:
+        (mono,) = parse(expr, n).terms
         out.append((k, mono))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from nfoldsusy.cli import main
 
@@ -124,6 +127,41 @@ def test_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2 and out == "", argv
         assert argv[-1] in err and "Traceback" not in err, argv
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    run_cli("derive", "--n", "2", "--stage", "raw")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (("derive", "--n", "3", "--stage", "eliminated"), ("emit", "--id", "2fC1"),
+                 ("search", "--n", "2", "--k", "1", "--format", "json")):
+        code, _ = run_cli(*argv)
+        assert code == 0, argv
+    assert built == []
+
+
+@pytest.mark.pin
+def test_nothing_carries_over_between_main_calls(monkeypatch):
+    """A usage error, a bad environment cap and a bad option in between
+    leave the next command's output byte-identical to a fresh process's."""
+    argv = ("derive", "--n", "4", "--stage", "eliminated", "--format", "json")
+    code, first = run_cli(*argv)
+    assert code == 0
+    assert run_cli("derive", "--n", "9", "--stage", "raw")[0] == 2
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "abc")
+    assert run_cli(*argv)[0] == 2
+    monkeypatch.delenv("NFOLDSUSY_MAX_DERIV")
+    assert run_cli("search", "--n", "4", "--k", "2", "--deriv-bound", "-1")[0] == 2
+    assert run_cli(*argv) == (0, first)
+    fresh = subprocess.run([sys.executable, "-m", "nfoldsusy.cli", *argv],
+                           capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout) == (0, first)
 
 
 def test_console_script_entrypoint():

@@ -132,6 +132,26 @@ def test_parameter_names_the_ansatz_lacks_are_refused():
         parameter_substitution(5, {"alpha0": Fraction(1)})
 
 
+def test_target_sets_are_parsed_once_per_cap(monkeypatch):
+    """A target set is parsed on its first call under a cap; each call gets
+    its own list, a lower cap still raises, and an unknown set is refused."""
+    import nfoldsusy.parsing as parsing
+
+    first = target_monomials(3, "paper")
+    calls = []
+    real = parsing.parse
+    monkeypatch.setattr(parsing, "parse", lambda *a: calls.append(a) or real(*a))
+    second = target_monomials(3, "paper")
+    assert second == first and second is not first and calls == []
+    monkeypatch.setenv("NFOLDSUSY_MAX_DERIV", "2")
+    with pytest.raises(DerivOrderError, match="order 3 exceeds"):
+        target_monomials(3, "paper")
+    monkeypatch.delenv("NFOLDSUSY_MAX_DERIV")
+    assert target_monomials(3, "paper") == first
+    with pytest.raises(UnknownParameterError, match="footnote-alt"):
+        target_monomials(3, "footnote-alt")
+
+
 def test_every_preset_assigns_every_parameter():
     """Each preset of an N assigns exactly the parameters of its ansatz, so
     ``PRESETS`` is the one record of the parameter names."""
