@@ -1,20 +1,20 @@
 """Sparse exact linear solving over Q, by eliminating the columns of A.
 
 Vectors are dicts row -> coefficient, a row any int, rows in int order (a
-row no column holds is a zero row).  A column a comes unread, as (lead,
-build, σ): its lowest row, None when a is zero; a builder returning a new
-dict σ·a in primitive integers; and the ``Fraction`` σ = den / content,
-the ratio ``_scale_to_int`` gives, so columns that share their
-coefficients share one σ and a builder scales them once (``reduction``).
-``_eliminate`` is fraction-free: it reduces each vector (``_reduce``), in
-input order, against the pivots found so far (a dict lead -> pivot, the
-lead being a pivot's lowest row) and installs a nonzero result, content
-divided out, as the pivot of its lead: the pivot of lead c is the first
-vector to come to lead with c, and every update divides only by a
-positive g0.  To clear the entry rv under the pivot entry pv, an update
-forms r·(pv/g0) − pivot·(rv/g0) with g0 = gcd(pv, rv), and finds the lead
-again from a lazy heap of the vector's rows, so it costs the pivot's
-length.  Certificates are reproducible bit for bit.
+row no column holds is a zero row).  A column a is data, (lead, offsets,
+σ): its lowest row, None when a is zero; its primitive integers σ·a as
+(row − lead, int) pairs, lead entry first, none when a is zero; and the
+``Fraction`` σ = den / content that ``_scale_to_int`` gives.  Columns with
+the same entries at the same distances from their leads share one list and
+one σ (``reduction``).  ``_eliminate`` is fraction-free: it reduces each
+vector (``_reduce``), in input order, against the pivots found so far (a
+dict lead -> offsets, the lead being a pivot's lowest row) and installs a
+nonzero result, content divided out, as the pivot of its lead: the pivot
+of lead c is the first vector to come to lead with c, and every update
+divides only by a positive g0.  To clear the entry rv under the pivot
+entry pv, an update forms r·(pv/g0) − pivot·(rv/g0) with g0 = gcd(pv, rv),
+and finds the lead again from a lazy heap of the vector's rows, so it
+costs the pivot's length.  Certificates are reproducible bit for bit.
 
 Eliminating by columns.  ``factor`` runs ``_eliminate`` over the columns
 a_0, a_1, ... of A, and ``_eliminate`` returns the pivots and the log of
@@ -36,10 +36,8 @@ so any method that finds solutions of that shape finds the same Fractions.
       g·p_ℓ = W·σ·a_j − Σ_k (s_{k+1}⋯s_K)·rv_k·p_{ℓ_k},
 
   and a dependent column the same with 0 on the left.
-- *Install unread.*  A column whose lead no pivot holds would be installed
-  as it is, with no update and content 1; its builder stands in, unread.
-  A vector is built for a zero column or a taken lead, or when ``_reduce``
-  (in elimination or ``solve``) reaches an unread pivot, then kept.
+- *Install as handed.*  A column whose lead no pivot holds is installed as
+  the very offsets list it was handed, with no update and content 1.
 - *Forward reduction.*  ``Factor.solve`` takes b as {row: entry} and
   reduces it against the echelon with the same ``_reduce``, lowest row
   first, in integers over one denominator: when that row leads p_ℓ,
@@ -56,8 +54,9 @@ so any method that finds solutions of that shape finds the same Fractions.
   Σ_k (s_{k+1}⋯s_K)·rv_k / (W·σ) · p_{ℓ_k}; the same replay turns minus
   that into x with A x = −a_f, and x + e_f is the basis vector of f.
 - *Storage.*  The columns are iterated once, so they can stream from a
-  generator (``reduction``), and a record keeps the σ object its column
-  came with, which the columns of a block share.
+  generator (``reduction``).  A pivot installed as handed keeps the list
+  its block's columns share, and a record the σ object they share.
+  Nothing is written after ``_eliminate``: a factor is read-only.
 """
 
 from __future__ import annotations
@@ -65,10 +64,10 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
-Column = tuple[int | None, Callable[[], dict[int, int]], Fraction]  # (lead, build, σ)
+Column = tuple[int | None, list[tuple[int, int]], Fraction]  # (lead, offsets, σ)
 Update = tuple[int, int, int]  # (lead, scale, rv)
 
 
@@ -83,11 +82,11 @@ def _scale_to_int(row: Mapping[Any, Fraction | int]) -> tuple[dict[Any, int], in
     return out, den, g
 
 
-def _reduce(r: dict[int, int], pivots: dict[int, Any], updates: list[Update]) -> int | None:
+def _reduce(r: dict[int, int], pivots: Mapping[int, list], updates: list[Update]) -> int | None:
     """Reduce the integer vector r in place against ``pivots`` ({lead:
-    {row: int} or its builder}), lowest row first, appending (lead, scale,
-    rv) to ``updates`` for each update r ← scale·r − rv·p_lead; return the
-    first row of r no pivot leads, or None once r is zero."""
+    offsets}), lowest row first, appending (lead, scale, rv) to ``updates``
+    for each update r ← scale·r − rv·p_lead; return the first row of r no
+    pivot leads, or None once r is zero.  The pivots are only read."""
     heap = list(r)  # a heap of r's rows, and of some it has lost
     heapq.heapify(heap)
     while r:
@@ -98,9 +97,7 @@ def _reduce(r: dict[int, int], pivots: dict[int, Any], updates: list[Update]) ->
         pivot = pivots.get(col)
         if pivot is None:
             return col
-        if callable(pivot):  # installed unread: build it, and keep it
-            pivot = pivots[col] = pivot()
-        pv, rv = pivot[col], r[col]
+        pv, rv = pivot[0][1], r[col]
         g0 = gcd(pv, rv)
         scale = pv // g0
         if scale != 1:
@@ -108,7 +105,8 @@ def _reduce(r: dict[int, int], pivots: dict[int, Any], updates: list[Update]) ->
                 r[c] *= scale
         rv //= g0
         updates.append((col, scale, rv))
-        for c, v in pivot.items():
+        for d, v in pivot:
+            c = col + d
             if c in r:
                 val = r[c] - v * rv
                 if val:
@@ -121,23 +119,23 @@ def _reduce(r: dict[int, int], pivots: dict[int, Any], updates: list[Update]) ->
     return None
 
 
-def _eliminate(columns: Iterable[Column]) -> tuple[dict[int, Any], list[tuple]]:
-    """Forward elimination; returns the pivots, {lead: vector or builder} by
-    lead, and the log, one record (updates, lead, g, σ) per column."""
-    pivots: dict[int, Any] = {}
+def _eliminate(columns: Iterable[Column]) -> tuple[dict[int, list], list[tuple]]:
+    """Forward elimination; returns the pivots, {lead: offsets} as installed,
+    and the log, one record (updates, lead, g, σ) per column."""
+    pivots: dict[int, list] = {}
     log = []
-    for lead, build, sigma in columns:
+    for lead, offsets, sigma in columns:
         updates, g = [], 1
         if lead is None or lead in pivots:
-            r = build()
+            r = {lead + d: v for d, v in offsets}
             lead = _reduce(r, pivots, updates)
             if lead is not None:
                 g = gcd(*r.values())
-                pivots[lead] = {c: v // g for c, v in r.items()} if g > 1 else r
+                pivots[lead] = sorted((c - lead, v // g) for c, v in r.items())  # lead first
         else:
-            pivots[lead] = build  # no pivot holds its lead: installed unread
+            pivots[lead] = offsets  # no pivot holds its lead: installed as handed
         log.append((updates or (), lead, g, sigma))
-    return dict(sorted(pivots.items())), log
+    return pivots, log
 
 
 def _unwind(updates: Sequence[Update], w: Fraction, z: dict[int, Fraction]) -> Fraction:
@@ -153,14 +151,13 @@ def _unwind(updates: Sequence[Update], w: Fraction, z: dict[int, Fraction]) -> F
 
 class Factor:
     """A matrix A factored by its columns: ``solve`` answers A x = b for any
-    b and ``nullspace`` spans A x = 0 (module docstring).  Reads as the
-    sequence of its column-echelon vectors, dicts row -> int, by lead, so
-    the traced ``solve`` and ``nullspace`` can size it (ROADMAP item 1);
-    each is a copy, and an unread pivot is built for it and not kept.
+    b and ``nullspace`` spans A x = 0 (module docstring).  Reads as its
+    column-echelon vectors, new dicts row -> int, in installation order, so
+    the traced ``solve`` and ``nullspace`` can size it (ROADMAP item 1).
 
     ``_log`` holds one record (updates, lead, g, σ) per column (module
-    docstring), and ``_echelon`` the pivots ``_eliminate`` installed,
-    {lead: {row: int} or an unread builder} by lead."""
+    docstring), and ``_echelon`` the pivots {lead: offsets} as installed;
+    neither is written after construction, so a factor is safe to share."""
 
     __slots__ = ("ncols", "_log", "_echelon")
 
@@ -172,7 +169,7 @@ class Factor:
         return len(self._echelon)
 
     def __iter__(self):
-        return (v() if callable(v) else dict(v) for v in self._echelon.values())
+        return ({lead + d: v for d, v in p} for lead, p in self._echelon.items())
 
     def solve(self, rhs: Mapping[int, Fraction]) -> list[Fraction] | None:
         """The solution of A x = b with free variables at zero, or None; b
@@ -217,8 +214,8 @@ class Factor:
 
 
 def factor(columns: Iterable[Column]) -> Factor:
-    """Eliminate A, given by its unread columns with vectors {row: entry},
-    in one pass, once for any number of right-hand sides."""
+    """Eliminate A, given by its columns as data (lead, offsets, σ), in one
+    pass, once for any number of right-hand sides."""
     return Factor(columns)
 
 

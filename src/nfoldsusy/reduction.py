@@ -24,11 +24,12 @@ than B^G, so keys compare by weight first, whatever its sign.  At equal
 weight they compare as exponent vectors, lexicographically from g_0 with
 the higher exponent winning, and that is how ``monomial_sort_key`` breaks
 ties (see the ``diffring`` module docstring).  So the row of m is labelled
--key(m), ascending labels in descending ``monomial_sort_key`` order.  Each
-block is packed once, as (key, primitive integer) and the σ its columns
-share; a generator streams each column into ``linalg.factor`` unread, as
-its lead and a builder over its block and key(s).  A target packs the
-same way.
+-key(m), ascending labels in descending ``monomial_sort_key`` order.  A
+block p is packed once: its σ and one list, ascending, of (key(LM) -
+key(m), primitive integer) over its terms m.  Keys add, so every column
+s * p holds those integers at those offsets from its lead -key(s) -
+key(LM), and a generator streams each column as that lead, the block's
+list and σ.  A target packs as {-key(m): coefficient}.
 
 Towers and bases.  Each condition is I_j = c_j * P_j, c_j > 0 and P_j in
 primitive integers.  A build derives the integer tower D^0(P_j), D^1(P_j),
@@ -332,11 +333,11 @@ class _System:
     ``(c, p, shifts)`` and each ``s`` in ``shifts``, in that order, and the
     row of key k labelled -k, factored: the packing, the shifts of each
     block and the ``linalg.Factor``.  A generator streams the columns
-    into ``factor`` unread, from the packed blocks:
-    each block's primitive integer terms as (key, entry) and σ, both shared
-    by its columns, and one list of keys per list of shifts, which the
-    blocks of one weight share; each shift list is spanned, and each
-    monomial keyed, once per build.  With ``koszul``, a membership system's
+    into ``factor`` as data, from the packed blocks: each block's offsets
+    list and σ, both shared by its columns, and one list of keys per list
+    of shifts, which the blocks of one weight share, to place each
+    column's lead; each shift list is spanned, and each monomial keyed,
+    once per build.  With ``koszul``, a membership system's
     (pool, bound), the columns the Koszul criterion proves dependent are
     left out, and ``shifts`` holds each block's kept shifts: the block's own
     list when it loses none (module docstring)."""
@@ -380,10 +381,9 @@ class _System:
                 kept = [i for i, ks in enumerate(block_keys) if ks not in skip]
                 shifts, block_keys = [shifts[i] for i in kept], [block_keys[i] for i in kept]
             self.shifts.append(shifts)
-            packed_blocks.append((packed, lm, block_keys, sigma))
-        columns = ((None if lm is None else -ks - lm,
-                    lambda packed=packed, at=-ks: {at - k: v for k, v in packed}, sigma)
-                   for packed, lm, block_keys, sigma in packed_blocks for ks in block_keys)
+            packed_blocks.append((sorted((lm - k, v) for k, v in packed), lm, block_keys, sigma))
+        columns = ((None if lm is None else -ks - lm, offsets, sigma)
+                   for offsets, lm, block_keys, sigma in packed_blocks for ks in block_keys)
         self.factor = factor(columns)
 
     def rhs(self, target: DiffPoly) -> dict[int, Fraction] | None:

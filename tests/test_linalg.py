@@ -65,29 +65,43 @@ def _canonical(echelon):
     return [(col, sorted(row.items())) for col, row in echelon]
 
 
-def _lazy(scaled):
+def _data(scaled):
     """Scaled vectors (vector, den, content) as the columns ``factor``
-    takes: (lead, builder, σ = den / content), the lead None for a zero
-    vector."""
-    return [(min(vector) if vector else None, lambda vector=vector: dict(vector),
-             Fraction(den, content)) for vector, den, content in scaled]
+    takes: (lead, offsets, σ = den / content), the offsets ascending, the
+    lead None and the offsets empty for a zero vector."""
+    columns = []
+    for vector, den, content in scaled:
+        lead = min(vector) if vector else None
+        columns.append((lead, sorted((i - lead, v) for i, v in vector.items()),
+                        Fraction(den, content)))
+    return columns
+
+
+def _vectors(pivots):
+    """Pivots {lead: offsets} as their vectors, in their order."""
+    return [{lead + d: v for d, v in p} for lead, p in pivots.items()]
 
 
 def _read(echelon):
-    """Pivots {lead: vector or unread builder} as a list (lead, vector)."""
-    return [(lead, p() if callable(p) else p) for lead, p in echelon.items()]
+    """Pivots {lead: offsets} as a list (lead, vector), by lead."""
+    return sorted(zip(echelon, _vectors(echelon)))
+
+
+def _by_lead(f):
+    """The vectors a factor reads as, by lead."""
+    return sorted(f, key=min)
 
 
 def _echelon(vectors):
     """``_eliminate`` on the vectors scaled by ``_scale_to_int``, its log
     thrown away, each pivot read out."""
-    return _read(_eliminate(_lazy([_scale_to_int(v) for v in vectors]))[0])
+    return _read(_eliminate(_data([_scale_to_int(v) for v in vectors]))[0])
 
 
 def _rebuilt(columns):
-    """Columns (lead, builder, σ) as the vectors over Q they stand for,
+    """Columns (lead, offsets, σ) as the vectors over Q they stand for,
     each entry v / σ."""
-    return [{i: v / sigma for i, v in build().items()} for _, build, sigma in columns]
+    return [{lead + d: v / sigma for d, v in offsets} for lead, offsets, sigma in columns]
 
 
 def _random_system(rng):
@@ -140,7 +154,7 @@ def _columns(rows, ncols, labels=None):
         for c, v in row.items():
             if v:
                 columns[c][i] = v
-    return _lazy([_scale_to_int(column) for column in columns])
+    return _data([_scale_to_int(column) for column in columns])
 
 
 def _factor(rows, ncols):
@@ -361,7 +375,7 @@ def test_iterating_a_factor_hands_out_copies():
             vector[i] += 7
         vector[len(rows)] = 1
     assert f.solve(dict(enumerate(rhs))) == _oracle_solve(rows, rhs, 2) == [1, 1]
-    assert list(f) == [vector for _, vector in _read(_eliminate(_columns(rows, 2))[0])]
+    assert _by_lead(f) == [vector for _, vector in _read(_eliminate(_columns(rows, 2))[0])]
 
 
 def test_a_rhs_row_no_column_holds_is_infeasible():
@@ -398,7 +412,7 @@ def test_rows_are_labels_ordered_as_ints(seed):
                  None if lead is None else back[lead], g, sigma)
                 for updates, lead, g, sigma in _logs(wide)] == _logs(dense)
         assert [{back[i]: v for i, v in vector.items()} for vector in wide] == list(dense)
-        assert list(wide._echelon) == sorted(wide._echelon) == [labels[i] for i in dense._echelon]
+        assert list(wide._echelon) == [labels[i] for i in dense._echelon]
         for _ in range(4):
             rhs = _random_rhs(rng, rows, ncols)
             want = dense.solve(dict(enumerate(rhs)))
@@ -449,7 +463,8 @@ def test_leaving_out_dependent_columns_keeps_the_echelon_logs_and_solutions(seed
         kept = [c for c in range(ncols) if c not in drop]
         part = factor([columns[c] for c in kept])
         dropped_any += bool(drop)
-        assert list(part) == list(full) == [vec for _, vec in _oracle_eliminate(_rebuilt(columns))]
+        assert list(part) == list(full)
+        assert _by_lead(full) == [vec for _, vec in _oracle_eliminate(_rebuilt(columns))]
         assert _logs(part) == [logs[c] for c in kept]
         part_rows = [{i: r[c] for i, c in enumerate(kept) if c in r} for r in rows]
         for _ in range(4):
@@ -464,76 +479,93 @@ def test_leaving_out_dependent_columns_keeps_the_echelon_logs_and_solutions(seed
     assert dropped_any > 25 and feasible > 100
 
 
-def _counted(columns, calls):
-    """The columns with each builder counting its calls in ``calls``."""
-    def counting(j, build):
-        def run():
-            calls[j] += 1
-            return build()
-        return run
-    return [(lead, counting(j, build), sigma) for j, (lead, build, sigma) in enumerate(columns)]
-
-
 def _eager(columns):
-    """The reference elimination for the laziness: every column built and
-    reduced (``_reduce``), each nonzero result installed with its content
-    divided out.  Returns the pivots by lead and the log, as ``_logs``."""
+    """The reference elimination: every column's vector made and reduced
+    (``_reduce``), each nonzero result installed with its content divided
+    out, as new offsets ascending.  Returns the pivots in installation
+    order and the log, as ``_logs``."""
     pivots, log = {}, []
-    for _, build, sigma in columns:
-        r, updates, g = build(), [], 1
+    for lead, offsets, sigma in columns:
+        r, updates, g = {lead + d: v for d, v in offsets}, [], 1
         col = _reduce(r, pivots, updates)
         if col is not None:
             g = gcd(*r.values())
-            pivots[col] = {c: v // g for c, v in r.items()}
+            pivots[col] = sorted((c - col, v // g) for c, v in r.items())
         log.append((updates, col, g, sigma))
-    return dict(sorted(pivots.items())), log
+    return pivots, log
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_lazy_columns_factor_as_the_eager_elimination(seed):
-    """Columns handed unread give the log, the echelon, the solutions and
-    the kernel of building and reducing every column, with dependent and
-    zero columns among them.  Each builder runs at most once: in the
-    elimination when its column is zero or its lead is taken, or when a
-    reduction, there or in a solve, reaches its unread pivot; iterating
-    builds an unread pivot without keeping it, and ``nullspace`` builds
-    nothing."""
+    """Columns handed as data give the log, the echelon, the solutions and
+    the kernel of making and reducing every column's vector, with
+    dependent and zero columns among them.  A column whose lead no pivot
+    holds is installed as the very offsets list it was handed; every other
+    pivot, a zero column's or a taken lead's reduced, is a new list."""
     rng = random.Random(5000 + seed)
-    seen = dict.fromkeys(("zero", "taken", "reached", "solved", "unread"), 0)
+    seen = dict.fromkeys(("zero", "taken", "handed", "reduced"), 0)
     for _ in range(60):
         rows, ncols = _random_system(rng)
         columns = _columns(rows, ncols)
         pivots, log = _eager(columns)
-        calls = [0] * ncols
-        f = factor(_counted(columns, calls))
+        f = factor(columns)
         assert _logs(f) == log
-        cleared = {lead for updates, *_ in log for lead, _, _ in updates}
-        held, want = set(), []
-        for j, (lead, _, _) in enumerate(columns):
+        assert list(f) == _vectors(pivots)
+        handed, held = {}, set()
+        for j, (lead, offsets, _) in enumerate(columns):
             if lead is None or lead in held:
-                want.append(1)
                 seen["zero" if lead is None else "taken"] += 1
-            else:  # installed unread: built once a reduction reaches it
-                want.append(int(lead in cleared))
-                seen["reached"] += want[-1]
+                seen["reduced"] += log[j][1] is not None
+            else:
+                handed[lead] = offsets
             held.add(log[j][1])
-        assert calls == want
-        seen["unread"] += want.count(0)
+        seen["handed"] += len(handed)
+        lists = {id(offsets) for _, offsets, _ in columns}
+        for lead, p in f._echelon.items():
+            assert p is handed[lead] if lead in handed else id(p) not in lists
         for _ in range(4):
             rhs = _random_rhs(rng, rows, ncols)
             assert f.solve(dict(enumerate(rhs))) == _oracle_solve(rows, rhs, ncols)
-            steps = []
-            _reduce(_scale_to_int(dict(enumerate(rhs)))[0], pivots, steps)
-            reached = {lead for lead, _, _ in steps}
-            seen["solved"] += sum(not w and columns[j][0] in reached for j, w in enumerate(want))
-            want = [int(w or columns[j][0] in reached) for j, w in enumerate(want)]
-            assert calls == want
-        assert sum(map(callable, f._echelon.values())) == want.count(0)
-        assert list(f) == list(pivots.values())
-        assert sum(map(callable, f._echelon.values())) == want.count(0)
-        calls[:] = [0] * ncols
-        assert f.nullspace() == _reference_nullspace(rows, ncols) and not any(calls)
+        assert f.nullspace() == _reference_nullspace(rows, ncols)
     assert min(seen.values()) > 40, seen
+
+
+def _snapshot(f):
+    """What a factor holds: each pivot's lead, list identity and contents,
+    in order, and each log record, its updates' identity and contents."""
+    return ([(lead, id(p), list(p)) for lead, p in f._echelon.items()],
+            [(id(updates), list(updates), *end) for updates, *end in f._log])
+
+
+def _read_only(f, rhs):
+    """Solve every rhs, take the kernel and read the factor, then check
+    that none of it wrote into the factor.  Returns the answers."""
+    before = _snapshot(f)
+    answers = [f.solve(b) for b in rhs]
+    f.nullspace()
+    list(f)
+    assert _snapshot(f) == before
+    return answers
+
+
+def test_a_factor_is_read_only_after_construction(monkeypatch):
+    """Solving, feasible and infeasible, the kernel and iteration write no
+    pivot and no log record, on seeded random systems and on the memoized
+    factor of the cold sixfold probe, so a factor is safe to share."""
+    rng = random.Random(9000)
+    answers = []
+    for _ in range(100):
+        rows, ncols = _random_system(rng)
+        rhs = [dict(enumerate(_random_rhs(rng, rows, ncols))) for _ in range(4)]
+        answers += _read_only(_factor(rows, ncols), rhs)
+    assert {x is None for x in answers} == {True, False}
+    dec, seen = _decide_cold(monkeypatch, *_probe(6))
+    assert dec is not None
+    [rhs] = seen.rhs
+    f = seen.systems[0].factor
+    gap = min(f._echelon) - 1  # a row no column holds
+    x, none = _read_only(f, [rhs, {**rhs, gap: Fraction(1)}])
+    assert x is not None and none is None
 
 
 @pytest.mark.pin
@@ -823,7 +855,7 @@ def test_probe_echelons_equal_the_heap_reference(monkeypatch, n):
     echelon = _heap_eliminate(columns)
     assert _echelon(columns) == echelon
     kept = seen.systems[0].factor
-    assert list(kept) == [vector for _, vector in echelon]
+    assert _by_lead(kept) == [vector for _, vector in echelon]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -369,13 +369,13 @@ def _expand(n, blocks):
 def _streaming(mp):
     """Patch ``reduction.factor`` to record the columns each system streams
     into it, one list per system, each column rebuilt over Q from its
-    scaled form (lead, builder, σ), and return the record."""
+    scaled form (lead, offsets, σ), and return the record."""
     streamed = []
 
     def spy(columns):
         columns = list(columns)
-        streamed.append([{i: v / sigma for i, v in build().items()}
-                         for _, build, sigma in columns])
+        streamed.append([{lead + d: v / sigma for d, v in offsets}
+                         for lead, offsets, sigma in columns])
         return factor(columns)
 
     mp.setattr(reduction, "factor", spy)
@@ -607,10 +607,12 @@ def _reference_factor(n, columns):
     order = sorted({m for col in columns for m in col.terms}, key=monomial_sort_key(n),
                    reverse=True)
     row = {m: i for i, m in enumerate(order)}
-    scaled = [_scale_to_int({row[m]: Fraction(q) for m, q in col.terms.items()})
-              for col in columns]
-    return factor([(min(v) if v else None, lambda v=v: dict(v), Fraction(den, content))
-                   for v, den, content in scaled]), len(order)
+    handed = []
+    for col in columns:
+        v, den, content = _scale_to_int({row[m]: Fraction(q) for m, q in col.terms.items()})
+        lead = min(v) if v else None
+        handed.append((lead, sorted((i - lead, q) for i, q in v.items()), Fraction(den, content)))
+    return factor(handed), len(order)
 
 
 def _dependent(f):
@@ -1262,29 +1264,30 @@ def test_zero_blocks_keep_their_answers():
 
 
 @pytest.mark.pin
-@pytest.mark.parametrize("n, ncols", [(6, 637), (7, 1187)])
-def test_a_cold_probe_decision_builds_only_the_columns_it_reaches(monkeypatch, n, ncols):
-    """The columns reach ``linalg.factor`` unread, and a vector is built
-    only when the elimination or the solve needs it: 13 of the probe's
-    columns.  Reading every column would build all of them."""
-    built, handed = [], []
-
-    def counted(build):
-        def run():
-            built.append(1)
-            return build()
-        return run
+@pytest.mark.parametrize("n, ncols, lists, handed, updates",
+                         [(6, 637, 37, 35, 9), (7, 1187, 47, 45, 9)])
+def test_a_cold_probe_factor_shares_one_offsets_list_per_block(
+        monkeypatch, n, ncols, lists, handed, updates):
+    """The columns reach ``linalg.factor`` as data, each block's columns
+    sharing one offsets list, and the factor keeps those lists: its
+    pivots, one per column, are the handed lists of the blocks and a new
+    list for each column reduced at a taken lead, and nothing else."""
+    seen = []
 
     def spy(columns):
-        columns = [(lead, counted(build), sigma) for lead, build, sigma in columns]
-        handed.append(len(columns))
-        return factor(columns)
+        columns = list(columns)
+        seen.append((columns, factor(columns)))
+        return seen[-1][1]
 
     cs = pipeline(n, "eliminated")
     monkeypatch.setattr(reduction, "factor", spy)
     _clear_memos()
     assert ideal_membership(_probe(n, cs), cs) is not None
-    assert (handed, len(built)) == ([ncols], 13)
+    [(columns, f)] = seen
+    pivots = {id(p) for p in f._echelon.values()}
+    blocks = {id(offsets) for _, offsets, _ in columns}
+    assert (len(columns), len(f), len(pivots), len(pivots & blocks),
+            sum(len(u) for u, *_ in f._log)) == (ncols, ncols, lists, handed, updates)
 
 
 @pytest.mark.pin
